@@ -24,18 +24,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .circle import UnitPoint
-from .errors import (
-    DimensionMismatchError,
-    IncompleteClosureError,
-    ZeroSpectralRadiusError,
-)
+from .errors import IncompleteClosureError, ZeroSpectralRadiusError
 from .groups import GroupClosure
 from .linalg import (
     Spectrum,
@@ -108,11 +104,43 @@ def _defect_exact(sa, sb, sab, scale):
     return best, g, x, y
 
 
+# Elements of one (pairs, |sigma(AB)|, |sigma(A)||sigma(B)|) block of arc
+# distances: larger batches go through the kernel block by block, so its
+# transient memory stays under 1 MB whatever the batch size.
+_KERNEL_BLOCK = 1 << 15
+
+
+def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray) -> np.ndarray:
+    """Arc distance from every gamma to every product alpha*beta, batched.
+
+    ``sa (m, |sigma(A)|)``, ``sb (m, |sigma(B)|)`` and ``sab (m, |sigma(AB)|)``
+    hold angles in turns; row t is one pair.  Returns ``min(d, 1 - d)`` for
+    ``d = |gamma - (alpha + beta) % 1|`` as an array
+    ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``.
+    """
+    prods = np.add(sa[:, :, None], sb[:, None, :])
+    prods = prods.reshape(prods.shape[0], -1)
+    np.remainder(prods, 1.0, out=prods)
+    diff = np.subtract(sab[:, :, None], prods[:, None, :])
+    np.abs(diff, out=diff)
+    np.minimum(diff, 1.0 - diff, out=diff)
+    return diff
+
+
+def _float_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray) -> np.ndarray:
+    """Float defects of m pairs given as angle arrays (see ``_arc_gaps``)."""
+    m, nab = sab.shape
+    step = max(1, _KERNEL_BLOCK // (nab * sa.shape[1] * sb.shape[1]))
+    out = np.empty(m, dtype=float)
+    for lo in range(0, m, step):
+        part = slice(lo, lo + step)
+        out[part] = _arc_gaps(sa[part], sb[part], sab[part]).min(axis=2).max(axis=1)
+    return out
+
+
 def _defect_float(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray):
-    """Float defect over angle arrays in turns."""
-    prods = (sa[:, None] + sb[None, :]).reshape(-1) % 1.0
-    diff = np.abs(sab[:, None] - prods[None, :])
-    diff = np.minimum(diff, 1.0 - diff)
+    """Float defect of one pair with its witness indices: the batch of one."""
+    diff = _arc_gaps(sa[None, :], sb[None, :], sab[None, :])[0]
     per_g = diff.min(axis=1)
     gi = int(per_g.argmax())
     pj = int(diff[gi].argmin())
@@ -420,18 +448,23 @@ def _exact_triples_chunk(args):
 
 def _float_rows_chunk(args):
     angles, cay_rows, row_start = args
-    n = len(angles)
-    vals = np.empty(len(cay_rows) * n, dtype=float)
+    vals = np.empty((len(cay_rows), len(angles)), dtype=float)
     for li, row in enumerate(cay_rows):
-        sa = angles[row_start + li]
-        for j in range(n):
-            vals[li * n + j] = _defect_float(sa, angles[j], angles[row[j]])[0]
-    return vals
+        sa = np.broadcast_to(angles[row_start + li], angles.shape)
+        vals[li] = _float_defects(sa, angles, angles[row])
+    return vals.reshape(-1)
 
 
 def _sampled_asm_chunk(args):
     sampler, count, seed_seq = args
     rng = np.random.default_rng(seed_seq)
+    batch = getattr(sampler, "batch", None)
+    drawn = batch(rng, count) if batch is not None else None
+    if drawn is not None:
+        # a batch holds float draws only, so its defects are never exact
+        vals = _float_defects(*drawn.spectra())
+        t = int(vals.argmax())
+        return vals, float(vals[t]), t, drawn.pair(t), False
     vals = np.empty(count, dtype=float)
     best = -1.0
     best_idx = -1
@@ -536,7 +569,7 @@ def measure_asm(
         worst = pair_defect(elements[i], elements[j], pair=("elements", i, j))
         exact = True
     else:
-        angles = [s.angles() for s in spectra]
+        angles = np.array([s.angles() for s in spectra])
         eff = workers if n * n >= PARALLEL_MIN_PAIRS else 1
         sizes = _chunk_sizes(n, eff)
         chunks = []

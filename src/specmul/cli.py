@@ -42,7 +42,6 @@ from .asm import (
 )
 from .circle import ONE, UnitPoint, arg_distance, chord_distance
 from .constructions import (
-    MillerMorenoParams,
     QSetParams,
     SrParams,
     TadpoleParams,
@@ -197,7 +196,12 @@ def cmd_measure(args: argparse.Namespace) -> int:
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
             data = json.load(fh)
-        gens = [matrix_from_json(g) for g in data["generators"]]
+        gens = data.get("generators") if isinstance(data, dict) else None
+        if not isinstance(gens, list) or not gens:
+            raise SpecmulError(
+                f"{args.spec}: expected a JSON object with a non-empty "
+                f"\"generators\" list")
+        gens = [matrix_from_json(g) for g in gens]
         if args.pairs:
             raise SpecmulError("--pairs applies to sampled builtins only")
         closure = close(gens, max_elements=args.max_elements)

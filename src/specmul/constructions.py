@@ -301,6 +301,72 @@ def sample_tadpole(
     return TadpoleParams(p, pts, k, a)
 
 
+def _head_angles(d: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
+    """Head spectra of float D @ C^k, one row (D, k) each, in turns.
+
+    The same float steps as ``MonomialCycle.spectrum``: k = 0 leaves the
+    diagonal; otherwise D's entries fold along the single cycle 0, k, 2k, ...
+    into a weight w with ``% 1.0`` after each product, and the eigenvalues
+    are ``(w + t) / p`` for t = 0..p-1.
+    """
+    cycle = np.take_along_axis(d, np.arange(p) * k[:, None] % p, axis=1)
+    w = cycle[:, 0].copy()
+    for i in range(1, p):
+        w += cycle[:, i]
+        np.remainder(w, 1.0, out=w)
+    roots = (w[:, None] + np.arange(p)) / p % 1.0
+    return np.where(k[:, None] == 0, d, roots)
+
+
+def _tail_exponents(k: np.ndarray, a: np.ndarray, p: int) -> np.ndarray:
+    """Tail exponents j*k + a_j*p mod p^2 (a_0 = 0) over xi = exp(2 pi i/p^2)."""
+    a0 = np.concatenate([np.zeros((len(k), 1), dtype=np.int64), a], axis=1)
+    return (np.arange(p) * k[:, None] + a0 * p) % (p * p)
+
+
+@dataclass(frozen=True, eq=False)
+class TadpoleBatch:
+    """Sampled pairs of float tadpoles as parameter arrays.
+
+    Row t is the t-th pair; along the second axis, 0 is the left factor A and
+    1 the right factor B.  ``d (m, 2, p)`` holds the head angles in turns,
+    ``k (m, 2)`` the shifts and ``a (m, 2, p-1)`` the tail exponents.
+    """
+
+    p: int
+    d: np.ndarray
+    k: np.ndarray
+    a: np.ndarray
+
+    def _params(self, t: int, side: int) -> TadpoleParams:
+        return TadpoleParams(self.p,
+                             tuple(UnitPoint.approx(float(x)) for x in self.d[t, side]),
+                             int(self.k[t, side]),
+                             tuple(int(x) for x in self.a[t, side]))
+
+    def pair(self, t: int) -> tuple[UMatrix, UMatrix]:
+        return tadpole(self._params(t, 0)), tadpole(self._params(t, 1))
+
+    def spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Angle arrays (m, 2p) of sigma(A), sigma(B) and sigma(AB), equal
+        as multisets to the spectra of the matrices and their product.
+
+        The product follows ``tadpole_mul``: D_AB = D_A * sigma_k(D_B) with
+        ``% 1.0`` as in ``UnitPoint.__mul__``, r = k + l mod p, and the tail
+        exponents add mod p^2.
+        """
+        p, sq = self.p, self.p * self.p
+        (da, db), (ka, kb) = self.d.transpose(1, 0, 2), self.k.T
+        ea = _tail_exponents(ka, self.a[:, 0], p)
+        eb = _tail_exponents(kb, self.a[:, 1], p)
+        dab = (da + np.take_along_axis(db, (np.arange(p) + ka[:, None]) % p,
+                                       axis=1)) % 1.0
+        return (np.concatenate([_head_angles(da, ka, p), ea / sq], axis=1),
+                np.concatenate([_head_angles(db, kb, p), eb / sq], axis=1),
+                np.concatenate([_head_angles(dab, (ka + kb) % p, p),
+                                (ea + eb) % sq / sq], axis=1))
+
+
 @dataclass(frozen=True)
 class TadpoleSampler:
     """Sampler callable for the measurement loops: rng -> tadpole matrix.
@@ -316,6 +382,27 @@ class TadpoleSampler:
     def __call__(self, rng: np.random.Generator) -> UMatrix:
         return tadpole(sample_tadpole(self.p, rng, exact=self.exact,
                                       dens=self.dens))
+
+    def batch(self, rng: np.random.Generator, count: int) -> Optional[TadpoleBatch]:
+        """The next ``count`` pairs, drawn from ``rng`` in the order 2*count
+        calls would draw them; None in exact mode, whose rational angles
+        stay on the one-pair-at-a-time path."""
+        if self.exact:
+            return None
+        p = self.p
+        random, integers = rng.random, rng.integers
+        angles, k, a = [], [], []
+        for _ in range(2 * count):
+            angles.append(random(p - 1))
+            k.append(integers(0, p))
+            a.append(integers(0, p, size=p - 1))
+        angles = np.array(angles)
+        # random_det1_diagonal's last angle, then UnitPoint's own % 1.0
+        last = (-angles.sum(axis=1)) % 1.0 % 1.0
+        d = np.concatenate([angles, last[:, None]], axis=1)
+        return TadpoleBatch(p, d.reshape(count, 2, p),
+                            np.array(k).reshape(count, 2),
+                            np.array(a).reshape(count, 2, p - 1))
 
 
 def tadpole_sampler(p: int, exact: bool = False,

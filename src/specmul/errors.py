@@ -33,6 +33,10 @@ class InvalidParamsError(SpecmulError):
     pass
 
 
+class MalformedJsonError(SpecmulError, ValueError):
+    """Serialized input without the expected structure."""
+
+
 class PrimeMismatchError(SpecmulError):
     pass
 

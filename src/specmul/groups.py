@@ -18,13 +18,11 @@ for those.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .circle import UnitPoint
 from .errors import (
     ClosureRefusedError,
     DimensionMismatchError,

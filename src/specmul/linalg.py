@@ -20,16 +20,16 @@ to a dense product that records the loss of exactness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .circle import ONE, RationalAngle, UnitPoint, _float_circle_distance
+from .circle import ONE, UnitPoint, _float_circle_distance
 from .errors import (
     ConvergenceFailureError,
     DimensionMismatchError,
+    MalformedJsonError,
     NonUnitaryError,
 )
 
@@ -476,14 +476,19 @@ def matrix_to_json(m: UMatrix) -> dict:
 
 
 def matrix_from_json(d: dict) -> UMatrix:
-    variant = d.get("variant")
-    if variant == "diagonal":
-        return Diagonal(tuple(_point_from_json(e) for e in d["entries"]))
-    if variant == "monomial_cycle":
-        return MonomialCycle(tuple(_point_from_json(e) for e in d["d"]), int(d["k"]))
-    if variant == "block_diag":
-        return BlockDiag(tuple(matrix_from_json(b) for b in d["blocks"]))
-    if variant == "dense":
-        a = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
-        return Dense(a, unitary=d.get("unitary"))
-    raise ValueError(f"unknown matrix variant: {variant!r}")
+    """Inverse of ``to_json_dict``; raises ``MalformedJsonError`` on input
+    without that structure."""
+    variant = d.get("variant") if isinstance(d, dict) else None
+    try:
+        if variant == "diagonal":
+            return Diagonal(tuple(_point_from_json(e) for e in d["entries"]))
+        if variant == "monomial_cycle":
+            return MonomialCycle(tuple(_point_from_json(e) for e in d["d"]), int(d["k"]))
+        if variant == "block_diag":
+            return BlockDiag(tuple(matrix_from_json(b) for b in d["blocks"]))
+        if variant == "dense":
+            a = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
+            return Dense(a, unitary=d.get("unitary"))
+    except (TypeError, ValueError, KeyError) as exc:
+        raise MalformedJsonError(f"malformed {variant} matrix: {exc}") from exc
+    raise MalformedJsonError(f"unknown matrix variant: {variant!r}")

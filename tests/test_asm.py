@@ -1,5 +1,6 @@
 """Defect measurement: single pairs, exhaustive closures, sampled families."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specmul import asm
 from specmul.asm import (
     AsmReport,
     Histogram,
@@ -311,3 +313,74 @@ class TestReportSerialization:
         assert sum(h.counts) == r.pair_total
         back = Histogram.from_json_dict(h.to_json_dict())
         assert back == h
+
+
+# sha256 of json.dumps(measure_asm_sampled(tadpole_sampler(p), 300,
+# seed=2024 + p, collect_pairs=True).to_json_dict(), sort_keys=True), as the
+# one-pair-at-a-time implementation produced it before the batched path.
+SAMPLED_GOLDEN = {
+    2: "75e5cb62da442047af541b449287d623b13538d64abc039cdbdbe7d496e8565b",
+    3: "8cc4de24d7cbf655f80387fb6c72a402a912a9445ebdec85381d888d151dbb89",
+    5: "cca4915a005792b6d14a930555034130f404228e451d11787269f2e37dcad5c2",
+    7: "a1d02dc2aa902efdd24550204299b2cbfb82c01a0339f7b29c7bbf390148fefb",
+    11: "6df2b5f540ccc66a18ba0b359dff669d14d73aaef96673c8eeafda3d08c4dbc9",
+}
+
+
+def _dense_mm_closure(seed):
+    """MM(3, 7) conjugated by a seeded Haar unitary: 21 dense elements."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    q, rr = np.linalg.qr(z)
+    u = q * (np.diag(rr) / np.abs(np.diag(rr)))
+    return close([Dense(u @ g.to_dense() @ u.conj().T, unitary=True)
+                  for g in miller_moreno(default_miller_moreno(3, 7))])
+
+
+class TestBatchedKernel:
+    """The batched float path against the one-pair-at-a-time path."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tadpole_chunk_matches_scalar_loop(self, p, seed):
+        sampler = tadpole_sampler(p)
+        seq = np.random.SeedSequence(seed)
+        vals, best, idx, pair, exact = asm._sampled_asm_chunk((sampler, 40, seq))
+        # a bound __call__ has no ``batch``, so this takes the scalar loop
+        svals, sbest, sidx, spair, sexact = asm._sampled_asm_chunk(
+            (sampler.__call__, 40, seq))
+        assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
+        assert (best, idx, exact) == (sbest, sidx, sexact)
+        assert pair == spair
+        assert [m.to_json_dict() for m in pair] == [m.to_json_dict() for m in spair]
+
+    @pytest.mark.parametrize("p", sorted(SAMPLED_GOLDEN))
+    def test_sampled_report_matches_golden(self, p):
+        rep = measure_asm_sampled(tadpole_sampler(p), 300, seed=2024 + p,
+                                  collect_pairs=True)
+        blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == SAMPLED_GOLDEN[p]
+
+    def test_exact_sampler_has_no_batch(self):
+        rng = np.random.default_rng(0)
+        assert tadpole_sampler(3, exact=True).batch(rng, 5) is None
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_dense_rows_match_pair_defects(self, monkeypatch):
+        c = _dense_mm_closure(5)
+        cay = c.cayley_table()
+        r1 = measure_asm(c, workers=1, collect_pairs=True)
+        assert c.order == 21 and len(r1.pair_rows) == 441
+        for i, j, v in r1.pair_rows:
+            a, b = c.elements[i], c.elements[j]
+            # bit for bit against the one-pair kernel on the closure's spectra
+            ab = c.elements[cay[i, j]]
+            assert v == asm._spectrum_defect(a.spectrum(), b.spectrum(),
+                                             ab.spectrum())[0]
+            # pair_defect multiplies a @ b afresh, so sigma(AB) may move in
+            # the last bits
+            assert v == pytest.approx(pair_defect(a, b).defect, abs=1e-13)
+        # run the rows through the process pool despite the small size
+        monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 1)
+        r2 = measure_asm(c, workers=2, collect_pairs=True)
+        assert r2.to_json_dict() == r1.to_json_dict()

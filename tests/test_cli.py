@@ -61,6 +61,18 @@ class TestExitCodes:
                            "--deterministic")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("spec", [
+        {"generators": 5},
+        {"generators": [{"variant": "dense", "dim": 1, "entries": [[1]]}]},
+    ])
+    def test_malformed_spec_is_a_config_error(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run(capsys, "measure", "--spec", str(path),
+                             "--deterministic")
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_verify_failure_exits_2(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._VERIFY_TABLE, "conversions",
                             lambda args: (False, {"detail": "forced"}))
