@@ -183,10 +183,14 @@ class Histogram:
                    tuple(int(x) for x in d["counts"]))
 
 
-def _make_histogram(values: np.ndarray, bins: int, vmax: Optional[float]) -> Histogram:
+def _make_histogram(values: np.ndarray, bins: int, vmax: Optional[float],
+                    weights: Optional[np.ndarray] = None) -> Histogram:
+    """Histogram of ``values``; integer ``weights`` count each value that
+    many times."""
     if vmax is None:
         vmax = float(values.max()) if values.size and float(values.max()) > 0 else 1.0
-    counts, edges = np.histogram(values, bins=bins, range=(0.0, vmax))
+    counts, edges = np.histogram(values, bins=bins, range=(0.0, vmax),
+                                 weights=weights)
     return Histogram(tuple(float(e) for e in edges), tuple(int(c) for c in counts))
 
 
@@ -372,7 +376,8 @@ def _sub_dense(x):
 
 
 def pair_sub_defect(a, b, pair: tuple = ("explicit",),
-                    ztol: float = SUB_ZERO_TOL) -> PairDefect:
+                    ztol: float = SUB_ZERO_TOL,
+                    with_matrices: bool = True) -> PairDefect:
     """Chord defect |gamma - alpha beta| / (rho(a) rho(b)) over nonzero
     eigenvalues; closed form when both elements are rank-one samples."""
     from .constructions import SrElement, sr_pair_gamma
@@ -401,8 +406,6 @@ def pair_sub_defect(a, b, pair: tuple = ("explicit",),
             wit = (g, w[0], w[1])
     if wit is None:
         best, wit = 0.0, (0j, 0j, 0j)
-    ma = matrix_to_json_like(a)
-    mb = matrix_to_json_like(b)
     return PairDefect(
         kind="sub",
         defect=best,
@@ -414,8 +417,8 @@ def pair_sub_defect(a, b, pair: tuple = ("explicit",),
         spectrum_a=tuple(alphas),
         spectrum_b=tuple(betas),
         spectrum_ab=tuple(gammas),
-        matrix_a=ma,
-        matrix_b=mb,
+        matrix_a=matrix_to_json_like(a) if with_matrices else None,
+        matrix_b=matrix_to_json_like(b) if with_matrices else None,
     )
 
 
@@ -493,7 +496,7 @@ def _sampled_sub_chunk(args):
     for t in range(count):
         a = sampler(rng)
         b = sampler(rng)
-        d = pair_sub_defect(a, b, ztol=ztol).defect
+        d = pair_sub_defect(a, b, ztol=ztol, with_matrices=False).defect
         vals[t] = d
         if d > best:
             best, best_idx, best_pair = d, t, (a, b)
@@ -509,67 +512,95 @@ def _chunk_sizes(total: int, parts: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # measurements
 
+def _exact_level(closure: GroupClosure, workers: int, collect_pairs: bool):
+    """Exact defects of the rows of the conjugacy-class representatives.
+
+    A pair's defect depends only on sigma(A), sigma(B) and sigma(AB), which
+    simultaneous conjugation does not change, so the row of any element is a
+    permutation of its class representative's row.  Each representative is
+    its class minimum, so its first maximum is the first maximum of the full
+    row-major n x n grid.  Returns (epsilon, (i, j), representative-row
+    values, class-size weights, full grid or None).
+    """
+    elements = closure.elements
+    n = len(elements)
+    reps, class_of, sizes = np.unique(closure.conjugacy_labels(),
+                                      return_inverse=True, return_counts=True)
+    spectra = [elements[r].spectrum() for r in reps]
+    scale = 1
+    for s in spectra:
+        c = s.common_denominator()
+        scale = scale * c // math.gcd(scale, c)
+    rep_ids: dict = {}
+    uniq_reps: list = []
+    class_sid = np.empty(len(reps), dtype=np.int64)
+    for c, s in enumerate(spectra):
+        angles = s.int_angles(scale)
+        j = rep_ids.get(angles)
+        if j is None:
+            j = len(uniq_reps)
+            rep_ids[angles] = j
+            uniq_reps.append(angles)
+        class_sid[c] = j
+    sid = class_sid[class_of]
+    ns = len(uniq_reps)
+    tri = (class_sid[:, None] * ns + sid[None, :]) * ns + sid[closure.cayley_rows(reps)]
+    uniq_tri, inv = np.unique(tri, return_inverse=True)
+    decoded = []
+    for t in uniq_tri:
+        t = int(t)
+        ia, rem = divmod(t, ns * ns)
+        ib, iab = divmod(rem, ns)
+        decoded.append((uniq_reps[ia], uniq_reps[ib], uniq_reps[iab]))
+    eff = workers if len(decoded) >= PARALLEL_MIN_TASKS else 1
+    chunks = []
+    off = 0
+    for s in _chunk_sizes(len(decoded), eff):
+        chunks.append((decoded[off:off + s], scale))
+        off += s
+    tri_defects = np.array(
+        [d for part in _map_chunks(_exact_triples_chunk, chunks, eff)
+         for d in part],
+        dtype=np.int64)
+    per_rep = tri_defects[inv].reshape(len(reps), n)
+    row_max = per_rep.max(axis=1)
+    r = int(row_max.argmax())
+    pair = (int(reps[r]), int(per_rep[r].argmax()))
+    grid = None
+    if collect_pairs:
+        cay = closure.cayley_table()
+        full = (sid[:, None] * ns + sid[None, :]) * ns + sid[cay]
+        grid = tri_defects[np.searchsorted(uniq_tri, full)].astype(float) / scale
+    return (Fraction(int(row_max[r]), scale), pair,
+            per_rep.reshape(-1).astype(float) / scale, np.repeat(sizes, n), grid)
+
+
 def measure_asm(
     closure: GroupClosure,
     workers: int = 1,
     bins: int = DEFAULT_BINS,
     collect_pairs: bool = False,
 ) -> AsmReport:
-    """Exhaustive maximum defect over all ordered pairs of a complete closure."""
+    """Exhaustive maximum defect over all ordered pairs of a complete closure.
+
+    Exact closures scan one Cayley row per conjugacy class (see
+    ``_exact_level``); float closures scan all n rows, because conjugate
+    float spectra differ in the last bits.
+    """
     if not closure.complete:
         raise IncompleteClosureError(
             "closure is incomplete; exhaustive measurement would only be a "
             "lower bound — use the sampled mode instead")
     elements = closure.elements
     n = len(elements)
-    spectra = [e.spectrum() for e in elements]
-    cay = closure.cayley_table()
 
-    if all(s.exact for s in spectra):
-        scale = 1
-        for s in spectra:
-            c = s.common_denominator()
-            scale = scale * c // math.gcd(scale, c)
-        reps = [s.int_angles(scale) for s in spectra]
-        rep_ids: dict = {}
-        uniq_reps: list = []
-        sid = np.empty(n, dtype=np.int64)
-        for i, r in enumerate(reps):
-            j = rep_ids.get(r)
-            if j is None:
-                j = len(uniq_reps)
-                rep_ids[r] = j
-                uniq_reps.append(r)
-            sid[i] = j
-        ns = len(uniq_reps)
-        tri = (sid[:, None] * ns + sid[None, :]) * ns + sid[cay]
-        uniq_tri, inv = np.unique(tri, return_inverse=True)
-        decoded = []
-        for t in uniq_tri:
-            t = int(t)
-            ia, rem = divmod(t, ns * ns)
-            ib, iab = divmod(rem, ns)
-            decoded.append((uniq_reps[ia], uniq_reps[ib], uniq_reps[iab]))
-        eff = workers if len(decoded) >= PARALLEL_MIN_TASKS else 1
-        sizes = _chunk_sizes(len(decoded), eff)
-        chunks = []
-        off = 0
-        for s in sizes:
-            chunks.append((decoded[off:off + s], scale))
-            off += s
-        tri_defects = np.array(
-            [d for part in _map_chunks(_exact_triples_chunk, chunks, eff)
-             for d in part],
-            dtype=np.int64)
-        per_pair = tri_defects[inv].reshape(n, n)
-        flat = int(per_pair.argmax())
-        i, j = divmod(flat, n)
-        eps_exact = Fraction(int(per_pair[i, j]), scale)
-        values = per_pair.astype(float) / scale
-        worst = pair_defect(elements[i], elements[j], pair=("elements", i, j))
+    if all(e.exact for e in elements):
+        eps_exact, (i, j), values, weights, grid = _exact_level(
+            closure, workers, collect_pairs)
         exact = True
     else:
-        angles = np.array([s.angles() for s in spectra])
+        cay = closure.cayley_table()
+        angles = np.array([e.spectrum().angles() for e in elements])
         eff = workers if n * n >= PARALLEL_MIN_PAIRS else 1
         sizes = _chunk_sizes(n, eff)
         chunks = []
@@ -581,12 +612,13 @@ def measure_asm(
         flat = int(values.argmax())
         i, j = divmod(flat, n)
         eps_exact = None
-        worst = pair_defect(elements[i], elements[j], pair=("elements", i, j))
+        weights = None
+        grid = values.reshape(n, n)
         exact = False
+    worst = pair_defect(elements[i], elements[j], pair=("elements", i, j))
 
     rows = None
     if collect_pairs:
-        grid = values.reshape(n, n)
         rows = [(i, j, float(grid[i, j])) for i in range(n) for j in range(n)]
     return AsmReport(
         kind="asm",
@@ -600,7 +632,7 @@ def measure_asm(
         seed=None,
         group_order=n,
         worst=worst,
-        histogram=_make_histogram(values, bins, 0.5),
+        histogram=_make_histogram(values, bins, 0.5, weights),
         pair_rows=rows,
     )
 
@@ -707,7 +739,8 @@ def measure_sub(
     values = np.empty(n * n, dtype=float)
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
-            values[i * n + j] = pair_sub_defect(a, b, ztol=ztol).defect
+            values[i * n + j] = pair_sub_defect(
+                a, b, ztol=ztol, with_matrices=False).defect
     flat = int(values.argmax())
     i, j = divmod(flat, n)
     worst = pair_sub_defect(elements[i], elements[j], pair=("elements", i, j), ztol=ztol)

@@ -25,6 +25,10 @@ class IncompleteClosureError(SpecmulError):
     pass
 
 
+class ClosureInvariantError(SpecmulError):
+    """A closure whose index tables do not describe a group."""
+
+
 class DeterminantNotOneError(SpecmulError):
     pass
 

@@ -4,11 +4,14 @@
 (multiplying on the right), deduplicating elements by canonical key: exact
 structural keys for the structured variants, rounded-entry keys for dense
 matrices.  Every discovered element remembers which parent and generator
-produced it; that parent chain lets the full Cayley table be filled in by
-dynamic programming without recomputing any matrix product:
+produced it; that parent chain lets any row of the Cayley table be filled
+in by dynamic programming without recomputing any matrix product:
 
     table[x][identity] = x
     table[x][j]        = gen_table[table[x][parent(j)]][gen(j)]
+
+Conjugacy classes come from the same index tables: the orbits of
+x -> g^-1 x g over the generators g.
 
 Closures over generators whose structured entries are approximate are
 refused up front — rounded keys would silently merge distinct elements of
@@ -24,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    ClosureInvariantError,
     ClosureRefusedError,
     DimensionMismatchError,
     IncompleteClosureError,
@@ -103,20 +107,58 @@ class GroupClosure:
     def index_of(self, m: UMatrix) -> Optional[int]:
         return self.key_index.get(m.canonical_key(self.key_tol))
 
-    def cayley_table(self) -> np.ndarray:
-        """Full multiplication table: entry (i, j) indexes elements[i] @ elements[j]."""
+    def cayley_rows(self, idx) -> np.ndarray:
+        """Rows ``idx`` of the multiplication table: entry (t, j) indexes
+        elements[idx[t]] @ elements[j].  Costs O(len(idx) * n)."""
         if not self.complete:
             raise IncompleteClosureError("Cayley table needs a complete closure")
+        idx = np.asarray(idx, dtype=np.int64)
+        rows = np.empty((len(idx), self.order), dtype=np.int64)
+        rows[:, 0] = idx
+        for j in range(1, self.order):
+            pj, gj = self.parents[j]
+            rows[:, j] = self.gen_table[rows[:, pj], gj]
+        return rows
+
+    def cayley_table(self) -> np.ndarray:
+        """Full multiplication table: entry (i, j) indexes elements[i] @ elements[j]."""
         if self._cayley is None:
-            n = self.order
-            cay = np.empty((n, n), dtype=np.int64)
-            idx = np.arange(n, dtype=np.int64)
-            cay[:, 0] = idx
-            for j in range(1, n):
-                pj, gj = self.parents[j]
-                cay[:, j] = self.gen_table[cay[:, pj], gj]
-            self._cayley = cay
+            self._cayley = self.cayley_rows(np.arange(self.order))
         return self._cayley
+
+    def conjugacy_labels(self) -> np.ndarray:
+        """Conjugacy class of every element, labelled by its smallest index.
+
+        The classes are the orbits of x -> g^-1 x g over the generators g,
+        joined by union-find.  g^-1 is the last element before g's
+        ``gen_table`` column walks back to the identity, g^-1 x is one
+        Cayley row and (g^-1 x) g is the column again, so no matrix is
+        multiplied.
+        """
+        inverses = []
+        for col in self.gen_table.T:
+            prev, x = 0, int(col[0])
+            while x != 0:
+                prev, x = x, int(col[x])
+            inverses.append(prev)
+        left = self.cayley_rows(inverses)
+        root = list(range(self.order))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        for gi, row in enumerate(left):
+            for x, y in enumerate(self.gen_table[row, gi].tolist()):
+                rx, ry = find(x), find(y)
+                # the smaller root wins, so every root is its class minimum
+                if rx < ry:
+                    root[ry] = rx
+                elif ry < rx:
+                    root[rx] = ry
+        return np.array([find(x) for x in range(self.order)], dtype=np.int64)
 
     def inverse_index(self, i: int) -> int:
         row = self.cayley_table()[i]
@@ -124,6 +166,19 @@ class GroupClosure:
         if len(hits) != 1:
             raise IncompleteClosureError("element has no unique inverse")
         return int(hits[0])
+
+
+def _check_generator_action(gen_table: np.ndarray) -> None:
+    """Every column of a complete closure's ``gen_table`` (x -> x g) must be
+    a permutation; rounded keys that split or merge elements break that."""
+    n = gen_table.shape[0]
+    want = np.arange(n, dtype=gen_table.dtype)[:, None]
+    bad = np.nonzero(~np.all(np.sort(gen_table, axis=0) == want, axis=0))[0]
+    if bad.size:
+        raise ClosureInvariantError(
+            f"right multiplication by generator {int(bad[0])} is not a "
+            f"permutation of the {n} elements; the canonical keys split or "
+            f"merged elements")
 
 
 def close(
@@ -202,6 +257,8 @@ def close(
     gen_table = np.full((len(elements), len(gens)), -1, dtype=np.int64)
     for r, row in enumerate(rows):
         gen_table[r] = row
+    if complete:
+        _check_generator_action(gen_table)
 
     gen_indices = [key_index[g.canonical_key(key_tol)] for g in gens]
     return GroupClosure(

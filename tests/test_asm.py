@@ -26,6 +26,7 @@ from specmul.circle import ONE, UnitPoint, arg_distance
 from specmul.cli import _q8_generators
 from specmul.constructions import (
     SrElement,
+    is_prime,
     SrParams,
     default_miller_moreno,
     miller_moreno,
@@ -257,6 +258,15 @@ class TestMeasureSub:
         with pytest.raises(ZeroSpectralRadiusError):
             pair_sub_defect(nil, nil)
 
+    def test_matrices_optional(self):
+        rng = np.random.default_rng(37)
+        a, b = sr_sample(SrParams(0.5), rng), sr_sample(SrParams(0.5), rng)
+        bare = pair_sub_defect(a, b, with_matrices=False)
+        full = pair_sub_defect(a, b)
+        assert bare.matrix_a is None and bare.matrix_b is None
+        assert full.matrix_a is not None
+        assert bare.defect == full.defect
+
     def test_pair_gamma_used_for_rank_one_pairs(self):
         rng = np.random.default_rng(31)
         params = SrParams(0.4)
@@ -384,3 +394,77 @@ class TestBatchedKernel:
         monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 1)
         r2 = measure_asm(c, workers=2, collect_pairs=True)
         assert r2.to_json_dict() == r1.to_json_dict()
+
+
+# sha256 of json.dumps(measure_asm(close(gens), collect_pairs=...)
+# .to_json_dict(), sort_keys=True), as the all-pairs scan produced it before
+# the class-reduced scan.
+EXHAUSTIVE_GOLDEN = {
+    "mm13_157": "43bcb9279e61f3ef1727471b2ba2c96a4c422ff4f76d082e36a938cccd743931",
+    "mm3_7_pairs": "d4f591309f503e3adfb9cdccf8d36a81faa68c0010a870f870de0c4a589b9e24",
+    "q8": "662cbfa839dcfba3eb802aee522347e9c062251aae144eaee6f2511f32b74549",
+    "q8_pairs": "3e7908780a5290714c81be99b5b210bb59f463d403c4d0df799e1e8ebc9adcee",
+}
+
+REDUCTION_GROUPS = {
+    "q8": _q8_generators,
+    "cyclic5": lambda: [Diagonal(tuple(UnitPoint.exact(j, 5) for j in range(5)))],
+    "mm3_7": lambda: miller_moreno(default_miller_moreno(3, 7)),
+    "mm5_11": lambda: miller_moreno(default_miller_moreno(5, 11)),
+}
+
+
+class TestClassReducedScan:
+    """Exact exhaustive runs scan one row per conjugacy class."""
+
+    @pytest.mark.parametrize("name", sorted(REDUCTION_GROUPS))
+    def test_matches_all_pairs_loop(self, name):
+        c = close(REDUCTION_GROUPS[name]())
+        n = c.order
+        exact = [pair_defect(a, b, with_matrices=False).defect_exact
+                 for a in c.elements for b in c.elements]
+        values = np.array([float(d) for d in exact])
+        r = measure_asm(c, collect_pairs=True)
+        assert r.epsilon_exact == max(exact)
+        assert r.worst.pair == ("elements", *divmod(int(values.argmax()), n))
+        counts, _ = np.histogram(values, bins=asm.DEFAULT_BINS, range=(0.0, 0.5))
+        assert r.histogram.counts == tuple(int(x) for x in counts)
+        assert r.pair_rows == [(i, j, values[i * n + j])
+                               for i in range(n) for j in range(n)]
+
+    def test_exact_run_builds_no_full_table(self):
+        c = close(miller_moreno(default_miller_moreno(3, 7)))
+        measure_asm(c)
+        assert c._cayley is None
+        measure_asm(c, collect_pairs=True)
+        assert c._cayley is not None
+
+    @pytest.mark.parametrize("name", sorted(EXHAUSTIVE_GOLDEN))
+    def test_report_matches_golden(self, name):
+        if name.startswith("q8"):
+            gens = _q8_generators()
+        else:
+            p, q = map(int, name[2:].split("_")[:2])
+            gens = miller_moreno(default_miller_moreno(p, q))
+        rep = measure_asm(close(gens), collect_pairs=name.endswith("_pairs"))
+        blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == EXHAUSTIVE_GOLDEN[name]
+
+    def test_worker_count_through_the_pool(self, monkeypatch):
+        c = close(miller_moreno(default_miller_moreno(5, 11)))
+        r1 = measure_asm(c, workers=1, collect_pairs=True)
+        monkeypatch.setattr(asm, "PARALLEL_MIN_TASKS", 1)
+        r2 = measure_asm(c, workers=2, collect_pairs=True)
+        assert r2.to_json_dict() == r1.to_json_dict()
+
+
+MM_SWEEP = [(p, q) for p in (3, 5, 7) for q in range(3, 100)
+            if is_prime(q) and q % p == 1]
+
+
+@pytest.mark.parametrize("p,q", MM_SWEEP)
+def test_mm_closed_form_conjecture(p, q):
+    """Conjecture check, not a theorem: the default Miller-Moreno group's
+    level is (q - 1)/(2pq).  It held on every instance tried so far."""
+    r = measure_asm(close(miller_moreno(default_miller_moreno(p, q))))
+    assert r.epsilon_exact == Fraction(q - 1, 2 * p * q)

@@ -16,9 +16,15 @@ from specmul.constructions import (
     miller_moreno,
     tadpole,
 )
-from specmul.errors import ClosureRefusedError, IncompleteClosureError
+from specmul import cli, groups
+from specmul.errors import (
+    ClosureInvariantError,
+    ClosureRefusedError,
+    IncompleteClosureError,
+)
 from specmul.groups import (
     GroupClosure,
+    _check_generator_action,
     centre,
     close,
     closure_from_json,
@@ -26,7 +32,7 @@ from specmul.groups import (
     is_irreducible,
     quotient_order_mod_centre,
 )
-from specmul.linalg import Dense, Diagonal, MonomialCycle, matmul
+from specmul.linalg import Dense, Diagonal, MonomialCycle, identity_like, matmul
 
 
 def cyclic_generator(p):
@@ -112,6 +118,80 @@ class TestCayleyTable:
             assert np.allclose(
                 matmul(q8.elements[i], q8.elements[j]).to_dense(), np.eye(2),
                 atol=1e-12)
+
+    def test_rows_on_demand_match_the_table(self):
+        c = close(miller_moreno(default_miller_moreno(3, 7)))
+        idx = [5, 0, 20, 5, 11]
+        rows = c.cayley_rows(idx)
+        assert c._cayley is None
+        assert np.array_equal(rows, c.cayley_table()[idx])
+        assert c.cayley_rows([]).shape == (0, 21)
+
+    def test_rows_need_a_complete_closure(self):
+        with pytest.raises(IncompleteClosureError):
+            close(_q8_generators(), max_elements=5).cayley_rows([0])
+
+
+def _class_oracle(c):
+    """Class minimum of every x over {g x g^-1 : g}, from the full table."""
+    cay = c.cayley_table()
+    inv = [int(np.nonzero(cay[g] == 0)[0][0]) for g in range(c.order)]
+    return [min(int(cay[cay[g, x], inv[g]]) for g in range(c.order))
+            for x in range(c.order)]
+
+
+CLASS_GROUPS = {
+    "q8": (_q8_generators, 5),
+    "cyclic5": (lambda: [cyclic_generator(5)], 5),
+    "mm3_7": (lambda: miller_moreno(default_miller_moreno(3, 7)), 3 + 6 // 3),
+    "mm5_11": (lambda: miller_moreno(default_miller_moreno(5, 11)), 5 + 10 // 5),
+}
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("name", sorted(CLASS_GROUPS))
+    def test_labels_match_brute_force(self, name):
+        gens, count = CLASS_GROUPS[name]
+        c = close(gens())
+        labels = c.conjugacy_labels()
+        assert labels.tolist() == _class_oracle(c)
+        # Q8 has 5 classes, MM(p, q) has p + (q - 1)/p
+        assert len(np.unique(labels)) == count
+
+    def test_dense_closure_labels(self):
+        c = close([Dense(g.to_dense()) for g in _q8_generators()])
+        assert c.conjugacy_labels().tolist() == _class_oracle(c)
+
+
+class TestClosureInvariants:
+    def test_corrupted_gen_table_rejected(self):
+        table = close(_q8_generators()).gen_table.copy()
+        _check_generator_action(table)
+        table[3, 1] = table[4, 1]
+        with pytest.raises(ClosureInvariantError, match="generator 1"):
+            _check_generator_action(table)
+
+    @staticmethod
+    def _merge_fifth_product(monkeypatch):
+        """Make the closure's fifth product come out as the identity, so
+        two elements times the same generator land on one element."""
+        calls = []
+
+        def bad_matmul(a, b):
+            calls.append(None)
+            return identity_like(a) if len(calls) == 5 else matmul(a, b)
+
+        monkeypatch.setattr(groups, "matmul", bad_matmul)
+
+    def test_close_checks_the_generator_action(self, monkeypatch):
+        self._merge_fifth_product(monkeypatch)
+        with pytest.raises(ClosureInvariantError):
+            close(_q8_generators())
+
+    def test_cli_exits_one(self, monkeypatch, capsys):
+        self._merge_fifth_product(monkeypatch)
+        assert cli.main(["measure", "--builtin", "q8", "--deterministic"]) == 1
+        assert "not a permutation" in capsys.readouterr().err
 
 
 class TestMillerMorenoClosures:
