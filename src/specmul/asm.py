@@ -26,14 +26,17 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .circle import UnitPoint
+from .circle import UnitPoint, _frac_str, _point_from_json, _point_to_json
+from .constructions import SrElement, sr_pair_gamma
 from .errors import IncompleteClosureError, ZeroSpectralRadiusError
 from .groups import GroupClosure
 from .linalg import (
+    Dense,
     Spectrum,
     UMatrix,
     general_spectrum,
@@ -56,9 +59,8 @@ __all__ = [
 DEFAULT_BINS = 20
 SUB_ZERO_TOL = 1e-9
 
-# Pool startup dwarfs the work below these sizes, so small jobs stay
+# Pool startup dwarfs the work below this many pairs, so small jobs stay
 # in-process regardless of the requested worker count.
-PARALLEL_MIN_TASKS = 256
 PARALLEL_MIN_PAIRS = 2048
 
 # Sampled runs are split into a fixed number of logical chunks, each with its
@@ -194,25 +196,18 @@ def _make_histogram(values: np.ndarray, bins: int, vmax: Optional[float],
     return Histogram(tuple(float(e) for e in edges), tuple(int(c) for c in counts))
 
 
-def _point_json(p) -> dict:
+def _eig_json(p) -> dict:
+    """A unit-circle point, or a chord report's complex eigenvalue."""
     if isinstance(p, UnitPoint):
-        if p.is_exact:
-            return {"num": p.angle.num, "den": p.angle.den}
-        return {"angle": p.angle, "err": p.err}
+        return _point_to_json(p)
     z = complex(p)
     return {"re": z.real, "im": z.imag}
 
 
-def _point_from_json(d: dict):
-    if "num" in d:
-        return UnitPoint.exact(int(d["num"]), int(d["den"]))
-    if "angle" in d:
-        return UnitPoint.approx(float(d["angle"]), float(d.get("err", 0.0)))
-    return complex(float(d["re"]), float(d["im"]))
-
-
-def _frac_str(f: Optional[Fraction]) -> Optional[str]:
-    return None if f is None else f"{f.numerator}/{f.denominator}"
+def _eig_from_json(d: dict):
+    if "re" in d:
+        return complex(float(d["re"]), float(d["im"]))
+    return _point_from_json(d)
 
 
 def _frac_parse(s: Optional[str]) -> Optional[Fraction]:
@@ -243,14 +238,14 @@ class PairDefect:
             "defect_exact": _frac_str(self.defect_exact),
             "pair": list(self.pair),
             "witness": {
-                "gamma": _point_json(self.witness_gamma),
-                "alpha": _point_json(self.witness_alpha),
-                "beta": _point_json(self.witness_beta),
+                "gamma": _eig_json(self.witness_gamma),
+                "alpha": _eig_json(self.witness_alpha),
+                "beta": _eig_json(self.witness_beta),
             },
             "spectra": {
-                "a": [_point_json(p) for p in self.spectrum_a],
-                "b": [_point_json(p) for p in self.spectrum_b],
-                "ab": [_point_json(p) for p in self.spectrum_ab],
+                "a": [_eig_json(p) for p in self.spectrum_a],
+                "b": [_eig_json(p) for p in self.spectrum_b],
+                "ab": [_eig_json(p) for p in self.spectrum_ab],
             },
             "matrix_a": self.matrix_a,
             "matrix_b": self.matrix_b,
@@ -265,12 +260,12 @@ class PairDefect:
             defect=float(d["defect"]),
             defect_exact=_frac_parse(d["defect_exact"]),
             pair=tuple(d["pair"]),
-            witness_gamma=_point_from_json(w["gamma"]),
-            witness_alpha=_point_from_json(w["alpha"]),
-            witness_beta=_point_from_json(w["beta"]),
-            spectrum_a=tuple(_point_from_json(p) for p in sp["a"]),
-            spectrum_b=tuple(_point_from_json(p) for p in sp["b"]),
-            spectrum_ab=tuple(_point_from_json(p) for p in sp["ab"]),
+            witness_gamma=_eig_from_json(w["gamma"]),
+            witness_alpha=_eig_from_json(w["alpha"]),
+            witness_beta=_eig_from_json(w["beta"]),
+            spectrum_a=tuple(_eig_from_json(p) for p in sp["a"]),
+            spectrum_b=tuple(_eig_from_json(p) for p in sp["b"]),
+            spectrum_ab=tuple(_eig_from_json(p) for p in sp["ab"]),
             matrix_a=d.get("matrix_a"),
             matrix_b=d.get("matrix_b"),
         )
@@ -339,7 +334,13 @@ class AsmReport:
 def pair_defect(a: UMatrix, b: UMatrix, pair: tuple = ("explicit",),
                 with_matrices: bool = True) -> PairDefect:
     """Asm defect of the ordered pair (a, b) with deterministic witnesses."""
-    ab = matmul(a, b)
+    return _product_defect(a, b, matmul(a, b), pair, with_matrices)
+
+
+def _product_defect(a: UMatrix, b: UMatrix, ab: UMatrix, pair: tuple,
+                    with_matrices: bool = True) -> PairDefect:
+    """``pair_defect`` with the product ``ab`` given: an exhaustive scan
+    passes the closure's stored product, whose spectrum it measured."""
     sa, sb, sab = a.spectrum(), b.spectrum(), ab.spectrum()
     d, fr, g, al, be = _spectrum_defect(sa, sb, sab)
     return PairDefect(
@@ -359,8 +360,6 @@ def pair_defect(a: UMatrix, b: UMatrix, pair: tuple = ("explicit",),
 
 
 def _nonzero_eigs(x, ztol: float):
-    from .constructions import SrElement
-
     if isinstance(x, SrElement):
         return [x.nonzero_eigenvalue()], x.spectral_radius()
     eigs = general_spectrum(np.asarray(x, dtype=complex))
@@ -370,8 +369,6 @@ def _nonzero_eigs(x, ztol: float):
 
 
 def _sub_dense(x):
-    from .constructions import SrElement
-
     return x.matrix() if isinstance(x, SrElement) else np.asarray(x, dtype=complex)
 
 
@@ -380,8 +377,6 @@ def pair_sub_defect(a, b, pair: tuple = ("explicit",),
                     with_matrices: bool = True) -> PairDefect:
     """Chord defect |gamma - alpha beta| / (rho(a) rho(b)) over nonzero
     eigenvalues; closed form when both elements are rank-one samples."""
-    from .constructions import SrElement, sr_pair_gamma
-
     alphas, ra = _nonzero_eigs(a, ztol)
     betas, rb = _nonzero_eigs(b, ztol)
     if ra == 0.0 or rb == 0.0:
@@ -425,13 +420,7 @@ def pair_sub_defect(a, b, pair: tuple = ("explicit",),
 def matrix_to_json_like(x) -> dict:
     if isinstance(x, UMatrix):
         return matrix_to_json(x)
-    a = _sub_dense(x)
-    return {
-        "variant": "dense",
-        "dim": int(a.shape[0]),
-        "entries": [[[z.real, z.imag] for z in row] for row in a],
-        "unitary": False,
-    }
+    return Dense(_sub_dense(x), unitary=False).to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +433,6 @@ def _map_chunks(fn, chunk_args: list, workers: int) -> list:
         return list(pool.map(fn, chunk_args))
 
 
-def _exact_triples_chunk(args):
-    triples, scale = args
-    return [_defect_exact(sa, sb, sab, scale)[0] for sa, sb, sab in triples]
-
-
 def _float_rows_chunk(args):
     angles, cay_rows, row_start = args
     vals = np.empty((len(cay_rows), len(angles)), dtype=float)
@@ -458,16 +442,12 @@ def _float_rows_chunk(args):
     return vals.reshape(-1)
 
 
-def _sampled_asm_chunk(args):
-    sampler, count, seed_seq = args
+def _sampled_chunk(args):
+    """Draw ``count`` pairs one at a time and score each with
+    ``defect_of(a, b)``, a ``PairDefect``.  Returns (defects, first maximum,
+    its index, its pair, all exact)."""
+    sampler, count, seed_seq, defect_of = args
     rng = np.random.default_rng(seed_seq)
-    batch = getattr(sampler, "batch", None)
-    drawn = batch(rng, count) if batch is not None else None
-    if drawn is not None:
-        # a batch holds float draws only, so its defects are never exact
-        vals = _float_defects(*drawn.spectra())
-        t = int(vals.argmax())
-        return vals, float(vals[t]), t, drawn.pair(t), False
     vals = np.empty(count, dtype=float)
     best = -1.0
     best_idx = -1
@@ -476,31 +456,26 @@ def _sampled_asm_chunk(args):
     for t in range(count):
         a = sampler(rng)
         b = sampler(rng)
-        sa, sb, sab = a.spectrum(), b.spectrum(), matmul(a, b).spectrum()
-        d, fr, *_ = _spectrum_defect(sa, sb, sab)
-        if fr is None:
+        pd = defect_of(a, b)
+        if pd.defect_exact is None:
             all_exact = False
-        vals[t] = d
-        if d > best:
-            best, best_idx, best_pair = d, t, (a, b)
+        vals[t] = pd.defect
+        if pd.defect > best:
+            best, best_idx, best_pair = pd.defect, t, (a, b)
     return vals, best, best_idx, best_pair, all_exact
 
 
-def _sampled_sub_chunk(args):
-    sampler, count, seed_seq, ztol = args
-    rng = np.random.default_rng(seed_seq)
-    vals = np.empty(count, dtype=float)
-    best = -1.0
-    best_idx = -1
-    best_pair = None
-    for t in range(count):
-        a = sampler(rng)
-        b = sampler(rng)
-        d = pair_sub_defect(a, b, ztol=ztol, with_matrices=False).defect
-        vals[t] = d
-        if d > best:
-            best, best_idx, best_pair = d, t, (a, b)
-    return vals, best, best_idx, best_pair, False
+def _sampled_asm_chunk(args):
+    sampler, count, seed_seq = args
+    batch = getattr(sampler, "batch", None)
+    drawn = None if batch is None else batch(np.random.default_rng(seed_seq), count)
+    if drawn is None:
+        return _sampled_chunk((sampler, count, seed_seq,
+                               partial(pair_defect, with_matrices=False)))
+    # a batch holds float draws only, so its defects are never exact
+    vals = _float_defects(*drawn.spectra())
+    t = int(vals.argmax())
+    return vals, float(vals[t]), t, drawn.pair(t), False
 
 
 def _chunk_sizes(total: int, parts: int) -> list[int]:
@@ -512,15 +487,16 @@ def _chunk_sizes(total: int, parts: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # measurements
 
-def _exact_level(closure: GroupClosure, workers: int, collect_pairs: bool):
+def _exact_level(closure: GroupClosure, collect_pairs: bool):
     """Exact defects of the rows of the conjugacy-class representatives.
 
     A pair's defect depends only on sigma(A), sigma(B) and sigma(AB), which
     simultaneous conjugation does not change, so the row of any element is a
     permutation of its class representative's row.  Each representative is
     its class minimum, so its first maximum is the first maximum of the full
-    row-major n x n grid.  Returns (epsilon, (i, j), representative-row
-    values, class-size weights, full grid or None).
+    row-major n x n grid.  The unique triples are few and cheap, so they are
+    scored in-process.  Returns (epsilon, (i, j), representative-row values,
+    class-size weights, full grid or None).
     """
     elements = closure.elements
     n = len(elements)
@@ -531,37 +507,21 @@ def _exact_level(closure: GroupClosure, workers: int, collect_pairs: bool):
     for s in spectra:
         c = s.common_denominator()
         scale = scale * c // math.gcd(scale, c)
+    # distinct spectra as integer angles, numbered in first-seen order
     rep_ids: dict = {}
-    uniq_reps: list = []
-    class_sid = np.empty(len(reps), dtype=np.int64)
-    for c, s in enumerate(spectra):
-        angles = s.int_angles(scale)
-        j = rep_ids.get(angles)
-        if j is None:
-            j = len(uniq_reps)
-            rep_ids[angles] = j
-            uniq_reps.append(angles)
-        class_sid[c] = j
+    class_sid = np.array([rep_ids.setdefault(s.int_angles(scale), len(rep_ids))
+                          for s in spectra], dtype=np.int64)
+    uniq_reps = list(rep_ids)
     sid = class_sid[class_of]
     ns = len(uniq_reps)
     tri = (class_sid[:, None] * ns + sid[None, :]) * ns + sid[closure.cayley_rows(reps)]
     uniq_tri, inv = np.unique(tri, return_inverse=True)
-    decoded = []
-    for t in uniq_tri:
-        t = int(t)
+    tri_defects = np.empty(len(uniq_tri), dtype=np.int64)
+    for k, t in enumerate(uniq_tri.tolist()):
         ia, rem = divmod(t, ns * ns)
         ib, iab = divmod(rem, ns)
-        decoded.append((uniq_reps[ia], uniq_reps[ib], uniq_reps[iab]))
-    eff = workers if len(decoded) >= PARALLEL_MIN_TASKS else 1
-    chunks = []
-    off = 0
-    for s in _chunk_sizes(len(decoded), eff):
-        chunks.append((decoded[off:off + s], scale))
-        off += s
-    tri_defects = np.array(
-        [d for part in _map_chunks(_exact_triples_chunk, chunks, eff)
-         for d in part],
-        dtype=np.int64)
+        tri_defects[k] = _defect_exact(
+            uniq_reps[ia], uniq_reps[ib], uniq_reps[iab], scale)[0]
     per_rep = tri_defects[inv].reshape(len(reps), n)
     row_max = per_rep.max(axis=1)
     r = int(row_max.argmax())
@@ -575,6 +535,31 @@ def _exact_level(closure: GroupClosure, workers: int, collect_pairs: bool):
             per_rep.reshape(-1).astype(float) / scale, np.repeat(sizes, n), grid)
 
 
+def _exhaustive_report(worst, n, values, grid, bins, vmax, collect_pairs,
+                       eps_exact=None, weights=None, gamma_convention=None):
+    """Report of a scan over all n x n ordered pairs; ``grid[i, j]`` is the
+    defect of pair (i, j), ``values`` (with ``weights``) feed the histogram."""
+    rows = None
+    if collect_pairs:
+        rows = [(i, j, float(grid[i, j])) for i in range(n) for j in range(n)]
+    return AsmReport(
+        kind=worst.kind,
+        mode="exhaustive",
+        bound="attained",
+        epsilon=float(values.max()) if eps_exact is None else float(eps_exact),
+        epsilon_exact=eps_exact,
+        exact=eps_exact is not None,
+        pair_total=n * n,
+        sample_count=None,
+        seed=None,
+        group_order=n,
+        worst=worst,
+        histogram=_make_histogram(values, bins, vmax, weights),
+        gamma_convention=gamma_convention,
+        pair_rows=rows,
+    )
+
+
 def measure_asm(
     closure: GroupClosure,
     workers: int = 1,
@@ -584,8 +569,9 @@ def measure_asm(
     """Exhaustive maximum defect over all ordered pairs of a complete closure.
 
     Exact closures scan one Cayley row per conjugacy class (see
-    ``_exact_level``); float closures scan all n rows, because conjugate
-    float spectra differ in the last bits.
+    ``_exact_level``) in one process, whatever ``workers`` says; float
+    closures scan all n rows, because conjugate float spectra differ in the
+    last bits, and split them over ``workers`` processes.
     """
     if not closure.complete:
         raise IncompleteClosureError(
@@ -596,8 +582,8 @@ def measure_asm(
 
     if all(e.exact for e in elements):
         eps_exact, (i, j), values, weights, grid = _exact_level(
-            closure, workers, collect_pairs)
-        exact = True
+            closure, collect_pairs)
+        ab = matmul(elements[i], elements[j])
     else:
         cay = closure.cayley_table()
         angles = np.array([e.spectrum().angles() for e in elements])
@@ -611,44 +597,55 @@ def measure_asm(
         values = np.concatenate(_map_chunks(_float_rows_chunk, chunks, eff))
         flat = int(values.argmax())
         i, j = divmod(flat, n)
+        # the stored product, so worst.defect is bit for bit the epsilon
+        ab = elements[cay[i, j]]
         eps_exact = None
         weights = None
         grid = values.reshape(n, n)
-        exact = False
-    worst = pair_defect(elements[i], elements[j], pair=("elements", i, j))
+    worst = _product_defect(elements[i], elements[j], ab, ("elements", i, j))
+    return _exhaustive_report(worst, n, values, grid, bins, 0.5, collect_pairs,
+                              eps_exact=eps_exact, weights=weights)
 
-    rows = None
-    if collect_pairs:
-        rows = [(i, j, float(grid[i, j])) for i in range(n) for j in range(n)]
+
+def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
+                     chunk, extra, worst_of, vmax, gamma_convention=None):
+    """The seeded sampled run of both the argument and the chord defect.
+
+    Chunk k of ``SAMPLE_CHUNKS`` fixed chunks is drawn by ``chunk((sampler,
+    size, seed_k, *extra))`` from its own spawned seed, so the pairs do not
+    depend on ``workers``.  The first maximum is rebuilt by ``worst_of``;
+    ``vmax`` tops the histogram (None: the largest defect).
+    """
+    if pair_count < 1:
+        raise ValueError("need at least one pair")
+    sizes = _chunk_sizes(pair_count, SAMPLE_CHUNKS)
+    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    chunks = [(sampler, c, s, *extra) for c, s in zip(sizes, seeds)]
+    eff = workers if pair_count >= PARALLEL_MIN_PAIRS else 1
+    parts = _map_chunks(chunk, chunks, eff)
+    values = np.concatenate([p[0] for p in parts])
+    # the first maximum lies in the chunk whose end is the first one past it
+    best_idx = int(values.argmax())
+    a, b = parts[int(np.searchsorted(np.cumsum(sizes), best_idx, side="right"))][3]
+    worst = worst_of(a, b, pair=("sampled", best_idx))
+    all_exact = all(p[4] for p in parts)
+    rows = [(int(t), -1, float(v)) for t, v in enumerate(values)] if collect_pairs else None
     return AsmReport(
-        kind="asm",
-        mode="exhaustive",
-        bound="attained",
-        epsilon=float(values.max()) if eps_exact is None else float(eps_exact),
-        epsilon_exact=eps_exact,
-        exact=exact,
-        pair_total=n * n,
-        sample_count=None,
-        seed=None,
-        group_order=n,
+        kind=worst.kind,
+        mode="sampled",
+        bound="lower",
+        epsilon=float(values.max()),
+        epsilon_exact=worst.defect_exact if all_exact else None,
+        exact=all_exact,
+        pair_total=pair_count,
+        sample_count=pair_count,
+        seed=seed,
+        group_order=None,
         worst=worst,
-        histogram=_make_histogram(values, bins, 0.5, weights),
+        histogram=_make_histogram(values, bins, vmax),
+        gamma_convention=gamma_convention,
         pair_rows=rows,
     )
-
-
-def _merge_sampled(parts, offsets):
-    values = np.concatenate([p[0] for p in parts])
-    best = -1.0
-    best_idx = -1
-    best_pair = None
-    all_exact = True
-    for off, (vals, b, bi, bp, ex) in zip(offsets, parts):
-        if not ex:
-            all_exact = False
-        if bp is not None and b > best:
-            best, best_idx, best_pair = b, off + bi, bp
-    return values, best_idx, best_pair, all_exact
 
 
 def measure_asm_sampled(
@@ -660,35 +657,11 @@ def measure_asm_sampled(
     collect_pairs: bool = False,
 ) -> AsmReport:
     """Sampled lower bound on the defect: draws pair_count independent pairs
-    from the seeded sampler.  With several workers the seed space is split
-    deterministically, one spawned stream per worker."""
-    if pair_count < 1:
-        raise ValueError("need at least one pair")
-    sizes = _chunk_sizes(pair_count, SAMPLE_CHUNKS)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    chunks = [(sampler, c, s) for c, s in zip(sizes, seeds)]
-    eff = workers if pair_count >= PARALLEL_MIN_PAIRS else 1
-    parts = _map_chunks(_sampled_asm_chunk, chunks, eff)
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    values, best_idx, best_pair, all_exact = _merge_sampled(parts, offsets)
-    worst = pair_defect(best_pair[0], best_pair[1], pair=("sampled", int(best_idx)))
-    eps_exact = worst.defect_exact if all_exact else None
-    rows = [(int(t), -1, float(v)) for t, v in enumerate(values)] if collect_pairs else None
-    return AsmReport(
-        kind="asm",
-        mode="sampled",
-        bound="lower",
-        epsilon=float(values.max()),
-        epsilon_exact=eps_exact,
-        exact=all_exact,
-        pair_total=pair_count,
-        sample_count=pair_count,
-        seed=seed,
-        group_order=None,
-        worst=worst,
-        histogram=_make_histogram(values, bins, 0.5),
-        pair_rows=rows,
-    )
+    from the seeded sampler.  The seed space is split deterministically into
+    spawned streams, so the worker count does not change the pairs."""
+    return _measure_sampled(sampler, pair_count, seed, workers, bins,
+                            collect_pairs, _sampled_asm_chunk, (), pair_defect,
+                            vmax=0.5)
 
 
 def measure_sub(
@@ -706,32 +679,11 @@ def measure_sub(
     if callable(source):
         if pair_count is None or seed is None:
             raise ValueError("sampled mode needs pair_count and seed")
-        sizes = _chunk_sizes(pair_count, SAMPLE_CHUNKS)
-        seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-        chunks = [(source, c, s, ztol) for c, s in zip(sizes, seeds)]
-        eff = workers if pair_count >= PARALLEL_MIN_PAIRS else 1
-        parts = _map_chunks(_sampled_sub_chunk, chunks, eff)
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        values, best_idx, best_pair, _ = _merge_sampled(parts, offsets)
-        worst = pair_sub_defect(best_pair[0], best_pair[1],
-                                pair=("sampled", int(best_idx)), ztol=ztol)
-        rows = [(int(t), -1, float(v)) for t, v in enumerate(values)] if collect_pairs else None
-        return AsmReport(
-            kind="sub",
-            mode="sampled",
-            bound="lower",
-            epsilon=float(values.max()),
-            epsilon_exact=None,
-            exact=False,
-            pair_total=pair_count,
-            sample_count=pair_count,
-            seed=seed,
-            group_order=None,
-            worst=worst,
-            histogram=_make_histogram(values, bins, None),
-            gamma_convention="nonzero",
-            pair_rows=rows,
-        )
+        per_pair = partial(pair_sub_defect, ztol=ztol, with_matrices=False)
+        return _measure_sampled(source, pair_count, seed, workers, bins,
+                                collect_pairs, _sampled_chunk, (per_pair,),
+                                partial(pair_sub_defect, ztol=ztol),
+                                vmax=None, gamma_convention="nonzero")
     elements = list(source)
     n = len(elements)
     if n == 0:
@@ -744,24 +696,8 @@ def measure_sub(
     flat = int(values.argmax())
     i, j = divmod(flat, n)
     worst = pair_sub_defect(elements[i], elements[j], pair=("elements", i, j), ztol=ztol)
-    rows = ([(i, j, float(values[i * n + j])) for i in range(n) for j in range(n)]
-            if collect_pairs else None)
-    return AsmReport(
-        kind="sub",
-        mode="exhaustive",
-        bound="attained",
-        epsilon=float(values.max()),
-        epsilon_exact=None,
-        exact=False,
-        pair_total=n * n,
-        sample_count=None,
-        seed=None,
-        group_order=n,
-        worst=worst,
-        histogram=_make_histogram(values, bins, None),
-        gamma_convention="nonzero",
-        pair_rows=rows,
-    )
+    return _exhaustive_report(worst, n, values, values.reshape(n, n), bins,
+                              None, collect_pairs, gamma_convention="nonzero")
 
 
 def conversion_check(eps: Union[Fraction, float]):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Optional, Union
 
 __all__ = [
     "DEFAULT_ANGLE_TOL",
@@ -221,3 +221,23 @@ def points_equal(z: UnitPoint, w: UnitPoint, tol: float = DEFAULT_ANGLE_TOL) -> 
     if z.is_exact and w.is_exact:
         return z.angle == w.angle
     return _float_circle_distance(z.turns, w.turns) <= tol
+
+
+def _point_to_json(p: UnitPoint) -> dict:
+    """JSON form of a point: ``{"num", "den"}`` exact, ``{"angle", "err"}``
+    approximate (JSON floats round-trip bit for bit)."""
+    if p.is_exact:
+        return {"num": p.angle.num, "den": p.angle.den}
+    return {"angle": p.angle, "err": p.err}
+
+
+def _point_from_json(d: dict) -> UnitPoint:
+    """Inverse of ``_point_to_json``; also reads angles written as strings."""
+    if "num" in d:
+        return UnitPoint.exact(int(d["num"]), int(d["den"]))
+    return UnitPoint.approx(float(d["angle"]), float(d.get("err", 0.0)))
+
+
+def _frac_str(f: Optional[Fraction]) -> Optional[str]:
+    """``"num/den"`` for a Fraction, whole numbers included; None stays None."""
+    return None if f is None else f"{f.numerator}/{f.denominator}"

@@ -34,13 +34,14 @@ import numpy as np
 from .asm import (
     AsmReport,
     DEFAULT_BINS,
+    _eig_from_json,
     conversion_check,
     measure_asm,
     measure_asm_sampled,
     measure_sub,
     pair_defect,
 )
-from .circle import ONE, UnitPoint, arg_distance, chord_distance
+from .circle import ONE, UnitPoint, _frac_str, arg_distance, chord_distance
 from .constructions import (
     QSetParams,
     SrParams,
@@ -121,7 +122,7 @@ def _config_dict(args: argparse.Namespace) -> dict:
         if k in ("func", "out", "format") or v is None or callable(v):
             continue
         if isinstance(v, Fraction):
-            v = f"{v.numerator}/{v.denominator}"
+            v = _frac_str(v)
         cfg[k] = v
     return cfg
 
@@ -158,7 +159,7 @@ def _human_report(rep: AsmReport) -> str:
     lines = [f"kind: {rep.kind} ({rep.mode}, {rep.bound} bound)"]
     if rep.epsilon_exact is not None:
         f = rep.epsilon_exact
-        lines.append(f"epsilon_star: {f.numerator}/{f.denominator}"
+        lines.append(f"epsilon_star: {_frac_str(f)}"
                      f" (= {_sig12(float(f))}, exact)")
     else:
         lines.append(f"epsilon_star: {_sig12(rep.epsilon)}")
@@ -193,34 +194,7 @@ def _q8_generators():
 def cmd_measure(args: argparse.Namespace) -> int:
     workers, bins = args.workers, args.bins
     collect = args.collect_pairs or args.format == "csv"
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-        gens = data.get("generators") if isinstance(data, dict) else None
-        if not isinstance(gens, list) or not gens:
-            raise SpecmulError(
-                f"{args.spec}: expected a JSON object with a non-empty "
-                f"\"generators\" list")
-        gens = [matrix_from_json(g) for g in gens]
-        if args.pairs:
-            raise SpecmulError("--pairs applies to sampled builtins only")
-        closure = close(gens, max_elements=args.max_elements)
-        report = measure_asm(closure, workers=workers, bins=bins,
-                             collect_pairs=collect)
-    elif args.builtin == "q8":
-        closure = close(_q8_generators(), max_elements=args.max_elements)
-        report = measure_asm(closure, workers=workers, bins=bins,
-                             collect_pairs=collect)
-    elif args.builtin == "cyclic":
-        closure = close([cycle_matrix(args.p)], max_elements=args.max_elements)
-        report = measure_asm(closure, workers=workers, bins=bins,
-                             collect_pairs=collect)
-    elif args.builtin == "miller-moreno":
-        x, y = miller_moreno(default_miller_moreno(args.p, args.q))
-        closure = close([x, y], max_elements=args.max_elements)
-        report = measure_asm(closure, workers=workers, bins=bins,
-                             collect_pairs=collect)
-    elif args.builtin == "tadpole":
+    if args.builtin == "tadpole":
         if not args.pairs:
             raise SpecmulError(
                 "the tadpole family is continuous; give --pairs to sample")
@@ -228,13 +202,34 @@ def cmd_measure(args: argparse.Namespace) -> int:
         report = measure_asm_sampled(sampler, args.pairs, args.seed,
                                      workers=workers, bins=bins,
                                      collect_pairs=collect)
-    else:  # sr
+    elif args.builtin == "sr":
         if not args.pairs:
             raise SpecmulError(
                 "the rank-one semigroup is continuous; give --pairs to sample")
         sampler = sr_sampler(SrParams(args.r, args.dim))
         report = measure_sub(sampler, pair_count=args.pairs, seed=args.seed,
                              workers=workers, bins=bins, collect_pairs=collect)
+    else:  # a finite group: close it and scan every pair
+        if args.spec:
+            with open(args.spec, encoding="utf-8") as fh:
+                data = json.load(fh)
+            gens = data.get("generators") if isinstance(data, dict) else None
+            if not isinstance(gens, list) or not gens:
+                raise SpecmulError(
+                    f"{args.spec}: expected a JSON object with a non-empty "
+                    f"\"generators\" list")
+            gens = [matrix_from_json(g) for g in gens]
+            if args.pairs:
+                raise SpecmulError("--pairs applies to sampled builtins only")
+        elif args.builtin == "q8":
+            gens = _q8_generators()
+        elif args.builtin == "cyclic":
+            gens = [cycle_matrix(args.p)]
+        else:  # miller-moreno
+            gens = miller_moreno(default_miller_moreno(args.p, args.q))
+        closure = close(gens, max_elements=args.max_elements)
+        report = measure_asm(closure, workers=workers, bins=bins,
+                             collect_pairs=collect)
 
     _emit(args, report.to_json_dict(), human=_human_report(report),
           csv_text=_report_csv(report))
@@ -270,12 +265,12 @@ def cmd_qset(args: argparse.Namespace) -> int:
 
     csv_lines = ["q,member,witness"]
     for q, ok, w in result.verdicts:
-        ws = "" if w is None else f"{w.numerator}/{w.denominator}"
+        ws = "" if w is None else _frac_str(w)
         csv_lines.append(f"{q},{int(ok)},{ws}")
     human = [
-        f"p = {params.p}, epsilon = {eps.numerator}/{eps.denominator}"
+        f"p = {params.p}, epsilon = {_frac_str(eps)}"
         f" (= {_sig12(float(eps))})",
-        f"delta = {params.delta.numerator}/{params.delta.denominator},"
+        f"delta = {_frac_str(params.delta)},"
         f" cutoff = {params.cutoff}",
         f"members: {list(result.members)}",
     ]
@@ -414,12 +409,12 @@ def _verify_tadpole_bound(args) -> tuple[bool, dict]:
         if bad_zero or bad_four:
             zeros_ok = False
             if bad is None:
-                bad = {"case": case, "defect": f"{fr.numerator}/{fr.denominator}",
+                bad = {"case": case, "defect": _frac_str(fr),
                        "a": ta.to_json_dict(), "b": tb.to_json_dict()}
     ok = bad is None and zeros_ok
     return ok, {
         "p": p,
-        "bound": f"{bound.numerator}/{bound.denominator}",
+        "bound": _frac_str(bound),
         "sampled_pairs": args.pairs,
         "max_defect": max_defect,
         "exact_pairs": exact_pairs,
@@ -501,7 +496,7 @@ def _verify_conversions(args) -> tuple[bool, dict]:
         "max_upper_slack": worst_hi,
         "example_level": "1/18",
         "implied_sub_level": sub_b,
-        "implied_asm_level": f"{asm_b.numerator}/{asm_b.denominator}",
+        "implied_asm_level": _frac_str(asm_b),
         "counterexample": bad,
     }
 
@@ -531,12 +526,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # plotdata
 
 def _angle_row(p: dict) -> tuple[float, int]:
-    if "num" in p:
-        return float(Fraction(int(p["num"]), int(p["den"]))), 1
-    if "angle" in p:
-        return float(p["angle"]) % 1.0, 0
-    ang = math.atan2(float(p["im"]), float(p["re"])) / (2.0 * math.pi) % 1.0
-    return ang, 0
+    z = _eig_from_json(p)
+    if isinstance(z, complex):
+        return UnitPoint.from_complex(z).turns, 0
+    return z.turns, int(z.is_exact)
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:

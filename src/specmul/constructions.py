@@ -25,7 +25,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circle import ONE, RationalAngle, UnitPoint
+from .circle import (
+    ONE,
+    RationalAngle,
+    UnitPoint,
+    _frac_str,
+    _point_from_json,
+    _point_to_json,
+)
 from .errors import (
     DeterminantNotOneError,
     InvalidParamsError,
@@ -186,24 +193,13 @@ class TadpoleParams:
         return tuple(pts)
 
     def to_json_dict(self) -> dict:
-        out = {"p": self.p, "k": self.k, "a": list(self.a), "d": []}
-        for x in self.d:
-            if x.is_exact:
-                out["d"].append({"num": x.angle.num, "den": x.angle.den})
-            else:
-                # decimal strings survive a JSON round trip bit for bit
-                out["d"].append({"angle": repr(x.angle), "err": x.err})
-        return out
+        return {"p": self.p, "k": self.k, "a": list(self.a),
+                "d": [_point_to_json(x) for x in self.d]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TadpoleParams":
-        pts = []
-        for e in d["d"]:
-            if "num" in e:
-                pts.append(UnitPoint.exact(int(e["num"]), int(e["den"])))
-            else:
-                pts.append(UnitPoint.approx(float(e["angle"]), float(e.get("err", 0.0))))
-        return cls(int(d["p"]), tuple(pts), int(d["k"]), tuple(int(x) for x in d["a"]))
+        pts = tuple(_point_from_json(e) for e in d["d"])
+        return cls(int(d["p"]), pts, int(d["k"]), tuple(int(x) for x in d["a"]))
 
 
 def tadpole(params: TadpoleParams) -> UMatrix:
@@ -544,23 +540,20 @@ class MmGapReport:
     asm_threshold: Fraction
 
     def to_json_dict(self) -> dict:
-        def frac(f):
-            return f"{f.numerator}/{f.denominator}"
-
         return {
             "p": self.p,
             "q": self.q,
             "n": self.n,
             "distinct_products": self.distinct_products,
             "product_bound": self.product_bound,
-            "widest_gap": frac(self.widest_gap),
-            "gap_midpoint": frac(self.gap_midpoint.as_fraction()),
-            "midpoint_distance": frac(self.midpoint_distance),
-            "midpoint_lower_bound": frac(self.midpoint_lower_bound),
-            "nearest_qth_root": frac(self.nearest_qth_root.as_fraction()),
-            "root_distance": frac(self.root_distance),
-            "root_distance_lower_bound": frac(self.root_distance_lower_bound),
-            "asm_threshold": frac(self.asm_threshold),
+            "widest_gap": _frac_str(self.widest_gap),
+            "gap_midpoint": _frac_str(self.gap_midpoint.as_fraction()),
+            "midpoint_distance": _frac_str(self.midpoint_distance),
+            "midpoint_lower_bound": _frac_str(self.midpoint_lower_bound),
+            "nearest_qth_root": _frac_str(self.nearest_qth_root.as_fraction()),
+            "root_distance": _frac_str(self.root_distance),
+            "root_distance_lower_bound": _frac_str(self.root_distance_lower_bound),
+            "asm_threshold": _frac_str(self.asm_threshold),
         }
 
 
@@ -758,15 +751,15 @@ class QSetResult:
     def to_json_dict(self) -> dict:
         return {
             "p": self.params.p,
-            "epsilon": f"{self.params.epsilon.numerator}/{self.params.epsilon.denominator}",
-            "delta": f"{self.params.delta.numerator}/{self.params.delta.denominator}",
+            "epsilon": _frac_str(self.params.epsilon),
+            "delta": _frac_str(self.params.delta),
             "cutoff": self.cutoff,
             "members": list(self.members),
             "verdicts": [
                 {
                     "q": q,
                     "member": ok,
-                    "witness": None if w is None else f"{w.numerator}/{w.denominator}",
+                    "witness": _frac_str(w),
                 }
                 for q, ok, w in self.verdicts
             ],

@@ -274,13 +274,14 @@ def close(
 
 
 def centre(closure: GroupClosure) -> list[int]:
-    """Indices of elements commuting with every generator (hence with all)."""
-    cay = closure.cayley_table()
-    out = []
-    for i in range(closure.order):
-        if all(cay[i, j] == cay[j, i] for j in closure.gen_indices):
-            out.append(i)
-    return out
+    """Indices of elements commuting with every generator (hence with all).
+
+    g x is row g of the Cayley table and x g is column g of ``gen_table``,
+    so only the generators' rows are built, not the full table.
+    """
+    left = closure.cayley_rows(closure.gen_indices)
+    commutes = np.all(left == closure.gen_table.T, axis=0)
+    return np.nonzero(commutes)[0].tolist()
 
 
 def quotient_order_mod_centre(closure: GroupClosure) -> int:

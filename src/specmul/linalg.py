@@ -25,7 +25,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circle import ONE, UnitPoint, _float_circle_distance
+from .circle import (
+    ONE,
+    UnitPoint,
+    _float_circle_distance,
+    _point_from_json,
+    _point_to_json,
+)
 from .errors import (
     ConvergenceFailureError,
     DimensionMismatchError,
@@ -126,18 +132,6 @@ class UMatrix:
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
-
-
-def _point_to_json(p: UnitPoint) -> dict:
-    if p.is_exact:
-        return {"num": p.angle.num, "den": p.angle.den}
-    return {"angle": p.angle, "err": p.err}
-
-
-def _point_from_json(d: dict) -> UnitPoint:
-    if "num" in d:
-        return UnitPoint.exact(int(d["num"]), int(d["den"]))
-    return UnitPoint.approx(float(d["angle"]), float(d.get("err", 0.0)))
 
 
 def _dense_key(a: np.ndarray, tol: float):

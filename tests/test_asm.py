@@ -395,6 +395,16 @@ class TestBatchedKernel:
         r2 = measure_asm(c, workers=2, collect_pairs=True)
         assert r2.to_json_dict() == r1.to_json_dict()
 
+    def test_worst_pair_agrees_with_epsilon(self):
+        # the worst pair is rebuilt from the closure's stored product, whose
+        # spectrum the scan used; a fresh a @ b gives 0.1428571428571429 here
+        c = _dense_mm_closure(5)
+        r = measure_asm(c)
+        assert r.epsilon == 0.14285714285714302
+        assert r.worst.defect == r.epsilon
+        i, j = r.worst.pair[1:]
+        assert r.worst.spectrum_ab == c.elements[c.cayley_table()[i, j]].spectrum().points
+
 
 # sha256 of json.dumps(measure_asm(close(gens), collect_pairs=...)
 # .to_json_dict(), sort_keys=True), as the all-pairs scan produced it before
@@ -453,7 +463,6 @@ class TestClassReducedScan:
     def test_worker_count_through_the_pool(self, monkeypatch):
         c = close(miller_moreno(default_miller_moreno(5, 11)))
         r1 = measure_asm(c, workers=1, collect_pairs=True)
-        monkeypatch.setattr(asm, "PARALLEL_MIN_TASKS", 1)
         r2 = measure_asm(c, workers=2, collect_pairs=True)
         assert r2.to_json_dict() == r1.to_json_dict()
 
@@ -468,3 +477,54 @@ def test_mm_closed_form_conjecture(p, q):
     level is (q - 1)/(2pq).  It held on every instance tried so far."""
     r = measure_asm(close(miller_moreno(default_miller_moreno(p, q))))
     assert r.epsilon_exact == Fraction(q - 1, 2 * p * q)
+
+
+# sha256 of json.dumps(report.to_json_dict(), sort_keys=True) for the cases
+# below, as the code produced them while the argument and chord defects still
+# had separate sampling drivers.
+DRIVER_GOLDEN = {
+    "sr_sampled": "3ec384d55410ed5c35ee3612ad198de96a119a67c0e2f8474b89de2f0c1cb439",
+    "tadpole_exact": "47a957f807d4553120a3ce19644a38938b401c73b923c34ec43114194d4a40ba",
+    "sr_exhaustive": "5b91d17d510382a5efaa0ed2418a8844309f83a4d7328a971768e2a1a0c49a30",
+}
+
+
+def _report_sha(rep):
+    blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+class TestSampledDriverGolden:
+    """Reports of the shared sampled driver against the two it replaced."""
+
+    def test_sr_sampled(self):
+        rep = measure_sub(sr_sampler(SrParams(0.5)), pair_count=300, seed=41,
+                          collect_pairs=True)
+        assert _report_sha(rep) == DRIVER_GOLDEN["sr_sampled"]
+
+    def test_sr_sampled_through_the_pool(self, monkeypatch):
+        monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 1)
+        rep = measure_sub(sr_sampler(SrParams(0.5)), pair_count=300, seed=41,
+                          workers=2, collect_pairs=True)
+        assert _report_sha(rep) == DRIVER_GOLDEN["sr_sampled"]
+
+    def test_exact_tadpole_sampled(self):
+        rep = measure_asm_sampled(tadpole_sampler(3, exact=True), 300, seed=42,
+                                  collect_pairs=True)
+        assert rep.exact
+        assert _report_sha(rep) == DRIVER_GOLDEN["tadpole_exact"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_worst_pair_is_the_first_maximum(self, seed):
+        # about two pairs per chunk, so the maximum often opens a chunk
+        rep = measure_sub(sr_sampler(SrParams(0.5)), pair_count=130, seed=seed,
+                          collect_pairs=True)
+        values = [v for _, _, v in rep.pair_rows]
+        assert rep.worst.pair == ("sampled", values.index(max(values)))
+        assert rep.worst.defect == rep.epsilon
+
+    def test_sr_exhaustive(self):
+        rng = np.random.default_rng(43)
+        elements = [sr_sample(SrParams(0.5), rng) for _ in range(8)]
+        rep = measure_sub(elements, collect_pairs=True)
+        assert _report_sha(rep) == DRIVER_GOLDEN["sr_exhaustive"]

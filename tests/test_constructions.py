@@ -1,6 +1,7 @@
 """Construction families: tadpole algebra, generator pairs, rank-one
 semigroup, admissible prime sets."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -134,6 +135,15 @@ class TestTadpoleParams:
         back = TadpoleParams.from_json_dict(t.to_json_dict())
         assert back.k == t.k and back.a == t.a
         assert all(x.turns == y.turns for x, y in zip(back.d, t.d))
+
+    def test_json_float_angles_are_numbers(self):
+        t = random_params(5, exact=False)
+        d = t.to_json_dict()
+        assert all(isinstance(e["angle"], float) for e in d["d"])
+        assert TadpoleParams.from_json_dict(json.loads(json.dumps(d))) == t
+        # files written with the angle as a decimal string still load
+        old = dict(d, d=[dict(e, angle=repr(e["angle"])) for e in d["d"]])
+        assert TadpoleParams.from_json_dict(old) == t
 
 
 class TestTadpoleAlgebra:

@@ -163,6 +163,17 @@ class TestConjugacyClasses:
         assert c.conjugacy_labels().tolist() == _class_oracle(c)
 
 
+class TestCentre:
+    @pytest.mark.parametrize("name", ["q8", "cyclic5", "mm3_7"])
+    def test_matches_full_table_scan(self, name):
+        c = close(CLASS_GROUPS[name][0]())
+        z = centre(c)
+        assert c._cayley is None
+        cay = c.cayley_table()
+        assert z == [i for i in range(c.order)
+                     if all(cay[i, g] == cay[g, i] for g in c.gen_indices)]
+
+
 class TestClosureInvariants:
     def test_corrupted_gen_table_rejected(self):
         table = close(_q8_generators()).gen_table.copy()
