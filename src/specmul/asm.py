@@ -568,10 +568,12 @@ def measure_asm(
 ) -> AsmReport:
     """Exhaustive maximum defect over all ordered pairs of a complete closure.
 
-    Exact closures scan one Cayley row per conjugacy class (see
-    ``_exact_level``) in one process, whatever ``workers`` says; float
-    closures scan all n rows, because conjugate float spectra differ in the
-    last bits, and split them over ``workers`` processes.
+    Exact closures (``closure.exact``) scan one Cayley row per conjugacy
+    class (see ``_exact_level``) in one process, whatever ``workers`` says,
+    and read only the k class representatives and the worst pair from
+    ``closure.elements``; float closures scan all n rows, because conjugate
+    float spectra differ in the last bits, and split them over ``workers``
+    processes.
     """
     if not closure.complete:
         raise IncompleteClosureError(
@@ -580,10 +582,11 @@ def measure_asm(
     elements = closure.elements
     n = len(elements)
 
-    if all(e.exact for e in elements):
+    if closure.exact:
         eps_exact, (i, j), values, weights, grid = _exact_level(
             closure, collect_pairs)
-        ab = matmul(elements[i], elements[j])
+        a, b = elements[i], elements[j]
+        ab = matmul(a, b)
     else:
         cay = closure.cayley_table()
         angles = np.array([e.spectrum().angles() for e in elements])
@@ -598,11 +601,11 @@ def measure_asm(
         flat = int(values.argmax())
         i, j = divmod(flat, n)
         # the stored product, so worst.defect is bit for bit the epsilon
-        ab = elements[cay[i, j]]
+        a, b, ab = elements[i], elements[j], elements[cay[i, j]]
         eps_exact = None
         weights = None
         grid = values.reshape(n, n)
-    worst = _product_defect(elements[i], elements[j], ab, ("elements", i, j))
+    worst = _product_defect(a, b, ab, ("elements", i, j))
     return _exhaustive_report(worst, n, values, grid, bins, 0.5, collect_pairs,
                               eps_exact=eps_exact, weights=weights)
 

@@ -41,7 +41,14 @@ from .asm import (
     measure_sub,
     pair_defect,
 )
-from .circle import ONE, UnitPoint, _frac_str, arg_distance, chord_distance
+from .circle import (
+    ONE,
+    UnitPoint,
+    _frac_str,
+    _point_to_json,
+    arg_distance,
+    chord_distance,
+)
 from .constructions import (
     QSetParams,
     SrParams,
@@ -301,7 +308,7 @@ def _verify_lemma_spectrum(args) -> tuple[bool, dict]:
             worst = max(worst, mism)
             if mism > args.tol and bad is None:
                 bad = {"k": k, "mismatch": mism,
-                       "d": [repr(x.turns) for x in d]}
+                       "d": [_point_to_json(x) for x in d]}
     return bad is None, {
         "p": p, "trials": args.trials, "tol": args.tol,
         "max_mismatch": worst, "counterexample": bad,

@@ -13,6 +13,14 @@ in by dynamic programming without recomputing any matrix product:
 Conjugacy classes come from the same index tables: the orbits of
 x -> g^-1 x g over the generators g.
 
+Exact monomial generators (``Diagonal``/``MonomialCycle``), and exact
+``BlockDiag`` generators whose blocks are all monomial, take an array path:
+every element is stored as a permutation row ``s`` and an exponent row ``e``
+mod N (``M[i, s[i]] = exp(2 pi i e[i] / N)``), each BFS layer is two gathers,
+and ``GroupClosure.elements`` builds a matrix only for the indices read.
+Element indices, ``parents`` and ``gen_table`` are the same as the object
+BFS, which every other generator set takes.
+
 Closures over generators whose structured entries are approximate are
 refused up front — rounded keys would silently merge distinct elements of
 what is almost surely an infinite group; use the sampling-based measurements
@@ -21,11 +29,14 @@ for those.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .circle import UnitPoint
 from .errors import (
     ClosureInvariantError,
     ClosureRefusedError,
@@ -40,6 +51,7 @@ from .linalg import (
     Diagonal,
     MonomialCycle,
     UMatrix,
+    _mono_parts,
     block_diag,
     identity_like,
     matmul,
@@ -88,15 +100,126 @@ def _family(m: UMatrix):
     return ("dense",)
 
 
+# Exponents are summed in int64 before the reduction mod N.
+_MAX_ROOTS = 1 << 62
+
+
+class _MonomialCode:
+    """Exact monomial or block-monomial matrices as one int64 row each.
+
+    The row is ``s`` then ``e``: the permutation ``s`` and the exponents
+    ``e`` mod ``roots`` with M[i, s[i]] = exp(2 pi i e[i] / roots).  Each
+    block is D C^k, so block (off, size) has s[off] = off + k.  The product
+    of rows a and b is ``s = s_b[s_a]``, ``e = (e_a + e_b[s_a]) % roots``.
+    """
+
+    def __init__(self, blocks: tuple, roots: int, nested: bool):
+        self.blocks = blocks    # (offset, size) of each monomial block
+        self.roots = roots
+        self.nested = nested    # BlockDiag, or a single monomial matrix
+        self.dim = sum(size for _, size in blocks)
+
+    @classmethod
+    def fit(cls, gens: Sequence[UMatrix]) -> Optional["_MonomialCode"]:
+        """The code of ``gens``, or None unless they are monomial matrices,
+        or block diagonals of monomial blocks.  ``_prepare`` has refused
+        approximate entries and made the generators one family, so
+        ``gens[0]`` gives the layout."""
+        nested = isinstance(gens[0], BlockDiag)
+        blocks = gens[0].blocks if nested else (gens[0],)
+        if not all(_mono_parts(b) is not None for b in blocks):
+            return None
+        roots = 1
+        for g in gens:
+            for b in (g.blocks if nested else (g,)):
+                roots = math.lcm(roots, *(p.angle.den for p in _mono_parts(b)[0]))
+        if roots >= _MAX_ROOTS:
+            return None
+        offsets = np.cumsum([0] + [b.dim for b in blocks]).tolist()
+        return cls(tuple((off, b.dim) for off, b in zip(offsets, blocks)),
+                   roots, nested)
+
+    def encode(self, m: UMatrix) -> Optional[np.ndarray]:
+        """The row of ``m``, or None when ``m`` has another layout or an
+        entry that is not a power of the primitive ``roots``-th root."""
+        if isinstance(m, BlockDiag) != self.nested:
+            return None
+        blocks = m.blocks if self.nested else (m,)
+        if len(blocks) != len(self.blocks):
+            return None
+        s: list[int] = []
+        e: list[int] = []
+        for (off, size), b in zip(self.blocks, blocks):
+            parts = _mono_parts(b)
+            if parts is None or b.dim != size or not b.exact:
+                return None
+            d, k = parts
+            if any(self.roots % p.angle.den for p in d):
+                return None
+            s.extend(off + (i + k) % size for i in range(size))
+            e.extend(p.angle.num * (self.roots // p.angle.den) for p in d)
+        return np.array(s + e, dtype=np.int64)
+
+    def key(self, m: UMatrix) -> Optional[bytes]:
+        """The ``key_index`` key of ``m``: the bytes of its row, or None."""
+        row = self.encode(m)
+        return None if row is None else row.tobytes()
+
+    def decode(self, row: np.ndarray) -> UMatrix:
+        """The matrix of ``row``, in the representation ``matmul`` gives
+        the same product."""
+        s, e = row[:self.dim].tolist(), row[self.dim:].tolist()
+        blocks = tuple(
+            monomial_cycle([UnitPoint.exact(x, self.roots)
+                            for x in e[off:off + size]], s[off] - off)
+            for off, size in self.blocks)
+        return BlockDiag(blocks) if self.nested else blocks[0]
+
+    def products(self, rows: np.ndarray, gen_rows: np.ndarray) -> np.ndarray:
+        """All products rows[a] @ gen_rows[b], shape (len(rows), len(gen_rows),
+        2 dim), in (a, b) order."""
+        n = self.dim
+        s = rows[:, :n]
+        out = np.empty((len(rows), len(gen_rows), 2 * n), dtype=np.int64)
+        # gen_rows[b, s[a, i]] for every a, b, i
+        out[:, :, :n] = gen_rows[:, :n].T[s].transpose(0, 2, 1)
+        e = gen_rows[:, n:].T[s].transpose(0, 2, 1)
+        np.add(e, rows[:, None, n:], out=out[:, :, n:])
+        np.remainder(out[:, :, n:], self.roots, out=out[:, :, n:])
+        return out
+
+
+class _EncodedElements(Sequence):
+    """Read-only element list of an array-path closure: ``[i]`` decodes
+    row i into a ``UMatrix`` on each access."""
+
+    def __init__(self, code: _MonomialCode, rows: np.ndarray):
+        self.code = code
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self.code.decode(self.rows[i])
+
+
 @dataclass
 class GroupClosure:
-    elements: list[UMatrix]
+    """Elements in BFS order (index 0 is the identity), with the tables that
+    locate products by index.  ``key_index`` maps ``_key(m)`` of each
+    element m to its index."""
+
+    elements: Sequence[UMatrix]
     generators: list[UMatrix]
     complete: bool
     parents: list[tuple[int, int]]
     gen_table: np.ndarray
     key_index: dict
     gen_indices: list[int]
+    _key: Callable[[UMatrix], object] = field(repr=False, compare=False)
     key_tol: float = KEY_TOL
     _cayley: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -104,8 +227,13 @@ class GroupClosure:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def exact(self) -> bool:
+        """Every element is exact: products of exact generators are."""
+        return all(g.exact for g in self.generators)
+
     def index_of(self, m: UMatrix) -> Optional[int]:
-        return self.key_index.get(m.canonical_key(self.key_tol))
+        return self.key_index.get(self._key(m))
 
     def cayley_rows(self, idx) -> np.ndarray:
         """Rows ``idx`` of the multiplication table: entry (t, j) indexes
@@ -190,8 +318,19 @@ def close(
 
     Stops cleanly with ``complete=False`` when the element budget runs out;
     that is not an error.  Raises on mixed dimensions, non-unitary dense
-    generators, and structured generators with approximate angles.
+    generators, and structured generators with approximate angles.  Exact
+    monomial and block-monomial generators take the array path (see
+    ``_MonomialCode``); it numbers the elements as the object BFS does.
     """
+    gens = _prepare(generators, key_tol)
+    code = _MonomialCode.fit(gens)
+    if code is None:
+        return _close_objects(gens, max_elements, key_tol)
+    return _close_encoded(code, gens, max_elements, key_tol)
+
+
+def _prepare(generators: Sequence[UMatrix], key_tol: float) -> list[UMatrix]:
+    """Checked, normalized and deduplicated generators of one family."""
     gens = [_normalize(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
@@ -221,8 +360,12 @@ def close(
         if k not in seen_gen_keys:
             seen_gen_keys.add(k)
             uniq_gens.append(g)
-    gens = uniq_gens
+    return uniq_gens
 
+
+def _close_objects(gens: list[UMatrix], max_elements: int,
+                   key_tol: float) -> GroupClosure:
+    """The object BFS: one ``matmul`` and one canonical key per product."""
     ident = identity_like(gens[0])
     elements: list[UMatrix] = [ident]
     parents: list[tuple[int, int]] = [(-1, -1)]
@@ -252,15 +395,65 @@ def close(
         rows.append(row)
         i += 1
 
+    return _finish(elements, gens, parents, rows, key_index,
+                   operator.methodcaller("canonical_key", key_tol), complete,
+                   key_tol)
+
+
+def _close_encoded(code: _MonomialCode, gens: list[UMatrix], max_elements: int,
+                   key_tol: float) -> GroupClosure:
+    """The BFS on code rows, one layer at a time.  A layer's products come
+    in (parent, generator) order and new ones are numbered in that order,
+    which is the order in which the object BFS finds them."""
+    gen_rows = np.stack([code.encode(g) for g in gens])
+    ident = code.encode(identity_like(gens[0]))
+    width, ng = ident.nbytes, len(gens)
+    key_index = {ident.tobytes(): 0}
+    parents: list[tuple[int, int]] = [(-1, -1)]
+    layers = [ident[None]]
+    rows: list[int] = []
+    complete = True
+
+    lo = 0  # index of the frontier's first element
+    while complete and len(layers[-1]):
+        frontier = layers[-1]
+        prods = code.products(frontier, gen_rows).reshape(-1, len(ident))
+        buf = prods.tobytes()
+        found: list[int] = []
+        fresh: list[int] = []
+        for t in range(len(prods)):
+            key = buf[t * width:(t + 1) * width]
+            j = key_index.get(key)
+            if j is None:
+                if len(parents) >= max_elements:
+                    complete = False
+                    break
+                j = len(parents)
+                key_index[key] = j
+                parents.append((lo + t // ng, t % ng))
+                fresh.append(t)
+            found.append(j)
+        # a row cut short by the budget is dropped, as in the object BFS
+        rows.extend(found[:len(found) - len(found) % ng])
+        layers.append(prods[fresh])
+        lo += len(frontier)
+
+    elements = _EncodedElements(code, np.concatenate(layers))
+    return _finish(elements, gens, parents, np.reshape(rows, (-1, ng)),
+                   key_index, code.key, complete, key_tol)
+
+
+def _finish(elements, gens, parents, rows, key_index, key, complete,
+            key_tol) -> GroupClosure:
+    """The closure from a BFS: ``rows`` are the ``gen_table`` rows of the
+    elements whose products were all found, and ``key`` makes the keys of
+    ``key_index``."""
     if len(rows) < len(elements):
         complete = False
     gen_table = np.full((len(elements), len(gens)), -1, dtype=np.int64)
-    for r, row in enumerate(rows):
-        gen_table[r] = row
+    gen_table[:len(rows)] = np.reshape(rows, (-1, len(gens)))
     if complete:
         _check_generator_action(gen_table)
-
-    gen_indices = [key_index[g.canonical_key(key_tol)] for g in gens]
     return GroupClosure(
         elements=elements,
         generators=gens,
@@ -268,7 +461,8 @@ def close(
         parents=parents,
         gen_table=gen_table,
         key_index=key_index,
-        gen_indices=gen_indices,
+        gen_indices=[key_index[key(g)] for g in gens],
+        _key=key,
         key_tol=key_tol,
     )
 
@@ -292,18 +486,24 @@ def is_irreducible(
     elements: Sequence,
     dim: Optional[int] = None,
     tol: float = 1e-8,
-    max_rounds: int = 64,
+    max_rounds: Optional[int] = None,
 ) -> bool:
     """Burnside span test: do products of the elements span all of M_n?
 
     Grows the linear span of the given matrices by repeated left
     multiplication until it stabilizes (the generated algebra), then checks
-    whether its dimension is n^2.  Rank decisions use singular values of
+    whether its dimension is n^2.  Each round multiplies only the directions
+    the last round added, since the rest were multiplied before; a round
+    that adds none ends the loop, so it runs at most n^2 rounds unless
+    ``max_rounds`` caps it.  Rank decisions use singular values of
     unit-normalized vectorized matrices against an absolute threshold.
-    Accepts a closure, structured matrices, or plain arrays.
+    Accepts a closure, structured matrices, or plain arrays.  A closure is
+    tested through its generators: its elements are products of them, so
+    both generate the same algebra, and no element is built.  Words in a
+    few generators can need about 2n rounds to span the algebra.
     """
     if isinstance(elements, GroupClosure):
-        elements = elements.elements
+        elements = elements.generators
     mats = [e.to_dense() if isinstance(e, UMatrix) else np.asarray(e, dtype=complex)
             for e in elements]
     if not mats:
@@ -313,35 +513,30 @@ def is_irreducible(
         raise DimensionMismatchError("declared dimension disagrees with elements")
     full = n * n
 
-    def orth_extend(basis: Optional[np.ndarray], cands: np.ndarray) -> np.ndarray:
-        if basis is not None:
-            cands = cands - (cands @ basis.conj().T) @ basis
-        norms = np.linalg.norm(cands, axis=1)
-        keep = cands[norms > tol]
+    def orth_extend(basis: np.ndarray, cands: np.ndarray) -> np.ndarray:
+        """Orthonormal directions of ``cands`` outside the span of the
+        orthonormal rows of ``basis``."""
+        cands = cands - (cands @ basis.conj().T) @ basis
+        keep = cands[np.linalg.norm(cands, axis=1) > tol]
         if len(keep) == 0:
-            return basis if basis is not None else np.zeros((0, full), dtype=complex)
+            return keep
         u, s, vh = np.linalg.svd(keep, full_matrices=False)
-        new = vh[s > tol]
-        if basis is None or len(basis) == 0:
-            return new
-        return np.vstack([basis, new])
+        return vh[s > tol]
 
-    basis = orth_extend(None, np.array([m.reshape(-1) / np.linalg.norm(m) for m in mats]))
-    for _ in range(max_rounds):
-        if basis.shape[0] >= full:
+    basis = np.zeros((0, full), dtype=complex)
+    new = np.array([m.reshape(-1) / np.linalg.norm(m) for m in mats])
+    rounds = 0
+    while len(new) and (max_rounds is None or rounds <= max_rounds):
+        new = orth_extend(basis, new)
+        basis = np.vstack([basis, new])
+        if len(basis) >= full:
             return True
-        prods = []
-        for m in mats:
-            for row in basis:
-                p = m @ row.reshape(n, n)
-                nrm = np.linalg.norm(p)
-                if nrm > tol:
-                    prods.append(p.reshape(-1) / nrm)
-        before = basis.shape[0]
-        basis = orth_extend(basis, np.array(prods))
-        if basis.shape[0] == before:
-            break
-    return basis.shape[0] >= full
+        rows = new.reshape(-1, n, n)
+        prods = np.concatenate([(m @ rows).reshape(len(rows), full) for m in mats])
+        norms = np.linalg.norm(prods, axis=1)
+        new = prods[norms > tol] / norms[norms > tol, None]
+        rounds += 1
+    return len(basis) >= full
 
 
 def closure_to_json(closure: GroupClosure, include_cayley: bool = False) -> dict:
@@ -349,7 +544,7 @@ def closure_to_json(closure: GroupClosure, include_cayley: bool = False) -> dict
         "generators": [matrix_to_json(g) for g in closure.generators],
         "order": closure.order,
         "complete": closure.complete,
-        "dim": closure.elements[0].dim,
+        "dim": closure.generators[0].dim,
     }
     if include_cayley:
         d["cayley"] = closure.cayley_table().reshape(-1).tolist()

@@ -1,17 +1,25 @@
 """Command-line contract: exit codes, output formats, determinism."""
 
+import argparse
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specmul import cli
 from specmul.asm import AsmReport, pair_defect
 from specmul.cli import main
 from specmul.linalg import matrix_from_json, matrix_to_json
-from specmul.constructions import cycle_matrix
+from specmul.circle import _point_from_json
+from specmul.constructions import cycle_matrix, random_det1_diagonal
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -217,6 +225,17 @@ class TestVerify:
                            "--deterministic")
         assert code == 1 and "budget" in err
 
+    def test_lemma_counterexample_keeps_exact_points(self):
+        # a negative tolerance turns the first trial, an exact one, into a
+        # counterexample
+        args = argparse.Namespace(p=3, seed=0, trials=1, tol=-1.0)
+        ok, evidence = cli._verify_lemma_spectrum(args)
+        assert not ok
+        d = json.loads(json.dumps(evidence))["counterexample"]["d"]
+        assert all(set(x) == {"num", "den"} for x in d)
+        want = random_det1_diagonal(3, np.random.default_rng(0), exact=True)
+        assert tuple(_point_from_json(x) for x in d) == want
+
 
 class TestPlotdata:
     def test_sets_present(self, capsys, tmp_path):
@@ -274,9 +293,13 @@ class TestWorkersDefault:
 
 
 def test_installed_entry_point_smoke():
+    # the child interpreter gets ``src/`` too, as the test process does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "specmul.cli", "measure", "--builtin", "q8",
          "--deterministic"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["epsilon_exact"] == "1/4"

@@ -1,5 +1,7 @@
 """Group closures: enumeration, Cayley tables, centres, irreducibility."""
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from specmul.errors import (
     IncompleteClosureError,
 )
 from specmul.groups import (
+    DEFAULT_BUDGET,
     GroupClosure,
     _check_generator_action,
     centre,
@@ -32,7 +35,15 @@ from specmul.groups import (
     is_irreducible,
     quotient_order_mod_centre,
 )
-from specmul.linalg import Dense, Diagonal, MonomialCycle, identity_like, matmul
+from specmul.linalg import (
+    KEY_TOL,
+    BlockDiag,
+    Dense,
+    Diagonal,
+    MonomialCycle,
+    identity_like,
+    matmul,
+)
 
 
 def cyclic_generator(p):
@@ -185,24 +196,177 @@ class TestClosureInvariants:
     @staticmethod
     def _merge_fifth_product(monkeypatch):
         """Make the closure's fifth product come out as the identity, so
-        two elements times the same generator land on one element."""
+        two elements times the same generator land on one element.  The
+        object BFS forms products with ``matmul``, the array path a layer
+        at a time with ``_MonomialCode.products``."""
         calls = []
 
         def bad_matmul(a, b):
             calls.append(None)
             return identity_like(a) if len(calls) == 5 else matmul(a, b)
 
+        products = groups._MonomialCode.products
+
+        def bad_products(code, rows, gen_rows):
+            out = products(code, rows, gen_rows)
+            flat = out.reshape(-1, 2 * code.dim)
+            t = 4 - len(calls)
+            if 0 <= t < len(flat):
+                flat[t] = np.concatenate([np.arange(code.dim), np.zeros(code.dim)])
+            calls.extend([None] * len(flat))
+            return out
+
         monkeypatch.setattr(groups, "matmul", bad_matmul)
+        monkeypatch.setattr(groups._MonomialCode, "products", bad_products)
 
     def test_close_checks_the_generator_action(self, monkeypatch):
         self._merge_fifth_product(monkeypatch)
         with pytest.raises(ClosureInvariantError):
             close(_q8_generators())
 
+    def test_object_bfs_checks_the_generator_action(self, monkeypatch):
+        self._merge_fifth_product(monkeypatch)
+        with pytest.raises(ClosureInvariantError):
+            close([Dense(g.to_dense()) for g in _q8_generators()])
+
     def test_cli_exits_one(self, monkeypatch, capsys):
         self._merge_fifth_product(monkeypatch)
         assert cli.main(["measure", "--builtin", "q8", "--deterministic"]) == 1
         assert "not a permutation" in capsys.readouterr().err
+
+
+class _Unreadable(Sequence):
+    """An element list whose entries may not be read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("element read")
+
+
+def _object_closure(gens, budget=DEFAULT_BUDGET):
+    """The object BFS on the generators ``close`` would use."""
+    return groups._close_objects(groups._prepare(gens, KEY_TOL), budget, KEY_TOL)
+
+
+TWO_BLOCK_MM = MillerMorenoParams(
+    3, 7, ((1, 2, 4), (3, 5, 6)),
+    (RationalAngle(1, 9), RationalAngle(0, 1), RationalAngle(1, 3)))
+
+ARRAY_GROUPS = {
+    "q8": _q8_generators,
+    "cyclic5": lambda: [cyclic_generator(5)],
+    "mm3_7": CLASS_GROUPS["mm3_7"][0],
+    "mm5_11": CLASS_GROUPS["mm5_11"][0],
+    "tadpole3": lambda: [tadpole(g) for g in _restricted_tadpole_generators(3)],
+    "mm_two_blocks": lambda: miller_moreno(TWO_BLOCK_MM),
+    # a block whose offset is not a multiple of its size
+    "q8_and_c3": lambda: [
+        BlockDiag((g, h)) for g, h in zip(
+            _q8_generators(),
+            [MonomialCycle((ONE,) * 3, 1),
+             Diagonal((UnitPoint.exact(1, 3), UnitPoint.exact(2, 3), ONE))])],
+}
+
+
+def _layer_cut_budget(c):
+    """A budget whose cut falls inside a BFS layer, on a parent that found
+    a new element with generator 0 and is refused one with generator 1."""
+    depth = [0]
+    for parent, _ in c.parents[1:]:
+        depth.append(depth[parent] + 1)
+    for b in range(2, c.order):
+        (p0, g0), (p1, g1) = c.parents[b - 1], c.parents[b]
+        if (p0, g0, g1) == (p1, 0, 1) and depth[p1 - 1] == depth[p1] == depth[p1 + 1]:
+            return b
+    raise AssertionError("no such budget")
+
+
+class TestArrayPath:
+    """The array path of ``close`` against the object BFS."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert isinstance(a.elements, groups._EncodedElements)
+        assert isinstance(b.elements, list)
+        assert a.parents == b.parents
+        assert np.array_equal(a.gen_table, b.gen_table)
+        assert a.gen_indices == b.gen_indices
+        assert (a.complete, a.order, a.exact) == (b.complete, b.order, b.exact)
+        # == on the structured variants also compares their classes
+        assert list(a.elements) == b.elements
+        assert [a.index_of(e) for e in b.elements] == list(range(b.order))
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_GROUPS))
+    def test_matches_object_bfs(self, name):
+        gens = ARRAY_GROUPS[name]()
+        a = close(gens)
+        assert a.complete and a.exact
+        self._assert_same(a, _object_closure(gens))
+
+    def test_orders(self):
+        assert close(miller_moreno(TWO_BLOCK_MM)).order == 441
+        assert close(ARRAY_GROUPS["tadpole3"]()).order == 3 ** 7
+
+    def test_budget_cut(self):
+        a = close(_q8_generators(), max_elements=5)
+        assert not a.complete and a.order == 5
+        self._assert_same(a, _object_closure(_q8_generators(), 5))
+
+    def test_budget_cut_inside_a_layer(self):
+        gens = ARRAY_GROUPS["mm5_11"]()
+        b = _layer_cut_budget(close(gens))
+        a = close(gens, max_elements=b)
+        assert not a.complete and a.order == b
+        # the cut parent's row is dropped, its generator-0 product kept
+        cut = a.parents[b - 1][0]
+        assert (a.gen_table[cut] == -1).all() and (a.gen_table[cut - 1] >= 0).all()
+        self._assert_same(a, _object_closure(gens, b))
+
+    @pytest.mark.parametrize("name", ["mm3_7", "mm_two_blocks"])
+    def test_index_of_other_matrices(self, name):
+        gens = ARRAY_GROUPS[name]()
+        a, b = close(gens), _object_closure(gens)
+        x, y = gens
+        dim = x.dim
+        probes = [
+            matmul(y, x),
+            Dense(x.to_dense()),
+            Diagonal((UnitPoint.exact(1, 5),) + (ONE,) * (dim - 1)),
+            # a root of unity of an order that does not divide N
+            Diagonal((UnitPoint.exact(1, 10 ** 6 + 3),) + (ONE,) * (dim - 1)),
+            Diagonal((UnitPoint.approx(0.5),) + (ONE,) * (dim - 1)),
+            BlockDiag((Diagonal((ONE,) * (dim - 1)), Diagonal((ONE,)))),
+            Diagonal((ONE,) * dim),
+        ]
+        if isinstance(x, BlockDiag):
+            probes += [x.blocks[0],
+                       BlockDiag((x.blocks[0], y.blocks[1], x.blocks[2]))]
+        got = [a.index_of(m) for m in probes]
+        assert got == [b.index_of(m) for m in probes]
+        assert got[0] is not None and got[1] is None
+
+    def test_elements_index_like_a_read_only_list(self):
+        c = close(ARRAY_GROUPS["mm3_7"]())
+        assert c.elements[-1] == list(c.elements)[-1]
+        assert c.elements[2:4] == [c.elements[2], c.elements[3]]
+        with pytest.raises(TypeError):
+            c.elements[0] = c.elements[1]
+        with pytest.raises(IndexError):
+            c.elements[c.order]
+
+    @pytest.mark.parametrize("gens", [
+        lambda: [Dense(g.to_dense()) for g in _q8_generators()],
+        lambda: [_q8_generators()[0], Dense(_q8_generators()[1].to_dense())],
+        lambda: [Diagonal((UnitPoint.exact(1, 2 ** 62), ONE))],
+    ], ids=["dense", "mixed", "large_denominator"])
+    def test_other_generators_take_the_object_bfs(self, gens):
+        c = close(gens())
+        assert isinstance(c.elements, list)
 
 
 class TestMillerMorenoClosures:
@@ -255,6 +419,25 @@ class TestIsIrreducible:
     def test_block_structure_is_reducible(self):
         gens = [tadpole(g) for g in _restricted_tadpole_generators(3)]
         assert not is_irreducible(gens)
+
+    @pytest.mark.parametrize("name,want", [
+        ("q8", True), ("cyclic4", False), ("mm3_7", True)])
+    def test_closure_spans_from_its_generators(self, name, want):
+        gens = {"q8": _q8_generators,
+                "cyclic4": lambda: [cyclic_generator(4)],
+                "mm3_7": CLASS_GROUPS["mm3_7"][0]}[name]
+        c = close(gens())
+        elements = list(c.elements)
+        c.elements = _Unreadable(len(elements))
+        assert is_irreducible(c) == is_irreducible(elements) == want
+
+    def test_long_words_are_not_cut_off(self):
+        """A diagonal with distinct roots of unity and a d-cycle span M_d
+        only with words of about 2d factors: 65 rounds at d = 34."""
+        d = 34
+        x = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+        y = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+        assert is_irreducible([x, y])
 
     def test_empty(self):
         assert not is_irreducible([])
