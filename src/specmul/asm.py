@@ -77,7 +77,8 @@ def _defect_exact(sa, sb, sab, scale):
 
     Returns (defect numerator, gamma, alpha, beta) with the witnesses chosen
     deterministically: first maximizing gamma in sorted order, then the
-    nearest product with the smaller representative.
+    nearest product with the smaller representative.  The batch of one of
+    ``_exact_defects``, kept for its witnesses.
     """
     prod_src = {}
     for x in sa:
@@ -137,6 +138,50 @@ def _float_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray) -> np.ndarra
     for lo in range(0, m, step):
         part = slice(lo, lo + step)
         out[part] = _arc_gaps(sa[part], sb[part], sab[part]).min(axis=2).max(axis=1)
+    return out
+
+
+def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
+                   scale: int) -> np.ndarray:
+    """Exact defect numerators of m triples: the integer twin of
+    ``_float_defects`` and the batched form of ``_defect_exact``.
+
+    ``sa (m, wa)``, ``sb (m, wb)`` and ``sab (m, wab)`` are int64 angle
+    numerators mod ``scale``; row t is one triple, padded with repeats of an
+    entry of its row (repeats change neither the min nor the max).  Each
+    block sorts its rows of products (a + b) % scale, shifts row r by
+    r * 2 * scale so that one ``searchsorted`` over the flattened block finds
+    every gamma's circular neighbours, and takes the arc distance
+    min(t, scale - t) to the nearer one.  When even one shifted row would not
+    fit in int64, the rows go through ``_defect_exact`` one by one.
+    """
+    m = len(sab)
+    width = sa.shape[1] * sb.shape[1]
+    step = max(1, _KERNEL_BLOCK // width)
+    # shifted values stay below rows * 2 * scale, sums (a + b) below 2 * scale
+    step = min(step, np.iinfo(np.int64).max // (2 * scale))
+    out = np.empty(m, dtype=np.int64)
+    if step < 1:
+        for t in range(m):
+            out[t] = _defect_exact(sa[t].tolist(), sb[t].tolist(),
+                                   sab[t].tolist(), scale)[0]
+        return out
+    for lo in range(0, m, step):
+        part = slice(lo, lo + step)
+        rows = np.arange(len(sab[part]), dtype=np.int64)[:, None]
+        prods = np.add(sa[part, :, None], sb[part, None, :]).reshape(len(rows), width)
+        np.remainder(prods, scale, out=prods)
+        prods.sort(axis=1)
+        shift = rows * (2 * scale)
+        prods += shift
+        gam = sab[part] + shift
+        # each gamma's upper neighbour in its row and the entry before it,
+        # both wrapping round the row
+        flat, start = prods.reshape(-1), rows * width
+        hi = np.searchsorted(flat, gam) - start
+        near = np.stack((flat[start + hi % width], flat[start + (hi - 1) % width]))
+        t = np.remainder(gam - near, scale)
+        out[part] = np.minimum(t, scale - t).min(axis=0).max(axis=1)
     return out
 
 
@@ -494,8 +539,10 @@ def _exact_level(closure: GroupClosure, collect_pairs: bool):
     simultaneous conjugation does not change, so the row of any element is a
     permutation of its class representative's row.  Each representative is
     its class minimum, so its first maximum is the first maximum of the full
-    row-major n x n grid.  The unique triples are few and cheap, so they are
-    scored in-process.  Returns (epsilon, (i, j), representative-row values,
+    row-major n x n grid.  The unique (sigma(A), sigma(B), sigma(AB)) triples
+    are scored in-process by one call of the batched integer kernel
+    ``_exact_defects``; the worst pair's witnesses come later from the scalar
+    ``_defect_exact``.  Returns (epsilon, (i, j), representative-row values,
     class-size weights, full grid or None).
     """
     elements = closure.elements
@@ -516,12 +563,13 @@ def _exact_level(closure: GroupClosure, collect_pairs: bool):
     ns = len(uniq_reps)
     tri = (class_sid[:, None] * ns + sid[None, :]) * ns + sid[closure.cayley_rows(reps)]
     uniq_tri, inv = np.unique(tri, return_inverse=True)
-    tri_defects = np.empty(len(uniq_tri), dtype=np.int64)
-    for k, t in enumerate(uniq_tri.tolist()):
-        ia, rem = divmod(t, ns * ns)
-        ib, iab = divmod(rem, ns)
-        tri_defects[k] = _defect_exact(
-            uniq_reps[ia], uniq_reps[ib], uniq_reps[iab], scale)[0]
+    # each distinct spectrum padded to one width with repeats of its first angle
+    width = max(len(s) for s in uniq_reps)
+    padded = np.array([s + s[:1] * (width - len(s)) for s in uniq_reps],
+                      dtype=np.int64)
+    ia, rem = np.divmod(uniq_tri, ns * ns)
+    ib, iab = np.divmod(rem, ns)
+    tri_defects = _exact_defects(padded[ia], padded[ib], padded[iab], scale)
     per_rep = tri_defects[inv].reshape(len(reps), n)
     row_max = per_rep.max(axis=1)
     r = int(row_max.argmax())

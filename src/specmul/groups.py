@@ -237,15 +237,24 @@ class GroupClosure:
 
     def cayley_rows(self, idx) -> np.ndarray:
         """Rows ``idx`` of the multiplication table: entry (t, j) indexes
-        elements[idx[t]] @ elements[j].  Costs O(len(idx) * n)."""
+        elements[idx[t]] @ elements[j].  Costs O(len(idx) * n).
+
+        Column j is column ``parents[j][0]`` times generator
+        ``parents[j][1]``.  Parents never decrease in BFS order, so the
+        elements from j up to the first one whose parent is j or later form
+        one BFS layer, filled with one gather from earlier columns.
+        """
         if not self.complete:
             raise IncompleteClosureError("Cayley table needs a complete closure")
         idx = np.asarray(idx, dtype=np.int64)
         rows = np.empty((len(idx), self.order), dtype=np.int64)
         rows[:, 0] = idx
-        for j in range(1, self.order):
-            pj, gj = self.parents[j]
-            rows[:, j] = self.gen_table[rows[:, pj], gj]
+        par, gen = np.array(self.parents, dtype=np.int64).T.copy()
+        j = 1
+        while j < self.order:
+            k = int(np.searchsorted(par, j))
+            rows[:, j:k] = self.gen_table[rows[:, par[j:k]], gen[j:k]]
+            j = k
         return rows
 
     def cayley_table(self) -> np.ndarray:

@@ -476,6 +476,83 @@ class TestClassReducedScan:
         assert r2.to_json_dict() == r1.to_json_dict()
 
 
+def _scalar_defects(sa, sb, sab, scale):
+    """``_defect_exact`` row by row, on each row's distinct angles."""
+    return [asm._defect_exact(sorted(set(a)), sorted(set(b)), sorted(set(ab)),
+                              scale)[0]
+            for a, b, ab in zip(sa.tolist(), sb.tolist(), sab.tolist())]
+
+
+def _padded(rows):
+    width = max(len(r) for r in rows)
+    return np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.int64)
+
+
+KERNEL_GROUPS = {
+    "q8": _q8_generators,
+    "cyclic5": REDUCTION_GROUPS["cyclic5"],
+    "mm3_7": REDUCTION_GROUPS["mm3_7"],
+    "mm7_43": lambda: miller_moreno(default_miller_moreno(7, 43)),
+    "mm13_157": lambda: miller_moreno(default_miller_moreno(13, 157)),
+}
+
+
+class TestExactKernel:
+    """The batched integer kernel against the scalar ``_defect_exact``."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+    def test_matches_scalar_on_every_unique_triple(self, name, monkeypatch):
+        seen = []
+
+        def checked(sa, sb, sab, scale):
+            out = kernel(sa, sb, sab, scale)
+            seen.append(len(out))
+            assert out.tolist() == _scalar_defects(sa, sb, sab, scale)
+            return out
+
+        kernel = asm._exact_defects
+        monkeypatch.setattr(asm, "_exact_defects", checked)
+        measure_asm(close(KERNEL_GROUPS[name]()))
+        assert len(seen) == 1 and seen[0] >= 1
+        if name == "mm13_157":
+            assert seen[0] == 1325
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda scale: st.tuples(
+        st.just(scale),
+        st.lists(st.tuples(*[st.lists(st.integers(0, scale - 1), min_size=1,
+                                      max_size=7, unique=True)] * 3),
+                 min_size=1, max_size=12))))
+    def test_random_spectra_of_unequal_lengths(self, case):
+        scale, triples = case
+        sa, sb, sab = (_padded([t[k] for t in triples]) for k in range(3))
+        assert (asm._exact_defects(sa, sb, sab, scale).tolist()
+                == _scalar_defects(sa, sb, sab, scale))
+
+    @pytest.mark.parametrize("block", [1, 50, 400, asm._KERNEL_BLOCK])
+    def test_block_size_does_not_change_the_result(self, block, monkeypatch):
+        rng = np.random.default_rng(block)
+        scale = 157 * 13
+        sa, sb, sab = (_padded([sorted(set(rng.integers(0, scale, size=w).tolist()))
+                                for w in rng.integers(1, 14, size=90)])
+                       for _ in range(3))
+        want = _scalar_defects(sa, sb, sab, scale)
+        monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
+        assert asm._exact_defects(sa, sb, sab, scale).tolist() == want
+
+    @pytest.mark.parametrize("scale", [2**62 - 3, 2**62 + 5, 2**63 - 25])
+    def test_scales_near_the_int64_limit(self, scale):
+        # 2**62 - 3 leaves room for one row per block; the larger scales
+        # would overflow the row shift and take the scalar path
+        rows = [[0, scale - 1, scale // 3], [scale // 2], [1, scale - 2],
+                [scale // 5, 3 * (scale // 7)], [7], [scale - 9, 2]]
+        sa, sb = _padded(rows), _padded(rows[::-1])
+        sab = _padded([[scale // 7, 5], [scale - 1], [2 * (scale // 5)], [3],
+                       [scale // 2 + 1], [scale // 11, scale - 4]])
+        assert (asm._exact_defects(sa, sb, sab, scale).tolist()
+                == _scalar_defects(sa, sb, sab, scale))
+
+
 class _CountingElements(Sequence):
     """An element list that counts the elements read from it."""
 
@@ -491,17 +568,17 @@ class _CountingElements(Sequence):
         return self.inner[i]
 
 
-# MM(31,311), n = 9,641, level 5/311, is the largest: about 0.5 s of the
-# sweep's 2-3 s.
+# MM(41,739), n = 30,299, level 9/739, is the largest: about 0.7 s of the
+# sweep's 1.2 s.
 MM_SWEEP = [(p, q) for p in (3, 5, 7) for q in range(3, 100)
-            if is_prime(q) and q % p == 1] + [(31, 311)]
+            if is_prime(q) and q % p == 1] + [(31, 311), (41, 739)]
 
 
 @pytest.mark.parametrize("p,q", MM_SWEEP)
 def test_mm_closed_form_conjecture(p, q):
     """Conjecture check, not a theorem: the default Miller-Moreno group's
     level is (q - 1)/(2pq).  It held on every instance tried so far.  The
-    whole sweep should run in under about 3 s."""
+    whole sweep should run in under about 2 s."""
     r = measure_asm(close(miller_moreno(default_miller_moreno(p, q))))
     assert r.epsilon_exact == Fraction(q - 1, 2 * p * q)
 

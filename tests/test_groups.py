@@ -138,6 +138,26 @@ class TestCayleyTable:
         assert np.array_equal(rows, c.cayley_table()[idx])
         assert c.cayley_rows([]).shape == (0, 21)
 
+    @pytest.mark.parametrize("make", [
+        lambda: close(miller_moreno(default_miller_moreno(5, 11))),
+        lambda: _object_closure(miller_moreno(default_miller_moreno(5, 11))),
+        lambda: close([Dense(g.to_dense()) for g in _q8_generators()]),
+        lambda: close([cyclic_generator(7)]),
+    ], ids=["mm5_11_array", "mm5_11_object", "q8_dense", "cyclic7"])
+    def test_layered_rows_match_the_column_loop(self, make):
+        c = make()
+        idx = np.arange(c.order)[::-1]
+        want = np.empty((c.order, c.order), dtype=np.int64)
+        want[:, 0] = idx
+        for j in range(1, c.order):
+            pj, gj = c.parents[j]
+            want[:, j] = c.gen_table[want[:, pj], gj]
+        assert np.array_equal(c.cayley_rows(idx), want)
+
+    def test_rows_of_the_trivial_group(self):
+        c = close([Diagonal((ONE, ONE))])
+        assert c.cayley_rows([0, 0]).tolist() == [[0], [0]]
+
     def test_rows_need_a_complete_closure(self):
         with pytest.raises(IncompleteClosureError):
             close(_q8_generators(), max_elements=5).cayley_rows([0])
