@@ -478,15 +478,6 @@ def _map_chunks(fn, chunk_args: list, workers: int) -> list:
         return list(pool.map(fn, chunk_args))
 
 
-def _float_rows_chunk(args):
-    angles, cay_rows, row_start = args
-    vals = np.empty((len(cay_rows), len(angles)), dtype=float)
-    for li, row in enumerate(cay_rows):
-        sa = np.broadcast_to(angles[row_start + li], angles.shape)
-        vals[li] = _float_defects(sa, angles, angles[row])
-    return vals.reshape(-1)
-
-
 def _sampled_chunk(args):
     """Draw ``count`` pairs one at a time and score each with
     ``defect_of(a, b)``, a ``PairDefect``.  Returns (defects, first maximum,
@@ -532,24 +523,14 @@ def _chunk_sizes(total: int, parts: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # measurements
 
-def _exact_level(closure: GroupClosure, collect_pairs: bool):
-    """Exact defects of the rows of the conjugacy-class representatives.
-
-    A pair's defect depends only on sigma(A), sigma(B) and sigma(AB), which
-    simultaneous conjugation does not change, so the row of any element is a
-    permutation of its class representative's row.  Each representative is
-    its class minimum, so its first maximum is the first maximum of the full
-    row-major n x n grid.  The unique (sigma(A), sigma(B), sigma(AB)) triples
-    are scored in-process by one call of the batched integer kernel
-    ``_exact_defects``; the worst pair's witnesses come later from the scalar
-    ``_defect_exact``.  Returns (epsilon, (i, j), representative-row values,
-    class-size weights, full grid or None).
+def _exact_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
+                rows: np.ndarray, collect_pairs: bool):
+    """Exact defects of the representative rows ``rows``: the unique
+    (sigma(A), sigma(B), sigma(AB)) triples go through one call of the
+    batched integer kernel ``_exact_defects``.  ``spectra`` are the
+    representatives' and ``class_of`` gives each element's class.  Returns
+    (numerators shaped like ``rows``, their denominator, full grid or None).
     """
-    elements = closure.elements
-    n = len(elements)
-    reps, class_of, sizes = np.unique(closure.conjugacy_labels(),
-                                      return_inverse=True, return_counts=True)
-    spectra = [elements[r].spectrum() for r in reps]
     scale = 1
     for s in spectra:
         c = s.common_denominator()
@@ -561,7 +542,7 @@ def _exact_level(closure: GroupClosure, collect_pairs: bool):
     uniq_reps = list(rep_ids)
     sid = class_sid[class_of]
     ns = len(uniq_reps)
-    tri = (class_sid[:, None] * ns + sid[None, :]) * ns + sid[closure.cayley_rows(reps)]
+    tri = (class_sid[:, None] * ns + sid[None, :]) * ns + sid[rows]
     uniq_tri, inv = np.unique(tri, return_inverse=True)
     # each distinct spectrum padded to one width with repeats of its first angle
     width = max(len(s) for s in uniq_reps)
@@ -570,17 +551,21 @@ def _exact_level(closure: GroupClosure, collect_pairs: bool):
     ia, rem = np.divmod(uniq_tri, ns * ns)
     ib, iab = np.divmod(rem, ns)
     tri_defects = _exact_defects(padded[ia], padded[ib], padded[iab], scale)
-    per_rep = tri_defects[inv].reshape(len(reps), n)
-    row_max = per_rep.max(axis=1)
-    r = int(row_max.argmax())
-    pair = (int(reps[r]), int(per_rep[r].argmax()))
     grid = None
     if collect_pairs:
-        cay = closure.cayley_table()
-        full = (sid[:, None] * ns + sid[None, :]) * ns + sid[cay]
-        grid = tri_defects[np.searchsorted(uniq_tri, full)].astype(float) / scale
-    return (Fraction(int(row_max[r]), scale), pair,
-            per_rep.reshape(-1).astype(float) / scale, np.repeat(sizes, n), grid)
+        full = (sid[:, None] * ns + sid[None, :]) * ns + sid[closure.cayley_table()]
+        grid = tri_defects[np.searchsorted(uniq_tri, full)]
+    return tri_defects[inv].reshape(rows.shape), scale, grid
+
+
+def _float_rows(angles: np.ndarray, left, table: np.ndarray) -> np.ndarray:
+    """Float defects of the pairs (left[t], j) over every column j, with
+    sigma(AB) taken from the stored product ``table[t, j]``; row e of
+    ``angles`` is element e's spectrum in turns."""
+    k, n = table.shape
+    return _float_defects(np.repeat(angles[left], n, axis=0),
+                          np.tile(angles, (k, 1)),
+                          angles[table.reshape(-1)]).reshape(k, n)
 
 
 def _exhaustive_report(worst, n, values, grid, bins, vmax, collect_pairs,
@@ -610,18 +595,20 @@ def _exhaustive_report(worst, n, values, grid, bins, vmax, collect_pairs,
 
 def measure_asm(
     closure: GroupClosure,
-    workers: int = 1,
     bins: int = DEFAULT_BINS,
     collect_pairs: bool = False,
 ) -> AsmReport:
     """Exhaustive maximum defect over all ordered pairs of a complete closure.
 
-    Exact closures (``closure.exact``) scan one Cayley row per conjugacy
-    class (see ``_exact_level``) in one process, whatever ``workers`` says,
-    and read only the k class representatives and the worst pair from
-    ``closure.elements``; float closures scan all n rows, because conjugate
-    float spectra differ in the last bits, and split them over ``workers``
-    processes.
+    A pair's defect depends only on sigma(A), sigma(B) and sigma(AB), which
+    simultaneous conjugation fixes, so every row is a permutation of its
+    class representative's row.  One process scores one Cayley row per
+    conjugacy class, in integers for exact closures (which read only the k
+    representatives, B and AB from ``closure.elements``) and in floats for
+    dense ones (off an all-pairs scan only by rounding); the histogram
+    weights each row by its class size.  Representatives are class minima,
+    so the first maximum is the full row-major grid's.  ``worst`` is rebuilt
+    from the stored product AB, so its defect is ``epsilon`` bit for bit.
     """
     if not closure.complete:
         raise IncompleteClosureError(
@@ -629,33 +616,30 @@ def measure_asm(
             "lower bound — use the sampled mode instead")
     elements = closure.elements
     n = len(elements)
-
+    reps, class_of, sizes = np.unique(closure.conjugacy_labels(),
+                                      return_inverse=True, return_counts=True)
+    rep_elements = [elements[r] for r in reps]
+    rows = closure.cayley_rows(reps)
     if closure.exact:
-        eps_exact, (i, j), values, weights, grid = _exact_level(
-            closure, collect_pairs)
-        a, b = elements[i], elements[j]
-        ab = matmul(a, b)
+        per_rep, scale, grid = _exact_rows(
+            closure, [e.spectrum() for e in rep_elements], class_of, rows,
+            collect_pairs)
     else:
-        cay = closure.cayley_table()
         angles = np.array([e.spectrum().angles() for e in elements])
-        eff = workers if n * n >= PARALLEL_MIN_PAIRS else 1
-        sizes = _chunk_sizes(n, eff)
-        chunks = []
-        off = 0
-        for s in sizes:
-            chunks.append((angles, cay[off:off + s], off))
-            off += s
-        values = np.concatenate(_map_chunks(_float_rows_chunk, chunks, eff))
-        flat = int(values.argmax())
-        i, j = divmod(flat, n)
-        # the stored product, so worst.defect is bit for bit the epsilon
-        a, b, ab = elements[i], elements[j], elements[cay[i, j]]
-        eps_exact = None
-        weights = None
-        grid = values.reshape(n, n)
-    worst = _product_defect(a, b, ab, ("elements", i, j))
-    return _exhaustive_report(worst, n, values, grid, bins, 0.5, collect_pairs,
-                              eps_exact=eps_exact, weights=weights)
+        per_rep, scale = _float_rows(angles, reps, rows), 1
+        grid = (_float_rows(angles, np.arange(n), closure.cayley_table())
+                if collect_pairs else None)
+    row_max = per_rep.max(axis=1)
+    r = int(row_max.argmax())
+    i, j = int(reps[r]), int(per_rep[r].argmax())
+    worst = _product_defect(rep_elements[r], elements[j],
+                            elements[int(rows[r, j])], ("elements", i, j))
+    return _exhaustive_report(
+        worst, n, per_rep.reshape(-1).astype(float) / scale,
+        None if grid is None else grid.astype(float) / scale, bins, 0.5,
+        collect_pairs,
+        eps_exact=Fraction(int(row_max[r]), scale) if closure.exact else None,
+        weights=np.repeat(sizes, n))
 
 
 def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,

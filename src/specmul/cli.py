@@ -71,7 +71,7 @@ from .constructions import (
     tadpole_mul,
     tadpole_sampler,
 )
-from .errors import SpecmulError
+from .errors import MalformedJsonError, SpecmulError
 from .groups import DEFAULT_BUDGET, close
 from .linalg import (
     Diagonal,
@@ -235,8 +235,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         else:  # miller-moreno
             gens = miller_moreno(default_miller_moreno(args.p, args.q))
         closure = close(gens, max_elements=args.max_elements)
-        report = measure_asm(closure, workers=workers, bins=bins,
-                             collect_pairs=collect)
+        report = measure_asm(closure, bins=bins, collect_pairs=collect)
 
     _emit(args, report.to_json_dict(), human=_human_report(report),
           csv_text=_report_csv(report))
@@ -533,24 +532,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # plotdata
 
 def _angle_row(p: dict) -> tuple[float, int]:
-    z = _eig_from_json(p)
+    try:
+        z = _eig_from_json(p)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise MalformedJsonError(f"malformed eigenvalue {p!r}: {exc}") from exc
     if isinstance(z, complex):
         return UnitPoint.from_complex(z).turns, 0
     return z.turns, int(z.is_exact)
 
 
+def _report_part(parent: dict, key: str, kind: type, default):
+    """``parent[key]`` if it is a ``kind``, ``default`` if absent or null."""
+    value = parent.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise MalformedJsonError(f"malformed report field {key!r}: {value!r}")
+    return default if value is None else value
+
+
 def cmd_plotdata(args: argparse.Namespace) -> int:
     with open(args.report, encoding="utf-8") as fh:
         data = json.load(fh)
-    if "report" in data and isinstance(data["report"], dict):
+    if not isinstance(data, dict):
+        raise MalformedJsonError(f"{args.report}: expected a JSON object")
+    if isinstance(data.get("report"), dict):
         data = data["report"]
     lines = ["set_name,angle,exact"]
-    worst = data.get("worst")
+    worst = _report_part(data, "worst", dict, {})
     if worst:
-        spectra = worst.get("spectra", {})
-        sa = spectra.get("a", [])
-        sb = spectra.get("b", [])
-        sab = spectra.get("ab", [])
+        spectra = _report_part(worst, "spectra", dict, {})
+        sa, sb, sab = (_report_part(spectra, k, list, []) for k in ("a", "b", "ab"))
         for name, pts in (("sigma_a", sa), ("sigma_b", sb), ("sigma_ab", sab)):
             for p in pts:
                 ang, ex = _angle_row(p)
@@ -562,8 +572,9 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
                 prods.add((round((ta + tb) % 1.0, 12), ea and eb))
         for ang, ex in sorted(prods):
             lines.append(f"product,{_sig12(ang)},{int(ex)}")
+        witness = _report_part(worst, "witness", dict, {})
         for name in ("gamma", "alpha", "beta"):
-            p = worst.get("witness", {}).get(name)
+            p = witness.get(name)
             if p is not None:
                 ang, ex = _angle_row(p)
                 lines.append(f"witness_{name},{_sig12(ang)},{ex}")
@@ -639,7 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--exact", action="store_true",
                    help="sample tadpole angles on the exact grid")
     m.add_argument("--max-elements", type=int, default=DEFAULT_BUDGET)
-    m.add_argument("--workers", type=int, default=_default_workers())
+    m.add_argument("--workers", type=int, default=_default_workers(),
+                   help="process count of sampled runs only; exhaustive "
+                        "runs use one process")
     m.add_argument("--bins", type=int, default=DEFAULT_BINS)
     m.add_argument("--collect-pairs", action="store_true",
                    help="include every pair's defect in the report")

@@ -170,13 +170,6 @@ class TestMeasureAsm:
         with pytest.raises(IncompleteClosureError):
             measure_asm(c)
 
-    def test_worker_count_is_irrelevant(self):
-        c = close(miller_moreno(default_miller_moreno(3, 7)))
-        r1 = measure_asm(c, workers=1)
-        r2 = measure_asm(c, workers=3)
-        assert r1.epsilon_exact == r2.epsilon_exact
-        assert r1.histogram == r2.histogram
-
 
 class TestMeasureAsmSampled:
     def test_same_seed_reproduces_exactly(self):
@@ -338,14 +331,21 @@ SAMPLED_GOLDEN = {
 }
 
 
-def _dense_mm_closure(seed):
-    """MM(3, 7) conjugated by a seeded Haar unitary: 21 dense elements."""
+def _dense_closure(gens, seed):
+    """The group of ``gens`` conjugated by a seeded Haar unitary, as dense
+    matrices."""
     rng = np.random.default_rng(seed)
-    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    d = gens[0].dim
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, rr = np.linalg.qr(z)
     u = q * (np.diag(rr) / np.abs(np.diag(rr)))
     return close([Dense(u @ g.to_dense() @ u.conj().T, unitary=True)
-                  for g in miller_moreno(default_miller_moreno(3, 7))])
+                  for g in gens])
+
+
+def _dense_mm_closure(seed):
+    """MM(3, 7) conjugated by a seeded Haar unitary: 21 dense elements."""
+    return _dense_closure(miller_moreno(default_miller_moreno(3, 7)), seed)
 
 
 class TestBatchedKernel:
@@ -377,12 +377,12 @@ class TestBatchedKernel:
         assert tadpole_sampler(3, exact=True).batch(rng, 5) is None
         assert rng.random() == np.random.default_rng(0).random()
 
-    def test_dense_rows_match_pair_defects(self, monkeypatch):
+    def test_dense_rows_match_pair_defects(self):
         c = _dense_mm_closure(5)
         cay = c.cayley_table()
-        r1 = measure_asm(c, workers=1, collect_pairs=True)
-        assert c.order == 21 and len(r1.pair_rows) == 441
-        for i, j, v in r1.pair_rows:
+        r = measure_asm(c, collect_pairs=True)
+        assert c.order == 21 and len(r.pair_rows) == 441
+        for i, j, v in r.pair_rows:
             a, b = c.elements[i], c.elements[j]
             # bit for bit against the one-pair kernel on the closure's spectra
             ab = c.elements[cay[i, j]]
@@ -391,20 +391,23 @@ class TestBatchedKernel:
             # pair_defect multiplies a @ b afresh, so sigma(AB) may move in
             # the last bits
             assert v == pytest.approx(pair_defect(a, b).defect, abs=1e-13)
-        # run the rows through the process pool despite the small size
-        monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 1)
-        r2 = measure_asm(c, workers=2, collect_pairs=True)
-        assert r2.to_json_dict() == r1.to_json_dict()
 
     def test_worst_pair_agrees_with_epsilon(self):
-        # the worst pair is rebuilt from the closure's stored product, whose
-        # spectrum the scan used; a fresh a @ b gives 0.1428571428571429 here
+        # epsilon is the largest one-pair defect over the class
+        # representatives' rows, each with sigma(AB) of the stored product;
+        # the worst pair is rebuilt from that product, so it matches bit for bit
         c = _dense_mm_closure(5)
         r = measure_asm(c)
-        assert r.epsilon == 0.14285714285714302
+        spectra = [e.spectrum() for e in c.elements]
+        cay = c.cayley_table()
+        reps = np.unique(c.conjugacy_labels())
+        assert r.epsilon == max(
+            asm._spectrum_defect(spectra[i], spectra[j], spectra[cay[i, j]])[0]
+            for i in reps for j in range(c.order))
+        assert abs(r.epsilon - 1 / 7) < 1e-14
         assert r.worst.defect == r.epsilon
         i, j = r.worst.pair[1:]
-        assert r.worst.spectrum_ab == c.elements[c.cayley_table()[i, j]].spectrum().points
+        assert r.worst.spectrum_ab == spectra[cay[i, j]].points
 
 
 # sha256 of json.dumps(measure_asm(close(gens), collect_pairs=...)
@@ -426,7 +429,7 @@ REDUCTION_GROUPS = {
 
 
 class TestClassReducedScan:
-    """Exact exhaustive runs scan one row per conjugacy class."""
+    """Exhaustive runs scan one row per conjugacy class."""
 
     @pytest.mark.parametrize("name", sorted(REDUCTION_GROUPS))
     def test_matches_all_pairs_loop(self, name):
@@ -469,11 +472,28 @@ class TestClassReducedScan:
         assert measure_asm(c).to_json_dict() == want
         assert c.elements.reads <= k + 2
 
-    def test_worker_count_through_the_pool(self, monkeypatch):
-        c = close(miller_moreno(default_miller_moreno(5, 11)))
-        r1 = measure_asm(c, workers=1, collect_pairs=True)
-        r2 = measure_asm(c, workers=2, collect_pairs=True)
-        assert r2.to_json_dict() == r1.to_json_dict()
+    @pytest.mark.parametrize("name", ["q8", "mm3_7", "mm7_43"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dense_matches_all_pairs_reference(self, name, seed):
+        c = _dense_closure(KERNEL_GROUPS[name](), seed)
+        r = measure_asm(c)
+        assert c._cayley is None
+        n = c.order
+        # every pair through the float kernel, sigma(AB) from the full table
+        angles = np.array([e.spectrum().angles() for e in c.elements])
+        ref = asm._float_defects(np.repeat(angles, n, axis=0),
+                                 np.tile(angles, (n, 1)),
+                                 angles[c.cayley_table().reshape(-1)])
+        assert abs(r.epsilon - ref.max()) < 1e-13
+        assert not r.exact and r.epsilon_exact is None
+        _, i, _ = r.worst.pair
+        assert c.conjugacy_labels()[i] == i
+        assert r.worst.defect == r.epsilon
+        assert sum(r.histogram.counts) == r.pair_total == n * n
+        if name != "q8":
+            # no defect of these groups sits on a bin edge (q8's 1/4 does)
+            counts, _ = np.histogram(ref, bins=asm.DEFAULT_BINS, range=(0.0, 0.5))
+            assert r.histogram.counts == tuple(int(x) for x in counts)
 
 
 def _scalar_defects(sa, sb, sab, scale):

@@ -14,9 +14,14 @@ import pytest
 from specmul import cli
 from specmul.asm import AsmReport, pair_defect
 from specmul.cli import main
-from specmul.linalg import matrix_from_json, matrix_to_json
+from specmul.linalg import Dense, matrix_from_json, matrix_to_json
 from specmul.circle import _point_from_json
-from specmul.constructions import cycle_matrix, random_det1_diagonal
+from specmul.constructions import (
+    cycle_matrix,
+    default_miller_moreno,
+    miller_moreno,
+    random_det1_diagonal,
+)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,12 +117,22 @@ class TestMeasureOutput:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
-    def test_worker_flag_does_not_change_bytes(self, capsys):
-        base = ("measure", "--builtin", "miller-moreno", "--deterministic")
-        _, out1, _ = run(capsys, *base, "--workers", "1")
-        _, out2, _ = run(capsys, *base, "--workers", "3")
-        # workers is part of the echoed config; compare reports
-        assert json.loads(out1)["report"] == json.loads(out2)["report"]
+    def test_worker_flag_does_not_change_bytes(self, capsys, tmp_path):
+        # MM(7, 43) conjugated by a seeded unitary into dense matrices (n = 301)
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        q, r = np.linalg.qr(z)
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        spec = tmp_path / "dense.json"
+        spec.write_text(json.dumps({"generators": [
+            Dense(u @ g.to_dense() @ u.conj().T, unitary=True).to_json_dict()
+            for g in miller_moreno(default_miller_moreno(7, 43))]}))
+        for source in (("--builtin", "miller-moreno"), ("--spec", str(spec))):
+            base = ("measure", *source, "--deterministic")
+            _, out1, _ = run(capsys, *base, "--workers", "1")
+            _, out2, _ = run(capsys, *base, "--workers", "3")
+            # workers is part of the echoed config; compare reports
+            assert json.loads(out1)["report"] == json.loads(out2)["report"]
 
     def test_human_format(self, capsys):
         _, out, _ = run(capsys, "measure", "--builtin", "q8",
@@ -259,6 +274,20 @@ class TestPlotdata:
 
     def test_missing_file(self, capsys):
         assert run(capsys, "plotdata", "/no/such/report.json")[0] == 1
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        "x",
+        {"worst": [1]},
+        {"worst": {"spectra": {"a": [5]}}},
+        {"report": {"worst": {"witness": []}}},
+    ], ids=["list", "string", "worst-list", "int-point", "witness-list"])
+    def test_malformed_report_exits_1(self, capsys, tmp_path, payload):
+        rep = tmp_path / "bad.json"
+        rep.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "plotdata", str(rep))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
 
 
 class TestBuild:
