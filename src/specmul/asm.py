@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .circle import UnitPoint, _frac_str, _point_from_json, _point_to_json
-from .constructions import SrElement, sr_pair_gamma
+from .constructions import SrElement, _cmul, sr_pair_gamma
 from .errors import IncompleteClosureError, ZeroSpectralRadiusError
 from .groups import GroupClosure
 from .linalg import (
@@ -185,6 +185,20 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     return out
 
 
+def _chord_defects(alpha: np.ndarray, beta: np.ndarray,
+                   gamma: np.ndarray) -> np.ndarray:
+    """Chord defects |gamma - alpha beta| / (|alpha| |beta|) of m pairs of
+    rank-one elements given their nonzero eigenvalues as complex arrays (m,):
+    ``pair_sub_defect`` batched, rounded as its scalar steps round (the
+    product written out, moduli by ``np.hypot``)."""
+    ra = np.hypot(alpha.real, alpha.imag)
+    rb = np.hypot(beta.real, beta.imag)
+    if not (ra.all() and rb.all()):
+        raise ZeroSpectralRadiusError("spectral radius vanishes; defect undefined")
+    gap = gamma - _cmul(alpha, beta)
+    return np.hypot(gap.real, gap.imag) / (ra * rb)
+
+
 def _defect_float(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray):
     """Float defect of one pair with its witness indices: the batch of one."""
     diff = _arc_gaps(sa[None, :], sb[None, :], sab[None, :])[0]
@@ -250,8 +264,12 @@ def _eig_json(p) -> dict:
 
 
 def _eig_from_json(d: dict):
+    """Inverse of ``_eig_json``; a non-finite part is a ``ValueError``."""
     if "re" in d:
-        return complex(float(d["re"]), float(d["im"]))
+        re, im = float(d["re"]), float(d["im"])
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"non-finite eigenvalue {d!r}")
+        return complex(re, im)
     return _point_from_json(d)
 
 
@@ -501,15 +519,26 @@ def _sampled_chunk(args):
     return vals, best, best_idx, best_pair, all_exact
 
 
-def _sampled_asm_chunk(args):
-    sampler, count, seed_seq = args
+def _tadpole_batch_defects(drawn) -> np.ndarray:
+    return _float_defects(*drawn.spectra())
+
+
+def _sr_batch_defects(drawn) -> np.ndarray:
+    return _chord_defects(*drawn.eigenvalues())
+
+
+def _sampled_batch_chunk(args):
+    """``_sampled_chunk`` through the sampler's ``batch``, if it has one:
+    ``kernel(batch)`` scores all pairs of the chunk in one call.  Without a
+    batch, or when ``batch`` declines (None), the chunk is drawn one pair at
+    a time from the same seed and scored with ``defect_of``."""
+    sampler, count, seed_seq, kernel, defect_of = args
     batch = getattr(sampler, "batch", None)
     drawn = None if batch is None else batch(np.random.default_rng(seed_seq), count)
     if drawn is None:
-        return _sampled_chunk((sampler, count, seed_seq,
-                               partial(pair_defect, with_matrices=False)))
+        return _sampled_chunk((sampler, count, seed_seq, defect_of))
     # a batch holds float draws only, so its defects are never exact
-    vals = _float_defects(*drawn.spectra())
+    vals = kernel(drawn)
     t = int(vals.argmax())
     return vals, float(vals[t]), t, drawn.pair(t), False
 
@@ -643,21 +672,23 @@ def measure_asm(
 
 
 def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
-                     chunk, extra, worst_of, vmax, gamma_convention=None):
+                     kernel, worst_of, vmax, gamma_convention=None):
     """The seeded sampled run of both the argument and the chord defect.
 
-    Chunk k of ``SAMPLE_CHUNKS`` fixed chunks is drawn by ``chunk((sampler,
-    size, seed_k, *extra))`` from its own spawned seed, so the pairs do not
-    depend on ``workers``.  The first maximum is rebuilt by ``worst_of``;
-    ``vmax`` tops the histogram (None: the largest defect).
+    Chunk k of ``SAMPLE_CHUNKS`` fixed chunks is drawn by
+    ``_sampled_batch_chunk`` from its own spawned seed, so the pairs do not
+    depend on ``workers``; ``kernel`` scores a batch, ``worst_of`` one pair
+    (and rebuilds the first maximum).  ``vmax`` tops the histogram (None:
+    the largest defect).
     """
     if pair_count < 1:
         raise ValueError("need at least one pair")
     sizes = _chunk_sizes(pair_count, SAMPLE_CHUNKS)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    chunks = [(sampler, c, s, *extra) for c, s in zip(sizes, seeds)]
+    defect_of = partial(worst_of, with_matrices=False)
+    chunks = [(sampler, c, s, kernel, defect_of) for c, s in zip(sizes, seeds)]
     eff = workers if pair_count >= PARALLEL_MIN_PAIRS else 1
-    parts = _map_chunks(chunk, chunks, eff)
+    parts = _map_chunks(_sampled_batch_chunk, chunks, eff)
     values = np.concatenate([p[0] for p in parts])
     # the first maximum lies in the chunk whose end is the first one past it
     best_idx = int(values.argmax())
@@ -695,7 +726,7 @@ def measure_asm_sampled(
     from the seeded sampler.  The seed space is split deterministically into
     spawned streams, so the worker count does not change the pairs."""
     return _measure_sampled(sampler, pair_count, seed, workers, bins,
-                            collect_pairs, _sampled_asm_chunk, (), pair_defect,
+                            collect_pairs, _tadpole_batch_defects, pair_defect,
                             vmax=0.5)
 
 
@@ -714,9 +745,8 @@ def measure_sub(
     if callable(source):
         if pair_count is None or seed is None:
             raise ValueError("sampled mode needs pair_count and seed")
-        per_pair = partial(pair_sub_defect, ztol=ztol, with_matrices=False)
         return _measure_sampled(source, pair_count, seed, workers, bins,
-                                collect_pairs, _sampled_chunk, (per_pair,),
+                                collect_pairs, _sr_batch_defects,
                                 partial(pair_sub_defect, ztol=ztol),
                                 vmax=None, gamma_convention="nonzero")
     elements = list(source)

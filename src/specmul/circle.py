@@ -232,10 +232,14 @@ def _point_to_json(p: UnitPoint) -> dict:
 
 
 def _point_from_json(d: dict) -> UnitPoint:
-    """Inverse of ``_point_to_json``; also reads angles written as strings."""
+    """Inverse of ``_point_to_json``; also reads angles written as strings.
+    A non-finite angle or error bound is a ``ValueError``."""
     if "num" in d:
         return UnitPoint.exact(int(d["num"]), int(d["den"]))
-    return UnitPoint.approx(float(d["angle"]), float(d.get("err", 0.0)))
+    angle, err = float(d["angle"]), float(d.get("err", 0.0))
+    if not (math.isfinite(angle) and math.isfinite(err)):
+        raise ValueError(f"non-finite angle or err in {d!r}")
+    return UnitPoint.approx(angle, err)
 
 
 def _frac_str(f: Optional[Fraction]) -> Optional[str]:

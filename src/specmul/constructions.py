@@ -692,12 +692,97 @@ def sr_sample(params: SrParams, rng: np.random.Generator) -> SrElement:
     return SrElement(lam, tuple(x), tuple(y))
 
 
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise <x, y> = x^H y of stacked vectors, rounded as ``np.vdot`` of
+    one pair rounds (both reach BLAS's dot kernel with the same strides)."""
+    return np.matmul(x.conj()[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b over complex arrays, rounded as the scalar product rounds:
+    array ``*`` may fuse a multiply into the add and differ in the last bit."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SrBatch:
+    """Sampled pairs of rank-one elements as arrays.
+
+    Element 2t is the left factor A of pair t, element 2t + 1 the right
+    factor B.  ``lam (2m,)`` holds the scalars, ``row`` and ``col``
+    ``(2m, n-1)`` the vectors of ``SrElement``.
+    """
+
+    lam: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+
+    @classmethod
+    def of(cls, elements: Sequence[SrElement]) -> "SrBatch":
+        """The batch of the elements A_0, B_0, A_1, B_1, ..."""
+        return cls(np.array([e.lam for e in elements], dtype=complex),
+                   np.array([e.row for e in elements], dtype=complex),
+                   np.array([e.col for e in elements], dtype=complex))
+
+    def _element(self, i: int) -> SrElement:
+        return SrElement(complex(self.lam[i]), tuple(self.row[i]), tuple(self.col[i]))
+
+    def pair(self, t: int) -> tuple[SrElement, SrElement]:
+        return self._element(2 * t), self._element(2 * t + 1)
+
+    def eigenvalues(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero eigenvalues alpha of A, beta of B and gamma of AB as
+        complex arrays (m,), equal bit for bit to ``nonzero_eigenvalue`` and
+        ``sr_pair_gamma``: gamma = lam_A lam_B (1 + <x_A, y_B>)(1 + <x_B, y_A>).
+        """
+        lam, x, y = self.lam, self.row, self.col
+        eig = _cmul(lam, 1.0 + _dots(x, y))
+        gamma = _cmul(_cmul(_cmul(lam[0::2], lam[1::2]),
+                            1.0 + _dots(x[0::2], y[1::2])),
+                      1.0 + _dots(x[1::2], y[0::2]))
+        return eig[0::2], eig[1::2], gamma
+
+
 @dataclass(frozen=True)
 class SrSampler:
     params: SrParams
 
     def __call__(self, rng: np.random.Generator) -> SrElement:
         return sr_sample(self.params, rng)
+
+    def batch(self, rng: np.random.Generator, count: int) -> Optional[SrBatch]:
+        """The next ``count`` pairs, drawn from ``rng`` in the order 2*count
+        ``sr_sample`` calls would draw them; None if a vector has norm 0:
+        ``_ball_point`` then skips its radius draw, so the orders part.
+
+        Every step rounds as its scalar twin in ``sr_sample`` does: norms
+        through the same dot kernel, powers in Python floats.
+        """
+        dim = self.params.n - 1
+        radius = self.params.r * self.params.margin
+        random, normal = rng.random, rng.normal
+        turns, gauss, radii = [], [], []
+        for _ in range(2 * count):
+            turns.append(random())
+            for _ in range(2):  # x, then y
+                gauss.append(normal(size=2 * dim))
+                radii.append(random())
+        g = np.array(gauss).reshape(2 * count, 2, 2 * dim)
+        v = g[..., :dim] + 1j * g[..., dim:]
+        # np.linalg.norm: real and imaginary parts as strided dot products
+        re, im = v.real[..., None, :], v.imag[..., None, :]
+        nrm = np.sqrt(np.matmul(re, re.swapaxes(-1, -2))
+                      + np.matmul(im, im.swapaxes(-1, -2)))[..., 0, 0]
+        if not nrm.all():
+            return None
+        power = 1.0 / (2 * dim)
+        scale = np.array([radius * u ** power for u in radii]).reshape(2 * count, 2)
+        vec = v / nrm[..., None] * scale[..., None]
+        lam = np.array([cmath.exp(2j * math.pi * u) for u in turns])
+        return SrBatch(lam, vec[:, 0], vec[:, 1])
 
 
 def sr_sampler(params: SrParams) -> SrSampler:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from specmul.constructions import (
     SrElement,
     is_prime,
     SrParams,
+    SrSampler,
     default_miller_moreno,
     miller_moreno,
     sample_tadpole,
@@ -356,10 +358,13 @@ class TestBatchedKernel:
     def test_tadpole_chunk_matches_scalar_loop(self, p, seed):
         sampler = tadpole_sampler(p)
         seq = np.random.SeedSequence(seed)
-        vals, best, idx, pair, exact = asm._sampled_asm_chunk((sampler, 40, seq))
+        extra = (asm._tadpole_batch_defects,
+                 partial(pair_defect, with_matrices=False))
+        vals, best, idx, pair, exact = asm._sampled_batch_chunk(
+            (sampler, 40, seq, *extra))
         # a bound __call__ has no ``batch``, so this takes the scalar loop
-        svals, sbest, sidx, spair, sexact = asm._sampled_asm_chunk(
-            (sampler.__call__, 40, seq))
+        svals, sbest, sidx, spair, sexact = asm._sampled_batch_chunk(
+            (sampler.__call__, 40, seq, *extra))
         assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
         assert (best, idx, exact) == (sbest, sidx, sexact)
         assert pair == spair
@@ -652,3 +657,82 @@ class TestSampledDriverGolden:
         elements = [sr_sample(SrParams(0.5), rng) for _ in range(8)]
         rep = measure_sub(elements, collect_pairs=True)
         assert _report_sha(rep) == DRIVER_GOLDEN["sr_exhaustive"]
+
+
+class _ZeroNormal:
+    """A generator whose ``zero_at``-th ``normal`` draw is all zeros."""
+
+    def __init__(self, rng, zero_at):
+        self._rng, self._left = rng, zero_at
+
+    def random(self):
+        return self._rng.random()
+
+    def normal(self, size):
+        self._left -= 1
+        v = self._rng.normal(size=size)
+        return np.zeros(size) if self._left == 0 else v
+
+
+class _ZeroVectorSampler(SrSampler):
+    """An ``SrSampler`` whose batch draws a zero vector, so it declines."""
+
+    def batch(self, rng, count):
+        return super().batch(_ZeroNormal(rng, zero_at=3), count)
+
+
+class TestSrBatchChunk:
+    """The batched chord kernel against ``pair_sub_defect`` pair by pair."""
+
+    PER_PAIR = partial(pair_sub_defect, with_matrices=False)
+
+    def _chunks(self, sampler, seed, count=40):
+        seq = np.random.SeedSequence(seed)
+        batched = asm._sampled_batch_chunk(
+            (sampler, count, seq, asm._sr_batch_defects, self.PER_PAIR))
+        one_by_one = asm._sampled_chunk((sr_sampler(sampler.params), count, seq,
+                                         self.PER_PAIR))
+        return batched, one_by_one
+
+    def _assert_same(self, got, want):
+        vals, best, idx, pair, exact = got
+        svals, sbest, sidx, spair, sexact = want
+        assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
+        assert (best, idx, exact) == (sbest, sidx, sexact)
+        assert (pair_sub_defect(*pair).to_json_dict()
+                == pair_sub_defect(*spair).to_json_dict())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chunk_matches_pair_sub_defect(self, n, r, seed):
+        self._assert_same(*self._chunks(sr_sampler(SrParams(r, n)), seed))
+
+    def test_zero_vector_declines_the_batch(self):
+        sampler = sr_sampler(SrParams(0.5))
+        rng = np.random.default_rng(0)
+        assert sampler.batch(_ZeroNormal(rng, zero_at=3), 10) is None
+        assert sampler.batch(_ZeroNormal(rng, zero_at=0), 10) is not None
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_declined_batch_takes_the_one_pair_path(self, seed):
+        sampler = _ZeroVectorSampler(SrParams(0.5))
+        assert sampler.batch(np.random.default_rng(seed), 40) is None
+        self._assert_same(*self._chunks(sampler, seed))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sampler_without_batch(self, monkeypatch, workers):
+        monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 1)
+        plain = partial(sr_sample, SrParams(0.5))
+        assert not hasattr(plain, "batch")
+        rep = measure_sub(plain, pair_count=300, seed=41, workers=workers,
+                          collect_pairs=True)
+        assert _report_sha(rep) == DRIVER_GOLDEN["sr_sampled"]
+        ref = measure_sub(sr_sampler(SrParams(0.5)), pair_count=300, seed=41,
+                          workers=workers, collect_pairs=True)
+        assert rep.to_json_dict() == ref.to_json_dict()
+
+    def test_chord_kernel_rejects_zero_radius(self):
+        z = np.array([0j, 1 + 0j])
+        with pytest.raises(ZeroSpectralRadiusError):
+            asm._chord_defects(z, z[::-1], z)

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, output formats, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from specmul.cli import main
 from specmul.linalg import Dense, matrix_from_json, matrix_to_json
 from specmul.circle import _point_from_json
 from specmul.constructions import (
+    SrSampler,
     cycle_matrix,
     default_miller_moreno,
     miller_moreno,
@@ -252,6 +254,32 @@ class TestVerify:
         assert tuple(_point_from_json(x) for x in d) == want
 
 
+class TestVerifySrBound:
+    ARGS = argparse.Namespace(r=0.6, dim=5, seed=9, samples=700)
+
+    def test_blocks_do_not_change_the_evidence(self, monkeypatch):
+        whole = cli._verify_sr_bound(self.ARGS)
+        monkeypatch.setattr(cli, "SR_VERIFY_BLOCK", 128)
+        assert cli._verify_sr_bound(self.ARGS) == whole
+        assert whole[1]["dense_cross_checks"] == 500
+
+    def test_declined_batch_redraws_one_element_at_a_time(self, monkeypatch):
+        want = cli._verify_sr_bound(self.ARGS)
+        monkeypatch.setattr(cli, "SR_VERIFY_BLOCK", 128)
+        monkeypatch.setattr(SrSampler, "batch", lambda self, rng, count: None)
+        assert cli._verify_sr_bound(self.ARGS) == want
+
+    def test_first_violation_is_reported(self, monkeypatch):
+        monkeypatch.setattr(cli, "sr_ratio_bound", lambda r: 0.3)
+        monkeypatch.setattr(cli, "SR_VERIFY_BLOCK", 2)
+        args = argparse.Namespace(r=0.5, dim=4, seed=3, samples=10)
+        ok, evidence = cli._verify_sr_bound(args)
+        assert not ok
+        # sample 3 of this stream is the first whose ratio exceeds 0.3
+        assert evidence["counterexample"] == {
+            "ratio": 0.3142084467129995, "bound": 0.3, "sample": 3}
+
+
 class TestPlotdata:
     def test_sets_present(self, capsys, tmp_path):
         rep = tmp_path / "rep.json"
@@ -288,6 +316,42 @@ class TestPlotdata:
         code, out, err = run(capsys, "plotdata", str(rep))
         assert code == 1 and out == ""
         assert err.startswith("error: ")
+
+    # JSON text, since json.dumps cannot write an overflowing literal
+    @pytest.mark.parametrize("point", [
+        '{"angle": NaN}',
+        '{"angle": 1e400}',
+        '{"angle": 0.25, "err": Infinity}',
+        '{"re": NaN, "im": 0.0}',
+        '{"re": 1.0, "im": -1e400}',
+    ], ids=["angle-nan", "angle-overflow", "err-inf", "re-nan", "im-overflow"])
+    @pytest.mark.parametrize("where", ["spectrum", "witness"])
+    def test_non_finite_point_exits_1(self, capsys, tmp_path, point, where):
+        worst = ('{"spectra": {"a": [%s]}}' if where == "spectrum"
+                 else '{"witness": {"gamma": %s}}') % point
+        rep = tmp_path / "bad.json"
+        rep.write_text('{"report": {"worst": %s}}' % worst)
+        code, out, err = run(capsys, "plotdata", str(rep))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed eigenvalue")
+
+    # sha256 of the CSV of an exact, a float-angle and a complex-eigenvalue
+    # report, recorded before non-finite points were rejected
+    @pytest.mark.parametrize("argv,digest", [
+        (("--builtin", "q8"),
+         "82ea9c946ed707150ab669fd222632c8e8ff6d9f45a95424e484b0b9fd4a1e13"),
+        (("--builtin", "tadpole", "--p", "3", "--pairs", "50", "--seed", "3"),
+         "0e07cc06adee83eb15670c691ba7afadf029ac5e4604b455a6a921690278e688"),
+        (("--builtin", "sr", "--pairs", "50", "--seed", "3"),
+         "0cb62f631f028ac33e9fc1a944634712be69c15968bfe0adf5df642a47ccfeb6"),
+    ], ids=["q8", "tadpole", "sr"])
+    def test_valid_report_csv_is_unchanged(self, capsys, tmp_path, argv, digest):
+        rep = tmp_path / "rep.json"
+        assert run(capsys, "measure", *argv, "--deterministic",
+                   "--out", str(rep))[0] == 0
+        code, out, _ = run(capsys, "plotdata", str(rep))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBuild:

@@ -15,6 +15,7 @@ from specmul.circle import ONE, RationalAngle, UnitPoint
 from specmul.constructions import (
     MillerMorenoParams,
     QSetParams,
+    SrBatch,
     SrElement,
     SrParams,
     TadpoleParams,
@@ -32,6 +33,7 @@ from specmul.constructions import (
     sr_pair_gamma,
     sr_ratio_bound,
     sr_sample,
+    sr_sampler,
     tadpole,
     tadpole_case,
     tadpole_identity,
@@ -319,6 +321,14 @@ class TestMmGapAnalysis:
         assert mm_gap_analysis(params).distinct_products == len(want)
 
 
+def _bits(*values) -> bytes:
+    """The exact bits of complex scalars, or of an element's lam and vectors."""
+    if isinstance(values[0], SrElement):
+        (e,) = values
+        values = (e.lam, *e.row, *e.col)
+    return np.array(values, dtype=complex).tobytes()
+
+
 class TestRankOneSemigroup:
     def test_params_validation(self):
         with pytest.raises(InvalidParamsError):
@@ -355,6 +365,29 @@ class TestRankOneSemigroup:
             assert abs(abs(e.lam) - 1.0) < 1e-12
             assert np.linalg.norm(e.row) < 0.4
             assert np.linalg.norm(e.col) < 0.4
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+    def test_batch_draws_what_sr_sample_draws(self, n, r):
+        sampler = sr_sampler(SrParams(r, n))
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        drawn = sampler.batch(rng, 40)
+        eigs = drawn.eigenvalues()
+        for t in range(40):
+            a, b = sr_sample(sampler.params, ref), sr_sample(sampler.params, ref)
+            assert [_bits(e) for e in drawn.pair(t)] == [_bits(a), _bits(b)]
+            want = (a.nonzero_eigenvalue(), b.nonzero_eigenvalue(), sr_pair_gamma(a, b))
+            assert _bits(*(z[t] for z in eigs)) == _bits(*want)
+        # the batch left the generator where 80 sr_sample calls leave it
+        assert rng.random() == ref.random()
+
+    def test_batch_of_elements(self):
+        sampler = sr_sampler(SrParams(0.7, 5))
+        drawn = sampler.batch(np.random.default_rng(8), 25)
+        again = SrBatch.of([e for t in range(25) for e in drawn.pair(t)])
+        assert all(again.pair(t) == drawn.pair(t) for t in range(25))
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(again.eigenvalues(), drawn.eigenvalues()))
 
     def test_ratio_bound_value_and_validity(self):
         assert sr_ratio_bound(0.5) == pytest.approx(16.0 / 9.0)
