@@ -34,11 +34,12 @@ import numpy as np
 from .circle import UnitPoint, _frac_str, _point_from_json, _point_to_json
 from .constructions import SrElement, _cmul, sr_pair_gamma
 from .errors import IncompleteClosureError, ZeroSpectralRadiusError
-from .groups import GroupClosure
+from .groups import GroupClosure, _DenseCode
 from .linalg import (
     Dense,
     Spectrum,
     UMatrix,
+    _dense_angles,
     general_spectrum,
     matmul,
     matrix_to_json,
@@ -587,6 +588,14 @@ def _exact_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     return tri_defects[inv].reshape(rows.shape), scale, grid
 
 
+def _element_angles(elements) -> np.ndarray:
+    """Row e is element e's spectrum in turns: stacked eigensolves over a
+    dense-coded closure's stack, one ``spectrum`` per element otherwise."""
+    if isinstance(getattr(elements, "code", None), _DenseCode):
+        return _dense_angles(elements.rows)
+    return np.array([e.spectrum().angles() for e in elements])
+
+
 def _float_rows(angles: np.ndarray, left, table: np.ndarray) -> np.ndarray:
     """Float defects of the pairs (left[t], j) over every column j, with
     sigma(AB) taken from the stored product ``table[t, j]``; row e of
@@ -634,7 +643,11 @@ def measure_asm(
     class representative's row.  One process scores one Cayley row per
     conjugacy class, in integers for exact closures (which read only the k
     representatives, B and AB from ``closure.elements``) and in floats for
-    dense ones (off an all-pairs scan only by rounding); the histogram
+    dense ones (off an all-pairs scan only by rounding).  A float scan needs
+    every element's spectrum: a dense-coded closure gets them from stacked
+    eigensolves over blocks of its element stack, bit for bit what each
+    element's ``spectrum`` gives, with the same ``NonUnitaryError`` checks;
+    other float closures call ``spectrum`` per element.  The histogram
     weights each row by its class size.  Representatives are class minima,
     so the first maximum is the full row-major grid's.  ``worst`` is rebuilt
     from the stored product AB, so its defect is ``epsilon`` bit for bit.
@@ -654,7 +667,7 @@ def measure_asm(
             closure, [e.spectrum() for e in rep_elements], class_of, rows,
             collect_pairs)
     else:
-        angles = np.array([e.spectrum().angles() for e in elements])
+        angles = _element_angles(elements)
         per_rep, scale = _float_rows(angles, reps, rows), 1
         grid = (_float_rows(angles, np.arange(n), closure.cayley_table())
                 if collect_pairs else None)

@@ -18,8 +18,13 @@ Exact monomial generators (``Diagonal``/``MonomialCycle``), and exact
 every element is stored as a permutation row ``s`` and an exponent row ``e``
 mod N (``M[i, s[i]] = exp(2 pi i e[i] / N)``), each BFS layer is two gathers,
 and ``GroupClosure.elements`` builds a matrix only for the indices read.
-Element indices, ``parents`` and ``gen_table`` are the same as the object
-BFS, which every other generator set takes.
+``Dense`` generators, and mixed families that are flattened to dense, take
+the array path too: the elements are one (n, d, d) complex stack, each BFS
+layer is one stacked matrix product, and the keys are sliced from one
+rounded array, equal to ``Dense.canonical_key``'s.  Element indices,
+``parents`` and ``gen_table`` are the same as the object BFS, which only
+``BlockDiag`` generators with dense or nested blocks, and monomial ones
+whose N would not fit in int64, still take.
 
 Closures over generators whose structured entries are approximate are
 refused up front — rounded keys would silently merge distinct elements of
@@ -51,6 +56,7 @@ from .linalg import (
     Diagonal,
     MonomialCycle,
     UMatrix,
+    _dense_keys,
     _mono_parts,
     block_diag,
     identity_like,
@@ -165,6 +171,11 @@ class _MonomialCode:
         row = self.encode(m)
         return None if row is None else row.tobytes()
 
+    def keys(self, rows: np.ndarray) -> list:
+        """The key of every row of ``rows``: its 2 dim int64 as bytes."""
+        buf, width = rows.tobytes(), 16 * self.dim
+        return [buf[lo:lo + width] for lo in range(0, len(buf), width)]
+
     def decode(self, row: np.ndarray) -> UMatrix:
         """The matrix of ``row``, in the representation ``matmul`` gives
         the same product."""
@@ -189,11 +200,50 @@ class _MonomialCode:
         return out
 
 
+class _DenseCode:
+    """Dense matrices as one (d, d) complex row each.
+
+    Keys are ``Dense.canonical_key``'s, so a probe of any variant finds the
+    element it would find in the object BFS.  The products of a layer are
+    one stacked ``np.matmul``, which rounds each product as ``matmul`` does.
+    """
+
+    def __init__(self, key_tol: float):
+        self.key_tol = key_tol
+
+    @classmethod
+    def fit(cls, gens: Sequence[UMatrix], key_tol: float) -> Optional["_DenseCode"]:
+        """The code of ``gens``, or None unless they are all ``Dense``."""
+        if not all(isinstance(g, Dense) for g in gens):
+            return None
+        return cls(key_tol)
+
+    @staticmethod
+    def encode(m: UMatrix) -> np.ndarray:
+        return m.to_dense()
+
+    def key(self, m: UMatrix):
+        return m.canonical_key(self.key_tol)
+
+    def keys(self, rows: np.ndarray) -> list:
+        return _dense_keys(rows, self.key_tol)
+
+    @staticmethod
+    def decode(row: np.ndarray) -> Dense:
+        return Dense(row)
+
+    @staticmethod
+    def products(rows: np.ndarray, gen_rows: np.ndarray) -> np.ndarray:
+        """All products rows[a] @ gen_rows[b], shape (len(rows),
+        len(gen_rows), d, d)."""
+        return np.matmul(rows[:, None], gen_rows[None])
+
+
 class _EncodedElements(Sequence):
     """Read-only element list of an array-path closure: ``[i]`` decodes
     row i into a ``UMatrix`` on each access."""
 
-    def __init__(self, code: _MonomialCode, rows: np.ndarray):
+    def __init__(self, code: _MonomialCode | _DenseCode, rows: np.ndarray):
         self.code = code
         self.rows = rows
 
@@ -266,11 +316,14 @@ class GroupClosure:
     def conjugacy_labels(self) -> np.ndarray:
         """Conjugacy class of every element, labelled by its smallest index.
 
-        The classes are the orbits of x -> g^-1 x g over the generators g,
-        joined by union-find.  g^-1 is the last element before g's
-        ``gen_table`` column walks back to the identity, g^-1 x is one
-        Cayley row and (g^-1 x) g is the column again, so no matrix is
-        multiplied.
+        The classes are the orbits of x -> g^-1 x g over the generators g.
+        g^-1 is the last element before g's ``gen_table`` column walks back
+        to the identity, g^-1 x is one Cayley row and (g^-1 x) g is the
+        column again, so no matrix is multiplied.  Every label starts as
+        its own index and takes the smaller label across each map, both
+        ways, then follows labels to labels until neither step changes one.
+        A label is always an index in its element's class, so the fixed
+        point is each class's smallest index.
         """
         inverses = []
         for col in self.gen_table.T:
@@ -279,23 +332,19 @@ class GroupClosure:
                 prev, x = x, int(col[x])
             inverses.append(prev)
         left = self.cayley_rows(inverses)
-        root = list(range(self.order))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        for gi, row in enumerate(left):
-            for x, y in enumerate(self.gen_table[row, gi].tolist()):
-                rx, ry = find(x), find(y)
-                # the smaller root wins, so every root is its class minimum
-                if rx < ry:
-                    root[ry] = rx
-                elif ry < rx:
-                    root[rx] = ry
-        return np.array([find(x) for x in range(self.order)], dtype=np.int64)
+        maps = self.gen_table[left, np.arange(len(inverses))[:, None]]
+        label = np.arange(self.order, dtype=np.int64)
+        while True:
+            before = label
+            for conj in maps:
+                label = np.minimum(label, label[conj])
+                # conj is a permutation, so no index is written twice
+                label[conj] = np.minimum(label[conj], label)
+            jumped = label[label]
+            while not np.array_equal(jumped, label):
+                label, jumped = jumped, jumped[jumped]
+            if np.array_equal(label, before):
+                return label
 
     def inverse_index(self, i: int) -> int:
         row = self.cayley_table()[i]
@@ -329,10 +378,13 @@ def close(
     that is not an error.  Raises on mixed dimensions, non-unitary dense
     generators, and structured generators with approximate angles.  Exact
     monomial and block-monomial generators take the array path (see
-    ``_MonomialCode``); it numbers the elements as the object BFS does.
+    ``_MonomialCode``), and so do dense ones (``_DenseCode``); it numbers
+    the elements as the object BFS does.
     """
     gens = _prepare(generators, key_tol)
     code = _MonomialCode.fit(gens)
+    if code is None:
+        code = _DenseCode.fit(gens, key_tol)
     if code is None:
         return _close_objects(gens, max_elements, key_tol)
     return _close_encoded(code, gens, max_elements, key_tol)
@@ -409,29 +461,28 @@ def _close_objects(gens: list[UMatrix], max_elements: int,
                    key_tol)
 
 
-def _close_encoded(code: _MonomialCode, gens: list[UMatrix], max_elements: int,
-                   key_tol: float) -> GroupClosure:
+def _close_encoded(code: _MonomialCode | _DenseCode, gens: list[UMatrix],
+                   max_elements: int, key_tol: float) -> GroupClosure:
     """The BFS on code rows, one layer at a time.  A layer's products come
     in (parent, generator) order and new ones are numbered in that order,
     which is the order in which the object BFS finds them."""
     gen_rows = np.stack([code.encode(g) for g in gens])
-    ident = code.encode(identity_like(gens[0]))
-    width, ng = ident.nbytes, len(gens)
-    key_index = {ident.tobytes(): 0}
+    ident = identity_like(gens[0])
+    ng = len(gens)
+    key_index = {code.key(ident): 0}
     parents: list[tuple[int, int]] = [(-1, -1)]
-    layers = [ident[None]]
+    layers = [code.encode(ident)[None]]
+    row_shape = (-1,) + layers[0].shape[1:]
     rows: list[int] = []
     complete = True
 
     lo = 0  # index of the frontier's first element
     while complete and len(layers[-1]):
         frontier = layers[-1]
-        prods = code.products(frontier, gen_rows).reshape(-1, len(ident))
-        buf = prods.tobytes()
+        prods = code.products(frontier, gen_rows).reshape(row_shape)
         found: list[int] = []
         fresh: list[int] = []
-        for t in range(len(prods)):
-            key = buf[t * width:(t + 1) * width]
+        for t, key in enumerate(code.keys(prods)):
             j = key_index.get(key)
             if j is None:
                 if len(parents) >= max_elements:

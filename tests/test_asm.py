@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmul import asm
+from specmul import asm, groups, linalg
 from specmul.asm import (
     AsmReport,
     Histogram,
@@ -41,9 +41,13 @@ from specmul.constructions import (
     tadpole,
     tadpole_sampler,
 )
-from specmul.errors import IncompleteClosureError, ZeroSpectralRadiusError
+from specmul.errors import (
+    IncompleteClosureError,
+    NonUnitaryError,
+    ZeroSpectralRadiusError,
+)
 from specmul.groups import close
-from specmul.linalg import Dense, Diagonal, matmul
+from specmul.linalg import BlockDiag, Dense, Diagonal, matmul
 
 RNG = np.random.default_rng(20240911)
 
@@ -499,6 +503,39 @@ class TestClassReducedScan:
             # no defect of these groups sits on a bin edge (q8's 1/4 does)
             counts, _ = np.histogram(ref, bins=asm.DEFAULT_BINS, range=(0.0, 0.5))
             assert r.histogram.counts == tuple(int(x) for x in counts)
+
+
+class TestStackedSpectra:
+    """A dense-coded closure's spectra come from one stacked eigensolve."""
+
+    @pytest.mark.parametrize("name", ["q8", "mm3_7", "mm7_43"])
+    def test_angles_match_each_spectrum(self, name):
+        c = _dense_closure(KERNEL_GROUPS[name](), 4)
+        assert isinstance(c.elements.code, groups._DenseCode)
+        want = np.array([e.spectrum().angles() for e in c.elements])
+        assert asm._element_angles(c.elements).tobytes() == want.tobytes()
+
+    def test_object_closure_keeps_per_element_spectra(self, monkeypatch):
+        gens = [BlockDiag((Dense(g.to_dense()), g)) for g in _q8_generators()]
+        c = close(gens)
+        assert isinstance(c.elements, list)
+        monkeypatch.setattr(asm, "_dense_angles", None)
+        want = np.array([e.spectrum().angles() for e in c.elements])
+        assert asm._element_angles(c.elements).tobytes() == want.tobytes()
+        assert measure_asm(c).epsilon == pytest.approx(0.25, abs=1e-14)
+
+    def test_modulus_check_still_raises(self, monkeypatch):
+        c = _dense_mm_closure(1)
+        monkeypatch.setattr(linalg, "MODULUS_TOL", -1.0)
+        with pytest.raises(NonUnitaryError, match="modulus"):
+            measure_asm(c)
+
+    def test_non_unitary_element_raises(self):
+        c = _dense_mm_closure(1)
+        c.elements.rows[7] *= 1.01
+        assert not c.elements[7].unitary
+        with pytest.raises(NonUnitaryError, match="needs a unitary"):
+            measure_asm(c)
 
 
 def _scalar_defects(sa, sb, sab, scale):

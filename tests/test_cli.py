@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specmul import cli
+from specmul import cli, linalg
 from specmul.asm import AsmReport, pair_defect
 from specmul.cli import main
 from specmul.linalg import Dense, matrix_from_json, matrix_to_json
@@ -79,6 +79,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("spec", [
         {"generators": 5},
         {"generators": [{"variant": "dense", "dim": 1, "entries": [[1]]}]},
+        # a declared dim that the entries do not have
+        {"generators": [{"variant": "dense", "dim": 5,
+                         "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+        {"generators": [{"variant": "diagonal", "dim": 3,
+                         "entries": [{"num": 1, "den": 2}]}]},
     ])
     def test_malformed_spec_is_a_config_error(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
@@ -94,6 +99,29 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "conversions", "--deterministic")
         assert code == 2
         assert json.loads(out)["report"]["pass"] is False
+
+
+def _write_dense_mm_spec(path, seed=7):
+    """MM(7, 43) conjugated by a seeded unitary into dense matrices
+    (n = 301), written as a ``--spec`` file."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    path.write_text(json.dumps({"generators": [
+        Dense(u @ g.to_dense() @ u.conj().T, unitary=True).to_json_dict()
+        for g in miller_moreno(default_miller_moreno(7, 43))]}))
+
+
+# sha256 of the stdout of ``measure --spec dense.json --deterministic
+# --workers 1`` plus the extra arguments, for ``_write_dense_mm_spec``'s file,
+# as the object BFS with one ``Dense.spectrum`` per element produced it.
+DENSE_SPEC_GOLDEN = {
+    "--collect-pairs":
+        "ef9978d736a98a4fcea735585f25b591f16afe8b48dec50419e5fe3d5a75c199",
+    "--format csv":
+        "a23483a1a8621b9b45834c8ef8449b59e5d3a48cb266810bbf54cd19a97166ad",
+}
 
 
 class TestMeasureOutput:
@@ -120,21 +148,35 @@ class TestMeasureOutput:
         assert out1 == out2
 
     def test_worker_flag_does_not_change_bytes(self, capsys, tmp_path):
-        # MM(7, 43) conjugated by a seeded unitary into dense matrices (n = 301)
-        rng = np.random.default_rng(7)
-        z = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        q, r = np.linalg.qr(z)
-        u = q * (np.diag(r) / np.abs(np.diag(r)))
         spec = tmp_path / "dense.json"
-        spec.write_text(json.dumps({"generators": [
-            Dense(u @ g.to_dense() @ u.conj().T, unitary=True).to_json_dict()
-            for g in miller_moreno(default_miller_moreno(7, 43))]}))
+        _write_dense_mm_spec(spec)
         for source in (("--builtin", "miller-moreno"), ("--spec", str(spec))):
             base = ("measure", *source, "--deterministic")
             _, out1, _ = run(capsys, *base, "--workers", "1")
             _, out2, _ = run(capsys, *base, "--workers", "3")
             # workers is part of the echoed config; compare reports
             assert json.loads(out1)["report"] == json.loads(out2)["report"]
+
+    @pytest.mark.parametrize("extra", sorted(DENSE_SPEC_GOLDEN))
+    def test_dense_spec_report_matches_golden(self, capsys, tmp_path,
+                                              monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        _write_dense_mm_spec(tmp_path / "dense.json")
+        code, out, _ = run(capsys, "measure", "--spec", "dense.json",
+                           "--deterministic", "--workers", "1", *extra.split())
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == DENSE_SPEC_GOLDEN[extra])
+
+    def test_dense_spectrum_off_the_circle_exits_1(self, capsys, tmp_path,
+                                                   monkeypatch):
+        spec = tmp_path / "dense.json"
+        _write_dense_mm_spec(spec)
+        monkeypatch.setattr(linalg, "MODULUS_TOL", -1.0)
+        code, out, err = run(capsys, "measure", "--spec", str(spec),
+                             "--deterministic")
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "modulus" in err
 
     def test_human_format(self, capsys):
         _, out, _ = run(capsys, "measure", "--builtin", "q8",

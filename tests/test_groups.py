@@ -171,6 +171,31 @@ def _class_oracle(c):
             for x in range(c.order)]
 
 
+def _union_find_labels(c):
+    """Class minimum of every element: the orbits of x -> g^-1 x g over the
+    generators g, joined one edge at a time by union-find."""
+    inverses = []
+    for col in c.gen_table.T:
+        prev, x = 0, int(col[0])
+        while x != 0:
+            prev, x = x, int(col[x])
+        inverses.append(prev)
+    left = c.cayley_rows(inverses)
+    root = list(range(c.order))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for gi, row in enumerate(left):
+        for x, y in enumerate(c.gen_table[row, gi].tolist()):
+            rx, ry = find(x), find(y)
+            root[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(c.order)]
+
+
 CLASS_GROUPS = {
     "q8": (_q8_generators, 5),
     "cyclic5": (lambda: [cyclic_generator(5)], 5),
@@ -191,6 +216,19 @@ class TestConjugacyClasses:
 
     def test_dense_closure_labels(self):
         c = close([Dense(g.to_dense()) for g in _q8_generators()])
+        assert c.conjugacy_labels().tolist() == _class_oracle(c)
+
+    @pytest.mark.parametrize("p,q", [(3, 7), (13, 157), (41, 739)])
+    def test_labels_match_union_find(self, p, q):
+        c = close(miller_moreno(default_miller_moreno(p, q)))
+        labels = c.conjugacy_labels()
+        assert labels.tolist() == _union_find_labels(c)
+        assert len(np.unique(labels)) == p + (q - 1) // p
+
+    def test_object_closure_labels(self):
+        gens = [BlockDiag((Dense(g.to_dense()), g)) for g in _q8_generators()]
+        c = close(gens)
+        assert isinstance(c.elements, list)
         assert c.conjugacy_labels().tolist() == _class_oracle(c)
 
 
@@ -218,7 +256,8 @@ class TestClosureInvariants:
         """Make the closure's fifth product come out as the identity, so
         two elements times the same generator land on one element.  The
         object BFS forms products with ``matmul``, the array path a layer
-        at a time with ``_MonomialCode.products``."""
+        at a time with ``_MonomialCode.products`` or
+        ``_DenseCode.products``."""
         calls = []
 
         def bad_matmul(a, b):
@@ -226,6 +265,7 @@ class TestClosureInvariants:
             return identity_like(a) if len(calls) == 5 else matmul(a, b)
 
         products = groups._MonomialCode.products
+        dense_products = groups._DenseCode.products
 
         def bad_products(code, rows, gen_rows):
             out = products(code, rows, gen_rows)
@@ -236,8 +276,19 @@ class TestClosureInvariants:
             calls.extend([None] * len(flat))
             return out
 
+        def bad_dense_products(rows, gen_rows):
+            out = dense_products(rows, gen_rows)
+            flat = out.reshape(-1, *rows.shape[1:])
+            t = 4 - len(calls)
+            if 0 <= t < len(flat):
+                flat[t] = np.eye(rows.shape[1])
+            calls.extend([None] * len(flat))
+            return out
+
         monkeypatch.setattr(groups, "matmul", bad_matmul)
         monkeypatch.setattr(groups._MonomialCode, "products", bad_products)
+        monkeypatch.setattr(groups._DenseCode, "products",
+                            staticmethod(bad_dense_products))
 
     def test_close_checks_the_generator_action(self, monkeypatch):
         self._merge_fifth_product(monkeypatch)
@@ -245,6 +296,13 @@ class TestClosureInvariants:
             close(_q8_generators())
 
     def test_object_bfs_checks_the_generator_action(self, monkeypatch):
+        self._merge_fifth_product(monkeypatch)
+        # dense blocks keep the object BFS
+        gens = [BlockDiag((Dense(g.to_dense()), g)) for g in _q8_generators()]
+        with pytest.raises(ClosureInvariantError):
+            close(gens)
+
+    def test_dense_array_path_checks_the_generator_action(self, monkeypatch):
         self._merge_fifth_product(monkeypatch)
         with pytest.raises(ClosureInvariantError):
             close([Dense(g.to_dense()) for g in _q8_generators()])
@@ -293,6 +351,27 @@ ARRAY_GROUPS = {
 }
 
 
+def _haar_conjugated(gens, seed):
+    """``gens`` conjugated by a seeded Haar unitary, as dense matrices."""
+    rng = np.random.default_rng(seed)
+    d = gens[0].dim
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return [Dense(u @ g.to_dense() @ u.conj().T, unitary=True) for g in gens]
+
+
+DENSE_GROUPS = {
+    "dense": lambda: [Dense(g.to_dense()) for g in _q8_generators()],
+    # flattened to dense by _prepare
+    "mixed": lambda: [_q8_generators()[0], Dense(_q8_generators()[1].to_dense())],
+    "q8": lambda: _haar_conjugated(_q8_generators(), 0),
+    "mm3_7": lambda: _haar_conjugated(CLASS_GROUPS["mm3_7"][0](), 1),
+    "mm7_43": lambda: _haar_conjugated(
+        miller_moreno(default_miller_moreno(7, 43)), 2),
+}
+
+
 def _layer_cut_budget(c):
     """A budget whose cut falls inside a BFS layer, on a parent that found
     a new element with generator 0 and is refused one with generator 1."""
@@ -320,6 +399,13 @@ class TestArrayPath:
         # == on the structured variants also compares their classes
         assert list(a.elements) == b.elements
         assert [a.index_of(e) for e in b.elements] == list(range(b.order))
+        if isinstance(a.elements.code, groups._DenseCode):
+            # the same products bit for bit, flagged alike and keyed alike
+            assert (a.elements.rows.tobytes()
+                    == np.stack([e.a for e in b.elements]).tobytes())
+            assert ([(e.unitary, e.exactness_lost) for e in a.elements]
+                    == [(e.unitary, e.exactness_lost) for e in b.elements])
+            assert list(a.key_index.items()) == list(b.key_index.items())
 
     @pytest.mark.parametrize("name", sorted(ARRAY_GROUPS))
     def test_matches_object_bfs(self, name):
@@ -327,6 +413,48 @@ class TestArrayPath:
         a = close(gens)
         assert a.complete and a.exact
         self._assert_same(a, _object_closure(gens))
+
+    @pytest.mark.parametrize("name", sorted(DENSE_GROUPS))
+    def test_dense_matches_object_bfs(self, name):
+        gens = DENSE_GROUPS[name]()
+        a = close(gens)
+        assert isinstance(a.elements.code, groups._DenseCode)
+        assert a.complete and not a.exact
+        self._assert_same(a, _object_closure(gens))
+
+    @pytest.mark.parametrize("name", ["dense", "q8"])
+    def test_dense_budget_cut(self, name):
+        gens = DENSE_GROUPS[name]()
+        a = close(gens, max_elements=5)
+        assert not a.complete and a.order == 5
+        self._assert_same(a, _object_closure(gens, 5))
+
+    def test_dense_budget_cut_inside_a_layer(self):
+        gens = _haar_conjugated(ARRAY_GROUPS["mm5_11"](), 3)
+        b = _layer_cut_budget(close(gens))
+        a = close(gens, max_elements=b)
+        assert not a.complete and a.order == b
+        cut = a.parents[b - 1][0]
+        assert (a.gen_table[cut] == -1).all() and (a.gen_table[cut - 1] >= 0).all()
+        self._assert_same(a, _object_closure(gens, b))
+
+    def test_dense_index_of_structured_probes(self):
+        gens = DENSE_GROUPS["q8"]()
+        a, b = close(gens), _object_closure(gens)
+        minus_one = a.index_of(Dense(-np.eye(2)))
+        probes = [
+            # keyed by its rounded entries: its dense form -I is an element
+            Diagonal((UnitPoint.approx(0.5),) * 2),
+            Diagonal((UnitPoint.approx(0.0),) * 2),
+            # an exact diagonal has a structural key, as in the object BFS
+            Diagonal((UnitPoint.exact(1, 2),) * 2),
+            matmul(gens[1], gens[0]),
+            _q8_generators()[0],
+        ]
+        got = [a.index_of(m) for m in probes]
+        assert got == [b.index_of(m) for m in probes]
+        assert got[:3] == [minus_one, 0, None] and minus_one is not None
+        assert got[3] is not None
 
     def test_orders(self):
         assert close(miller_moreno(TWO_BLOCK_MM)).order == 441
@@ -380,10 +508,9 @@ class TestArrayPath:
             c.elements[c.order]
 
     @pytest.mark.parametrize("gens", [
-        lambda: [Dense(g.to_dense()) for g in _q8_generators()],
-        lambda: [_q8_generators()[0], Dense(_q8_generators()[1].to_dense())],
+        lambda: [BlockDiag((Dense(g.to_dense()), g)) for g in _q8_generators()],
         lambda: [Diagonal((UnitPoint.exact(1, 2 ** 62), ONE))],
-    ], ids=["dense", "mixed", "large_denominator"])
+    ], ids=["dense_blocks", "large_denominator"])
     def test_other_generators_take_the_object_bfs(self, gens):
         c = close(gens())
         assert isinstance(c.elements, list)

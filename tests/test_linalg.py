@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmul.circle import ONE, RationalAngle, UnitPoint
-from specmul.errors import DimensionMismatchError, NonUnitaryError
+from specmul import linalg
+from specmul.errors import DimensionMismatchError, MalformedJsonError, NonUnitaryError
 from specmul.linalg import (
     BlockDiag,
     Dense,
@@ -241,20 +242,77 @@ class TestSpectrumHelpers:
         assert np.all(np.diff(ang) >= -1e-15)
         assert np.all(errs < 1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2, 7, 13])
+    def test_stacked_eigensolve_matches_each_matrix(self, d):
+        rng = np.random.default_rng(d)
+        stack = np.stack([random_unitary(d, rng) for _ in range(40)])
+        # a diagonal and a repeated-eigenvalue matrix as well
+        stack[0] = np.diag(np.exp(2j * math.pi * rng.random(d)))
+        stack[1] = -np.eye(d)
+        eigs, errs = eigensolve_dense(stack)
+        assert eigs.shape == errs.shape == (40, d)
+        for m, e, r in zip(stack, eigs, errs):
+            e1, r1 = eigensolve_dense(m)
+            assert e.tobytes() == e1.tobytes()
+            assert r.tobytes() == r1.tobytes()
+
+    # None: the default block size; 1 byte: one matrix per stacked call;
+    # three 6 x 6 matrices per call, the last block holding two
+    @pytest.mark.parametrize("block", [None, 1, 3 * 16 * 36])
+    def test_stacked_angles_match_each_spectrum(self, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(linalg, "_EIG_BLOCK_BYTES", block)
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_unitary(6, rng) for _ in range(30)]
+                         + [np.eye(6), -np.eye(6)])
+        want = np.array([Dense(m).spectrum().angles() for m in stack])
+        assert linalg._dense_angles(stack).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_stacked_angles_refuse_as_spectrum_does(self, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(linalg, "_EIG_BLOCK_BYTES", block)
+        stack = np.stack([random_unitary(3) for _ in range(4)])
+        stack[2] *= 1.01
+        with pytest.raises(NonUnitaryError, match="needs a unitary"):
+            Dense(stack[2]).spectrum()
+        with pytest.raises(NonUnitaryError, match="needs a unitary"):
+            linalg._dense_angles(stack)
+        monkeypatch.setattr(linalg, "MODULUS_TOL", -1.0)
+        # every matrix now fails the modulus check: the first one decides
+        with pytest.raises(NonUnitaryError, match="modulus"):
+            Dense(stack[0]).spectrum()
+        with pytest.raises(NonUnitaryError, match="modulus"):
+            linalg._dense_angles(stack)
+        stack[0] *= 1.01
+        with pytest.raises(NonUnitaryError, match="needs a unitary"):
+            linalg._dense_angles(stack)
+
+    def test_stacked_keys_match_each_key(self):
+        rng = np.random.default_rng(9)
+        stack = np.stack([random_unitary(4, rng) for _ in range(20)])
+        keys = linalg._dense_keys(stack, 1e-7)
+        assert keys == [Dense(m).canonical_key(1e-7) for m in stack]
+        gaps = linalg._unitarity_gaps(stack)
+        assert gaps.tolist() == [linalg._unitarity_gaps(m) for m in stack]
+
     def test_spectral_radius(self):
         assert spectral_radius(Diagonal((ONE,))) == 1.0
         assert spectral_radius(np.diag([3.0, 1.0])) == pytest.approx(3.0)
         assert spectral_radius(Dense(random_unitary(3))) == pytest.approx(1.0)
 
 
+JSON_VARIANTS = [
+    lambda: Diagonal((UnitPoint.exact(1, 3), UnitPoint.approx(0.123, 1e-9))),
+    lambda: MonomialCycle((ONE, UnitPoint.exact(5, 8), ONE), 2),
+    lambda: BlockDiag((Diagonal((ONE,)),
+                       MonomialCycle((ONE, UnitPoint.exact(1, 2)), 1))),
+    lambda: Dense(random_unitary(3)),
+]
+
+
 class TestJsonRoundTrip:
-    @pytest.mark.parametrize("build", [
-        lambda: Diagonal((UnitPoint.exact(1, 3), UnitPoint.approx(0.123, 1e-9))),
-        lambda: MonomialCycle((ONE, UnitPoint.exact(5, 8), ONE), 2),
-        lambda: BlockDiag((Diagonal((ONE,)),
-                           MonomialCycle((ONE, UnitPoint.exact(1, 2)), 1))),
-        lambda: Dense(random_unitary(3)),
-    ])
+    @pytest.mark.parametrize("build", JSON_VARIANTS)
     def test_round_trip(self, build):
         m = build()
         back = matrix_from_json(matrix_to_json(m))
@@ -266,3 +324,19 @@ class TestJsonRoundTrip:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_json({"variant": "sparse"})
+
+    @pytest.mark.parametrize("build", JSON_VARIANTS)
+    def test_declared_dim_must_match(self, build):
+        d = matrix_to_json(build())
+        assert d["dim"] == build().dim
+        for dim in (d["dim"] + 2, 0, "3"):
+            with pytest.raises(MalformedJsonError, match="declares dim"):
+                matrix_from_json({**d, "dim": dim})
+        del d["dim"]
+        assert matrix_from_json(d).dim == build().dim
+
+    def test_declared_dim_of_a_block(self):
+        d = matrix_to_json(JSON_VARIANTS[2]())
+        d["blocks"][1]["dim"] = 1
+        with pytest.raises(MalformedJsonError, match="declares dim"):
+            matrix_from_json(d)
