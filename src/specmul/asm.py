@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -33,7 +34,11 @@ import numpy as np
 
 from .circle import UnitPoint, _frac_str, _point_from_json, _point_to_json
 from .constructions import SrElement, _cmul, sr_pair_gamma
-from .errors import IncompleteClosureError, ZeroSpectralRadiusError
+from .errors import (
+    IncompleteClosureError,
+    MalformedJsonError,
+    ZeroSpectralRadiusError,
+)
 from .groups import GroupClosure, _DenseCode
 from .linalg import (
     Dense,
@@ -63,6 +68,14 @@ SUB_ZERO_TOL = 1e-9
 # Pool startup dwarfs the work below this many pairs, so small jobs stay
 # in-process regardless of the requested worker count.
 PARALLEL_MIN_PAIRS = 2048
+
+# The same floor for runs whose chunks the samplers' ``batch`` draws and
+# scores: their pairs cost far less, so the pool pays off only later.
+# Break-even on 2 vCPUs, medians of 11 alternating in-process runs of
+# --workers 1 against 2: sr at 8,192 pairs 0.181 s against 0.188 s, at
+# 12,000 pairs 0.252 s against 0.212 s; p = 5 tadpoles at 5,000 pairs
+# 0.115 s against 0.147 s, at 8,192 pairs 0.172 s against 0.160 s.
+PARALLEL_MIN_BATCHED_PAIRS = 10_000
 
 # Sampled runs are split into a fixed number of logical chunks, each with its
 # own spawned seed stream, so the drawn pairs do not depend on how many
@@ -231,6 +244,30 @@ def _spectrum_defect(sa: Spectrum, sb: Spectrum, sab: Spectrum):
 # ---------------------------------------------------------------------------
 # result containers
 
+@contextmanager
+def _loading(what: str):
+    """Turn the errors of reading a malformed JSON ``what`` into
+    ``MalformedJsonError``."""
+    try:
+        yield
+    except MalformedJsonError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise MalformedJsonError(f"malformed {what}: {exc!r}") from exc
+
+
+def _typed(d: dict, key: str, kind, nullable: bool = False):
+    """``d[key]`` if it is a ``kind`` (a bool only where ``kind`` is bool),
+    or None if ``nullable``."""
+    value = d[key]
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} must be {kind}, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Histogram:
     edges: tuple[float, ...]
@@ -241,8 +278,9 @@ class Histogram:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Histogram":
-        return cls(tuple(float(x) for x in d["edges"]),
-                   tuple(int(x) for x in d["counts"]))
+        with _loading("histogram"):
+            return cls(tuple(float(x) for x in d["edges"]),
+                       tuple(int(x) for x in d["counts"]))
 
 
 def _make_histogram(values: np.ndarray, bins: int, vmax: Optional[float],
@@ -317,22 +355,23 @@ class PairDefect:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PairDefect":
-        w = d["witness"]
-        sp = d["spectra"]
-        return cls(
-            kind=d["kind"],
-            defect=float(d["defect"]),
-            defect_exact=_frac_parse(d["defect_exact"]),
-            pair=tuple(d["pair"]),
-            witness_gamma=_eig_from_json(w["gamma"]),
-            witness_alpha=_eig_from_json(w["alpha"]),
-            witness_beta=_eig_from_json(w["beta"]),
-            spectrum_a=tuple(_eig_from_json(p) for p in sp["a"]),
-            spectrum_b=tuple(_eig_from_json(p) for p in sp["b"]),
-            spectrum_ab=tuple(_eig_from_json(p) for p in sp["ab"]),
-            matrix_a=d.get("matrix_a"),
-            matrix_b=d.get("matrix_b"),
-        )
+        with _loading("pair"):
+            w = d["witness"]
+            sp = d["spectra"]
+            return cls(
+                kind=_typed(d, "kind", str),
+                defect=float(_typed(d, "defect", (int, float))),
+                defect_exact=_frac_parse(_typed(d, "defect_exact", str, nullable=True)),
+                pair=tuple(_typed(d, "pair", list)),
+                witness_gamma=_eig_from_json(w["gamma"]),
+                witness_alpha=_eig_from_json(w["alpha"]),
+                witness_beta=_eig_from_json(w["beta"]),
+                spectrum_a=tuple(_eig_from_json(p) for p in sp["a"]),
+                spectrum_b=tuple(_eig_from_json(p) for p in sp["b"]),
+                spectrum_ab=tuple(_eig_from_json(p) for p in sp["ab"]),
+                matrix_a=d.get("matrix_a"),
+                matrix_b=d.get("matrix_b"),
+            )
 
 
 @dataclass
@@ -374,22 +413,26 @@ class AsmReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AsmReport":
-        return cls(
-            kind=d["kind"],
-            mode=d["mode"],
-            bound=d["bound"],
-            epsilon=float(d["epsilon"]),
-            epsilon_exact=_frac_parse(d["epsilon_exact"]),
-            exact=bool(d["exact"]),
-            pair_total=int(d["pair_total"]),
-            sample_count=d["sample_count"],
-            seed=d["seed"],
-            group_order=d["group_order"],
-            worst=None if d["worst"] is None else PairDefect.from_json_dict(d["worst"]),
-            histogram=Histogram.from_json_dict(d["histogram"]),
-            gamma_convention=d.get("gamma_convention"),
-            pair_rows=[tuple(r) for r in d["pair_rows"]] if "pair_rows" in d else None,
-        )
+        """Inverse of ``to_json_dict``; raises ``MalformedJsonError`` on input
+        without that structure."""
+        with _loading("report"):
+            return cls(
+                kind=_typed(d, "kind", str),
+                mode=_typed(d, "mode", str),
+                bound=_typed(d, "bound", str),
+                epsilon=float(_typed(d, "epsilon", (int, float))),
+                epsilon_exact=_frac_parse(_typed(d, "epsilon_exact", str, nullable=True)),
+                exact=_typed(d, "exact", bool),
+                pair_total=_typed(d, "pair_total", int),
+                sample_count=_typed(d, "sample_count", int, nullable=True),
+                seed=_typed(d, "seed", int, nullable=True),
+                group_order=_typed(d, "group_order", int, nullable=True),
+                worst=None if d["worst"] is None else PairDefect.from_json_dict(d["worst"]),
+                histogram=Histogram.from_json_dict(d["histogram"]),
+                gamma_convention=(_typed(d, "gamma_convention", str, nullable=True)
+                                  if "gamma_convention" in d else None),
+                pair_rows=[tuple(r) for r in d["pair_rows"]] if "pair_rows" in d else None,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +575,17 @@ def _sampled_batch_chunk(args):
     """``_sampled_chunk`` through the sampler's ``batch``, if it has one:
     ``kernel(batch)`` scores all pairs of the chunk in one call.  Without a
     batch, or when ``batch`` declines (None), the chunk is drawn one pair at
-    a time from the same seed and scored with ``defect_of``."""
+    a time from the same seed and scored with ``defect_of``.  Returns
+    (``_sampled_chunk``'s tuple, whether the batch scored the chunk)."""
     sampler, count, seed_seq, kernel, defect_of = args
     batch = getattr(sampler, "batch", None)
     drawn = None if batch is None else batch(np.random.default_rng(seed_seq), count)
     if drawn is None:
-        return _sampled_chunk((sampler, count, seed_seq, defect_of))
+        return _sampled_chunk((sampler, count, seed_seq, defect_of)), False
     # a batch holds float draws only, so its defects are never exact
     vals = kernel(drawn)
     t = int(vals.argmax())
-    return vals, float(vals[t]), t, drawn.pair(t), False
+    return (vals, float(vals[t]), t, drawn.pair(t), False), True
 
 
 def _chunk_sizes(total: int, parts: int) -> list[int]:
@@ -692,7 +736,9 @@ def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
     ``_sampled_batch_chunk`` from its own spawned seed, so the pairs do not
     depend on ``workers``; ``kernel`` scores a batch, ``worst_of`` one pair
     (and rebuilds the first maximum).  ``vmax`` tops the histogram (None:
-    the largest defect).
+    the largest defect).  Chunk 0 runs in-process; the rest go to the pool
+    from ``PARALLEL_MIN_BATCHED_PAIRS`` pairs if the batch scored chunk 0,
+    from ``PARALLEL_MIN_PAIRS`` if it went one pair at a time.
     """
     if pair_count < 1:
         raise ValueError("need at least one pair")
@@ -700,8 +746,11 @@ def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
     defect_of = partial(worst_of, with_matrices=False)
     chunks = [(sampler, c, s, kernel, defect_of) for c, s in zip(sizes, seeds)]
-    eff = workers if pair_count >= PARALLEL_MIN_PAIRS else 1
-    parts = _map_chunks(_sampled_batch_chunk, chunks, eff)
+    first, batched = _sampled_batch_chunk(chunks[0])
+    floor = PARALLEL_MIN_BATCHED_PAIRS if batched else PARALLEL_MIN_PAIRS
+    eff = workers if pair_count >= floor else 1
+    parts = [first] + [part for part, _ in
+                       _map_chunks(_sampled_batch_chunk, chunks[1:], eff)]
     values = np.concatenate([p[0] for p in parts])
     # the first maximum lies in the chunk whose end is the first one past it
     best_idx = int(values.argmax())

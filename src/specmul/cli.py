@@ -36,6 +36,7 @@ from .asm import (
     DEFAULT_BINS,
     _chord_defects,
     _eig_from_json,
+    _float_defects,
     conversion_check,
     measure_asm,
     measure_asm_sampled,
@@ -289,6 +290,12 @@ def cmd_qset(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+# Pairs drawn per batch by ``verify tadpole-bound`` and ``sr-bound``: the
+# blocks read one rng stream in turn, so they bound memory without changing
+# the draws.
+VERIFY_BLOCK = 4096
+
+
 def _verify_lemma_spectrum(args) -> tuple[bool, dict]:
     p = args.p
     if not is_prime(p):
@@ -392,17 +399,20 @@ def _verify_tadpole_bound(args) -> tuple[bool, dict]:
     rng = np.random.default_rng(args.seed)
     from .constructions import sample_tadpole, tadpole_case
 
+    sampler = tadpole_sampler(p)
     max_defect = 0.0
     cases = {1: 0, 2: 0, 3: 0, 4: 0}
     bad = None
     float_tol = float(bound) + args.tol
-    for _ in range(args.pairs):
-        ta = sample_tadpole(p, rng)
-        tb = sample_tadpole(p, rng)
-        d = pair_defect(tadpole(ta), tadpole(tb), with_matrices=False).defect
-        max_defect = max(max_defect, d)
-        if d > float_tol and bad is None:
-            bad = {"defect": d, "a": ta.to_json_dict(), "b": tb.to_json_dict()}
+    for lo in range(0, args.pairs, VERIFY_BLOCK):
+        drawn = sampler.batch(rng, min(VERIFY_BLOCK, args.pairs - lo))
+        vals = _float_defects(*drawn.spectra())
+        max_defect = max(max_defect, float(vals.max()))
+        hits = np.flatnonzero(vals > float_tol)
+        if hits.size and bad is None:
+            t = int(hits[0])
+            bad = {"defect": float(vals[t]), "a": drawn.params(t, 0).to_json_dict(),
+                   "b": drawn.params(t, 1).to_json_dict()}
     exact_pairs = min(args.pairs, 2000)
     zeros_ok = True
     for _ in range(exact_pairs):
@@ -440,11 +450,6 @@ def _verify_mm_gap(args) -> tuple[bool, dict]:
     return count_ok and chain_ok, evidence
 
 
-# Pairs drawn per batch by ``verify sr-bound``: the blocks read one rng
-# stream in turn, so they bound memory without changing the draws.
-SR_VERIFY_BLOCK = 4096
-
-
 def _verify_sr_bound(args) -> tuple[bool, dict]:
     sampler = sr_sampler(SrParams(args.r, args.dim))
     bound = sr_ratio_bound(args.r)
@@ -453,8 +458,8 @@ def _verify_sr_bound(args) -> tuple[bool, dict]:
     max_ratio = 0.0
     max_cross = 0.0
     bad = None
-    for lo in range(0, args.samples, SR_VERIFY_BLOCK):
-        count = min(SR_VERIFY_BLOCK, args.samples - lo)
+    for lo in range(0, args.samples, VERIFY_BLOCK):
+        count = min(VERIFY_BLOCK, args.samples - lo)
         state = rng.bit_generator.state
         drawn = sampler.batch(rng, count)
         if drawn is None:  # a zero vector: redraw the block one element at a time

@@ -334,14 +334,14 @@ class TadpoleBatch:
     k: np.ndarray
     a: np.ndarray
 
-    def _params(self, t: int, side: int) -> TadpoleParams:
+    def params(self, t: int, side: int) -> TadpoleParams:
         return TadpoleParams(self.p,
                              tuple(UnitPoint.approx(float(x)) for x in self.d[t, side]),
                              int(self.k[t, side]),
                              tuple(int(x) for x in self.a[t, side]))
 
     def pair(self, t: int) -> tuple[UMatrix, UMatrix]:
-        return tadpole(self._params(t, 0)), tadpole(self._params(t, 1))
+        return tadpole(self.params(t, 0)), tadpole(self.params(t, 1))
 
     def spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Angle arrays (m, 2p) of sigma(A), sigma(B) and sigma(AB), equal
@@ -380,25 +380,86 @@ class TadpoleSampler:
                                       dens=self.dens))
 
     def batch(self, rng: np.random.Generator, count: int) -> Optional[TadpoleBatch]:
-        """The next ``count`` pairs, drawn from ``rng`` in the order 2*count
-        calls would draw them; None in exact mode, whose rational angles
-        stay on the one-pair-at-a-time path."""
-        if self.exact:
+        """The next ``count`` pairs, drawn from ``rng`` as 2*count calls
+        would draw them and leaving it where they would; None in exact mode,
+        whose rational angles stay on the one-pair-at-a-time path, and for a
+        bit generator other than PCG64, whose stream is not replayed."""
+        if self.exact or type(rng.bit_generator) is not np.random.PCG64:
             return None
         p = self.p
-        random, integers = rng.random, rng.integers
-        angles, k, a = [], [], []
-        for _ in range(2 * count):
-            angles.append(random(p - 1))
-            k.append(integers(0, p))
-            a.append(integers(0, p, size=p - 1))
-        angles = np.array(angles)
+        if not is_prime(p):
+            raise InvalidParamsError("p must be prime")
+        angles, ints = _tadpole_draws(rng, p, 2 * count)
         # random_det1_diagonal's last angle, then UnitPoint's own % 1.0
         last = (-angles.sum(axis=1)) % 1.0 % 1.0
         d = np.concatenate([angles, last[:, None]], axis=1)
         return TadpoleBatch(p, d.reshape(count, 2, p),
-                            np.array(k).reshape(count, 2),
-                            np.array(a).reshape(count, 2, p - 1))
+                            ints[:, 0].reshape(count, 2),
+                            ints[:, 1:].reshape(count, 2, p - 1))
+
+
+# random() is (word >> 11) * 2**-53, one PCG64 word per double
+_WORD_TO_UNIT = 2.0 ** -53
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _replay_words(bitgen: np.random.PCG64, p: int, n: int):
+    """n rounds of ``random(p - 1)``, ``integers(0, p)`` and ``integers(0, p,
+    size=p - 1)`` replayed from raw PCG64 words: (angles (n, p-1), integers
+    (n, p), the first round holding a rejected draw or None).
+
+    ``integers`` takes p draws of ``next_uint32``, each the buffered high half
+    of an earlier word if there is one, else the low half of a new word whose
+    high half it buffers; ``random`` and ``random_raw`` leave that buffer
+    alone.  Lemire's method maps a draw u to (u * p) >> 32 and rejects it when
+    (u * p) mod 2**32 < 2**32 mod p.  Sets the buffer as the rounds leave it.
+    """
+    state = bitgen.state
+    has, held = state["has_uint32"], state["uinteger"]
+    # the buffer at the start of each round: p draws flip it when p is odd
+    buffered = (has + np.arange(n) * p) % 2
+    lengths = p - 1 + (p + 1 - buffered) // 2
+    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    words = bitgen.random_raw(len(pos))
+    is_double = pos < p - 1
+    angles = (words[is_double] >> np.uint64(11)) * _WORD_TO_UNIT
+    int_words = words[~is_double]
+    halves = np.empty(has + 2 * len(int_words), dtype=np.uint64)
+    halves[:has] = held
+    halves[has::2] = int_words & _LOW32
+    halves[has + 1::2] = int_words >> np.uint64(32)
+    scaled = halves[:n * p].reshape(n, p) * np.uint64(p)
+    rejected = np.flatnonzero(((scaled & _LOW32) < (1 << 32) % p).any(axis=1))
+    state = bitgen.state
+    state["has_uint32"] = len(halves) - n * p
+    if len(int_words):
+        state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    return (angles.reshape(n, p - 1), (scaled >> np.uint64(32)).astype(np.int64),
+            int(rejected[0]) if rejected.size else None)
+
+
+def _tadpole_draws(rng: np.random.Generator, p: int, n: int):
+    """What n rounds of ``random(p - 1)``, ``integers(0, p)`` and
+    ``integers(0, p, size=p - 1)`` draw from a PCG64 generator, as angles
+    (n, p-1) and integers (n, p).  A round that holds a rejected draw (for
+    p = 5, one round in about 8.6e8) is drawn by those three calls; the
+    rounds before it are replayed again from the saved state."""
+    bitgen = rng.bit_generator
+    angles, ints = [], []
+    while True:
+        state = bitgen.state
+        got_angles, got_ints, bad = _replay_words(bitgen, p, n)
+        if bad is None:
+            angles.append(got_angles)
+            ints.append(got_ints)
+            return np.concatenate(angles), np.concatenate(ints)
+        bitgen.state = state
+        got_angles, got_ints, _ = _replay_words(bitgen, p, bad)
+        angles += [got_angles, rng.random(p - 1)[None]]
+        k = rng.integers(0, p)
+        ints += [got_ints, np.array([[k, *rng.integers(0, p, size=p - 1)]])]
+        n -= bad + 1
 
 
 def tadpole_sampler(p: int, exact: bool = False,

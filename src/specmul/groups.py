@@ -47,6 +47,7 @@ from .errors import (
     ClosureRefusedError,
     DimensionMismatchError,
     IncompleteClosureError,
+    MalformedJsonError,
     NonUnitaryError,
 )
 from .linalg import (
@@ -612,13 +613,24 @@ def closure_to_json(closure: GroupClosure, include_cayley: bool = False) -> dict
 
 
 def closure_from_json(d: dict, max_elements: int = DEFAULT_BUDGET) -> GroupClosure:
-    """Rebuild a closure from its serialized generators and sanity-check it."""
-    gens = [matrix_from_json(g) for g in d["generators"]]
+    """Rebuild a closure from its serialized generators and sanity-check it;
+    raises ``MalformedJsonError`` on input without that structure or that a
+    fresh enumeration contradicts."""
+    try:
+        gens = [matrix_from_json(g) for g in d["generators"]]
+        complete, order, cayley = d["complete"], d["order"], d.get("cayley")
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise MalformedJsonError(f"malformed closure: {exc!r}") from exc
+    if not gens:
+        raise MalformedJsonError("serialized closure has no generators")
     closure = close(gens, max_elements=max_elements)
-    if closure.complete != d["complete"] or closure.order != d["order"]:
-        raise ValueError("serialized closure does not match a fresh enumeration")
-    if "cayley" in d:
-        cay = np.array(d["cayley"], dtype=np.int64).reshape(closure.order, closure.order)
+    if closure.complete != complete or closure.order != order:
+        raise MalformedJsonError("serialized closure does not match a fresh enumeration")
+    if cayley is not None:
+        try:
+            cay = np.array(cayley, dtype=np.int64).reshape(closure.order, closure.order)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise MalformedJsonError(f"malformed Cayley table: {exc}") from exc
         if not np.array_equal(cay, closure.cayley_table()):
-            raise ValueError("serialized Cayley table does not match")
+            raise MalformedJsonError("serialized Cayley table does not match")
     return closure

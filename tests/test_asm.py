@@ -43,6 +43,7 @@ from specmul.constructions import (
 )
 from specmul.errors import (
     IncompleteClosureError,
+    MalformedJsonError,
     NonUnitaryError,
     ZeroSpectralRadiusError,
 )
@@ -50,6 +51,25 @@ from specmul.groups import close
 from specmul.linalg import BlockDiag, Dense, Diagonal, matmul
 
 RNG = np.random.default_rng(20240911)
+
+# any JSON value, for fuzzing the loaders
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+def spy_workers(monkeypatch):
+    """Record the worker count of every ``asm._map_chunks`` call."""
+    seen, real = [], asm._map_chunks
+
+    def spy(fn, chunk_args, workers):
+        seen.append(workers)
+        return real(fn, chunk_args, workers)
+
+    monkeypatch.setattr(asm, "_map_chunks", spy)
+    return seen
 
 
 def oracle_defect(a, b):
@@ -192,10 +212,13 @@ class TestMeasureAsmSampled:
         assert (measure_asm_sampled(s, 200, seed=1).epsilon
                 != measure_asm_sampled(s, 200, seed=2).epsilon)
 
-    def test_worker_split_does_not_change_results(self):
+    def test_worker_split_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 2048)
+        seen = spy_workers(monkeypatch)
         s = tadpole_sampler(3)
         r1 = measure_asm_sampled(s, 2048, seed=5, workers=1)
         r2 = measure_asm_sampled(s, 2048, seed=5, workers=2)
+        assert seen == [1, 2]
         assert r1.epsilon == r2.epsilon
         assert r1.histogram == r2.histogram
         assert r1.worst.defect == r2.worst.defect
@@ -315,6 +338,58 @@ class TestReportSerialization:
         assert back.spectrum_ab == d.spectrum_ab
         assert back.matrix_a == d.matrix_a
 
+    @pytest.mark.parametrize("key", ["kind", "epsilon", "exact", "seed",
+                                     "worst", "histogram"])
+    def test_missing_key(self, key):
+        d = measure_asm(close(_q8_generators())).to_json_dict()
+        del d[key]
+        with pytest.raises(MalformedJsonError):
+            AsmReport.from_json_dict(d)
+        with pytest.raises(MalformedJsonError):
+            AsmReport.from_json_dict({})
+
+    @pytest.mark.parametrize("key, value", [
+        ("kind", 3), ("epsilon", "0.1"), ("epsilon", True), ("exact", "false"),
+        ("epsilon_exact", "1/0"), ("pair_total", 64.0), ("seed", "7"),
+        ("histogram", [1, 2]), ("worst", "pair"), ("pair_rows", 5),
+    ])
+    def test_wrong_types(self, key, value):
+        d = measure_asm(close(_q8_generators())).to_json_dict()
+        d[key] = value
+        with pytest.raises(MalformedJsonError):
+            AsmReport.from_json_dict(d)
+        with pytest.raises(MalformedJsonError):
+            AsmReport.from_json_dict([d])
+
+    def test_report_parts_raise_malformed(self):
+        with pytest.raises(MalformedJsonError):
+            PairDefect.from_json_dict({})
+        d = pair_defect(*_q8_generators()).to_json_dict()
+        d["pair"] = "ab"
+        with pytest.raises(MalformedJsonError):
+            PairDefect.from_json_dict(d)
+        with pytest.raises(MalformedJsonError):
+            Histogram.from_json_dict({"edges": [0.0, 0.5], "counts": "x"})
+
+    @settings(max_examples=100, deadline=None)
+    @given(path=st.sampled_from([
+        ("kind",), ("epsilon",), ("epsilon_exact",), ("exact",), ("seed",),
+        ("pair_total",), ("gamma_convention",), ("pair_rows",), ("worst",),
+        ("worst", "pair"), ("worst", "defect_exact"), ("worst", "witness"),
+        ("worst", "spectra"), ("histogram",), ("histogram", "edges")]),
+        value=JSON_VALUES)
+    def test_fuzzed_fields_load_or_raise_malformed(self, path, value):
+        report = measure_asm(close(_q8_generators()), collect_pairs=True).to_json_dict()
+        *parents, key = path
+        field = report
+        for p in parents:
+            field = field[p]
+        field[key] = value
+        try:
+            AsmReport.from_json_dict(report)
+        except MalformedJsonError:
+            pass
+
     def test_histogram_shape(self):
         r = measure_asm(close(_q8_generators()), bins=10)
         h = r.histogram
@@ -364,11 +439,12 @@ class TestBatchedKernel:
         seq = np.random.SeedSequence(seed)
         extra = (asm._tadpole_batch_defects,
                  partial(pair_defect, with_matrices=False))
-        vals, best, idx, pair, exact = asm._sampled_batch_chunk(
+        (vals, best, idx, pair, exact), batched = asm._sampled_batch_chunk(
             (sampler, 40, seq, *extra))
         # a bound __call__ has no ``batch``, so this takes the scalar loop
-        svals, sbest, sidx, spair, sexact = asm._sampled_batch_chunk(
+        (svals, sbest, sidx, spair, sexact), sbatched = asm._sampled_batch_chunk(
             (sampler.__call__, 40, seq, *extra))
+        assert batched and not sbatched
         assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
         assert (best, idx, exact) == (sbest, sidx, sexact)
         assert pair == spair
@@ -380,6 +456,15 @@ class TestBatchedKernel:
                                   collect_pairs=True)
         blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == SAMPLED_GOLDEN[p]
+
+    def test_sampled_golden_through_the_pool(self, monkeypatch):
+        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        seen = spy_workers(monkeypatch)
+        rep = measure_asm_sampled(tadpole_sampler(5), 300, seed=2029,
+                                  workers=2, collect_pairs=True)
+        assert seen == [2]
+        blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == SAMPLED_GOLDEN[5]
 
     def test_exact_sampler_has_no_batch(self):
         rng = np.random.default_rng(0)
@@ -669,9 +754,11 @@ class TestSampledDriverGolden:
         assert _report_sha(rep) == DRIVER_GOLDEN["sr_sampled"]
 
     def test_sr_sampled_through_the_pool(self, monkeypatch):
-        monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 1)
+        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        seen = spy_workers(monkeypatch)
         rep = measure_sub(sr_sampler(SrParams(0.5)), pair_count=300, seed=41,
                           workers=2, collect_pairs=True)
+        assert seen == [2]
         assert _report_sha(rep) == DRIVER_GOLDEN["sr_sampled"]
 
     def test_exact_tadpole_sampled(self):
@@ -694,6 +781,41 @@ class TestSampledDriverGolden:
         elements = [sr_sample(SrParams(0.5), rng) for _ in range(8)]
         rep = measure_sub(elements, collect_pairs=True)
         assert _report_sha(rep) == DRIVER_GOLDEN["sr_exhaustive"]
+
+
+class TestPoolFloor:
+    """Chunk 0 runs in-process; whether its batch scored it picks the pair
+    count from which the other chunks go to the pool."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def in_process(fn, chunk_args, workers):
+            calls.append((len(chunk_args), workers))
+            return [fn(c) for c in chunk_args]
+
+        monkeypatch.setattr(asm, "_map_chunks", in_process)
+        return calls
+
+    def test_batched_run_below_its_floor_stays_in_process(self, calls):
+        measure_asm_sampled(tadpole_sampler(3), asm.PARALLEL_MIN_PAIRS, seed=1,
+                            workers=2)
+        assert calls == [(asm.SAMPLE_CHUNKS - 1, 1)]
+
+    def test_batched_run_from_its_floor_uses_the_pool(self, calls, monkeypatch):
+        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 300)
+        for count in (300, 299):
+            measure_sub(sr_sampler(SrParams(0.5)), pair_count=count, seed=1,
+                        workers=2)
+        assert calls == [(asm.SAMPLE_CHUNKS - 1, 2), (asm.SAMPLE_CHUNKS - 1, 1)]
+
+    def test_scalar_run_keeps_the_pairs_floor(self, calls, monkeypatch):
+        monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 200)
+        for count in (200, 199):
+            measure_asm_sampled(tadpole_sampler(3, exact=True), count, seed=1,
+                                workers=2)
+        assert calls == [(asm.SAMPLE_CHUNKS - 1, 2), (asm.SAMPLE_CHUNKS - 1, 1)]
 
 
 class _ZeroNormal:
@@ -725,7 +847,7 @@ class TestSrBatchChunk:
 
     def _chunks(self, sampler, seed, count=40):
         seq = np.random.SeedSequence(seed)
-        batched = asm._sampled_batch_chunk(
+        batched, _ = asm._sampled_batch_chunk(
             (sampler, count, seq, asm._sr_batch_defects, self.PER_PAIR))
         one_by_one = asm._sampled_chunk((sr_sampler(sampler.params), count, seq,
                                          self.PER_PAIR))
@@ -760,10 +882,12 @@ class TestSrBatchChunk:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sampler_without_batch(self, monkeypatch, workers):
         monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 1)
+        seen = spy_workers(monkeypatch)
         plain = partial(sr_sample, SrParams(0.5))
         assert not hasattr(plain, "batch")
         rep = measure_sub(plain, pair_count=300, seed=41, workers=workers,
                           collect_pairs=True)
+        assert seen == [workers]
         assert _report_sha(rep) == DRIVER_GOLDEN["sr_sampled"]
         ref = measure_sub(sr_sampler(SrParams(0.5)), pair_count=300, seed=41,
                           workers=workers, collect_pairs=True)

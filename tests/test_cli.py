@@ -296,24 +296,54 @@ class TestVerify:
         assert tuple(_point_from_json(x) for x in d) == want
 
 
+# sha256 of the stdout of ``specmul verify tadpole-bound ARGS --deterministic``
+# and its exit code, as the one-pair-at-a-time float loop produced them
+# before the float pairs were drawn through ``TadpoleSampler.batch``.
+TADPOLE_BOUND_GOLDEN = {
+    "--p 3 --pairs 3000 --seed 4":
+        ("a744b49ae8fc09771902eceb9a0e9958f269132841394eb396e293ee93fac444", 0),
+    "--p 5":
+        ("8b0baf15bc1504758e6093015e576325422039a35ef522adb7a09054e0625a92", 0),
+    # a negative tolerance makes a sampled pair the counterexample
+    "--p 5 --pairs 500 --seed 1 --tol -0.001":
+        ("ab2cf3ed148f8d36a5cfb3c54098601b2afd2e6d9dc5b40b6dcbb7279d2db982", 2),
+}
+
+
+class TestVerifyTadpoleBound:
+    @pytest.mark.parametrize("args", sorted(TADPOLE_BOUND_GOLDEN))
+    def test_output_matches_golden(self, capsys, args):
+        code, out, _ = run(capsys, "verify", "tadpole-bound", *args.split(),
+                           "--deterministic")
+        assert (hashlib.sha256(out.encode()).hexdigest(), code) == \
+            TADPOLE_BOUND_GOLDEN[args]
+
+    def test_blocks_do_not_change_the_evidence(self, monkeypatch):
+        args = argparse.Namespace(p=3, seed=4, pairs=700, tol=-0.004)
+        whole = cli._verify_tadpole_bound(args)
+        assert "case" not in whole[1]["counterexample"]  # a sampled float pair
+        monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
+        assert cli._verify_tadpole_bound(args) == whole
+
+
 class TestVerifySrBound:
     ARGS = argparse.Namespace(r=0.6, dim=5, seed=9, samples=700)
 
     def test_blocks_do_not_change_the_evidence(self, monkeypatch):
         whole = cli._verify_sr_bound(self.ARGS)
-        monkeypatch.setattr(cli, "SR_VERIFY_BLOCK", 128)
+        monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
         assert cli._verify_sr_bound(self.ARGS) == whole
         assert whole[1]["dense_cross_checks"] == 500
 
     def test_declined_batch_redraws_one_element_at_a_time(self, monkeypatch):
         want = cli._verify_sr_bound(self.ARGS)
-        monkeypatch.setattr(cli, "SR_VERIFY_BLOCK", 128)
+        monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
         monkeypatch.setattr(SrSampler, "batch", lambda self, rng, count: None)
         assert cli._verify_sr_bound(self.ARGS) == want
 
     def test_first_violation_is_reported(self, monkeypatch):
         monkeypatch.setattr(cli, "sr_ratio_bound", lambda r: 0.3)
-        monkeypatch.setattr(cli, "SR_VERIFY_BLOCK", 2)
+        monkeypatch.setattr(cli, "VERIFY_BLOCK", 2)
         args = argparse.Namespace(r=0.5, dim=4, seed=3, samples=10)
         ok, evidence = cli._verify_sr_bound(args)
         assert not ok

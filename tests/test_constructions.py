@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specmul import constructions
 from specmul.asm import pair_defect
 from specmul.circle import ONE, RationalAngle, UnitPoint
 from specmul.constructions import (
@@ -239,6 +240,90 @@ class TestSamplers:
         pts = random_det1_diagonal(7, np.random.default_rng(2))
         total = sum(p.turns for p in pts) % 1.0
         assert min(total, 1.0 - total) < 1e-12
+
+
+def loop_batch(p, rng, count):
+    """``TadpoleSampler(p).batch`` drawn one scalar call at a time, the way
+    2*count ``sample_tadpole`` calls draw: the reference for the raw-word
+    replay.  Returns the arrays (d, k, a) of the batch."""
+    angles, k, a = [], [], []
+    for _ in range(2 * count):
+        angles.append(rng.random(p - 1))
+        k.append(rng.integers(0, p))
+        a.append(rng.integers(0, p, size=p - 1))
+    angles = np.array(angles)
+    last = (-angles.sum(axis=1)) % 1.0 % 1.0
+    d = np.concatenate([angles, last[:, None]], axis=1)
+    return (d.reshape(count, 2, p), np.array(k).reshape(count, 2),
+            np.array(a).reshape(count, 2, p - 1))
+
+
+def _with_buffer(seed, has_uint32, uinteger):
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestTadpoleReplay:
+    """``TadpoleSampler.batch`` replays raw PCG64 words; ``loop_batch`` is
+    the scalar-call reference."""
+
+    @staticmethod
+    def _assert_replays(p, rng, ref, count):
+        drawn = tadpole_sampler(p).batch(rng, count)
+        d, k, a = loop_batch(p, ref, count)
+        assert np.array_equal(drawn.d.view(np.int64), d.view(np.int64))
+        assert drawn.k.dtype == k.dtype and np.array_equal(drawn.k, k)
+        assert drawn.a.dtype == a.dtype and np.array_equal(drawn.a, a)
+        # the generator is left where the loop leaves it, buffer included
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("count", [1, 2, 7, 40])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_arrays_and_state_match_the_loop(self, p, count, buffered):
+        rng, ref = np.random.default_rng(p), np.random.default_rng(p)
+        if buffered:  # one 32-bit draw leaves the high half in the buffer
+            rng.integers(0, 3), ref.integers(0, 3)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        self._assert_replays(p, rng, ref, count)
+        # and the next draws go on from there
+        self._assert_replays(p, rng, ref, 3)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_forced_rejection_matches_the_loop(self, p, count):
+        # a buffered 0 is the first 32-bit draw, and Lemire's method rejects 0
+        rng, ref = _with_buffer(1, 1, 0), _with_buffer(1, 1, 0)
+        probe = _with_buffer(1, 1, 0).bit_generator
+        assert constructions._replay_words(probe, p, 2 * count)[2] == 0
+        self._assert_replays(p, rng, ref, count)
+
+    def test_rejection_past_the_first_round(self):
+        # 2**32 mod p = 30742 draws are rejected, so about 0.43 rounds in one
+        p, rounds, hits = 60017, 3, set()
+        for seed in range(6):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            probe = np.random.default_rng(seed).bit_generator
+            hits.add(constructions._replay_words(probe, p, rounds)[2])
+            angles, ints = constructions._tadpole_draws(rng, p, rounds)
+            for t in range(rounds):
+                assert np.array_equal(angles[t], ref.random(p - 1))
+                assert ints[t, 0] == ref.integers(0, p)
+                assert np.array_equal(ints[t, 1:], ref.integers(0, p, size=p - 1))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert hits - {None, 0}
+
+    def test_other_bit_generators_decline(self):
+        rng = np.random.Generator(np.random.Philox(0))
+        assert tadpole_sampler(3).batch(rng, 5) is None
+        assert rng.random() == np.random.Generator(np.random.Philox(0)).random()
+
+    def test_batch_refuses_a_composite_p(self):
+        with pytest.raises(InvalidParamsError):
+            tadpole_sampler(4).batch(np.random.default_rng(0), 5)
 
 
 class TestMillerMoreno:

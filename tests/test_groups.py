@@ -4,6 +4,8 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmul.circle import ONE, UnitPoint
 from specmul.cli import (
@@ -23,6 +25,8 @@ from specmul.errors import (
     ClosureInvariantError,
     ClosureRefusedError,
     IncompleteClosureError,
+    MalformedJsonError,
+    SpecmulError,
 )
 from specmul.groups import (
     DEFAULT_BUDGET,
@@ -44,6 +48,13 @@ from specmul.linalg import (
     identity_like,
     matmul,
 )
+
+# any JSON value, for fuzzing the loaders
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
 
 
 def cyclic_generator(p):
@@ -512,7 +523,8 @@ class TestArrayPath:
         lambda: [Diagonal((UnitPoint.exact(1, 2 ** 62), ONE))],
     ], ids=["dense_blocks", "large_denominator"])
     def test_other_generators_take_the_object_bfs(self, gens):
-        c = close(gens())
+        # a small budget shows the path as well as a complete closure would
+        c = close(gens(), max_elements=50)
         assert isinstance(c.elements, list)
 
 
@@ -606,5 +618,38 @@ class TestJsonRoundTrip:
     def test_tampered_order_rejected(self):
         d = closure_to_json(close(_q8_generators()))
         d["order"] = 9
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedJsonError):
             closure_from_json(d)
+
+    @pytest.mark.parametrize("key", ["generators", "order", "complete"])
+    def test_missing_key(self, key):
+        d = closure_to_json(close(_q8_generators()))
+        del d[key]
+        with pytest.raises(MalformedJsonError):
+            closure_from_json(d)
+
+    @pytest.mark.parametrize("bad", [
+        [], {"generators": 3}, {"generators": [], "order": 1, "complete": True},
+        {"generators": [{"variant": "cube"}], "order": 1, "complete": True},
+    ], ids=["list", "int_generators", "no_generators", "unknown_variant"])
+    def test_wrong_types(self, bad):
+        with pytest.raises(MalformedJsonError):
+            closure_from_json(bad)
+
+    @pytest.mark.parametrize("cayley", [[0, 1], "table", [[0.5] * 8] * 8, [2 ** 70] * 64])
+    def test_malformed_cayley_table(self, cayley):
+        d = closure_to_json(close(_q8_generators()))
+        d["cayley"] = cayley
+        with pytest.raises(MalformedJsonError):
+            closure_from_json(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(["generators", "order", "complete", "cayley"]),
+           value=JSON_VALUES)
+    def test_fuzzed_fields_load_or_raise_malformed(self, key, value):
+        d = closure_to_json(close(_q8_generators()), include_cayley=True)
+        d[key] = value
+        try:
+            closure_from_json(d, max_elements=50)
+        except SpecmulError as exc:
+            assert isinstance(exc, MalformedJsonError) or key == "generators"
