@@ -33,7 +33,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .circle import UnitPoint, _frac_str, _point_from_json, _point_to_json
-from .constructions import SrElement, _cmul, sr_pair_gamma
+from .constructions import SrBatch, SrElement, _cmul, sr_pair_gamma
 from .errors import (
     IncompleteClosureError,
     MalformedJsonError,
@@ -71,11 +71,14 @@ PARALLEL_MIN_PAIRS = 2048
 
 # The same floor for runs whose chunks the samplers' ``batch`` draws and
 # scores: their pairs cost far less, so the pool pays off only later.
-# Break-even on 2 vCPUs, medians of 11 alternating in-process runs of
-# --workers 1 against 2: sr at 8,192 pairs 0.181 s against 0.188 s, at
-# 12,000 pairs 0.252 s against 0.212 s; p = 5 tadpoles at 5,000 pairs
-# 0.115 s against 0.147 s, at 8,192 pairs 0.172 s against 0.160 s.
-PARALLEL_MIN_BATCHED_PAIRS = 10_000
+# Medians of 9 in-process runs on 2 vCPUs, sizes and worker order
+# interleaved, --workers 1 against 2: p = 5 tadpoles at 16,000 pairs
+# 0.178 s against 0.197 s, at 20,000 0.234 s against 0.230 s, at 24,000
+# 0.272 s against 0.231 s; sr at 24,000 pairs 0.147 s against 0.167 s, at
+# 32,000 0.214 s against 0.230 s, at 48,000 0.304 s against 0.285 s.  One
+# floor serves both: sr breaks even later, so its runs between 24,000 and
+# about 40,000 pairs pay up to 14% for the pool.
+PARALLEL_MIN_BATCHED_PAIRS = 24_000
 
 # Sampled runs are split into a fixed number of logical chunks, each with its
 # own spawned seed stream, so the drawn pairs do not depend on how many
@@ -815,11 +818,18 @@ def measure_sub(
     n = len(elements)
     if n == 0:
         raise ValueError("empty element list")
-    values = np.empty(n * n, dtype=float)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            values[i * n + j] = pair_sub_defect(
-                a, b, ztol=ztol, with_matrices=False).defect
+    if all(isinstance(e, SrElement) for e in elements):
+        # pair i * n + j is (elements[i], elements[j]), A then B
+        grid = np.indices((n, n)).reshape(2, -1).T.ravel()
+        base = SrBatch.of(elements)
+        values = _sr_batch_defects(SrBatch(base.lam[grid], base.row[grid],
+                                           base.col[grid]))
+    else:
+        values = np.empty(n * n, dtype=float)
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                values[i * n + j] = pair_sub_defect(
+                    a, b, ztol=ztol, with_matrices=False).defect
     flat = int(values.argmax())
     i, j = divmod(flat, n)
     worst = pair_sub_defect(elements[i], elements[j], pair=("elements", i, j), ztol=ztol)

@@ -462,7 +462,7 @@ def _verify_sr_bound(args) -> tuple[bool, dict]:
         count = min(VERIFY_BLOCK, args.samples - lo)
         state = rng.bit_generator.state
         drawn = sampler.batch(rng, count)
-        if drawn is None:  # a zero vector: redraw the block one element at a time
+        if drawn is None:  # a declined batch: redraw the block one element at a time
             rng.bit_generator.state = state
             drawn = SrBatch.of([sampler(rng) for _ in range(2 * count)])
         alpha, beta, gamma = drawn.eigenvalues()

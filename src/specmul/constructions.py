@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _ziggurat
 from .circle import (
     ONE,
     RationalAngle,
@@ -815,24 +816,27 @@ class SrSampler:
         return sr_sample(self.params, rng)
 
     def batch(self, rng: np.random.Generator, count: int) -> Optional[SrBatch]:
-        """The next ``count`` pairs, drawn from ``rng`` in the order 2*count
-        ``sr_sample`` calls would draw them; None if a vector has norm 0:
-        ``_ball_point`` then skips its radius draw, so the orders part.
+        """The next ``count`` pairs, drawn from ``rng`` as 2*count
+        ``sr_sample`` calls would draw them and leaving it where they would;
+        None for a bit generator other than PCG64, whose stream is not
+        replayed, and when ``assemble`` declines."""
+        if type(rng.bit_generator) is not np.random.PCG64:
+            return None
+        return self.assemble(*_sr_draws(rng.bit_generator, self.params.n - 1,
+                                        2 * count))
+
+    def assemble(self, turns: np.ndarray, gauss: np.ndarray,
+                 radii: np.ndarray) -> Optional[SrBatch]:
+        """The batch of the draws of ``_sr_draws``; None if a vector has
+        norm 0: ``_ball_point`` then skips its radius draw, so the draws
+        are not those of ``sr_sample``.
 
         Every step rounds as its scalar twin in ``sr_sample`` does: norms
         through the same dot kernel, powers in Python floats.
         """
         dim = self.params.n - 1
         radius = self.params.r * self.params.margin
-        random, normal = rng.random, rng.normal
-        turns, gauss, radii = [], [], []
-        for _ in range(2 * count):
-            turns.append(random())
-            for _ in range(2):  # x, then y
-                gauss.append(normal(size=2 * dim))
-                radii.append(random())
-        g = np.array(gauss).reshape(2 * count, 2, 2 * dim)
-        v = g[..., :dim] + 1j * g[..., dim:]
+        v = gauss[..., :dim] + 1j * gauss[..., dim:]
         # np.linalg.norm: real and imaginary parts as strided dot products
         re, im = v.real[..., None, :], v.imag[..., None, :]
         nrm = np.sqrt(np.matmul(re, re.swapaxes(-1, -2))
@@ -840,10 +844,173 @@ class SrSampler:
         if not nrm.all():
             return None
         power = 1.0 / (2 * dim)
-        scale = np.array([radius * u ** power for u in radii]).reshape(2 * count, 2)
-        vec = v / nrm[..., None] * scale[..., None]
-        lam = np.array([cmath.exp(2j * math.pi * u) for u in turns])
+        scale = np.array([radius * u ** power for u in radii.ravel().tolist()])
+        vec = v / nrm[..., None] * scale.reshape(radii.shape)[..., None]
+        lam = np.array([cmath.exp(2j * math.pi * u) for u in turns.tolist()])
         return SrBatch(lam, vec[:, 0], vec[:, 1])
+
+
+def _sr_draws(bitgen: np.random.PCG64, dim: int, m: int):
+    """What m ``sr_sample`` calls draw: the turns of lam (m,), the normals of
+    x and y (m, 2, 2*dim) and their radius draws (m, 2).  Each call is
+    ``random()``, ``normal(size=2*dim)``, ``random()``, ``normal(size=2*dim)``
+    and ``random()``."""
+    vector = [True] * (2 * dim) + [False]
+    values = _pcg64_draws(bitgen, [False] + 2 * vector, m)
+    rest = values[:, 1:].reshape(m, 2, 2 * dim + 1)
+    return values[:, 0], rest[..., :-1], rest[..., -1]
+
+
+# normal() is numpy's ziggurat: the low byte of a word picks one of 256
+# layers, bit 8 the sign and bits 9-60 a magnitude, which returns at once
+# when it is below the layer's KI entry (for about 98.5% of words)
+_KI, _WI, _FI = _ziggurat.KI, _ziggurat.WI, _ziggurat.FI
+# the same as Python numbers, for the draw-by-draw replay
+_TABLES = (_KI.tolist(), _WI.tolist(), _FI.tolist())
+_LOW8 = np.uint64(0xFF)
+_MAG52 = np.uint64((1 << 52) - 1)
+
+
+def _ziggurat_first(words: np.ndarray):
+    """Layers and magnitudes of words as the first of a ``normal()`` draw."""
+    return (words & _LOW8).astype(np.intp), (words >> np.uint64(9)) & _MAG52
+
+
+def _ziggurat_fast(words: np.ndarray) -> np.ndarray:
+    """The value x of each word as the first of a ``normal()`` draw: the
+    draw itself when the word returns at once or its wedge accepts it."""
+    layer, mag = _ziggurat_first(words)
+    x = mag * _WI[layer]
+    # bit 8 of the word is the sign; x >= 0, so or-ing it in negates x
+    x.view(np.uint64)[...] |= (words & np.uint64(0x100)) << np.uint64(55)
+    return x
+
+
+def _unit(word) -> float:
+    return (int(word) >> 11) * _WORD_TO_UNIT
+
+
+def _slow_words(words: np.ndarray, start: int = 0) -> tuple[list, list]:
+    """The positions p >= start of the words that do not return at once as
+    the first of a ``normal()`` draw, and for each whether the draw ends at
+    the next word: a wedge (layer > 0) whose test accepts x, the common
+    case, for which the draw is x and ``_slow_normal`` is not needed."""
+    layer, mag = _ziggurat_first(words[start:])
+    p = np.flatnonzero(mag >= _KI[layer])
+    layer, pos = layer[p], p + start
+    x = _ziggurat_fast(words[pos])
+    u = (words[np.minimum(pos + 1, len(words) - 1)] >> np.uint64(11)) * _WORD_TO_UNIT
+    edge = [math.exp(t) for t in (-0.5 * x * x).tolist()]
+    quick = ((layer > 0) & (pos + 1 < len(words))
+             & ((_FI[layer - 1] - _FI[layer]) * u + _FI[layer] < edge))
+    return pos.tolist(), quick.tolist()
+
+
+def _slow_normal(words: np.ndarray, p: int) -> tuple[float, int]:
+    """The ``normal()`` draw starting at a word that does not return at once,
+    as numpy's ``random_standard_normal`` takes it, and the number of words
+    it uses; IndexError when ``words`` ends first.
+
+    A word of layer i > 0 falls in the layer's wedge: one more ``random()``
+    u accepts x when (FI[i-1] - FI[i]) u + FI[i] < exp(-x^2/2).  Layer 0
+    draws from the tail beyond R: pairs u1, u2 until yy + yy > xx^2, with
+    xx = -log1p(-u1)/R and yy = -log1p(-u2), give R + xx, signed by bit 17
+    of the first word.  A rejected wedge starts over at the next word.
+    """
+    ki, wi, fi = _TABLES
+    start = p
+    while True:
+        w = int(words[p])
+        idx, mag = w & 0xFF, (w >> 9) & 0xFFFFFFFFFFFFF
+        x = -(mag * wi[idx]) if w >> 8 & 1 else mag * wi[idx]
+        if mag < ki[idx]:
+            return x, p + 1 - start
+        if idx == 0:
+            while True:
+                xx = -_ziggurat.INV_R * math.log1p(-_unit(words[p + 1]))
+                yy = -math.log1p(-_unit(words[p + 2]))
+                p += 2
+                if yy + yy > xx * xx:
+                    z = _ziggurat.R + xx
+                    return (-z if mag >> 8 & 1 else z), p + 1 - start
+        if ((fi[idx - 1] - fi[idx]) * _unit(words[p + 1]) + fi[idx]
+                < math.exp(-0.5 * x * x)):
+            return x, p + 2 - start
+        p += 2
+
+
+def _more_words(bitgen: np.random.PCG64, words: np.ndarray, slow: list,
+                quick: list):
+    """``words`` with more drawn after them, and ``_slow_words``' lists
+    extended over the new ones."""
+    start = len(words)
+    words = np.concatenate([words, bitgen.random_raw(start // 2 + 16)])
+    more, more_quick = _slow_words(words, start)
+    return words, slow + more, quick + more_quick
+
+
+def _pcg64_draws(bitgen: np.random.PCG64, pattern: Sequence[bool],
+                 repeats: int) -> np.ndarray:
+    """What ``repeats`` rounds of calls draw from a PCG64 generator, replayed
+    from its raw words, as an array (repeats, len(pattern)): a round makes one
+    ``normal()`` call per True entry of ``pattern`` and one ``random()`` call
+    per False entry, in order.  Leaves the generator where the calls leave
+    it, 32-bit buffer included.
+
+    ``random()`` takes one word.  ``normal()`` takes one unless its first
+    word misses the ziggurat's fast test.  Only those words are walked here,
+    each one the start of a draw only under the words the walk has added so
+    far; a wedge that accepts adds one word, and ``_slow_normal`` replays
+    the rest.  Every call's first word is then gathered through one
+    cumulative sum of the added words.
+    """
+    size = len(pattern)
+    n = size * repeats
+    state = bitgen.state
+    words = bitgen.random_raw(n + n // 32)
+    slow, quick = _slow_words(words)
+    added = np.zeros(n, dtype=np.int64)
+    replayed = {}
+    # words added so far, the next call, the next slow word
+    off = call = j = 0
+    while True:
+        if j == len(slow):
+            if n + off <= len(words):
+                break
+            words, slow, quick = _more_words(bitgen, words, slow, quick)
+            continue
+        k = slow[j] - off
+        if k >= n:
+            break
+        j += 1
+        if k < call or not pattern[k % size]:
+            continue
+        if quick[j - 1]:
+            used = 2
+        else:
+            try:
+                replayed[k], used = _slow_normal(words, slow[j - 1])
+            except IndexError:
+                words, slow, quick = _more_words(bitgen, words, slow, quick)
+                j -= 1
+                continue
+        added[k] = used - 1
+        off += used - 1
+        call = k + 1
+    drawn = words[np.arange(n) + np.cumsum(added) - added].reshape(repeats, size)
+    out = (drawn >> np.uint64(11)) * _WORD_TO_UNIT
+    normal = np.asarray(pattern, dtype=bool)
+    out[:, normal] = _ziggurat_fast(drawn[:, normal])
+    out.ravel()[list(replayed)] = list(replayed.values())
+    # normal() returns 0.0 + 1.0 * z, which turns -0.0 into 0.0
+    out += 0.0
+    has, held = state["has_uint32"], state["uinteger"]
+    bitgen.state = state
+    bitgen.advance(n + off)  # advance empties the 32-bit buffer
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has, held
+    bitgen.state = state
+    return out
 
 
 def sr_sampler(params: SrParams) -> SrSampler:

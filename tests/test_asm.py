@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmul import asm, groups, linalg
+from specmul import asm, constructions, groups, linalg
 from specmul.asm import (
     AsmReport,
     Histogram,
@@ -248,6 +248,33 @@ class TestMeasureSub:
         assert r.epsilon <= sr_ratio_bound(0.5)
         want = max(pair_sub_defect(a, b).defect for a in elems for b in elems)
         assert r.epsilon == pytest.approx(want)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rank_one_list_scores_pairs_as_pair_sub_defect(self, n):
+        # the list is scored as one batch; each pair equals the one-pair path
+        rng = np.random.default_rng(n)
+        elems = [sr_sample(SrParams(0.7, n), rng) for _ in range(12)]
+        rows = measure_sub(elems, collect_pairs=True).pair_rows
+        assert [(i, j) for i, j, _ in rows] == [(i, j) for i in range(12)
+                                                for j in range(12)]
+        want = [pair_sub_defect(elems[i], elems[j], with_matrices=False).defect
+                for i, j, _ in rows]
+        assert np.array([v for _, _, v in rows]).tobytes() == np.array(want).tobytes()
+
+    def test_mixed_list_takes_the_one_pair_path(self):
+        rng = np.random.default_rng(3)
+        elems = [sr_sample(SrParams(0.5, 3), rng) for _ in range(3)]
+        elems.append(elems[0].matrix())
+        rows = measure_sub(elems, collect_pairs=True).pair_rows
+        want = [pair_sub_defect(elems[i], elems[j], with_matrices=False).defect
+                for i, j, _ in rows]
+        assert [v for _, _, v in rows] == want
+
+    def test_rank_one_list_with_zero_radius(self):
+        dead = SrElement(1.0, (1.0,), (-1.0,))  # 1 + <x, y> = 0
+        live = SrElement(1.0, (0.1,), (0.2,))
+        with pytest.raises(ZeroSpectralRadiusError):
+            measure_sub([live, dead])
 
     def test_sampled_mode(self):
         r = measure_sub(sr_sampler(SrParams(0.5)), pair_count=500, seed=4)
@@ -818,26 +845,14 @@ class TestPoolFloor:
         assert calls == [(asm.SAMPLE_CHUNKS - 1, 2), (asm.SAMPLE_CHUNKS - 1, 1)]
 
 
-class _ZeroNormal:
-    """A generator whose ``zero_at``-th ``normal`` draw is all zeros."""
-
-    def __init__(self, rng, zero_at):
-        self._rng, self._left = rng, zero_at
-
-    def random(self):
-        return self._rng.random()
-
-    def normal(self, size):
-        self._left -= 1
-        v = self._rng.normal(size=size)
-        return np.zeros(size) if self._left == 0 else v
-
-
 class _ZeroVectorSampler(SrSampler):
-    """An ``SrSampler`` whose batch draws a zero vector, so it declines."""
+    """An ``SrSampler`` whose batch assembles element 1's x from zeros, so
+    it declines."""
 
-    def batch(self, rng, count):
-        return super().batch(_ZeroNormal(rng, zero_at=3), count)
+    def assemble(self, turns, gauss, radii):
+        gauss = gauss.copy()
+        gauss[1, 0] = 0.0
+        return super().assemble(turns, gauss, radii)
 
 
 class TestSrBatchChunk:
@@ -870,8 +885,10 @@ class TestSrBatchChunk:
     def test_zero_vector_declines_the_batch(self):
         sampler = sr_sampler(SrParams(0.5))
         rng = np.random.default_rng(0)
-        assert sampler.batch(_ZeroNormal(rng, zero_at=3), 10) is None
-        assert sampler.batch(_ZeroNormal(rng, zero_at=0), 10) is not None
+        turns, gauss, radii = constructions._sr_draws(rng.bit_generator, 3, 20)
+        assert sampler.assemble(turns, gauss, radii) is not None
+        gauss[1, 0] = 0.0
+        assert sampler.assemble(turns, gauss, radii) is None
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_declined_batch_takes_the_one_pair_path(self, seed):

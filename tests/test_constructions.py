@@ -1,6 +1,7 @@
 """Construction families: tadpole algebra, generator pairs, rank-one
 semigroup, admissible prime sets."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmul import constructions
+from specmul import _ziggurat, constructions
 from specmul.asm import pair_defect
 from specmul.circle import ONE, RationalAngle, UnitPoint
 from specmul.constructions import (
@@ -324,6 +325,186 @@ class TestTadpoleReplay:
     def test_batch_refuses_a_composite_p(self):
         with pytest.raises(InvalidParamsError):
             tadpole_sampler(4).batch(np.random.default_rng(0), 5)
+
+
+def loop_sr_batch(params, rng, count):
+    """``SrSampler(params).batch`` drawn one scalar call at a time, the way
+    2*count ``sr_sample`` calls draw: the reference for the raw-word replay.
+    Returns the draws (turns, gauss, radii) that ``SrSampler.assemble``
+    takes."""
+    dim = params.n - 1
+    turns, gauss, radii = [], [], []
+    for _ in range(2 * count):
+        turns.append(rng.random())
+        for _ in range(2):  # x, then y
+            gauss.append(rng.normal(size=2 * dim))
+            radii.append(rng.random())
+    return (np.array(turns), np.array(gauss).reshape(2 * count, 2, 2 * dim),
+            np.array(radii).reshape(2 * count, 2))
+
+
+def _same_bits(got, want) -> bool:
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _unit(word) -> float:
+    return (int(word) >> 11) * 2.0 ** -53
+
+
+def _branches(words, draws, pattern):
+    """Which branch of numpy's ziggurat each ``normal()`` draw took, told
+    from the raw words and the drawn values alone, and how many words the
+    draws used.  ``pattern`` marks the normal draws of a round, as in
+    ``_pcg64_draws``."""
+    z = _ziggurat
+    counts = dict.fromkeys(("fast", "wedge accept", "wedge reject", "tail"), 0)
+    q = 0
+    for value, is_normal in zip(draws.tolist(), itertools.cycle(pattern)):
+        if not is_normal:
+            assert value == _unit(words[q])
+            q += 1
+            continue
+        while True:
+            w = int(words[q])
+            layer, mag = w & 0xFF, (w >> 9) & (2**52 - 1)
+            x = -(mag * z.WI[layer]) if w >> 8 & 1 else mag * z.WI[layer]
+            if mag < z.KI[layer]:
+                assert value == x
+                counts["fast"] += 1
+                q += 1
+                break
+            if layer == 0:
+                # the accepted pair is the first whose R + xx is the draw
+                q += 1
+                while z.R + -z.INV_R * math.log1p(-_unit(words[q])) != abs(value):
+                    q += 2
+                counts["tail"] += 1
+                q += 2
+                break
+            q += 2
+            if value == x:
+                counts["wedge accept"] += 1
+                break
+            counts["wedge reject"] += 1
+    return counts, q
+
+
+class TestSrReplay:
+    """``SrSampler.batch`` replays raw PCG64 words, ziggurat normals
+    included; ``loop_sr_batch`` is the scalar-call reference."""
+
+    @staticmethod
+    def _assert_replays(params, rng, ref, count):
+        sampler = sr_sampler(params)
+        drawn = sampler.batch(rng, count)
+        want = sampler.assemble(*loop_sr_batch(params, ref, count))
+        for name in ("lam", "row", "col"):
+            assert _same_bits(getattr(drawn, name), getattr(want, name))
+        # the generator is left where the loop leaves it, buffer included
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("count", [1, 5, 60])
+    @pytest.mark.parametrize("has_uint32", [0, 1])
+    def test_arrays_and_state_match_the_loop(self, n, count, has_uint32):
+        params, seed = SrParams(0.5, n), 100 * n + count
+        rng = _with_buffer(seed, has_uint32, 0x9E3779B9)
+        ref = _with_buffer(seed, has_uint32, 0x9E3779B9)
+        self._assert_replays(params, rng, ref, count)
+        # the next draws, 32-bit ones first, go on from there
+        assert np.array_equal(rng.integers(0, 7, size=3), ref.integers(0, 7, size=3))
+        assert rng.normal() == ref.normal()
+        self._assert_replays(params, rng, ref, 3)
+
+    def test_draws_match_the_loop_over_many_chunks(self):
+        params = SrParams(0.5, 4)
+        for seed in range(120):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = constructions._sr_draws(rng.bit_generator, 3, 2 * 25)
+            want = loop_sr_batch(params, ref, 25)
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_long_stream_takes_every_branch(self):
+        params, seed = SrParams(0.5, 8), 11
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        words = np.random.default_rng(seed).bit_generator.random_raw(150_000)
+        turns, gauss, radii = constructions._sr_draws(rng.bit_generator, 7, 4000)
+        want = loop_sr_batch(params, ref, 2000)
+        assert all(_same_bits(g, w) for g, w in zip((turns, gauss, radii), want))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # the calls in the order sr_sample makes them
+        stream = np.concatenate([turns[:, None], gauss[:, 0], radii[:, :1],
+                                 gauss[:, 1], radii[:, 1:]], axis=1).ravel()
+        vector = [True] * 14 + [False]
+        counts, used = _branches(words, stream, [False] + 2 * vector)
+        # the replay used as many words as the branches did
+        probe = np.random.default_rng(seed).bit_generator
+        probe.advance(used)
+        assert probe.state["state"] == rng.bit_generator.state["state"]
+        # of 112,000 normals, 111,083 end on a fast word, 892 on an accepting
+        # wedge and 25 in the tail; 800 wedges reject and start over
+        assert counts["fast"] > 100_000
+        assert counts["wedge accept"] > 300 and counts["wedge reject"] > 300
+        assert counts["tail"] >= 10
+
+    def test_quick_wedges_are_the_one_word_draws(self):
+        # a slow word is decided at once exactly when its draw takes one more
+        # word; the first 20 words are layer 0 past KI[0] (the tail), each
+        # followed by a word whose u is 1 - 2**-53
+        words = np.random.default_rng(5).bit_generator.random_raw(100_000)
+        words[:40:2] = np.uint64((int(_ziggurat.KI[0]) + 1) << 9)
+        words[1:40:2] = np.uint64(2**64 - 1)
+        slow, quick = constructions._slow_words(words)
+        assert set(range(0, 40, 2)) <= set(slow) and sum(quick) > 500
+        for p, decided in zip(slow, quick):
+            try:
+                used = constructions._slow_normal(words, p)[1]
+            except IndexError:
+                assert not decided
+                continue
+            assert decided == (used == 2)
+
+    def test_running_short_draws_more_words(self, monkeypatch):
+        grew = []
+        more = constructions._more_words
+
+        def spy(*args):
+            grew.append(len(args[1]))
+            return more(*args)
+
+        monkeypatch.setattr(constructions, "_more_words", spy)
+        for seed in range(300):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            # three normals get three words and no spare: a slow word runs
+            # out inside its draw or leaves the last draw without a word
+            got = constructions._pcg64_draws(rng.bit_generator, [True] * 3, 1)
+            assert _same_bits(got.ravel(), ref.normal(size=3))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert grew
+
+    def test_other_bit_generators_decline(self):
+        rng = np.random.Generator(np.random.Philox(0))
+        assert sr_sampler(SrParams(0.5)).batch(rng, 5) is None
+        assert rng.random() == np.random.Generator(np.random.Philox(0)).random()
+
+
+class TestZigguratGuard:
+    """The ziggurat tables and steps copied from numpy against numpy itself:
+    an upgrade that changes them would silently move every ``sr`` report."""
+
+    def test_replays_standard_normal(self):
+        rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        got = constructions._pcg64_draws(rng.bit_generator, [True], 250_000).ravel()
+        want = ref.standard_normal(250_000)
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert not differ.size, (
+            f"numpy {np.__version__}: the ziggurat replay differs from "
+            f"standard_normal at {differ.size} of 250,000 draws, first at "
+            f"{differ[0]}; its tables or steps changed")
+        assert rng.bit_generator.state == ref.bit_generator.state, (
+            f"numpy {np.__version__}: the ziggurat replay used a different "
+            f"number of words than standard_normal")
 
 
 class TestMillerMoreno:
