@@ -39,7 +39,7 @@ from .errors import (
     MalformedJsonError,
     ZeroSpectralRadiusError,
 )
-from .groups import GroupClosure, _DenseCode
+from .groups import GroupClosure
 from .linalg import (
     Dense,
     Spectrum,
@@ -635,14 +635,6 @@ def _exact_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     return tri_defects[inv].reshape(rows.shape), scale, grid
 
 
-def _element_angles(elements) -> np.ndarray:
-    """Row e is element e's spectrum in turns: stacked eigensolves over a
-    dense-coded closure's stack, one ``spectrum`` per element otherwise."""
-    if isinstance(getattr(elements, "code", None), _DenseCode):
-        return _dense_angles(elements.rows)
-    return np.array([e.spectrum().angles() for e in elements])
-
-
 def _float_rows(angles: np.ndarray, left, table: np.ndarray) -> np.ndarray:
     """Float defects of the pairs (left[t], j) over every column j, with
     sigma(AB) taken from the stored product ``table[t, j]``; row e of
@@ -691,13 +683,13 @@ def measure_asm(
     conjugacy class, in integers for exact closures (which read only the k
     representatives, B and AB from ``closure.elements``) and in floats for
     dense ones (off an all-pairs scan only by rounding).  A float scan needs
-    every element's spectrum: a dense-coded closure gets them from stacked
-    eigensolves over blocks of its element stack, bit for bit what each
-    element's ``spectrum`` gives, with the same ``NonUnitaryError`` checks;
-    other float closures call ``spectrum`` per element.  The histogram
-    weights each row by its class size.  Representatives are class minima,
-    so the first maximum is the full row-major grid's.  ``worst`` is rebuilt
-    from the stored product AB, so its defect is ``epsilon`` bit for bit.
+    every element's spectrum; a float closure is dense-coded, so they come
+    from stacked eigensolves over blocks of its element stack, bit for bit
+    what each element's ``spectrum`` gives, with the same
+    ``NonUnitaryError`` checks.  The histogram weights each row by its
+    class size.  Representatives are class minima, so the first maximum is
+    the full row-major grid's.  ``worst`` is rebuilt from the stored
+    product AB, so its defect is ``epsilon`` bit for bit.
     """
     if not closure.complete:
         raise IncompleteClosureError(
@@ -714,7 +706,7 @@ def measure_asm(
             closure, [e.spectrum() for e in rep_elements], class_of, rows,
             collect_pairs)
     else:
-        angles = _element_angles(elements)
+        angles = _dense_angles(elements.rows)
         per_rep, scale = _float_rows(angles, reps, rows), 1
         grid = (_float_rows(angles, np.arange(n), closure.cayley_table())
                 if collect_pairs else None)

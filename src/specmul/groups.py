@@ -14,17 +14,16 @@ Conjugacy classes come from the same index tables: the orbits of
 x -> g^-1 x g over the generators g.
 
 Exact monomial generators (``Diagonal``/``MonomialCycle``), and exact
-``BlockDiag`` generators whose blocks are all monomial, take an array path:
-every element is stored as a permutation row ``s`` and an exponent row ``e``
-mod N (``M[i, s[i]] = exp(2 pi i e[i] / N)``), each BFS layer is two gathers,
-and ``GroupClosure.elements`` builds a matrix only for the indices read.
-``Dense`` generators, and mixed families that are flattened to dense, take
-the array path too: the elements are one (n, d, d) complex stack, each BFS
-layer is one stacked matrix product, and the keys are sliced from one
-rounded array, equal to ``Dense.canonical_key``'s.  Element indices,
-``parents`` and ``gen_table`` are the same as the object BFS, which only
-``BlockDiag`` generators with dense or nested blocks, and monomial ones
-whose N would not fit in int64, still take.
+``BlockDiag`` generators whose blocks are all monomial (nested blocks are
+flattened first), take the monomial code: every element is stored as a
+permutation row ``s`` and an exponent row ``e`` mod N
+(``M[i, s[i]] = exp(2 pi i e[i] / N)``), each BFS layer is two gathers, and
+``GroupClosure.elements`` builds a matrix only for the indices read.  The
+rows are int64 while N < 2^62 and Python ints from there on.  Every other
+generator set (dense generators, mixed families, dense blocks) is flattened
+to ``Dense`` and takes the dense code: the elements are one (n, d, d)
+complex stack, each BFS layer is one stacked matrix product, and the keys
+are sliced from one rounded array, equal to ``Dense.canonical_key``'s.
 
 Closures over generators whose structured entries are approximate are
 refused up front — rounded keys would silently merge distinct elements of
@@ -35,9 +34,8 @@ for those.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,11 +55,11 @@ from .linalg import (
     Diagonal,
     MonomialCycle,
     UMatrix,
+    _dense_key,
     _dense_keys,
     _mono_parts,
     block_diag,
     identity_like,
-    matmul,
     matrix_from_json,
     matrix_to_json,
     monomial_cycle,
@@ -89,35 +87,32 @@ def _has_approx_structure(m: UMatrix) -> bool:
 
 
 def _normalize(m: UMatrix) -> UMatrix:
-    """Put a matrix in the representation its products would land in."""
+    """Put a matrix in the representation its products would land in:
+    monomial blocks collapsed as ``monomial_cycle`` does, nested
+    ``BlockDiag``s flattened into one level."""
     if isinstance(m, MonomialCycle):
         return monomial_cycle(m.d, m.k)
     if isinstance(m, BlockDiag):
-        return block_diag(tuple(_normalize(b) for b in m.blocks))
+        return block_diag(tuple(
+            c for b in map(_normalize, m.blocks)
+            for c in (b.blocks if isinstance(b, BlockDiag) else (b,))))
     return m
 
 
-def _family(m: UMatrix):
-    """Representation family; products stay inside a family, so canonical
-    keys are only comparable between generators of the same family."""
-    if isinstance(m, (Diagonal, MonomialCycle)):
-        return ("mono",)
-    if isinstance(m, BlockDiag):
-        return ("block", tuple(_family(b) + (b.dim,) for b in m.blocks))
-    return ("dense",)
-
-
-# Exponents are summed in int64 before the reduction mod N.
+# Exponents are summed in int64 before the reduction mod N; from this N on
+# the rows hold Python ints.
 _MAX_ROOTS = 1 << 62
 
 
 class _MonomialCode:
-    """Exact monomial or block-monomial matrices as one int64 row each.
+    """Exact monomial or block-monomial matrices as one integer row each.
 
     The row is ``s`` then ``e``: the permutation ``s`` and the exponents
     ``e`` mod ``roots`` with M[i, s[i]] = exp(2 pi i e[i] / roots).  Each
     block is D C^k, so block (off, size) has s[off] = off + k.  The product
     of rows a and b is ``s = s_b[s_a]``, ``e = (e_a + e_b[s_a]) % roots``.
+    Rows are int64 below ``_MAX_ROOTS`` roots and ``object`` rows of Python
+    ints from there on.
     """
 
     def __init__(self, blocks: tuple, roots: int, nested: bool):
@@ -125,26 +120,24 @@ class _MonomialCode:
         self.roots = roots
         self.nested = nested    # BlockDiag, or a single monomial matrix
         self.dim = sum(size for _, size in blocks)
+        self.dtype = np.int64 if roots < _MAX_ROOTS else object
 
     @classmethod
     def fit(cls, gens: Sequence[UMatrix]) -> Optional["_MonomialCode"]:
-        """The code of ``gens``, or None unless they are monomial matrices,
-        or block diagonals of monomial blocks.  ``_prepare`` has refused
-        approximate entries and made the generators one family, so
-        ``gens[0]`` gives the layout."""
+        """The code of ``gens``, or None unless every one of them encodes
+        in ``gens[0]``'s layout of monomial blocks.  ``_prepare`` has
+        refused approximate entries and normalized the generators."""
         nested = isinstance(gens[0], BlockDiag)
         blocks = gens[0].blocks if nested else (gens[0],)
-        if not all(_mono_parts(b) is not None for b in blocks):
+        parts = [_mono_parts(b) for g in gens
+                 for b in (g.blocks if isinstance(g, BlockDiag) else (g,))]
+        if any(p is None for p in parts):
             return None
-        roots = 1
-        for g in gens:
-            for b in (g.blocks if nested else (g,)):
-                roots = math.lcm(roots, *(p.angle.den for p in _mono_parts(b)[0]))
-        if roots >= _MAX_ROOTS:
-            return None
+        roots = math.lcm(1, *(p.angle.den for d, _ in parts for p in d))
         offsets = np.cumsum([0] + [b.dim for b in blocks]).tolist()
-        return cls(tuple((off, b.dim) for off, b in zip(offsets, blocks)),
+        code = cls(tuple((off, b.dim) for off, b in zip(offsets, blocks)),
                    roots, nested)
+        return code if all(code.encode(g) is not None for g in gens) else None
 
     def encode(self, m: UMatrix) -> Optional[np.ndarray]:
         """The row of ``m``, or None when ``m`` has another layout or an
@@ -165,15 +158,19 @@ class _MonomialCode:
                 return None
             s.extend(off + (i + k) % size for i in range(size))
             e.extend(p.angle.num * (self.roots // p.angle.den) for p in d)
-        return np.array(s + e, dtype=np.int64)
+        return np.array(s + e, dtype=self.dtype)
 
-    def key(self, m: UMatrix) -> Optional[bytes]:
-        """The ``key_index`` key of ``m``: the bytes of its row, or None."""
-        row = self.encode(m)
-        return None if row is None else row.tobytes()
+    def key(self, m: UMatrix):
+        """The ``key_index`` key of ``m``, normalized as the generators
+        are, or None when it has no row."""
+        row = self.encode(_normalize(m))
+        return None if row is None else self.keys(row[None])[0]
 
     def keys(self, rows: np.ndarray) -> list:
-        """The key of every row of ``rows``: its 2 dim int64 as bytes."""
+        """The key of every row of ``rows``: its 2 dim int64 as bytes, or
+        its Python ints as a tuple."""
+        if rows.dtype == object:
+            return list(map(tuple, rows.tolist()))
         buf, width = rows.tobytes(), 16 * self.dim
         return [buf[lo:lo + width] for lo in range(0, len(buf), width)]
 
@@ -191,8 +188,8 @@ class _MonomialCode:
         """All products rows[a] @ gen_rows[b], shape (len(rows), len(gen_rows),
         2 dim), in (a, b) order."""
         n = self.dim
-        s = rows[:, :n]
-        out = np.empty((len(rows), len(gen_rows), 2 * n), dtype=np.int64)
+        s = rows[:, :n].astype(np.intp, copy=False)
+        out = np.empty((len(rows), len(gen_rows), 2 * n), dtype=rows.dtype)
         # gen_rows[b, s[a, i]] for every a, b, i
         out[:, :, :n] = gen_rows[:, :n].T[s].transpose(0, 2, 1)
         e = gen_rows[:, n:].T[s].transpose(0, 2, 1)
@@ -204,27 +201,21 @@ class _MonomialCode:
 class _DenseCode:
     """Dense matrices as one (d, d) complex row each.
 
-    Keys are ``Dense.canonical_key``'s, so a probe of any variant finds the
-    element it would find in the object BFS.  The products of a layer are
-    one stacked ``np.matmul``, which rounds each product as ``matmul`` does.
+    Keys are ``Dense.canonical_key``'s, and a probe of any variant is keyed
+    by its entries, so it finds the element equal to its dense form.  The
+    products of a layer are one stacked ``np.matmul``, which rounds each
+    product as ``matmul`` does.
     """
 
     def __init__(self, key_tol: float):
         self.key_tol = key_tol
-
-    @classmethod
-    def fit(cls, gens: Sequence[UMatrix], key_tol: float) -> Optional["_DenseCode"]:
-        """The code of ``gens``, or None unless they are all ``Dense``."""
-        if not all(isinstance(g, Dense) for g in gens):
-            return None
-        return cls(key_tol)
 
     @staticmethod
     def encode(m: UMatrix) -> np.ndarray:
         return m.to_dense()
 
     def key(self, m: UMatrix):
-        return m.canonical_key(self.key_tol)
+        return _dense_key(m.to_dense(), self.key_tol)
 
     def keys(self, rows: np.ndarray) -> list:
         return _dense_keys(rows, self.key_tol)
@@ -260,8 +251,8 @@ class _EncodedElements(Sequence):
 @dataclass
 class GroupClosure:
     """Elements in BFS order (index 0 is the identity), with the tables that
-    locate products by index.  ``key_index`` maps ``_key(m)`` of each
-    element m to its index."""
+    locate products by index.  ``key_index`` maps the key of each element
+    m, ``elements.code.key(m)``, to its index."""
 
     elements: Sequence[UMatrix]
     generators: list[UMatrix]
@@ -270,7 +261,6 @@ class GroupClosure:
     gen_table: np.ndarray
     key_index: dict
     gen_indices: list[int]
-    _key: Callable[[UMatrix], object] = field(repr=False, compare=False)
     key_tol: float = KEY_TOL
     _cayley: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -284,7 +274,7 @@ class GroupClosure:
         return all(g.exact for g in self.generators)
 
     def index_of(self, m: UMatrix) -> Optional[int]:
-        return self.key_index.get(self._key(m))
+        return self.key_index.get(self.elements.code.key(m))
 
     def cayley_rows(self, idx) -> np.ndarray:
         """Rows ``idx`` of the multiplication table: entry (t, j) indexes
@@ -377,22 +367,19 @@ def close(
 
     Stops cleanly with ``complete=False`` when the element budget runs out;
     that is not an error.  Raises on mixed dimensions, non-unitary dense
-    generators, and structured generators with approximate angles.  Exact
-    monomial and block-monomial generators take the array path (see
-    ``_MonomialCode``), and so do dense ones (``_DenseCode``); it numbers
-    the elements as the object BFS does.
+    generators or blocks, and structured generators with approximate
+    angles.  Exact monomial and block-monomial generators close on
+    ``_MonomialCode`` rows and stay exact; every other generator set is
+    flattened to ``Dense`` and closes on ``_DenseCode`` rows.
     """
-    gens = _prepare(generators, key_tol)
-    code = _MonomialCode.fit(gens)
-    if code is None:
-        code = _DenseCode.fit(gens, key_tol)
-    if code is None:
-        return _close_objects(gens, max_elements, key_tol)
+    code, gens = _prepare(generators, key_tol)
     return _close_encoded(code, gens, max_elements, key_tol)
 
 
-def _prepare(generators: Sequence[UMatrix], key_tol: float) -> list[UMatrix]:
-    """Checked, normalized and deduplicated generators of one family."""
+def _prepare(generators: Sequence[UMatrix], key_tol: float
+             ) -> tuple[_MonomialCode | _DenseCode, list[UMatrix]]:
+    """The code of the generators, and the generators checked, normalized,
+    put in that code's representation and deduplicated."""
     gens = [_normalize(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
@@ -400,73 +387,31 @@ def _prepare(generators: Sequence[UMatrix], key_tol: float) -> list[UMatrix]:
     for g in gens:
         if g.dim != dim:
             raise DimensionMismatchError("generators of mixed dimension")
-        if isinstance(g, Dense) and not g.unitary:
-            raise NonUnitaryError("dense generator fails the unitarity check")
         if _has_approx_structure(g):
             raise ClosureRefusedError(
                 "structured generator with approximate angles; the closure "
                 "would almost surely be infinite — use sampled measurement"
             )
+    code = _MonomialCode.fit(gens)
+    if code is None:
+        # one key per element needs one representation: the dense one
+        gens = [g if isinstance(g, Dense) else Dense(g.to_dense()) for g in gens]
+        if not all(g.unitary for g in gens):
+            raise NonUnitaryError("dense generator fails the unitarity check")
+        code = _DenseCode(key_tol)
 
-    # Generators from different representation families would let one group
-    # element show up under two incompatible canonical keys; flatten them all
-    # to dense in that case.
-    if len({_family(g) for g in gens}) > 1:
-        gens = [Dense(g.to_dense()) for g in gens]
-
-    # Deduplicate generators but remember the original arity for gen_table.
-    uniq_gens: list[UMatrix] = []
-    seen_gen_keys = set()
+    # Deduplicate generators; gen_table has one column per distinct one.
+    uniq: dict = {}
     for g in gens:
-        k = g.canonical_key(key_tol)
-        if k not in seen_gen_keys:
-            seen_gen_keys.add(k)
-            uniq_gens.append(g)
-    return uniq_gens
-
-
-def _close_objects(gens: list[UMatrix], max_elements: int,
-                   key_tol: float) -> GroupClosure:
-    """The object BFS: one ``matmul`` and one canonical key per product."""
-    ident = identity_like(gens[0])
-    elements: list[UMatrix] = [ident]
-    parents: list[tuple[int, int]] = [(-1, -1)]
-    key_index = {ident.canonical_key(key_tol): 0}
-    rows: list[list[int]] = []
-    complete = True
-
-    i = 0
-    while i < len(elements):
-        row = []
-        for gi, g in enumerate(gens):
-            h = matmul(elements[i], g)
-            k = h.canonical_key(key_tol)
-            j = key_index.get(k)
-            if j is None:
-                if len(elements) >= max_elements:
-                    complete = False
-                    row = None
-                    break
-                j = len(elements)
-                key_index[k] = j
-                elements.append(h)
-                parents.append((i, gi))
-            row.append(j)
-        if row is None:
-            break
-        rows.append(row)
-        i += 1
-
-    return _finish(elements, gens, parents, rows, key_index,
-                   operator.methodcaller("canonical_key", key_tol), complete,
-                   key_tol)
+        uniq.setdefault(code.key(g), g)
+    return code, list(uniq.values())
 
 
 def _close_encoded(code: _MonomialCode | _DenseCode, gens: list[UMatrix],
                    max_elements: int, key_tol: float) -> GroupClosure:
     """The BFS on code rows, one layer at a time.  A layer's products come
     in (parent, generator) order and new ones are numbered in that order,
-    which is the order in which the object BFS finds them."""
+    which is the order of a BFS that forms one product at a time."""
     gen_rows = np.stack([code.encode(g) for g in gens])
     ident = identity_like(gens[0])
     ng = len(gens)
@@ -494,25 +439,14 @@ def _close_encoded(code: _MonomialCode | _DenseCode, gens: list[UMatrix],
                 parents.append((lo + t // ng, t % ng))
                 fresh.append(t)
             found.append(j)
-        # a row cut short by the budget is dropped, as in the object BFS
+        # a row cut short by the budget is dropped
         rows.extend(found[:len(found) - len(found) % ng])
         layers.append(prods[fresh])
         lo += len(frontier)
 
     elements = _EncodedElements(code, np.concatenate(layers))
-    return _finish(elements, gens, parents, np.reshape(rows, (-1, ng)),
-                   key_index, code.key, complete, key_tol)
-
-
-def _finish(elements, gens, parents, rows, key_index, key, complete,
-            key_tol) -> GroupClosure:
-    """The closure from a BFS: ``rows`` are the ``gen_table`` rows of the
-    elements whose products were all found, and ``key`` makes the keys of
-    ``key_index``."""
-    if len(rows) < len(elements):
-        complete = False
-    gen_table = np.full((len(elements), len(gens)), -1, dtype=np.int64)
-    gen_table[:len(rows)] = np.reshape(rows, (-1, len(gens)))
+    gen_table = np.full((len(elements), ng), -1, dtype=np.int64)
+    gen_table[:len(rows) // ng] = np.reshape(rows, (-1, ng))
     if complete:
         _check_generator_action(gen_table)
     return GroupClosure(
@@ -522,8 +456,7 @@ def _finish(elements, gens, parents, rows, key_index, key, complete,
         parents=parents,
         gen_table=gen_table,
         key_index=key_index,
-        gen_indices=[key_index[key(g)] for g in gens],
-        _key=key,
+        gen_indices=[key_index[k] for k in code.keys(gen_rows)],
         key_tol=key_tol,
     )
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,6 +178,19 @@ class TestMeasureOutput:
                              "--deterministic")
         assert code == 1 and not out
         assert err.startswith("error: ") and "modulus" in err
+
+    @pytest.mark.parametrize("entry", [1.5, float("nan")], ids=["1.5", "nan"])
+    def test_non_unitary_dense_block_exits_1(self, capsys, tmp_path, entry):
+        # a dense block is checked once the generator is flattened to dense
+        spec = tmp_path / "block.json"
+        spec.write_text(json.dumps({"generators": [matrix_to_json(
+            linalg.BlockDiag((Dense(np.array([[entry]])), cycle_matrix(3))))]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "measure", "--spec", str(spec),
+                                 "--deterministic")
+        assert code == 1 and not out
+        assert err == "error: dense generator fails the unitarity check\n"
 
     def test_human_format(self, capsys):
         _, out, _ = run(capsys, "measure", "--builtin", "q8",

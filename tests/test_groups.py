@@ -1,5 +1,6 @@
 """Group closures: enumeration, Cayley tables, centres, irreducibility."""
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,8 @@ from specmul.constructions import (
     miller_moreno,
     tadpole,
 )
-from specmul import cli, groups
+from specmul import cli, groups, linalg
+from specmul.asm import measure_asm
 from specmul.errors import (
     ClosureInvariantError,
     ClosureRefusedError,
@@ -237,8 +239,7 @@ class TestConjugacyClasses:
         assert len(np.unique(labels)) == p + (q - 1) // p
 
     def test_object_closure_labels(self):
-        gens = [BlockDiag((Dense(g.to_dense()), g)) for g in _q8_generators()]
-        c = close(gens)
+        c = _object_bfs(DENSE_BLOCK_GROUPS["q8"]())
         assert isinstance(c.elements, list)
         assert c.conjugacy_labels().tolist() == _class_oracle(c)
 
@@ -266,15 +267,9 @@ class TestClosureInvariants:
     def _merge_fifth_product(monkeypatch):
         """Make the closure's fifth product come out as the identity, so
         two elements times the same generator land on one element.  The
-        object BFS forms products with ``matmul``, the array path a layer
-        at a time with ``_MonomialCode.products`` or
-        ``_DenseCode.products``."""
+        closure forms its products a layer at a time with
+        ``_MonomialCode.products`` or ``_DenseCode.products``."""
         calls = []
-
-        def bad_matmul(a, b):
-            calls.append(None)
-            return identity_like(a) if len(calls) == 5 else matmul(a, b)
-
         products = groups._MonomialCode.products
         dense_products = groups._DenseCode.products
 
@@ -296,7 +291,6 @@ class TestClosureInvariants:
             calls.extend([None] * len(flat))
             return out
 
-        monkeypatch.setattr(groups, "matmul", bad_matmul)
         monkeypatch.setattr(groups._MonomialCode, "products", bad_products)
         monkeypatch.setattr(groups._DenseCode, "products",
                             staticmethod(bad_dense_products))
@@ -306,12 +300,11 @@ class TestClosureInvariants:
         with pytest.raises(ClosureInvariantError):
             close(_q8_generators())
 
-    def test_object_bfs_checks_the_generator_action(self, monkeypatch):
+    def test_dense_blocks_check_the_generator_action(self, monkeypatch):
         self._merge_fifth_product(monkeypatch)
-        # dense blocks keep the object BFS
-        gens = [BlockDiag((Dense(g.to_dense()), g)) for g in _q8_generators()]
+        # dense blocks are flattened onto the dense array path
         with pytest.raises(ClosureInvariantError):
-            close(gens)
+            close(DENSE_BLOCK_GROUPS["q8"]())
 
     def test_dense_array_path_checks_the_generator_action(self, monkeypatch):
         self._merge_fifth_product(monkeypatch)
@@ -337,9 +330,63 @@ class _Unreadable(Sequence):
         raise AssertionError("element read")
 
 
+class _ObjectClosure(GroupClosure):
+    """A closure of matrix objects, keyed by their ``canonical_key``."""
+
+    def index_of(self, m):
+        return self.key_index.get(m.canonical_key(self.key_tol))
+
+
+def _object_bfs(gens, budget=DEFAULT_BUDGET):
+    """The reference BFS on ``gens`` as given: one ``matmul`` and one
+    ``canonical_key`` per product, the products of element i found before
+    those of element i + 1.  A row cut short by the budget is dropped."""
+    ident = identity_like(gens[0])
+    elements = [ident]
+    parents = [(-1, -1)]
+    key_index = {ident.canonical_key(KEY_TOL): 0}
+    rows = []
+    complete = True
+    while complete and len(rows) < len(elements):
+        i, row = len(rows), []
+        for gi, g in enumerate(gens):
+            h = matmul(elements[i], g)
+            k = h.canonical_key(KEY_TOL)
+            if k not in key_index:
+                if len(elements) >= budget:
+                    complete = False
+                    break
+                key_index[k] = len(elements)
+                elements.append(h)
+                parents.append((i, gi))
+            row.append(key_index[k])
+        else:
+            rows.append(row)
+    gen_table = np.full((len(elements), len(gens)), -1, dtype=np.int64)
+    gen_table[:len(rows)] = np.reshape(rows, (-1, len(gens)))
+    return _ObjectClosure(
+        elements=elements, generators=list(gens), complete=complete,
+        parents=parents, gen_table=gen_table, key_index=key_index,
+        gen_indices=[key_index[g.canonical_key(KEY_TOL)] for g in gens])
+
+
 def _object_closure(gens, budget=DEFAULT_BUDGET):
-    """The object BFS on the generators ``close`` would use."""
-    return groups._close_objects(groups._prepare(gens, KEY_TOL), budget, KEY_TOL)
+    """The reference BFS on the generators ``close`` would use."""
+    return _object_bfs(groups._prepare(gens, KEY_TOL)[1], budget)
+
+
+# Roots of unity of an order past 2**62, so the rows hold Python ints; x
+# times its conjugate is 1, so these monomials have small finite orders.
+BIG_ROOTS = 2 ** 62 + 3
+X_BIG, X_BIG_BAR = UnitPoint.exact(1, BIG_ROOTS), UnitPoint.exact(-1, BIG_ROOTS)
+
+
+def _mm3_7_big_block():
+    """MM(3,7) with a third block, an order-3 monomial with entries of
+    order 2**62 + 3 on X only: the group is MM(3,7) x C3, of order 63."""
+    x, y = CLASS_GROUPS["mm3_7"][0]()
+    return [BlockDiag((x, MonomialCycle((X_BIG, X_BIG_BAR, ONE), 1))),
+            BlockDiag((y, Diagonal((ONE,) * 3)))]
 
 
 TWO_BLOCK_MM = MillerMorenoParams(
@@ -359,6 +406,18 @@ ARRAY_GROUPS = {
             _q8_generators(),
             [MonomialCycle((ONE,) * 3, 1),
              Diagonal((UnitPoint.exact(1, 3), UnitPoint.exact(2, 3), ONE))])],
+    "dihedral8_big_roots": lambda: [MonomialCycle((X_BIG, X_BIG_BAR), 1),
+                                    _q8_generators()[0]],
+    "mm3_7_big_block": _mm3_7_big_block,
+    "q8_nested": lambda: [BlockDiag((g, BlockDiag((g, g))))
+                          for g in _q8_generators()],
+}
+
+# generators that close as dense matrices although they are exact
+DENSE_BLOCK_GROUPS = {
+    "q8": lambda: [BlockDiag((Dense(g.to_dense()), g)) for g in _q8_generators()],
+    "mm3_7": lambda: [BlockDiag((Dense(g.to_dense()), g))
+                      for g in CLASS_GROUPS["mm3_7"][0]()],
 }
 
 
@@ -397,7 +456,7 @@ def _layer_cut_budget(c):
 
 
 class TestArrayPath:
-    """The array path of ``close`` against the object BFS."""
+    """``close`` against the reference object BFS ``_object_bfs``."""
 
     @staticmethod
     def _assert_same(a, b):
@@ -457,15 +516,18 @@ class TestArrayPath:
             # keyed by its rounded entries: its dense form -I is an element
             Diagonal((UnitPoint.approx(0.5),) * 2),
             Diagonal((UnitPoint.approx(0.0),) * 2),
-            # an exact diagonal has a structural key, as in the object BFS
+            # exact, and found all the same
             Diagonal((UnitPoint.exact(1, 2),) * 2),
             matmul(gens[1], gens[0]),
             _q8_generators()[0],
         ]
         got = [a.index_of(m) for m in probes]
-        assert got == [b.index_of(m) for m in probes]
-        assert got[:3] == [minus_one, 0, None] and minus_one is not None
+        # any probe is keyed by its entries: it finds its dense form
+        assert got == [b.index_of(Dense(m.to_dense())) for m in probes]
+        assert got[:3] == [minus_one, 0, minus_one] and minus_one is not None
         assert got[3] is not None
+        assert a.index_of(BlockDiag((Diagonal((UnitPoint.exact(1, 2),)),) * 2)) \
+            == minus_one
 
     def test_orders(self):
         assert close(miller_moreno(TWO_BLOCK_MM)).order == 441
@@ -508,6 +570,10 @@ class TestArrayPath:
         got = [a.index_of(m) for m in probes]
         assert got == [b.index_of(m) for m in probes]
         assert got[0] is not None and got[1] is None
+        if isinstance(x, BlockDiag):
+            # a nested probe is flattened as the generators are
+            nested = BlockDiag((x.blocks[0], BlockDiag(x.blocks[1:])))
+            assert a.index_of(nested) == a.gen_indices[0]
 
     def test_elements_index_like_a_read_only_list(self):
         c = close(ARRAY_GROUPS["mm3_7"]())
@@ -518,14 +584,59 @@ class TestArrayPath:
         with pytest.raises(IndexError):
             c.elements[c.order]
 
-    @pytest.mark.parametrize("gens", [
-        lambda: [BlockDiag((Dense(g.to_dense()), g)) for g in _q8_generators()],
-        lambda: [Diagonal((UnitPoint.exact(1, 2 ** 62), ONE))],
-    ], ids=["dense_blocks", "large_denominator"])
-    def test_other_generators_take_the_object_bfs(self, gens):
-        # a small budget shows the path as well as a complete closure would
+    @pytest.mark.parametrize("gens,code,dtype", [
+        (_q8_generators, groups._MonomialCode, np.int64),
+        (ARRAY_GROUPS["q8_nested"], groups._MonomialCode, np.int64),
+        (lambda: [Diagonal((UnitPoint.exact(1, 2 ** 62 - 1), ONE))],
+         groups._MonomialCode, np.int64),
+        (lambda: [Diagonal((UnitPoint.exact(1, 2 ** 62), ONE))],
+         groups._MonomialCode, object),
+        (DENSE_GROUPS["dense"], groups._DenseCode, complex),
+        (DENSE_GROUPS["mixed"], groups._DenseCode, complex),
+        (DENSE_BLOCK_GROUPS["q8"], groups._DenseCode, complex),
+    ], ids=["mono", "nested", "below_2_62", "large_denominator", "dense",
+            "mixed", "dense_blocks"])
+    def test_each_family_takes_its_code(self, gens, code, dtype):
+        # a small budget shows the code as well as a complete closure would
         c = close(gens(), max_elements=50)
-        assert isinstance(c.elements, list)
+        assert type(c.elements.code) is code
+        assert c.elements.rows.dtype == dtype
+
+    @pytest.mark.parametrize("name,order,level", [
+        ("dihedral8_big_roots", 8, Fraction(1, 4)),
+        ("mm3_7_big_block", 63, Fraction(1, 7)),
+        ("q8_nested", 8, Fraction(1, 4)),
+    ])
+    def test_large_roots_and_nested_blocks_stay_exact(self, name, order, level):
+        c = close(ARRAY_GROUPS[name]())
+        assert c.order == order
+        assert measure_asm(c).epsilon_exact == level
+
+    @pytest.mark.parametrize("gens", [
+        DENSE_BLOCK_GROUPS["q8"], DENSE_BLOCK_GROUPS["mm3_7"],
+        ARRAY_GROUPS["q8_nested"],
+    ], ids=["dense_blocks_q8", "dense_blocks_mm3_7", "nested_q8"])
+    def test_flattening_keeps_the_group(self, gens):
+        """Dense blocks and nested blocks close flattened, into the group
+        the object BFS finds on the generators as given."""
+        a, b = close(gens()), _object_bfs(gens())
+        assert a.complete and b.complete
+        assert a.exact == b.exact
+        assert a.parents == b.parents
+        assert np.array_equal(a.gen_table, b.gen_table)
+        assert np.array_equal(a.conjugacy_labels(), b.conjugacy_labels())
+        assert [a.index_of(e) for e in b.elements] == list(range(b.order))
+
+    def test_close_never_calls_matmul(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("matmul called")
+
+        monkeypatch.setattr(linalg, "matmul", refuse)
+        assert not hasattr(groups, "matmul")
+        families = [*ARRAY_GROUPS.values(), *DENSE_GROUPS.values(),
+                    *DENSE_BLOCK_GROUPS.values()]
+        for gens in families:
+            assert close(gens()).complete
 
 
 class TestMillerMorenoClosures:
