@@ -33,7 +33,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .circle import UnitPoint, _frac_str, _point_from_json, _point_to_json
-from .constructions import SrBatch, SrElement, _cmul, sr_pair_gamma
+from .constructions import SrBatch, SrElement, _cmul, _mod1, sr_pair_gamma
 from .errors import (
     IncompleteClosureError,
     MalformedJsonError,
@@ -71,19 +71,29 @@ PARALLEL_MIN_PAIRS = 2048
 
 # The same floor for runs whose chunks the samplers' ``batch`` draws and
 # scores: their pairs cost far less, so the pool pays off only later.
-# Medians of 9 in-process runs on 2 vCPUs, sizes and worker order
+# Medians of 31 in-process runs on 2 vCPUs, sizes and worker order
 # interleaved, --workers 1 against 2: p = 5 tadpoles at 16,000 pairs
-# 0.178 s against 0.197 s, at 20,000 0.234 s against 0.230 s, at 24,000
-# 0.272 s against 0.231 s; sr at 24,000 pairs 0.147 s against 0.167 s, at
-# 32,000 0.214 s against 0.230 s, at 48,000 0.304 s against 0.285 s.  One
-# floor serves both: sr breaks even later, so its runs between 24,000 and
-# about 40,000 pairs pay up to 14% for the pool.
-PARALLEL_MIN_BATCHED_PAIRS = 24_000
+# 0.131 s against 0.129 s, at 20,000 0.177 s against 0.156 s, at 24,000
+# 0.206 s against 0.167 s; sr at 16,000 0.094 s against 0.110 s, at 20,000
+# 0.141 s against 0.127 s, at 24,000 0.160 s against 0.135 s.  Both break
+# even between 16,000 and 20,000 pairs (21 other rounds: tadpoles even at
+# 12,000, sr 4% behind at 20,000; both ahead at 24,000 to 64,000), so one
+# floor serves both.
+PARALLEL_MIN_BATCHED_PAIRS = 20_000
 
 # Sampled runs are split into a fixed number of logical chunks, each with its
 # own spawned seed stream, so the drawn pairs do not depend on how many
 # workers execute the chunks.
 SAMPLE_CHUNKS = 64
+
+# Pairs of one stacked group of batched chunks, scored by one kernel call.
+# Medians of 21 in-process runs on 2 vCPUs, three rounds each: p = 5
+# tadpoles at 5,000 pairs take 0.044-0.064 s with groups of 400 pairs,
+# 0.045-0.058 s with 800 and 0.049-0.053 s with 1,600, and sr at 12,000
+# pairs 0.068-0.084, 0.064-0.074 and 0.078-0.085 s; against 800, peak RSS
+# is equal at 400, 0.5 MB higher at 1,600, and 3 MB (tadpoles) or 6.5 MB
+# (sr) higher when a whole run is one group.
+SAMPLE_GROUP_PAIRS = 800
 
 
 # ---------------------------------------------------------------------------
@@ -126,35 +136,54 @@ def _defect_exact(sa, sb, sab, scale):
 
 # Elements of one (pairs, |sigma(AB)|, |sigma(A)||sigma(B)|) block of arc
 # distances: larger batches go through the kernel block by block, so its
-# transient memory stays under 1 MB whatever the batch size.
+# transient memory stays under 1 MB whatever the batch size.  One call of
+# ``_float_defects`` allocates its block buffers once and reuses them for
+# every block: a 256 KB block lies above glibc's 128 KB mmap threshold, so
+# a fresh one would be mapped, faulted in and unmapped block by block.
 _KERNEL_BLOCK = 1 << 15
 
 
-def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray) -> np.ndarray:
+def _gap_buffers(m: int, na: int, nb: int, nab: int) -> tuple:
+    """Buffers of ``_arc_gaps`` for up to m pairs: products and their floors
+    (m, na*nb), distances d and 1 - d (m, nab, na*nb)."""
+    prods = np.empty((m, na * nb))
+    diff = np.empty((m, nab, na * nb))
+    return prods, np.empty_like(prods), diff, np.empty_like(diff)
+
+
+def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
+              buffers: Optional[tuple] = None) -> np.ndarray:
     """Arc distance from every gamma to every product alpha*beta, batched.
 
     ``sa (m, |sigma(A)|)``, ``sb (m, |sigma(B)|)`` and ``sab (m, |sigma(AB)|)``
     hold angles in turns; row t is one pair.  Returns ``min(d, 1 - d)`` for
     ``d = |gamma - (alpha + beta) % 1|`` as an array
-    ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``.
+    ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``, written into the leading rows
+    of ``buffers`` (from ``_gap_buffers``; fresh ones if None).
     """
-    prods = np.add(sa[:, :, None], sb[:, None, :])
-    prods = prods.reshape(prods.shape[0], -1)
-    np.remainder(prods, 1.0, out=prods)
-    diff = np.subtract(sab[:, :, None], prods[:, None, :])
+    m, na, nb = len(sa), sa.shape[1], sb.shape[1]
+    prods, floor, diff, flip = (
+        b[:m] for b in buffers or _gap_buffers(m, na, nb, sab.shape[1]))
+    np.add(sa[:, :, None], sb[:, None, :], out=prods.reshape(m, na, nb))
+    _mod1(prods, out=prods, floor=floor)
+    np.subtract(sab[:, :, None], prods[:, None, :], out=diff)
     np.abs(diff, out=diff)
-    np.minimum(diff, 1.0 - diff, out=diff)
-    return diff
+    np.subtract(1.0, diff, out=flip)
+    return np.minimum(diff, flip, out=diff)
 
 
 def _float_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray) -> np.ndarray:
-    """Float defects of m pairs given as angle arrays (see ``_arc_gaps``)."""
+    """Float defects of m pairs given as angle arrays (see ``_arc_gaps``),
+    block by block through one set of buffers."""
     m, nab = sab.shape
-    step = max(1, _KERNEL_BLOCK // (nab * sa.shape[1] * sb.shape[1]))
+    na, nb = sa.shape[1], sb.shape[1]
+    step = max(1, min(m, _KERNEL_BLOCK // (nab * na * nb)))
+    buffers = _gap_buffers(step, na, nb, nab)
     out = np.empty(m, dtype=float)
     for lo in range(0, m, step):
         part = slice(lo, lo + step)
-        out[part] = _arc_gaps(sa[part], sb[part], sab[part]).min(axis=2).max(axis=1)
+        out[part] = _arc_gaps(sa[part], sb[part], sab[part],
+                              buffers).min(axis=2).max(axis=1)
     return out
 
 
@@ -574,21 +603,46 @@ def _sr_batch_defects(drawn) -> np.ndarray:
     return _chord_defects(*drawn.eigenvalues())
 
 
-def _sampled_batch_chunk(args):
-    """``_sampled_chunk`` through the sampler's ``batch``, if it has one:
-    ``kernel(batch)`` scores all pairs of the chunk in one call.  Without a
-    batch, or when ``batch`` declines (None), the chunk is drawn one pair at
-    a time from the same seed and scored with ``defect_of``.  Returns
-    (``_sampled_chunk``'s tuple, whether the batch scored the chunk)."""
-    sampler, count, seed_seq, kernel, defect_of = args
+def _sampled_group(args):
+    """Draw and score a group of consecutive chunks, each (count, seed
+    sequence) drawn from its own seed.
+
+    The chunks that the sampler's ``batch`` draws are stacked into one batch
+    and scored by one ``kernel`` call; a chunk without a batch (the sampler
+    has none, or ``batch`` declines with None) is drawn one pair at a time
+    by ``_sampled_chunk`` and scored with ``defect_of``.  Returns (defects,
+    the first maximum's pair, all exact, whether any chunk was batched).
+    The pair is a one-row batch when a batch drew it, (A, B) otherwise: no
+    matrix is built for a batched pair that may not win the run.
+    """
+    sampler, chunks, kernel, defect_of = args
     batch = getattr(sampler, "batch", None)
-    drawn = None if batch is None else batch(np.random.default_rng(seed_seq), count)
-    if drawn is None:
-        return _sampled_chunk((sampler, count, seed_seq, defect_of)), False
-    # a batch holds float draws only, so its defects are never exact
-    vals = kernel(drawn)
-    t = int(vals.argmax())
-    return (vals, float(vals[t]), t, drawn.pair(t), False), True
+    values = np.empty(sum(count for count, _ in chunks), dtype=float)
+    drawn, batch_rows, scalar_pairs = [], [], {}
+    all_exact = True
+    lo = 0
+    for count, seed_seq in chunks:
+        got = None if batch is None else batch(np.random.default_rng(seed_seq), count)
+        if got is None:
+            vals, _, t, pair, exact = _sampled_chunk((sampler, count, seed_seq,
+                                                      defect_of))
+            values[lo:lo + count] = vals
+            scalar_pairs[lo + t] = pair
+            all_exact = all_exact and exact
+        else:
+            drawn.append(got)
+            batch_rows.append(np.arange(lo, lo + count))
+        lo += count
+    if drawn:
+        # a batch holds float draws only, so its defects are never exact
+        all_exact = False
+        stacked = type(drawn[0]).concat(drawn)
+        rows = np.concatenate(batch_rows)
+        values[rows] = kernel(stacked)
+    t = int(values.argmax())
+    best = (scalar_pairs[t] if t in scalar_pairs
+            else stacked.take(int(np.searchsorted(rows, t))))
+    return values, best, all_exact, bool(drawn)
 
 
 def _chunk_sizes(total: int, parts: int) -> list[int]:
@@ -727,31 +781,38 @@ def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
                      kernel, worst_of, vmax, gamma_convention=None):
     """The seeded sampled run of both the argument and the chord defect.
 
-    Chunk k of ``SAMPLE_CHUNKS`` fixed chunks is drawn by
-    ``_sampled_batch_chunk`` from its own spawned seed, so the pairs do not
-    depend on ``workers``; ``kernel`` scores a batch, ``worst_of`` one pair
-    (and rebuilds the first maximum).  ``vmax`` tops the histogram (None:
-    the largest defect).  Chunk 0 runs in-process; the rest go to the pool
-    from ``PARALLEL_MIN_BATCHED_PAIRS`` pairs if the batch scored chunk 0,
-    from ``PARALLEL_MIN_PAIRS`` if it went one pair at a time.
+    Chunk k of ``SAMPLE_CHUNKS`` fixed chunks is drawn from its own spawned
+    seed, so the pairs do not depend on ``workers``; ``kernel`` scores a
+    batch, ``worst_of`` one pair (and builds the run's first maximum, the
+    only pair whose matrices are built).  ``vmax`` tops the histogram (None:
+    the largest defect).  Chunk 0 runs in-process through
+    ``_sampled_group``.  If the batch scored it, the other chunks go in
+    groups of consecutive chunks of at most ``SAMPLE_GROUP_PAIRS`` pairs (or
+    one chunk, when a chunk alone is larger), to the pool from
+    ``PARALLEL_MIN_BATCHED_PAIRS`` pairs; if it went one pair at a time,
+    they go one chunk per task, to the pool from ``PARALLEL_MIN_PAIRS``.
     """
     if pair_count < 1:
         raise ValueError("need at least one pair")
     sizes = _chunk_sizes(pair_count, SAMPLE_CHUNKS)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    chunks = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
     defect_of = partial(worst_of, with_matrices=False)
-    chunks = [(sampler, c, s, kernel, defect_of) for c, s in zip(sizes, seeds)]
-    first, batched = _sampled_batch_chunk(chunks[0])
+    first = _sampled_group((sampler, chunks[:1], kernel, defect_of))
+    batched = first[3]
     floor = PARALLEL_MIN_BATCHED_PAIRS if batched else PARALLEL_MIN_PAIRS
-    eff = workers if pair_count >= floor else 1
-    parts = [first] + [part for part, _ in
-                       _map_chunks(_sampled_batch_chunk, chunks[1:], eff)]
+    per = max(1, SAMPLE_GROUP_PAIRS // sizes[0]) if batched else 1
+    tasks = [(sampler, chunks[lo:lo + per], kernel, defect_of)
+             for lo in range(1, len(chunks), per)]
+    parts = [first] + _map_chunks(_sampled_group, tasks,
+                                  workers if pair_count >= floor else 1)
     values = np.concatenate([p[0] for p in parts])
-    # the first maximum lies in the chunk whose end is the first one past it
+    # the first maximum lies in the group whose end is the first one past it
     best_idx = int(values.argmax())
-    a, b = parts[int(np.searchsorted(np.cumsum(sizes), best_idx, side="right"))][3]
+    ends = np.cumsum([len(p[0]) for p in parts])
+    best = parts[int(np.searchsorted(ends, best_idx, side="right"))][1]
+    a, b = best if isinstance(best, tuple) else best.pair(0)
     worst = worst_of(a, b, pair=("sampled", best_idx))
-    all_exact = all(p[4] for p in parts)
+    all_exact = all(p[2] for p in parts)
     rows = [(int(t), -1, float(v)) for t, v in enumerate(values)] if collect_pairs else None
     return AsmReport(
         kind=worst.kind,

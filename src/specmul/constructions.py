@@ -111,6 +111,15 @@ def primes_up_to(n: int) -> list[int]:
     return [int(p) for p in np.nonzero(sieve)[0]]
 
 
+def _mod1(x: np.ndarray, out: Optional[np.ndarray] = None,
+          floor: Optional[np.ndarray] = None) -> np.ndarray:
+    """``x % 1.0`` of a float array as ``x - floor(x)``, into ``out`` (and
+    ``floor`` as scratch) if given.  Both round the exact x - floor(x) once,
+    so they agree bit for bit (+0.0 for integers and -0.0, nan for +-inf);
+    the subtraction costs a fraction of numpy's float remainder."""
+    return np.subtract(x, np.floor(x, out=floor), out=out)
+
+
 def cycle_matrix(p: int) -> UMatrix:
     """The p x p cyclic shift: ones on the superdiagonal and in the corner."""
     if p < 2:
@@ -310,8 +319,8 @@ def _head_angles(d: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
     w = cycle[:, 0].copy()
     for i in range(1, p):
         w += cycle[:, i]
-        np.remainder(w, 1.0, out=w)
-    roots = (w[:, None] + np.arange(p)) / p % 1.0
+        _mod1(w, out=w)
+    roots = _mod1((w[:, None] + np.arange(p)) / p)
     return np.where(k[:, None] == 0, d, roots)
 
 
@@ -335,6 +344,21 @@ class TadpoleBatch:
     k: np.ndarray
     a: np.ndarray
 
+    @classmethod
+    def concat(cls, batches: Sequence["TadpoleBatch"]) -> "TadpoleBatch":
+        """The pairs of ``batches`` in order, as one batch."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(batches[0].p, np.concatenate([b.d for b in batches]),
+                   np.concatenate([b.k for b in batches]),
+                   np.concatenate([b.a for b in batches]))
+
+    def take(self, t: int) -> "TadpoleBatch":
+        """Pair t alone, as a batch that holds no view of this one."""
+        pick = slice(t, t + 1)
+        return TadpoleBatch(self.p, self.d[pick].copy(), self.k[pick].copy(),
+                            self.a[pick].copy())
+
     def params(self, t: int, side: int) -> TadpoleParams:
         return TadpoleParams(self.p,
                              tuple(UnitPoint.approx(float(x)) for x in self.d[t, side]),
@@ -356,8 +380,8 @@ class TadpoleBatch:
         (da, db), (ka, kb) = self.d.transpose(1, 0, 2), self.k.T
         ea = _tail_exponents(ka, self.a[:, 0], p)
         eb = _tail_exponents(kb, self.a[:, 1], p)
-        dab = (da + np.take_along_axis(db, (np.arange(p) + ka[:, None]) % p,
-                                       axis=1)) % 1.0
+        dab = _mod1(da + np.take_along_axis(db, (np.arange(p) + ka[:, None]) % p,
+                                            axis=1))
         return (np.concatenate([_head_angles(da, ka, p), ea / sq], axis=1),
                 np.concatenate([_head_angles(db, kb, p), eb / sq], axis=1),
                 np.concatenate([_head_angles(dab, (ka + kb) % p, p),
@@ -392,7 +416,7 @@ class TadpoleSampler:
             raise InvalidParamsError("p must be prime")
         angles, ints = _tadpole_draws(rng, p, 2 * count)
         # random_det1_diagonal's last angle, then UnitPoint's own % 1.0
-        last = (-angles.sum(axis=1)) % 1.0 % 1.0
+        last = _mod1(_mod1(-angles.sum(axis=1)))
         d = np.concatenate([angles, last[:, None]], axis=1)
         return TadpoleBatch(p, d.reshape(count, 2, p),
                             ints[:, 0].reshape(count, 2),
@@ -788,6 +812,21 @@ class SrBatch:
         return cls(np.array([e.lam for e in elements], dtype=complex),
                    np.array([e.row for e in elements], dtype=complex),
                    np.array([e.col for e in elements], dtype=complex))
+
+    @classmethod
+    def concat(cls, batches: Sequence["SrBatch"]) -> "SrBatch":
+        """The pairs of ``batches`` in order, as one batch."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(np.concatenate([b.lam for b in batches]),
+                   np.concatenate([b.row for b in batches]),
+                   np.concatenate([b.col for b in batches]))
+
+    def take(self, t: int) -> "SrBatch":
+        """Pair t alone, as a batch that holds no view of this one."""
+        pick = slice(2 * t, 2 * t + 2)
+        return SrBatch(self.lam[pick].copy(), self.row[pick].copy(),
+                       self.col[pick].copy())
 
     def _element(self, i: int) -> SrElement:
         return SrElement(complex(self.lam[i]), tuple(self.row[i]), tuple(self.col[i]))

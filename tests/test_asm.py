@@ -466,14 +466,15 @@ class TestBatchedKernel:
         seq = np.random.SeedSequence(seed)
         extra = (asm._tadpole_batch_defects,
                  partial(pair_defect, with_matrices=False))
-        (vals, best, idx, pair, exact), batched = asm._sampled_batch_chunk(
-            (sampler, 40, seq, *extra))
+        vals, best, exact, batched = asm._sampled_group(
+            (sampler, [(40, seq)], *extra))
         # a bound __call__ has no ``batch``, so this takes the scalar loop
-        (svals, sbest, sidx, spair, sexact), sbatched = asm._sampled_batch_chunk(
-            (sampler.__call__, 40, seq, *extra))
+        svals, spair, sexact, sbatched = asm._sampled_group(
+            (sampler.__call__, [(40, seq)], *extra))
         assert batched and not sbatched
         assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
-        assert (best, idx, exact) == (sbest, sidx, sexact)
+        assert exact == sexact
+        pair = best.pair(0)
         assert pair == spair
         assert [m.to_json_dict() for m in pair] == [m.to_json_dict() for m in spair]
 
@@ -492,6 +493,15 @@ class TestBatchedKernel:
         assert seen == [2]
         blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == SAMPLED_GOLDEN[5]
+
+    @pytest.mark.parametrize("block", [1, 50, 400, asm._KERNEL_BLOCK])
+    def test_float_block_size_does_not_change_the_result(self, block, monkeypatch):
+        # 37 pairs: blocks of 1, 1 and 6 (a partial last block) and 37
+        rng = np.random.default_rng(block)
+        sa, sb, sab = (rng.random((37, w)) for w in (3, 4, 5))
+        want = [asm._defect_float(sa[t], sb[t], sab[t])[0] for t in range(37)]
+        monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
+        assert asm._float_defects(sa, sb, sab).tolist() == want
 
     def test_exact_sampler_has_no_batch(self):
         rng = np.random.default_rng(0)
@@ -801,9 +811,110 @@ class TestSampledDriverGolden:
         assert _report_sha(rep) == DRIVER_GOLDEN["sr_exhaustive"]
 
 
+def _sampled_batch_chunk(args):
+    """One chunk drawn and scored on its own, with its first maximum built
+    as matrices: the task of a sampled run before chunks were stacked in
+    groups, kept as the reference for ``asm._sampled_group``."""
+    sampler, count, seed_seq, kernel, defect_of = args
+    drawn = sampler.batch(np.random.default_rng(seed_seq), count)
+    if drawn is None:
+        return asm._sampled_chunk((sampler, count, seed_seq, defect_of))
+    vals = kernel(drawn)
+    t = int(vals.argmax())
+    return vals, float(vals[t]), t, drawn.pair(t), False
+
+
+def _per_chunk_report(family, count, seed, collect_pairs):
+    """The sampled run of ``family`` scored chunk by chunk in one process,
+    as ``asm._measure_sampled`` scored it before groups: (defects, report)."""
+    if family == "sr":
+        sampler, kernel, vmax, convention = (
+            sr_sampler(SrParams(0.5)), asm._sr_batch_defects, None, "nonzero")
+        worst_of = partial(pair_sub_defect, ztol=asm.SUB_ZERO_TOL)
+    else:
+        sampler, kernel, vmax, convention = (
+            tadpole_sampler(int(family[7:])), asm._tadpole_batch_defects, 0.5, None)
+        worst_of = pair_defect
+    sizes = asm._chunk_sizes(count, asm.SAMPLE_CHUNKS)
+    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    defect_of = partial(worst_of, with_matrices=False)
+    parts = [_sampled_batch_chunk((sampler, c, s, kernel, defect_of))
+             for c, s in zip(sizes, seeds)]
+    values = np.concatenate([p[0] for p in parts])
+    best_idx = int(values.argmax())
+    a, b = parts[int(np.searchsorted(np.cumsum(sizes), best_idx, side="right"))][3]
+    worst = worst_of(a, b, pair=("sampled", best_idx))
+    rows = ([(int(t), -1, float(v)) for t, v in enumerate(values)]
+            if collect_pairs else None)
+    return values, AsmReport(
+        kind=worst.kind, mode="sampled", bound="lower",
+        epsilon=float(values.max()), epsilon_exact=None, exact=False,
+        pair_total=count, sample_count=count, seed=seed, group_order=None,
+        worst=worst, histogram=asm._make_histogram(values, asm.DEFAULT_BINS, vmax),
+        gamma_convention=convention, pair_rows=rows)
+
+
+_REFERENCE_REPORTS: dict = {}
+
+
+def _reference(family, count, collect_pairs=True):
+    key = (family, count, collect_pairs)
+    if key not in _REFERENCE_REPORTS:
+        _REFERENCE_REPORTS[key] = _per_chunk_report(family, count, 7 * count + 1,
+                                                    collect_pairs)
+    return _REFERENCE_REPORTS[key]
+
+
+def _grouped_report(family, count, **kw):
+    if family == "sr":
+        return measure_sub(sr_sampler(SrParams(0.5)), pair_count=count,
+                           seed=7 * count + 1, **kw)
+    return measure_asm_sampled(tadpole_sampler(int(family[7:])), count,
+                               seed=7 * count + 1, **kw)
+
+
+SAMPLED_FAMILIES = ["tadpole2", "tadpole3", "tadpole5", "tadpole7", "sr"]
+GROUPED_COUNTS = [1, 63, 64, 65, asm.SAMPLE_GROUP_PAIRS - 1, asm.SAMPLE_GROUP_PAIRS,
+                  asm.SAMPLE_GROUP_PAIRS + 1, 5000, 24000]
+
+
+class TestGroupedScoring:
+    """Stacked groups against the per-chunk reference, bit for bit."""
+
+    @pytest.mark.parametrize("count", GROUPED_COUNTS)
+    @pytest.mark.parametrize("family", SAMPLED_FAMILIES)
+    def test_matches_the_per_chunk_reference(self, family, count):
+        values, ref = _reference(family, count)
+        rep = _grouped_report(family, count, collect_pairs=True)
+        got = np.array([v for _, _, v in rep.pair_rows])
+        assert np.array_equal(got.view(np.int64), values.view(np.int64))
+        assert rep.epsilon == ref.epsilon
+        assert rep.worst.matrix_a is not None and rep.worst.matrix_b is not None
+        assert rep.worst.to_json_dict() == ref.worst.to_json_dict()
+        assert rep.histogram == ref.histogram
+        assert rep.to_json_dict() == ref.to_json_dict()
+
+    @pytest.mark.parametrize("count", [65, 5000])
+    @pytest.mark.parametrize("family", SAMPLED_FAMILIES)
+    def test_without_collected_pairs(self, family, count):
+        _, ref = _reference(family, count, collect_pairs=False)
+        assert _grouped_report(family, count).to_json_dict() == ref.to_json_dict()
+
+    @pytest.mark.parametrize("family", ["tadpole5", "sr"])
+    def test_pool_above_the_floor_matches_one_process(self, family, monkeypatch):
+        count = asm.PARALLEL_MIN_BATCHED_PAIRS
+        seen = spy_workers(monkeypatch)
+        one = _grouped_report(family, count, workers=1, collect_pairs=True)
+        two = _grouped_report(family, count, workers=2, collect_pairs=True)
+        assert seen == [1, 2]
+        assert one.to_json_dict() == two.to_json_dict()
+        assert two.to_json_dict() == _reference(family, count)[1].to_json_dict()
+
+
 class TestPoolFloor:
     """Chunk 0 runs in-process; whether its batch scored it picks the pair
-    count from which the other chunks go to the pool."""
+    count from which the other tasks go to the pool, and whether a task is
+    a group of chunks or one chunk."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -819,14 +930,16 @@ class TestPoolFloor:
     def test_batched_run_below_its_floor_stays_in_process(self, calls):
         measure_asm_sampled(tadpole_sampler(3), asm.PARALLEL_MIN_PAIRS, seed=1,
                             workers=2)
-        assert calls == [(asm.SAMPLE_CHUNKS - 1, 1)]
+        # chunks 1-63 of 32 pairs, in groups of 25, 25 and 13 chunks
+        assert calls == [(3, 1)]
 
     def test_batched_run_from_its_floor_uses_the_pool(self, calls, monkeypatch):
-        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 300)
-        for count in (300, 299):
+        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 3000)
+        for count in (3000, 2999):
             measure_sub(sr_sampler(SrParams(0.5)), pair_count=count, seed=1,
                         workers=2)
-        assert calls == [(asm.SAMPLE_CHUNKS - 1, 2), (asm.SAMPLE_CHUNKS - 1, 1)]
+        # chunks 1-63 of at most 47 pairs, in groups of 17, 17, 17 and 12
+        assert calls == [(4, 2), (4, 1)]
 
     def test_scalar_run_keeps_the_pairs_floor(self, calls, monkeypatch):
         monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 200)
@@ -834,6 +947,30 @@ class TestPoolFloor:
             measure_asm_sampled(tadpole_sampler(3, exact=True), count, seed=1,
                                 workers=2)
         assert calls == [(asm.SAMPLE_CHUNKS - 1, 2), (asm.SAMPLE_CHUNKS - 1, 1)]
+
+    @pytest.mark.parametrize("budget, count", [
+        (800, 799), (800, 800), (800, 801), (800, 5000), (800, 12000),
+        (50, 1000), (50, 3199), (50, 3200), (50, 3201), (50, 6000)])
+    def test_no_group_exceeds_the_pair_budget(self, budget, count, monkeypatch):
+        monkeypatch.setattr(asm, "SAMPLE_GROUP_PAIRS", budget)
+        tasks = []
+
+        def in_process(fn, chunk_args, workers):
+            tasks.extend(chunk_args)
+            return [fn(c) for c in chunk_args]
+
+        monkeypatch.setattr(asm, "_map_chunks", in_process)
+        measure_sub(sr_sampler(SrParams(0.5)), pair_count=count, seed=3)
+        sizes = asm._chunk_sizes(count, asm.SAMPLE_CHUNKS)
+        groups = [[c for c, _ in task[1]] for task in tasks]
+        # every chunk after chunk 0 once, in order
+        assert [c for g in groups for c in g] == sizes[1:]
+        if sizes[0] <= budget:
+            assert max(map(sum, groups)) <= budget
+            # as many chunks as the budget holds, but in the last group
+            assert {len(g) for g in groups[:-1]} <= {budget // sizes[0]}
+        else:
+            assert all(len(g) == 1 for g in groups)
 
 
 class _ZeroVectorSampler(SrSampler):
@@ -853,17 +990,18 @@ class TestSrBatchChunk:
 
     def _chunks(self, sampler, seed, count=40):
         seq = np.random.SeedSequence(seed)
-        batched, _ = asm._sampled_batch_chunk(
-            (sampler, count, seq, asm._sr_batch_defects, self.PER_PAIR))
+        vals, best, exact, _ = asm._sampled_group(
+            (sampler, [(count, seq)], asm._sr_batch_defects, self.PER_PAIR))
+        pair = best if isinstance(best, tuple) else best.pair(0)
         one_by_one = asm._sampled_chunk((sr_sampler(sampler.params), count, seq,
                                          self.PER_PAIR))
-        return batched, one_by_one
+        return (vals, pair, exact), one_by_one
 
     def _assert_same(self, got, want):
-        vals, best, idx, pair, exact = got
+        vals, pair, exact = got
         svals, sbest, sidx, spair, sexact = want
         assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
-        assert (best, idx, exact) == (sbest, sidx, sexact)
+        assert (float(vals.max()), int(vals.argmax()), exact) == (sbest, sidx, sexact)
         assert (pair_sub_defect(*pair).to_json_dict()
                 == pair_sub_defect(*spair).to_json_dict())
 

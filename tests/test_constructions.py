@@ -327,6 +327,75 @@ class TestTadpoleReplay:
             tadpole_sampler(4).batch(np.random.default_rng(0), 5)
 
 
+class TestMod1:
+    """``_mod1`` (x - floor(x)) equals numpy's float ``x % 1.0`` bit for bit;
+    the batched spectra and the float kernel rely on it."""
+
+    @staticmethod
+    def _assert_same(x):
+        with np.errstate(invalid="ignore"):
+            want = np.remainder(x, 1.0)
+            got = constructions._mod1(x)
+            out, floor = np.empty_like(x), np.empty_like(x)
+            into = constructions._mod1(x, out=out, floor=floor)
+            in_place = x.copy()
+            constructions._mod1(in_place, out=in_place)
+        nan = np.isnan(want)
+        for res in (got, into, in_place):
+            assert np.array_equal(np.isnan(res), nan)
+            assert np.array_equal(res[~nan].view(np.int64), want[~nan].view(np.int64))
+        assert into is out
+
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_double(self, xs):
+        # st.floats() draws nan, +-inf, +-0 and subnormals too
+        self._assert_same(np.array(xs, dtype=float))
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, words):
+        self._assert_same(np.array(words, dtype=np.uint64).view(np.float64))
+
+    def test_edge_values(self):
+        tiny = 5e-324
+        self._assert_same(np.array([
+            0.0, -0.0, tiny, -tiny, -1e-300, -2.0 ** -53, 1 - 2.0 ** -53,
+            -(1 - 2.0 ** -53), 1.0, -1.0, 2.0, -2.0, 2.0 ** 52 + 0.5, 2.0 ** 53,
+            1e308, -1e308, np.inf, -np.inf, np.nan]))
+
+
+class TestBatchStacking:
+    """``concat`` and ``take`` of the sampled batches."""
+
+    @staticmethod
+    def _check(parts, spectra):
+        stacked = type(parts[0]).concat(parts)
+        pairs = [x.pair(t) for x in parts for t in range(len(spectra(x)[0]))]
+        assert [stacked.pair(t) for t in range(len(pairs))] == pairs
+        for got, want in zip(spectra(stacked),
+                             (np.concatenate(z) for z in zip(*map(spectra, parts)))):
+            assert got.tobytes() == want.tobytes()
+        for t, pair in enumerate(pairs):
+            one = stacked.take(t)
+            assert one.pair(0) == pair
+            assert not any(np.shares_memory(getattr(one, f), getattr(stacked, f))
+                           for f in vars(one) if isinstance(getattr(one, f), np.ndarray))
+        assert type(parts[0]).concat(parts[:1]) is parts[0]
+
+    def test_tadpole(self):
+        sampler = tadpole_sampler(5)
+        self._check([sampler.batch(np.random.default_rng(s), c)
+                     for s, c in ((0, 3), (1, 1), (2, 4))],
+                    lambda x: x.spectra())
+
+    def test_sr(self):
+        sampler = sr_sampler(SrParams(0.5))
+        self._check([sampler.batch(np.random.default_rng(s), c)
+                     for s, c in ((0, 3), (1, 1), (2, 4))],
+                    lambda x: x.eigenvalues())
+
+
 def loop_sr_batch(params, rng, count):
     """``SrSampler(params).batch`` drawn one scalar call at a time, the way
     2*count ``sr_sample`` calls draw: the reference for the raw-word replay.
