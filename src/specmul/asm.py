@@ -574,13 +574,12 @@ def _map_chunks(fn, chunk_args: list, workers: int) -> list:
 
 def _sampled_chunk(args):
     """Draw ``count`` pairs one at a time and score each with
-    ``defect_of(a, b)``, a ``PairDefect``.  Returns (defects, first maximum,
-    its index, its pair, all exact)."""
+    ``defect_of(a, b)``, a ``PairDefect``.  Returns (defects, the first
+    maximum's pair (A, B), all exact)."""
     sampler, count, seed_seq, defect_of = args
     rng = np.random.default_rng(seed_seq)
     vals = np.empty(count, dtype=float)
     best = -1.0
-    best_idx = -1
     best_pair = None
     all_exact = True
     for t in range(count):
@@ -591,8 +590,8 @@ def _sampled_chunk(args):
             all_exact = False
         vals[t] = pd.defect
         if pd.defect > best:
-            best, best_idx, best_pair = pd.defect, t, (a, b)
-    return vals, best, best_idx, best_pair, all_exact
+            best, best_pair = pd.defect, (a, b)
+    return vals, best_pair, all_exact
 
 
 def _tadpole_batch_defects(drawn) -> np.ndarray:
@@ -603,46 +602,21 @@ def _sr_batch_defects(drawn) -> np.ndarray:
     return _chord_defects(*drawn.eigenvalues())
 
 
-def _sampled_group(args):
-    """Draw and score a group of consecutive chunks, each (count, seed
-    sequence) drawn from its own seed.
+def _scored(drawn, kernel):
+    """(defects of the batch ``drawn``, its first maximum's pair as a
+    one-row batch): no matrix is built for a pair that may not win the run."""
+    values = kernel(drawn)
+    return values, drawn.take(int(values.argmax()))
 
-    The chunks that the sampler's ``batch`` draws are stacked into one batch
-    and scored by one ``kernel`` call; a chunk without a batch (the sampler
-    has none, or ``batch`` declines with None) is drawn one pair at a time
-    by ``_sampled_chunk`` and scored with ``defect_of``.  Returns (defects,
-    the first maximum's pair, all exact, whether any chunk was batched).
-    The pair is a one-row batch when a batch drew it, (A, B) otherwise: no
-    matrix is built for a batched pair that may not win the run.
-    """
-    sampler, chunks, kernel, defect_of = args
-    batch = getattr(sampler, "batch", None)
-    values = np.empty(sum(count for count, _ in chunks), dtype=float)
-    drawn, batch_rows, scalar_pairs = [], [], {}
-    all_exact = True
-    lo = 0
-    for count, seed_seq in chunks:
-        got = None if batch is None else batch(np.random.default_rng(seed_seq), count)
-        if got is None:
-            vals, _, t, pair, exact = _sampled_chunk((sampler, count, seed_seq,
-                                                      defect_of))
-            values[lo:lo + count] = vals
-            scalar_pairs[lo + t] = pair
-            all_exact = all_exact and exact
-        else:
-            drawn.append(got)
-            batch_rows.append(np.arange(lo, lo + count))
-        lo += count
-    if drawn:
-        # a batch holds float draws only, so its defects are never exact
-        all_exact = False
-        stacked = type(drawn[0]).concat(drawn)
-        rows = np.concatenate(batch_rows)
-        values[rows] = kernel(stacked)
-    t = int(values.argmax())
-    best = (scalar_pairs[t] if t in scalar_pairs
-            else stacked.take(int(np.searchsorted(rows, t))))
-    return values, best, all_exact, bool(drawn)
+
+def _sampled_group(args):
+    """Draw a group of consecutive chunks, each (count, seed sequence)
+    drawn by the sampler's ``batch`` from its own seed, and score them
+    stacked with one ``kernel`` call, as ``_scored``."""
+    sampler, chunks, kernel = args
+    drawn = [sampler.batch(np.random.default_rng(seed_seq), count)
+             for count, seed_seq in chunks]
+    return _scored(type(drawn[0]).concat(drawn), kernel)
 
 
 def _chunk_sizes(total: int, parts: int) -> list[int]:
@@ -785,34 +759,42 @@ def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
     seed, so the pairs do not depend on ``workers``; ``kernel`` scores a
     batch, ``worst_of`` one pair (and builds the run's first maximum, the
     only pair whose matrices are built).  ``vmax`` tops the histogram (None:
-    the largest defect).  Chunk 0 runs in-process through
-    ``_sampled_group``.  If the batch scored it, the other chunks go in
-    groups of consecutive chunks of at most ``SAMPLE_GROUP_PAIRS`` pairs (or
-    one chunk, when a chunk alone is larger), to the pool from
-    ``PARALLEL_MIN_BATCHED_PAIRS`` pairs; if it went one pair at a time,
-    they go one chunk per task, to the pool from ``PARALLEL_MIN_PAIRS``.
+    the largest defect).  The sampler's ``batch`` is asked for chunk 0, in
+    process.  If it draws it, the other chunks go in groups of consecutive
+    chunks of at most ``SAMPLE_GROUP_PAIRS`` pairs (or one chunk, when a
+    chunk alone is larger), to the pool from ``PARALLEL_MIN_BATCHED_PAIRS``
+    pairs; if the sampler has no batch, every chunk is drawn one pair at a
+    time as its own task, to the pool from ``PARALLEL_MIN_PAIRS``.
     """
     if pair_count < 1:
         raise ValueError("need at least one pair")
     sizes = _chunk_sizes(pair_count, SAMPLE_CHUNKS)
     chunks = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
-    defect_of = partial(worst_of, with_matrices=False)
-    first = _sampled_group((sampler, chunks[:1], kernel, defect_of))
-    batched = first[3]
-    floor = PARALLEL_MIN_BATCHED_PAIRS if batched else PARALLEL_MIN_PAIRS
-    per = max(1, SAMPLE_GROUP_PAIRS // sizes[0]) if batched else 1
-    tasks = [(sampler, chunks[lo:lo + per], kernel, defect_of)
-             for lo in range(1, len(chunks), per)]
-    parts = [first] + _map_chunks(_sampled_group, tasks,
-                                  workers if pair_count >= floor else 1)
+    batch = getattr(sampler, "batch", None)
+    first = None if batch is None else batch(np.random.default_rng(chunks[0][1]),
+                                             sizes[0])
+    if first is None:
+        defect_of = partial(worst_of, with_matrices=False)
+        tasks = [(sampler, count, seed_seq, defect_of) for count, seed_seq in chunks]
+        parts = _map_chunks(_sampled_chunk, tasks,
+                            workers if pair_count >= PARALLEL_MIN_PAIRS else 1)
+        all_exact = all(p[2] for p in parts)
+    else:
+        per = max(1, SAMPLE_GROUP_PAIRS // sizes[0])
+        tasks = [(sampler, chunks[lo:lo + per], kernel)
+                 for lo in range(1, len(chunks), per)]
+        parts = [_scored(first, kernel)] + _map_chunks(
+            _sampled_group, tasks,
+            workers if pair_count >= PARALLEL_MIN_BATCHED_PAIRS else 1)
+        # a batch holds float draws only, so its defects are never exact
+        all_exact = False
     values = np.concatenate([p[0] for p in parts])
-    # the first maximum lies in the group whose end is the first one past it
+    # the first maximum lies in the part whose end is the first one past it
     best_idx = int(values.argmax())
     ends = np.cumsum([len(p[0]) for p in parts])
     best = parts[int(np.searchsorted(ends, best_idx, side="right"))][1]
-    a, b = best if isinstance(best, tuple) else best.pair(0)
+    a, b = best if first is None else best.pair(0)
     worst = worst_of(a, b, pair=("sampled", best_idx))
-    all_exact = all(p[2] for p in parts)
     rows = [(int(t), -1, float(v)) for t, v in enumerate(values)] if collect_pairs else None
     return AsmReport(
         kind=worst.kind,

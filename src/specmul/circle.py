@@ -193,26 +193,13 @@ def nearest_root_of_unity(z: UnitPoint, q: int) -> RationalAngle:
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
-    if z.is_exact:
-        f = z.angle.as_fraction() * q
-        j0 = math.floor(f)
-        best_j = None
-        best_d: Fraction | None = None
-        for j in (j0, j0 + 1):
-            jm = j % q
-            d = z.angle.distance(RationalAngle(jm, q))
-            if best_d is None or d < best_d or (d == best_d and jm < best_j):
-                best_j, best_d = jm, d
-        return RationalAngle(best_j, q)
-    x = z.turns * q
-    j0 = math.floor(x)
+    j0 = math.floor(z.angle.as_fraction() * q if z.is_exact else z.turns * q)
     best_j = None
     best_d = None
-    for j in (j0, j0 + 1):
-        jm = int(j) % q
-        d = _float_circle_distance(z.turns, jm / q)
-        if best_d is None or d < best_d or (d == best_d and jm < best_j):
-            best_j, best_d = jm, d
+    for j in (j0 % q, (j0 + 1) % q):
+        d = arg_distance(z, UnitPoint.exact(j, q))
+        if best_d is None or d < best_d or (d == best_d and j < best_j):
+            best_j, best_d = j, d
     return RationalAngle(best_j, q)
 
 

@@ -53,7 +53,6 @@ from .circle import (
 )
 from .constructions import (
     QSetParams,
-    SrBatch,
     SrParams,
     TadpoleParams,
     _cmul,
@@ -114,7 +113,11 @@ def _default_workers() -> int:
 
 def _fraction_or_float(s: str):
     if "/" in s:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            # argparse reports a ValueError as a usage error
+            raise ValueError(f"zero denominator in {s!r}") from None
     return float(s)
 
 
@@ -307,9 +310,7 @@ def _verify_lemma_spectrum(args) -> tuple[bool, dict]:
         d = random_det1_diagonal(p, rng, exact=(t % 2 == 0))
         for k in range(p):
             closed = spectrum_dck(d, k, p)
-            m = np.zeros((p, p), dtype=complex)
-            for i in range(p):
-                m[i, (i + k) % p] = d[i].to_complex()
+            m = MonomialCycle(d, k).to_dense()
             eig = np.angle(general_spectrum(m)) / (2.0 * math.pi) % 1.0
             mism = match_spectra(closed.angles(), eig)
             worst = max(worst, mism)
@@ -460,11 +461,7 @@ def _verify_sr_bound(args) -> tuple[bool, dict]:
     bad = None
     for lo in range(0, args.samples, VERIFY_BLOCK):
         count = min(VERIFY_BLOCK, args.samples - lo)
-        state = rng.bit_generator.state
         drawn = sampler.batch(rng, count)
-        if drawn is None:  # a declined batch: redraw the block one element at a time
-            rng.bit_generator.state = state
-            drawn = SrBatch.of([sampler(rng) for _ in range(2 * count)])
         alpha, beta, gamma = drawn.eigenvalues()
         chord = _chord_defects(alpha, beta, gamma)
         quot = gamma / _cmul(alpha, beta)
@@ -552,7 +549,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _angle_row(p: dict) -> tuple[float, int]:
     try:
         z = _eig_from_json(p)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"malformed eigenvalue {p!r}: {exc}") from exc
     if isinstance(z, complex):
         return UnitPoint.from_complex(z).turns, 0

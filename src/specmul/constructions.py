@@ -269,14 +269,13 @@ def random_det1_diagonal(
     p: int,
     rng: np.random.Generator,
     exact: bool = False,
-    dens: Sequence[int] = (),
 ) -> tuple[UnitPoint, ...]:
     """p uniform unit angles with the last one correcting the product to 1.
 
-    With ``exact`` the angles are random rationals drawn from the given
-    denominators (default p^2 and 2p^2), so determinants cancel exactly."""
+    With ``exact`` the angles are random rationals over p^2 or 2p^2, so
+    determinants cancel exactly."""
     if exact:
-        choices = tuple(dens) or (p * p, 2 * p * p)
+        choices = (p * p, 2 * p * p)
         total = Fraction(0)
         pts = []
         for _ in range(p - 1):
@@ -297,11 +296,10 @@ def sample_tadpole(
     p: int,
     rng: np.random.Generator,
     exact: bool = False,
-    dens: Sequence[int] = (),
 ) -> TadpoleParams:
     """Random tadpole: uniform head angles (det corrected on the last entry),
     uniform k and tail exponents."""
-    pts = random_det1_diagonal(p, rng, exact=exact, dens=dens)
+    pts = random_det1_diagonal(p, rng, exact=exact)
     k = int(rng.integers(0, p))
     a = tuple(int(x) for x in rng.integers(0, p, size=p - 1))
     return TadpoleParams(p, pts, k, a)
@@ -398,19 +396,19 @@ class TadpoleSampler:
 
     p: int
     exact: bool = False
-    dens: tuple = ()
 
     def __call__(self, rng: np.random.Generator) -> UMatrix:
-        return tadpole(sample_tadpole(self.p, rng, exact=self.exact,
-                                      dens=self.dens))
+        return tadpole(sample_tadpole(self.p, rng, exact=self.exact))
 
     def batch(self, rng: np.random.Generator, count: int) -> Optional[TadpoleBatch]:
         """The next ``count`` pairs, drawn from ``rng`` as 2*count calls
         would draw them and leaving it where they would; None in exact mode,
-        whose rational angles stay on the one-pair-at-a-time path, and for a
-        bit generator other than PCG64, whose stream is not replayed."""
-        if self.exact or type(rng.bit_generator) is not np.random.PCG64:
+        which has no batch: its rational angles are drawn one pair at a
+        time.  Raises ``TypeError`` for a bit generator other than PCG64,
+        whose stream is not replayed."""
+        if self.exact:
             return None
+        _require_pcg64(rng)
         p = self.p
         if not is_prime(p):
             raise InvalidParamsError("p must be prime")
@@ -426,6 +424,12 @@ class TadpoleSampler:
 # random() is (word >> 11) * 2**-53, one PCG64 word per double
 _WORD_TO_UNIT = 2.0 ** -53
 _LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _require_pcg64(rng: np.random.Generator) -> None:
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise TypeError(f"batched draws replay PCG64 only, not "
+                        f"{type(rng.bit_generator).__name__}")
 
 
 def _replay_words(bitgen: np.random.PCG64, p: int, n: int):
@@ -487,9 +491,8 @@ def _tadpole_draws(rng: np.random.Generator, p: int, n: int):
         n -= bad + 1
 
 
-def tadpole_sampler(p: int, exact: bool = False,
-                    dens: Sequence[int] = ()) -> TadpoleSampler:
-    return TadpoleSampler(p, exact, tuple(dens))
+def tadpole_sampler(p: int, exact: bool = False) -> TadpoleSampler:
+    return TadpoleSampler(p, exact)
 
 
 def adversarial_case4_pair(
@@ -854,15 +857,20 @@ class SrSampler:
     def __call__(self, rng: np.random.Generator) -> SrElement:
         return sr_sample(self.params, rng)
 
-    def batch(self, rng: np.random.Generator, count: int) -> Optional[SrBatch]:
+    def batch(self, rng: np.random.Generator, count: int) -> SrBatch:
         """The next ``count`` pairs, drawn from ``rng`` as 2*count
-        ``sr_sample`` calls would draw them and leaving it where they would;
-        None for a bit generator other than PCG64, whose stream is not
-        replayed, and when ``assemble`` declines."""
-        if type(rng.bit_generator) is not np.random.PCG64:
-            return None
-        return self.assemble(*_sr_draws(rng.bit_generator, self.params.n - 1,
-                                        2 * count))
+        ``sr_sample`` calls would draw them and leaving it where they would.
+        When ``assemble`` declines, the chunk is redrawn by those calls.
+        Raises ``TypeError`` for a bit generator other than PCG64, whose
+        stream is not replayed."""
+        _require_pcg64(rng)
+        state = rng.bit_generator.state
+        drawn = self.assemble(*_sr_draws(rng.bit_generator, self.params.n - 1,
+                                         2 * count))
+        if drawn is None:
+            rng.bit_generator.state = state
+            drawn = SrBatch.of([sr_sample(self.params, rng) for _ in range(2 * count)])
+        return drawn
 
     def assemble(self, turns: np.ndarray, gauss: np.ndarray,
                  radii: np.ndarray) -> Optional[SrBatch]:

@@ -365,13 +365,17 @@ def close(
 ) -> GroupClosure:
     """BFS closure of the generators under right multiplication.
 
-    Stops cleanly with ``complete=False`` when the element budget runs out;
-    that is not an error.  Raises on mixed dimensions, non-unitary dense
+    Stops cleanly with ``complete=False`` when the budget of
+    ``max_elements`` (at least 1) runs out; that is not an error, and a
+    generator the BFS has not reached then has index -1 in
+    ``gen_indices``.  Raises on mixed dimensions, non-unitary dense
     generators or blocks, and structured generators with approximate
     angles.  Exact monomial and block-monomial generators close on
     ``_MonomialCode`` rows and stay exact; every other generator set is
     flattened to ``Dense`` and closes on ``_DenseCode`` rows.
     """
+    if max_elements < 1:
+        raise ValueError("the element budget must be at least 1")
     code, gens = _prepare(generators, key_tol)
     return _close_encoded(code, gens, max_elements, key_tol)
 
@@ -456,7 +460,7 @@ def _close_encoded(code: _MonomialCode | _DenseCode, gens: list[UMatrix],
         parents=parents,
         gen_table=gen_table,
         key_index=key_index,
-        gen_indices=[key_index[k] for k in code.keys(gen_rows)],
+        gen_indices=[key_index.get(k, -1) for k in code.keys(gen_rows)],
         key_tol=key_tol,
     )
 

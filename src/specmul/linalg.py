@@ -544,7 +544,7 @@ def matrix_from_json(d: dict) -> UMatrix:
         else:
             a = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
             m = Dense(a, unitary=d.get("unitary"))
-    except (TypeError, ValueError, KeyError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedJsonError(f"malformed {variant} matrix: {exc}") from exc
     if "dim" in d and d["dim"] != m.dim:
         raise MalformedJsonError(

@@ -27,6 +27,7 @@ from specmul.asm import (
 from specmul.circle import ONE, UnitPoint, arg_distance
 from specmul.cli import _q8_generators
 from specmul.constructions import (
+    SrBatch,
     SrElement,
     is_prime,
     SrParams,
@@ -464,16 +465,12 @@ class TestBatchedKernel:
     def test_tadpole_chunk_matches_scalar_loop(self, p, seed):
         sampler = tadpole_sampler(p)
         seq = np.random.SeedSequence(seed)
-        extra = (asm._tadpole_batch_defects,
-                 partial(pair_defect, with_matrices=False))
-        vals, best, exact, batched = asm._sampled_group(
-            (sampler, [(40, seq)], *extra))
-        # a bound __call__ has no ``batch``, so this takes the scalar loop
-        svals, spair, sexact, sbatched = asm._sampled_group(
-            (sampler.__call__, [(40, seq)], *extra))
-        assert batched and not sbatched
+        vals, best = asm._sampled_group(
+            (sampler, [(40, seq)], asm._tadpole_batch_defects))
+        svals, spair, sexact = asm._sampled_chunk(
+            (sampler, 40, seq, partial(pair_defect, with_matrices=False)))
         assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
-        assert exact == sexact
+        assert not sexact
         pair = best.pair(0)
         assert pair == spair
         assert [m.to_json_dict() for m in pair] == [m.to_json_dict() for m in spair]
@@ -815,13 +812,10 @@ def _sampled_batch_chunk(args):
     """One chunk drawn and scored on its own, with its first maximum built
     as matrices: the task of a sampled run before chunks were stacked in
     groups, kept as the reference for ``asm._sampled_group``."""
-    sampler, count, seed_seq, kernel, defect_of = args
+    sampler, count, seed_seq, kernel = args
     drawn = sampler.batch(np.random.default_rng(seed_seq), count)
-    if drawn is None:
-        return asm._sampled_chunk((sampler, count, seed_seq, defect_of))
     vals = kernel(drawn)
-    t = int(vals.argmax())
-    return vals, float(vals[t]), t, drawn.pair(t), False
+    return vals, drawn.pair(int(vals.argmax()))
 
 
 def _per_chunk_report(family, count, seed, collect_pairs):
@@ -837,12 +831,11 @@ def _per_chunk_report(family, count, seed, collect_pairs):
         worst_of = pair_defect
     sizes = asm._chunk_sizes(count, asm.SAMPLE_CHUNKS)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    defect_of = partial(worst_of, with_matrices=False)
-    parts = [_sampled_batch_chunk((sampler, c, s, kernel, defect_of))
+    parts = [_sampled_batch_chunk((sampler, c, s, kernel))
              for c, s in zip(sizes, seeds)]
     values = np.concatenate([p[0] for p in parts])
     best_idx = int(values.argmax())
-    a, b = parts[int(np.searchsorted(np.cumsum(sizes), best_idx, side="right"))][3]
+    a, b = parts[int(np.searchsorted(np.cumsum(sizes), best_idx, side="right"))][1]
     worst = worst_of(a, b, pair=("sampled", best_idx))
     rows = ([(int(t), -1, float(v)) for t, v in enumerate(values)]
             if collect_pairs else None)
@@ -912,9 +905,9 @@ class TestGroupedScoring:
 
 
 class TestPoolFloor:
-    """Chunk 0 runs in-process; whether its batch scored it picks the pair
-    count from which the other tasks go to the pool, and whether a task is
-    a group of chunks or one chunk."""
+    """Whether the sampler's batch draws chunk 0 picks the pair count from
+    which the tasks go to the pool, and whether a task is a group of chunks
+    or one chunk."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -946,7 +939,8 @@ class TestPoolFloor:
         for count in (200, 199):
             measure_asm_sampled(tadpole_sampler(3, exact=True), count, seed=1,
                                 workers=2)
-        assert calls == [(asm.SAMPLE_CHUNKS - 1, 2), (asm.SAMPLE_CHUNKS - 1, 1)]
+        # chunk 0 asks the sampler's batch, then every chunk is a task
+        assert calls == [(asm.SAMPLE_CHUNKS, 2), (asm.SAMPLE_CHUNKS, 1)]
 
     @pytest.mark.parametrize("budget, count", [
         (800, 799), (800, 800), (800, 801), (800, 5000), (800, 12000),
@@ -975,7 +969,7 @@ class TestPoolFloor:
 
 class _ZeroVectorSampler(SrSampler):
     """An ``SrSampler`` whose batch assembles element 1's x from zeros, so
-    it declines."""
+    ``assemble`` declines."""
 
     def assemble(self, turns, gauss, radii):
         gauss = gauss.copy()
@@ -990,18 +984,17 @@ class TestSrBatchChunk:
 
     def _chunks(self, sampler, seed, count=40):
         seq = np.random.SeedSequence(seed)
-        vals, best, exact, _ = asm._sampled_group(
-            (sampler, [(count, seq)], asm._sr_batch_defects, self.PER_PAIR))
-        pair = best if isinstance(best, tuple) else best.pair(0)
+        vals, best = asm._sampled_group(
+            (sampler, [(count, seq)], asm._sr_batch_defects))
         one_by_one = asm._sampled_chunk((sr_sampler(sampler.params), count, seq,
                                          self.PER_PAIR))
-        return (vals, pair, exact), one_by_one
+        return (vals, best.pair(0)), one_by_one
 
     def _assert_same(self, got, want):
-        vals, pair, exact = got
-        svals, sbest, sidx, spair, sexact = want
+        vals, pair = got
+        svals, spair, sexact = want
         assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
-        assert (float(vals.max()), int(vals.argmax()), exact) == (sbest, sidx, sexact)
+        assert not sexact
         assert (pair_sub_defect(*pair).to_json_dict()
                 == pair_sub_defect(*spair).to_json_dict())
 
@@ -1021,9 +1014,23 @@ class TestSrBatchChunk:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_declined_batch_takes_the_one_pair_path(self, seed):
-        sampler = _ZeroVectorSampler(SrParams(0.5))
-        assert sampler.batch(np.random.default_rng(seed), 40) is None
-        self._assert_same(*self._chunks(sampler, seed))
+        """A declined assembly is redrawn inside ``batch`` by 2*count
+        ``sr_sample`` calls, which leave the generator where they do."""
+        params = SrParams(0.5)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = _ZeroVectorSampler(params).batch(rng, 40)
+        want = SrBatch.of([sr_sample(params, ref) for _ in range(80)])
+        for got, exp in zip((drawn.lam, drawn.row, drawn.col),
+                            (want.lam, want.row, want.col)):
+            assert np.array_equal(got.view(np.float64), exp.view(np.float64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        self._assert_same(*self._chunks(_ZeroVectorSampler(params), seed))
+        # a run whose every chunk declines reports what the one-pair path does
+        one_pair = partial(sr_sample, params)
+        assert (measure_sub(_ZeroVectorSampler(params), pair_count=130, seed=seed,
+                            collect_pairs=True).to_json_dict()
+                == measure_sub(one_pair, pair_count=130, seed=seed,
+                               collect_pairs=True).to_json_dict())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sampler_without_batch(self, monkeypatch, workers):

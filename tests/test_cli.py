@@ -72,6 +72,22 @@ class TestExitCodes:
                            "--deterministic")
         assert code == 1 and "--pairs" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--builtin", "q8", "--assert-le", "1/0"),
+        ("qset", "--p", "5", "--eps", "1/0"),
+    ], ids=["assert-le", "eps"])
+    def test_zero_denominator_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--deterministic")
+        assert code == 1 and not out
+        assert "invalid" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("budget", ["1", "2"])
+    def test_closure_cut_before_its_generators_exits_1(self, capsys, budget):
+        code, out, err = run(capsys, "measure", "--builtin", "q8",
+                             "--max-elements", budget, "--deterministic")
+        assert code == 1 and not out
+        assert err.startswith("error: closure is incomplete")
+
     def test_config_error_from_library(self, capsys):
         code, _, err = run(capsys, "qset", "--p", "5", "--eps", "1/2",
                            "--deterministic")
@@ -85,10 +101,18 @@ class TestExitCodes:
                          "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
         {"generators": [{"variant": "diagonal", "dim": 3,
                          "entries": [{"num": 1, "den": 2}]}]},
+        # JSON text: an infinite integer field
+        pytest.param('{"generators": [{"variant": "diagonal",'
+                     ' "entries": [{"num": Infinity, "den": 2}]}]}', id="num-inf"),
+        pytest.param('{"generators": [{"variant": "diagonal",'
+                     ' "entries": [{"num": 1, "den": -Infinity}]}]}', id="den-inf"),
+        pytest.param('{"generators": [{"variant": "monomial_cycle",'
+                     ' "d": [{"num": 0, "den": 1}], "k": Infinity}]}', id="k-inf"),
     ])
     def test_malformed_spec_is_a_config_error(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec), encoding="utf-8")
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec),
+                        encoding="utf-8")
         code, out, err = run(capsys, "measure", "--spec", str(path),
                              "--deterministic")
         assert code == 1 and not out
@@ -350,9 +374,10 @@ class TestVerifySrBound:
         assert whole[1]["dense_cross_checks"] == 500
 
     def test_declined_batch_redraws_one_element_at_a_time(self, monkeypatch):
+        # ``SrSampler.batch`` redraws a block whose assembly declines
         want = cli._verify_sr_bound(self.ARGS)
         monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
-        monkeypatch.setattr(SrSampler, "batch", lambda self, rng, count: None)
+        monkeypatch.setattr(SrSampler, "assemble", lambda self, *draws: None)
         assert cli._verify_sr_bound(self.ARGS) == want
 
     def test_first_violation_is_reported(self, monkeypatch):
@@ -410,7 +435,10 @@ class TestPlotdata:
         '{"angle": 0.25, "err": Infinity}',
         '{"re": NaN, "im": 0.0}',
         '{"re": 1.0, "im": -1e400}',
-    ], ids=["angle-nan", "angle-overflow", "err-inf", "re-nan", "im-overflow"])
+        '{"num": Infinity, "den": 4}',
+        '{"num": 1, "den": -Infinity}',
+    ], ids=["angle-nan", "angle-overflow", "err-inf", "re-nan", "im-overflow",
+            "num-inf", "den-inf"])
     @pytest.mark.parametrize("where", ["spectrum", "witness"])
     def test_non_finite_point_exits_1(self, capsys, tmp_path, point, where):
         worst = ('{"spectra": {"a": [%s]}}' if where == "spectrum"

@@ -319,8 +319,10 @@ class TestTadpoleReplay:
 
     def test_other_bit_generators_decline(self):
         rng = np.random.Generator(np.random.Philox(0))
-        assert tadpole_sampler(3).batch(rng, 5) is None
+        with pytest.raises(TypeError, match="Philox"):
+            tadpole_sampler(3).batch(rng, 5)
         assert rng.random() == np.random.Generator(np.random.Philox(0)).random()
+        assert tadpole_sampler(3, exact=True).batch(rng, 5) is None
 
     def test_batch_refuses_a_composite_p(self):
         with pytest.raises(InvalidParamsError):
@@ -554,7 +556,8 @@ class TestSrReplay:
 
     def test_other_bit_generators_decline(self):
         rng = np.random.Generator(np.random.Philox(0))
-        assert sr_sampler(SrParams(0.5)).batch(rng, 5) is None
+        with pytest.raises(TypeError, match="Philox"):
+            sr_sampler(SrParams(0.5)).batch(rng, 5)
         assert rng.random() == np.random.Generator(np.random.Philox(0)).random()
 
 

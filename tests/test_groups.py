@@ -88,6 +88,11 @@ class TestClose:
         with pytest.raises(IncompleteClosureError):
             c.cayley_table()
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_refused(self, budget):
+        with pytest.raises(ValueError, match="at least 1"):
+            close(_q8_generators(), max_elements=budget)
+
     def test_refuses_approx_structured(self):
         g = Diagonal((UnitPoint.approx(0.123), ONE))
         with pytest.raises(ClosureRefusedError):
@@ -367,7 +372,7 @@ def _object_bfs(gens, budget=DEFAULT_BUDGET):
     return _ObjectClosure(
         elements=elements, generators=list(gens), complete=complete,
         parents=parents, gen_table=gen_table, key_index=key_index,
-        gen_indices=[key_index[g.canonical_key(KEY_TOL)] for g in gens])
+        gen_indices=[key_index.get(g.canonical_key(KEY_TOL), -1) for g in gens])
 
 
 def _object_closure(gens, budget=DEFAULT_BUDGET):
@@ -495,9 +500,11 @@ class TestArrayPath:
     @pytest.mark.parametrize("name", ["dense", "q8"])
     def test_dense_budget_cut(self, name):
         gens = DENSE_GROUPS[name]()
-        a = close(gens, max_elements=5)
-        assert not a.complete and a.order == 5
-        self._assert_same(a, _object_closure(gens, 5))
+        # budgets 1 and 2 stop before every generator has an index
+        for budget in (1, 2, 5):
+            a = close(gens, max_elements=budget)
+            assert not a.complete and a.order == budget
+            self._assert_same(a, _object_closure(gens, budget))
 
     def test_dense_budget_cut_inside_a_layer(self):
         gens = _haar_conjugated(ARRAY_GROUPS["mm5_11"](), 3)
@@ -534,9 +541,12 @@ class TestArrayPath:
         assert close(ARRAY_GROUPS["tadpole3"]()).order == 3 ** 7
 
     def test_budget_cut(self):
-        a = close(_q8_generators(), max_elements=5)
-        assert not a.complete and a.order == 5
-        self._assert_same(a, _object_closure(_q8_generators(), 5))
+        # budgets 1 and 2 stop before every generator has an index
+        for budget in (1, 2, 5):
+            a = close(_q8_generators(), max_elements=budget)
+            assert not a.complete and a.order == budget
+            self._assert_same(a, _object_closure(_q8_generators(), budget))
+        assert close(_q8_generators(), max_elements=1).gen_indices == [-1, -1]
 
     def test_budget_cut_inside_a_layer(self):
         gens = ARRAY_GROUPS["mm5_11"]()

@@ -1,11 +1,15 @@
-"""Every import in the package's modules is used or exported.
+"""Every import in the package's modules is used or exported, and every
+private definition is read.
 
 A name a module imports must appear in its code (a string annotation
-counts) or in its ``__all__``; otherwise the import is dead.  The modules
-are read as syntax trees, so nothing is imported or executed.
+counts) or in its ``__all__``; otherwise the import is dead.  A private
+function, class or method must be read somewhere in the package outside
+its own definition; a helper kept only for tests belongs in ``tests/``.
+The modules are read as syntax trees, so nothing is imported or executed.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,14 +44,19 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _used(tree: ast.Module) -> set:
-    """Names the code reads, with those inside string annotations."""
+def _with_string_annotations(tree: ast.AST) -> list:
+    """``tree`` and the parsed string annotations inside it."""
     trees = [tree]
     for ann in _annotations(tree):
         for node in ast.walk(ann):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 trees.append(ast.parse(node.value, mode="eval"))
-    return {node.id for t in trees for node in ast.walk(t)
+    return trees
+
+
+def _used(tree: ast.Module) -> set:
+    """Names the code reads, with those inside string annotations."""
+    return {node.id for t in _with_string_annotations(tree) for node in ast.walk(t)
             if isinstance(node, ast.Name)}
 
 
@@ -72,3 +81,35 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in _used(tree) | _exported(tree)}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read: as a name, an attribute or an import."""
+    refs = Counter()
+    for t in _with_string_annotations(tree):
+        for node in ast.walk(t):
+            if isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                refs[node.name] += 1
+    return refs
+
+
+def _private_defs(tree: ast.Module) -> list:
+    return [node for node in ast.walk(tree) if isinstance(node, _DEFS)
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def test_no_dead_private_code():
+    trees = {m.name: ast.parse(m.read_text(encoding="utf-8")) for m in MODULES}
+    refs = sum((_references(t) for t in trees.values()), Counter())
+    dead = [f"{name}:{node.lineno} {node.name}"
+            for name, tree in trees.items() for node in _private_defs(tree)
+            # reads inside its own body (recursion) do not keep it alive
+            if refs[node.name] <= _references(node)[node.name]]
+    assert not dead, f"private definitions never read: {dead}"
