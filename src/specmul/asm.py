@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -36,8 +35,10 @@ from .circle import UnitPoint, _frac_str, _point_from_json, _point_to_json
 from .constructions import SrBatch, SrElement, _cmul, _mod1, sr_pair_gamma
 from .errors import (
     IncompleteClosureError,
-    MalformedJsonError,
     ZeroSpectralRadiusError,
+    _loading,
+    _typed,
+    _typed_items,
 )
 from .groups import GroupClosure
 from .linalg import (
@@ -258,10 +259,7 @@ def _defect_float(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray):
 def _spectrum_defect(sa: Spectrum, sb: Spectrum, sab: Spectrum):
     """Dispatch to the exact or float core; returns defect + witness points."""
     if sa.exact and sb.exact and sab.exact:
-        scale = 1
-        for s in (sa, sb, sab):
-            scale = scale * s.common_denominator() // math.gcd(
-                scale, s.common_denominator())
+        scale = math.lcm(*(s.common_denominator() for s in (sa, sb, sab)))
         d, g, x, y = _defect_exact(
             sa.int_angles(scale), sb.int_angles(scale), sab.int_angles(scale), scale)
         fr = Fraction(d, scale)
@@ -276,30 +274,6 @@ def _spectrum_defect(sa: Spectrum, sb: Spectrum, sab: Spectrum):
 # ---------------------------------------------------------------------------
 # result containers
 
-@contextmanager
-def _loading(what: str):
-    """Turn the errors of reading a malformed JSON ``what`` into
-    ``MalformedJsonError``."""
-    try:
-        yield
-    except MalformedJsonError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
-            ZeroDivisionError) as exc:
-        raise MalformedJsonError(f"malformed {what}: {exc!r}") from exc
-
-
-def _typed(d: dict, key: str, kind, nullable: bool = False):
-    """``d[key]`` if it is a ``kind`` (a bool only where ``kind`` is bool),
-    or None if ``nullable``."""
-    value = d[key]
-    if value is None and nullable:
-        return None
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
-        raise TypeError(f"{key} must be {kind}, not {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Histogram:
     edges: tuple[float, ...]
@@ -311,8 +285,8 @@ class Histogram:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Histogram":
         with _loading("histogram"):
-            return cls(tuple(float(x) for x in d["edges"]),
-                       tuple(int(x) for x in d["counts"]))
+            return cls(tuple(map(float, _typed_items(d, "edges", (int, float)))),
+                       _typed_items(d, "counts", int))
 
 
 def _make_histogram(values: np.ndarray, bins: int, vmax: Optional[float],
@@ -636,10 +610,7 @@ def _exact_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     representatives' and ``class_of`` gives each element's class.  Returns
     (numerators shaped like ``rows``, their denominator, full grid or None).
     """
-    scale = 1
-    for s in spectra:
-        c = s.common_denominator()
-        scale = scale * c // math.gcd(scale, c)
+    scale = math.lcm(*(s.common_denominator() for s in spectra))
     # distinct spectra as integer angles, numbered in first-seen order
     rep_ids: dict = {}
     class_sid = np.array([rep_ids.setdefault(s.int_angles(scale), len(rep_ids))

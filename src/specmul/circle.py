@@ -23,6 +23,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
+from .errors import _typed
+
 __all__ = [
     "DEFAULT_ANGLE_TOL",
     "RationalAngle",
@@ -194,13 +196,8 @@ def nearest_root_of_unity(z: UnitPoint, q: int) -> RationalAngle:
     if q < 1:
         raise ValueError("q must be a positive integer")
     j0 = math.floor(z.angle.as_fraction() * q if z.is_exact else z.turns * q)
-    best_j = None
-    best_d = None
-    for j in (j0 % q, (j0 + 1) % q):
-        d = arg_distance(z, UnitPoint.exact(j, q))
-        if best_d is None or d < best_d or (d == best_d and j < best_j):
-            best_j, best_d = j, d
-    return RationalAngle(best_j, q)
+    return RationalAngle(min((j0 % q, (j0 + 1) % q), key=lambda j: (
+        arg_distance(z, UnitPoint.exact(j, q)), j)), q)
 
 
 def points_equal(z: UnitPoint, w: UnitPoint, tol: float = DEFAULT_ANGLE_TOL) -> bool:
@@ -222,7 +219,7 @@ def _point_from_json(d: dict) -> UnitPoint:
     """Inverse of ``_point_to_json``; also reads angles written as strings.
     A non-finite angle or error bound is a ``ValueError``."""
     if "num" in d:
-        return UnitPoint.exact(int(d["num"]), int(d["den"]))
+        return UnitPoint.exact(_typed(d, "num", int), _typed(d, "den", int))
     angle, err = float(d["angle"]), float(d.get("err", 0.0))
     if not (math.isfinite(angle) and math.isfinite(err)):
         raise ValueError(f"non-finite angle or err in {d!r}")

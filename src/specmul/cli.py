@@ -72,7 +72,7 @@ from .constructions import (
     tadpole_mul,
     tadpole_sampler,
 )
-from .errors import MalformedJsonError, SpecmulError
+from .errors import MalformedJsonError, SpecmulError, _loading, _typed
 from .groups import DEFAULT_BUDGET, close
 from .linalg import (
     Diagonal,
@@ -112,13 +112,22 @@ def _default_workers() -> int:
 
 
 def _fraction_or_float(s: str):
-    if "/" in s:
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            # argparse reports a ValueError as a usage error
-            raise ValueError(f"zero denominator in {s!r}") from None
-    return float(s)
+    """A level written as a fraction ``num/den``, kept exact, or a decimal."""
+    num, slash, den = s.partition("/")
+    try:
+        if slash and int(den) == 0:
+            raise argparse.ArgumentTypeError(f"zero denominator in {s!r}")
+        return Fraction(s) if slash else float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction num/den or a decimal, not {s!r}") from None
+
+
+def _count(s: str) -> int:
+    """A number of trials, pairs or samples, written in decimal digits."""
+    if not s.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, not {s!r}")
+    return int(s)
 
 
 def _sig12(x: float) -> str:
@@ -223,14 +232,9 @@ def cmd_measure(args: argparse.Namespace) -> int:
                              workers=workers, bins=bins, collect_pairs=collect)
     else:  # a finite group: close it and scan every pair
         if args.spec:
-            with open(args.spec, encoding="utf-8") as fh:
-                data = json.load(fh)
-            gens = data.get("generators") if isinstance(data, dict) else None
-            if not isinstance(gens, list) or not gens:
-                raise SpecmulError(
-                    f"{args.spec}: expected a JSON object with a non-empty "
-                    f"\"generators\" list")
-            gens = [matrix_from_json(g) for g in gens]
+            with open(args.spec, encoding="utf-8") as fh, _loading(args.spec):
+                gens = [matrix_from_json(g)
+                        for g in _typed(json.load(fh), "generators", list)]
             if args.pairs:
                 raise SpecmulError("--pairs applies to sampled builtins only")
         elif args.builtin == "q8":
@@ -377,13 +381,8 @@ def _verify_tadpole_closure(args) -> tuple[bool, dict]:
     if not closure.complete:
         raise SpecmulError("closure hit the element budget; raise --max-elements")
     oracle = _param_closure_count(pgens, args.max_elements)
-    inv_ok = True
-    for i in range(closure.order):
-        try:
-            closure.inverse_index(i)
-        except SpecmulError:
-            inv_ok = False
-            break
+    inv = closure.inverses()
+    inv_ok = bool(np.array_equal(inv[inv], np.arange(closure.order)))
     ok = closure.complete and closure.order == oracle and inv_ok
     return ok, {
         "p": p,
@@ -522,6 +521,11 @@ def _verify_conversions(args) -> tuple[bool, dict]:
     }
 
 
+# The count each sampling check draws; at 0 it would check nothing.
+# ``conversions`` still checks its exact grid at ``--trials 0``.
+_VERIFY_COUNTS = {"lemma-spectrum": "trials", "tadpole-bound": "pairs",
+                  "sr-bound": "samples"}
+
 _VERIFY_TABLE = {
     "lemma-spectrum": _verify_lemma_spectrum,
     "tadpole-closure": _verify_tadpole_closure,
@@ -533,6 +537,9 @@ _VERIFY_TABLE = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    count = _VERIFY_COUNTS.get(args.check)
+    if count and not getattr(args, count):
+        raise SpecmulError(f"--{count} 0 leaves {args.check} nothing to check")
     ok, evidence = _VERIFY_TABLE[args.check](args)
     payload = {"check": args.check, "pass": ok, "evidence": evidence}
     human = [f"{args.check}: {'pass' if ok else 'FAIL'}"]
@@ -547,10 +554,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # plotdata
 
 def _angle_row(p: dict) -> tuple[float, int]:
-    try:
+    with _loading(f"eigenvalue {p!r}"):
         z = _eig_from_json(p)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise MalformedJsonError(f"malformed eigenvalue {p!r}: {exc}") from exc
     if isinstance(z, complex):
         return UnitPoint.from_complex(z).turns, 0
     return z.turns, int(z.is_exact)
@@ -558,41 +563,37 @@ def _angle_row(p: dict) -> tuple[float, int]:
 
 def _report_part(parent: dict, key: str, kind: type, default):
     """``parent[key]`` if it is a ``kind``, ``default`` if absent or null."""
-    value = parent.get(key)
-    if value is not None and not isinstance(value, kind):
-        raise MalformedJsonError(f"malformed report field {key!r}: {value!r}")
-    return default if value is None else value
+    return default if parent.get(key) is None else _typed(parent, key, kind)
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
-    with open(args.report, encoding="utf-8") as fh:
+    with open(args.report, encoding="utf-8") as fh, _loading(args.report):
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise MalformedJsonError(f"{args.report}: expected a JSON object")
-    if isinstance(data.get("report"), dict):
-        data = data["report"]
-    lines = ["set_name,angle,exact"]
-    worst = _report_part(data, "worst", dict, {})
-    if worst:
+        if not isinstance(data, dict):
+            raise MalformedJsonError(f"{args.report}: expected a JSON object")
+        if isinstance(data.get("report"), dict):
+            data = data["report"]
+        worst = _report_part(data, "worst", dict, {})
         spectra = _report_part(worst, "spectra", dict, {})
         sa, sb, sab = (_report_part(spectra, k, list, []) for k in ("a", "b", "ab"))
-        for name, pts in (("sigma_a", sa), ("sigma_b", sb), ("sigma_ab", sab)):
-            for p in pts:
-                ang, ex = _angle_row(p)
-                lines.append(f"{name},{_sig12(ang)},{ex}")
-        prods = set()
-        for pa in sa:
-            for pb in sb:
-                (ta, ea), (tb, eb) = _angle_row(pa), _angle_row(pb)
-                prods.add((round((ta + tb) % 1.0, 12), ea and eb))
-        for ang, ex in sorted(prods):
-            lines.append(f"product,{_sig12(ang)},{int(ex)}")
         witness = _report_part(worst, "witness", dict, {})
-        for name in ("gamma", "alpha", "beta"):
-            p = witness.get(name)
-            if p is not None:
-                ang, ex = _angle_row(p)
-                lines.append(f"witness_{name},{_sig12(ang)},{ex}")
+    lines = ["set_name,angle,exact"]
+    for name, pts in (("sigma_a", sa), ("sigma_b", sb), ("sigma_ab", sab)):
+        for p in pts:
+            ang, ex = _angle_row(p)
+            lines.append(f"{name},{_sig12(ang)},{ex}")
+    prods = set()
+    for pa in sa:
+        for pb in sb:
+            (ta, ea), (tb, eb) = _angle_row(pa), _angle_row(pb)
+            prods.add((round((ta + tb) % 1.0, 12), ea and eb))
+    for ang, ex in sorted(prods):
+        lines.append(f"product,{_sig12(ang)},{int(ex)}")
+    for name in ("gamma", "alpha", "beta"):
+        p = witness.get(name)
+        if p is not None:
+            ang, ex = _angle_row(p)
+            lines.append(f"witness_{name},{_sig12(ang)},{ex}")
     _write_text(args, "\n".join(lines) + "\n")
     return 0
 
@@ -690,9 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--q", type=int, default=7)
     v.add_argument("--r", type=float, default=0.5)
     v.add_argument("--dim", type=int, default=4)
-    v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--pairs", type=int, default=10000)
-    v.add_argument("--samples", type=int, default=100000)
+    v.add_argument("--trials", type=_count, default=100)
+    v.add_argument("--pairs", type=_count, default=10000)
+    v.add_argument("--samples", type=_count, default=100000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=1e-8)
     v.add_argument("--max-elements", type=int, default=DEFAULT_BUDGET)
@@ -726,7 +727,7 @@ def main(argv=None) -> int:
     except SpecmulError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,6 +38,9 @@ from .errors import (
     DeterminantNotOneError,
     InvalidParamsError,
     PrimeMismatchError,
+    _loading,
+    _typed,
+    _typed_items,
 )
 from .linalg import (
     Diagonal,
@@ -127,14 +130,6 @@ def cycle_matrix(p: int) -> UMatrix:
     return MonomialCycle((ONE,) * p, 1)
 
 
-def _det_point(points: Sequence[UnitPoint]):
-    """Product of all circle points, i.e. the determinant of the diagonal."""
-    acc = ONE
-    for p in points:
-        acc = acc * p
-    return acc
-
-
 def spectrum_dck(d: Sequence[UnitPoint], k: int, p: int) -> Spectrum:
     """Spectrum of D @ C^k for a determinant-one diagonal D, closed form.
 
@@ -144,7 +139,7 @@ def spectrum_dck(d: Sequence[UnitPoint], k: int, p: int) -> Spectrum:
     d = tuple(d)
     if len(d) != p:
         raise InvalidParamsError("diagonal length must equal p")
-    det = _det_point(d)
+    det = math.prod(d, start=ONE)
     if det.is_exact:
         if det.angle.num != 0:
             raise DeterminantNotOneError(f"det angle {det.angle.num}/{det.angle.den}")
@@ -176,15 +171,15 @@ class TadpoleParams:
 
     def __post_init__(self) -> None:
         p = self.p
-        if not is_prime(p):
-            raise InvalidParamsError("p must be prime")
         if len(self.d) != p:
             raise InvalidParamsError("diagonal must have length p")
+        if not is_prime(p):
+            raise InvalidParamsError("p must be prime")
         if not 0 <= self.k < p:
             raise InvalidParamsError("k out of range")
         if len(self.a) != p - 1 or any(not 0 <= x < p for x in self.a):
             raise InvalidParamsError("need p-1 tail exponents in [0, p)")
-        det = _det_point(self.d)
+        det = math.prod(self.d, start=ONE)
         if det.is_exact:
             if det.angle.num != 0:
                 raise InvalidParamsError("det(D) must be 1")
@@ -208,8 +203,12 @@ class TadpoleParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TadpoleParams":
-        pts = tuple(_point_from_json(e) for e in d["d"])
-        return cls(int(d["p"]), pts, int(d["k"]), tuple(int(x) for x in d["a"]))
+        """Inverse of ``to_json_dict``; raises ``MalformedJsonError`` on
+        input without that structure."""
+        with _loading("tadpole parameters"):
+            pts = tuple(_point_from_json(e) for e in _typed(d, "d", list))
+            return cls(_typed(d, "p", int), pts, _typed(d, "k", int),
+                       _typed_items(d, "a", int))
 
 
 def tadpole(params: TadpoleParams) -> UMatrix:
@@ -663,33 +662,16 @@ def mm_gap_analysis(params: MillerMorenoParams) -> MmGapReport:
                     for a in sy.points for b in syi.points})
     bound = n * n - n - m * p * p + p + m * p
 
-    widest = Fraction(-1)
-    mid = Fraction(0)
-    for i, lo in enumerate(prods):
-        hi = prods[(i + 1) % len(prods)] + (1 if i + 1 == len(prods) else 0)
-        if hi - lo > widest:
-            widest = hi - lo
-            mid = (hi + lo) / 2
-    midpoint = RationalAngle.from_fraction(mid % 1)
+    # each gap between neighbours on the circle: (width, midpoint)
+    gaps = [(hi - lo, (hi + lo) / 2) for lo, hi in zip(prods, prods[1:] + [prods[0] + 1])]
+    widest, mid = max(gaps, key=lambda g: g[0])
 
-    def dist_to_products(f: Fraction) -> Fraction:
-        best = None
-        for s in prods:
-            d = abs((f - s) % 1)
-            d = min(d, 1 - d)
-            if best is None or d < best:
-                best = d
-        return best
+    def arc(f: Fraction, g: Fraction) -> Fraction:
+        d = (f - g) % 1
+        return min(d, 1 - d)
 
     # nontrivial q-th roots only: those are the points realized in sigma(X^k)
-    best_root = None
-    best_d = None
-    for j in range(1, q):
-        d = abs((Fraction(j, q) - mid) % 1)
-        d = min(d, 1 - d)
-        if best_d is None or d < best_d:
-            best_root, best_d = j, d
-    root = RationalAngle(best_root, q)
+    root = RationalAngle(min(range(1, q), key=lambda j: arc(Fraction(j, q), mid)), q)
     return MmGapReport(
         p=p,
         q=q,
@@ -697,11 +679,11 @@ def mm_gap_analysis(params: MillerMorenoParams) -> MmGapReport:
         distinct_products=len(prods),
         product_bound=bound,
         widest_gap=widest,
-        gap_midpoint=midpoint,
-        midpoint_distance=dist_to_products(mid),
+        gap_midpoint=RationalAngle.from_fraction(mid % 1),
+        midpoint_distance=min(arc(mid, s) for s in prods),
         midpoint_lower_bound=Fraction(1, 2 * (n * n - 1)),
         nearest_qth_root=root,
-        root_distance=dist_to_products(root.as_fraction()),
+        root_distance=min(arc(root.as_fraction(), s) for s in prods),
         root_distance_lower_bound=Fraction(1, 2 * (n * n - 1)) - Fraction(1, q),
         asm_threshold=Fraction(1, 2 * n * n),
     )

@@ -34,7 +34,7 @@ for those.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,6 +47,8 @@ from .errors import (
     IncompleteClosureError,
     MalformedJsonError,
     NonUnitaryError,
+    _loading,
+    _typed,
 )
 from .linalg import (
     KEY_TOL,
@@ -262,7 +264,6 @@ class GroupClosure:
     key_index: dict
     gen_indices: list[int]
     key_tol: float = KEY_TOL
-    _cayley: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
@@ -276,54 +277,60 @@ class GroupClosure:
     def index_of(self, m: UMatrix) -> Optional[int]:
         return self.key_index.get(self.elements.code.key(m))
 
-    def cayley_rows(self, idx) -> np.ndarray:
-        """Rows ``idx`` of the multiplication table: entry (t, j) indexes
-        elements[idx[t]] @ elements[j].  Costs O(len(idx) * n).
-
-        Column j is column ``parents[j][0]`` times generator
+    def _layers(self):
+        """(slice, parents, generators) of each BFS layer after the
+        identity.  Element j is element ``parents[j][0]`` times generator
         ``parents[j][1]``.  Parents never decrease in BFS order, so the
         elements from j up to the first one whose parent is j or later form
-        one BFS layer, filled with one gather from earlier columns.
-        """
+        one layer, and each is a product of an earlier element."""
+        par, gen = np.array(self.parents, dtype=np.int64).T.copy()
+        j = 1
+        while j < self.order:
+            k = int(np.searchsorted(par, j))
+            yield slice(j, k), par[j:k], gen[j:k]
+            j = k
+
+    def cayley_rows(self, idx) -> np.ndarray:
+        """Rows ``idx`` of the multiplication table: entry (t, j) indexes
+        elements[idx[t]] @ elements[j].  Costs O(len(idx) * n): each BFS
+        layer of columns is one gather from earlier columns."""
         if not self.complete:
             raise IncompleteClosureError("Cayley table needs a complete closure")
         idx = np.asarray(idx, dtype=np.int64)
         rows = np.empty((len(idx), self.order), dtype=np.int64)
         rows[:, 0] = idx
-        par, gen = np.array(self.parents, dtype=np.int64).T.copy()
-        j = 1
-        while j < self.order:
-            k = int(np.searchsorted(par, j))
-            rows[:, j:k] = self.gen_table[rows[:, par[j:k]], gen[j:k]]
-            j = k
+        for layer, par, gen in self._layers():
+            rows[:, layer] = self.gen_table[rows[:, par], gen]
         return rows
 
     def cayley_table(self) -> np.ndarray:
         """Full multiplication table: entry (i, j) indexes elements[i] @ elements[j]."""
-        if self._cayley is None:
-            self._cayley = self.cayley_rows(np.arange(self.order))
-        return self._cayley
+        return self.cayley_rows(np.arange(self.order))
+
+    def _generator_inverse_rows(self) -> np.ndarray:
+        """Row g^-1 of the Cayley table for each generator g.  g^-1 is the
+        last element before g's ``gen_table`` column walks back to the
+        identity, so no matrix is multiplied."""
+        inverses = []
+        for col in self.gen_table.T:
+            prev, x = 0, int(col[0])
+            while x > 0:
+                prev, x = x, int(col[x])
+            inverses.append(prev)
+        return self.cayley_rows(inverses)
 
     def conjugacy_labels(self) -> np.ndarray:
         """Conjugacy class of every element, labelled by its smallest index.
 
         The classes are the orbits of x -> g^-1 x g over the generators g.
-        g^-1 is the last element before g's ``gen_table`` column walks back
-        to the identity, g^-1 x is one Cayley row and (g^-1 x) g is the
-        column again, so no matrix is multiplied.  Every label starts as
-        its own index and takes the smaller label across each map, both
-        ways, then follows labels to labels until neither step changes one.
-        A label is always an index in its element's class, so the fixed
-        point is each class's smallest index.
+        g^-1 x is one Cayley row and (g^-1 x) g is the ``gen_table`` column
+        again.  Every label starts as its own index and takes the smaller
+        label across each map, both ways, then follows labels to labels
+        until neither step changes one.  A label is always an index in its
+        element's class, so the fixed point is each class's smallest index.
         """
-        inverses = []
-        for col in self.gen_table.T:
-            prev, x = 0, int(col[0])
-            while x != 0:
-                prev, x = x, int(col[x])
-            inverses.append(prev)
-        left = self.cayley_rows(inverses)
-        maps = self.gen_table[left, np.arange(len(inverses))[:, None]]
+        left = self._generator_inverse_rows()
+        maps = self.gen_table[left, np.arange(len(left))[:, None]]
         label = np.arange(self.order, dtype=np.int64)
         while True:
             before = label
@@ -337,12 +344,17 @@ class GroupClosure:
             if np.array_equal(label, before):
                 return label
 
-    def inverse_index(self, i: int) -> int:
-        row = self.cayley_table()[i]
-        hits = np.nonzero(row == 0)[0]
-        if len(hits) != 1:
-            raise IncompleteClosureError("element has no unique inverse")
-        return int(hits[0])
+    def inverses(self) -> np.ndarray:
+        """The index of every element's inverse, in O(generators * n).
+
+        Element x is parent(x) g, so x^-1 = g^-1 parent(x)^-1: one entry of
+        row g^-1, filled one BFS layer at a time as ``cayley_rows`` does.
+        """
+        left = self._generator_inverse_rows()
+        inv = np.zeros(self.order, dtype=np.int64)
+        for layer, par, gen in self._layers():
+            inv[layer] = left[gen, inv[par]]
+        return inv
 
 
 def _check_generator_action(gen_table: np.ndarray) -> None:
@@ -553,21 +565,17 @@ def closure_from_json(d: dict, max_elements: int = DEFAULT_BUDGET) -> GroupClosu
     """Rebuild a closure from its serialized generators and sanity-check it;
     raises ``MalformedJsonError`` on input without that structure or that a
     fresh enumeration contradicts."""
-    try:
-        gens = [matrix_from_json(g) for g in d["generators"]]
-        complete, order, cayley = d["complete"], d["order"], d.get("cayley")
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise MalformedJsonError(f"malformed closure: {exc!r}") from exc
+    with _loading("closure"):
+        gens = [matrix_from_json(g) for g in _typed(d, "generators", list)]
+        complete, order = _typed(d, "complete", bool), _typed(d, "order", int)
+        cayley = d.get("cayley")
+        if cayley is not None:
+            cayley = np.array(cayley, dtype=np.int64).reshape(-1)
     if not gens:
         raise MalformedJsonError("serialized closure has no generators")
     closure = close(gens, max_elements=max_elements)
     if closure.complete != complete or closure.order != order:
         raise MalformedJsonError("serialized closure does not match a fresh enumeration")
-    if cayley is not None:
-        try:
-            cay = np.array(cayley, dtype=np.int64).reshape(closure.order, closure.order)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise MalformedJsonError(f"malformed Cayley table: {exc}") from exc
-        if not np.array_equal(cay, closure.cayley_table()):
-            raise MalformedJsonError("serialized Cayley table does not match")
+    if cayley is not None and not np.array_equal(cayley, closure.cayley_table().ravel()):
+        raise MalformedJsonError("serialized Cayley table does not match")
     return closure

@@ -28,7 +28,6 @@ import numpy as np
 from .circle import (
     ONE,
     UnitPoint,
-    _float_circle_distance,
     _point_from_json,
     _point_to_json,
 )
@@ -37,6 +36,9 @@ from .errors import (
     DimensionMismatchError,
     MalformedJsonError,
     NonUnitaryError,
+    _is,
+    _loading,
+    _typed,
 )
 
 __all__ = [
@@ -95,10 +97,7 @@ class Spectrum:
     def common_denominator(self) -> int:
         if not self.exact:
             raise ValueError("approximate spectrum has no common denominator")
-        d = 1
-        for p in self.points:
-            d = d * p.angle.den // math.gcd(d, p.angle.den)
-        return d
+        return math.lcm(*(p.angle.den for p in self.points))
 
     def int_angles(self, scale: int) -> tuple[int, ...]:
         """Distinct angle numerators over the common denominator ``scale``."""
@@ -511,17 +510,9 @@ def match_spectra(a, b) -> float:
     if n == 0:
         return 0.0
     sa, sb = np.sort(ta % 1.0), np.sort(tb % 1.0)
-    best = math.inf
-    for s in range(n):
-        worst = 0.0
-        for i in range(n):
-            d = _float_circle_distance(sa[i], sb[(i + s) % n])
-            if d > worst:
-                worst = d
-            if worst >= best:
-                break
-        best = min(best, worst)
-    return best
+    # row s: the circle distance of sa[i] to sb[(i + s) % n] for every i
+    d = np.abs(sa - sb[np.add.outer(np.arange(n), np.arange(n)) % n]) % 1.0
+    return float(np.where(d <= 0.5, d, 1.0 - d).max(axis=1).min())
 
 
 def matrix_to_json(m: UMatrix) -> dict:
@@ -530,23 +521,25 @@ def matrix_to_json(m: UMatrix) -> dict:
 
 def matrix_from_json(d: dict) -> UMatrix:
     """Inverse of ``to_json_dict``; raises ``MalformedJsonError`` on input
-    without that structure, or whose ``dim`` is not the decoded matrix's."""
+    without that structure, of dimension 0, or whose ``dim`` is not the
+    decoded matrix's."""
     variant = d.get("variant") if isinstance(d, dict) else None
     if variant not in ("diagonal", "monomial_cycle", "block_diag", "dense"):
         raise MalformedJsonError(f"unknown matrix variant: {variant!r}")
-    try:
+    with _loading(f"{variant} matrix"):
         if variant == "diagonal":
             m = Diagonal(tuple(_point_from_json(e) for e in d["entries"]))
         elif variant == "monomial_cycle":
-            m = MonomialCycle(tuple(_point_from_json(e) for e in d["d"]), int(d["k"]))
+            m = MonomialCycle(tuple(_point_from_json(e) for e in d["d"]),
+                              _typed(d, "k", int))
         elif variant == "block_diag":
             m = BlockDiag(tuple(matrix_from_json(b) for b in d["blocks"]))
         else:
             a = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
-            m = Dense(a, unitary=d.get("unitary"))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise MalformedJsonError(f"malformed {variant} matrix: {exc}") from exc
-    if "dim" in d and d["dim"] != m.dim:
-        raise MalformedJsonError(
-            f"{variant} matrix declares dim {d['dim']!r} but has dimension {m.dim}")
+            m = Dense(a, unitary=_typed(d, "unitary", bool, nullable=True)
+                      if "unitary" in d else None)
+        if not m.dim:
+            raise ValueError("a matrix of dimension 0")
+        if "dim" in d and not (_is(d["dim"], int) and d["dim"] == m.dim):
+            raise ValueError(f"declares dim {d['dim']!r} but has dimension {m.dim}")
     return m

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from json_fuzz import JSON_VALUES
+
 from specmul import asm, constructions, groups, linalg
 from specmul.asm import (
     AsmReport,
@@ -48,17 +50,10 @@ from specmul.errors import (
     NonUnitaryError,
     ZeroSpectralRadiusError,
 )
-from specmul.groups import close
+from specmul.groups import GroupClosure, close
 from specmul.linalg import Dense, Diagonal, matmul
 
 RNG = np.random.default_rng(20240911)
-
-# any JSON value, for fuzzing the loaders
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=8)
 
 
 def spy_workers(monkeypatch):
@@ -71,6 +66,18 @@ def spy_workers(monkeypatch):
 
     monkeypatch.setattr(asm, "_map_chunks", spy)
     return seen
+
+
+def spy_tables(monkeypatch):
+    """Record the order of every closure whose full Cayley table is built."""
+    built, real = [], GroupClosure.cayley_table
+
+    def spy(self):
+        built.append(self.order)
+        return real(self)
+
+    monkeypatch.setattr(GroupClosure, "cayley_table", spy)
+    return built
 
 
 def oracle_defect(a, b):
@@ -399,6 +406,19 @@ class TestReportSerialization:
         with pytest.raises(MalformedJsonError):
             Histogram.from_json_dict({"edges": [0.0, 0.5], "counts": "x"})
 
+    @pytest.mark.parametrize("d", [
+        {"edges": ["0.5"], "counts": [2.7]},
+        {"edges": [0.0, 0.5], "counts": [2.7]},
+        {"edges": [0.0, 0.5], "counts": [True]},
+        {"edges": ["0.0", 0.5], "counts": [2]},
+        {"edges": [0.0, None], "counts": [2]},
+    ], ids=["both", "float-count", "bool-count", "string-edge", "null-edge"])
+    def test_histogram_items_keep_their_json_types(self, d):
+        with pytest.raises(MalformedJsonError):
+            Histogram.from_json_dict(d)
+        # whole-number edges are numbers too
+        assert Histogram.from_json_dict({"edges": [0, 1], "counts": [2]}).edges == (0.0, 1.0)
+
     @settings(max_examples=100, deadline=None)
     @given(path=st.sampled_from([
         ("kind",), ("epsilon",), ("epsilon_exact",), ("exact",), ("seed",),
@@ -574,12 +594,13 @@ class TestClassReducedScan:
         assert r.pair_rows == [(i, j, values[i * n + j])
                                for i in range(n) for j in range(n)]
 
-    def test_exact_run_builds_no_full_table(self):
+    def test_exact_run_builds_no_full_table(self, monkeypatch):
         c = close(miller_moreno(default_miller_moreno(3, 7)))
+        built = spy_tables(monkeypatch)
         measure_asm(c)
-        assert c._cayley is None
+        assert built == []
         measure_asm(c, collect_pairs=True)
-        assert c._cayley is not None
+        assert built == [c.order]
 
     @pytest.mark.parametrize("name", sorted(EXHAUSTIVE_GOLDEN))
     def test_report_matches_golden(self, name):
@@ -602,10 +623,11 @@ class TestClassReducedScan:
 
     @pytest.mark.parametrize("name", ["q8", "mm3_7", "mm7_43"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_dense_matches_all_pairs_reference(self, name, seed):
+    def test_dense_matches_all_pairs_reference(self, name, seed, monkeypatch):
         c = _dense_closure(KERNEL_GROUPS[name](), seed)
+        built = spy_tables(monkeypatch)
         r = measure_asm(c)
-        assert c._cayley is None
+        assert built == []
         n = c.order
         # every pair through the float kernel, sigma(AB) from the full table
         angles = np.array([e.spectrum().angles() for e in c.elements])

@@ -20,6 +20,7 @@ from specmul.linalg import Dense, matrix_from_json, matrix_to_json
 from specmul.circle import _point_from_json
 from specmul.constructions import (
     SrSampler,
+    TadpoleParams,
     cycle_matrix,
     default_miller_moreno,
     miller_moreno,
@@ -75,11 +76,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("measure", "--builtin", "q8", "--assert-le", "1/0"),
         ("qset", "--p", "5", "--eps", "1/0"),
-    ], ids=["assert-le", "eps"])
+        ("qset", "--p", "5", "--eps", "1/0_0"),
+    ], ids=["assert-le", "eps", "eps-underscores"])
     def test_zero_denominator_is_a_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--deterministic")
         assert code == 1 and not out
-        assert "invalid" in err and "Traceback" not in err
+        assert err.endswith(f": zero denominator in {argv[-1]!r}\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--builtin", "q8", "--assert-le", "abc"),
+        ("qset", "--p", "5", "--eps", "abc"),
+        ("qset", "--p", "5", "--eps", "1/2/3"),
+        ("qset", "--p", "5", "--eps", "1/0/0"),
+    ], ids=["assert-le", "eps", "two-slashes", "zero-slash-zero"])
+    def test_unreadable_level_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--deterministic")
+        assert code == 1 and not out
+        assert err.endswith(": expected a fraction num/den or a decimal, "
+                            f"not {argv[-1]!r}\n")
+        assert "_fraction_or_float" not in err
 
     @pytest.mark.parametrize("budget", ["1", "2"])
     def test_closure_cut_before_its_generators_exits_1(self, capsys, budget):
@@ -108,6 +124,26 @@ class TestExitCodes:
                      ' "entries": [{"num": 1, "den": -Infinity}]}]}', id="den-inf"),
         pytest.param('{"generators": [{"variant": "monomial_cycle",'
                      ' "d": [{"num": 0, "den": 1}], "k": Infinity}]}', id="k-inf"),
+        pytest.param({"generators": [{"variant": "monomial_cycle", "d": [], "k": 0}]},
+                     id="empty-cycle"),
+        pytest.param({"generators": [{"variant": "diagonal", "entries": []}]},
+                     id="empty-diagonal"),
+        pytest.param({"generators": [{"variant": "diagonal",
+                                      "entries": [{"num": 0.5, "den": 2}]}]},
+                     id="num-float"),
+        pytest.param({"generators": [{"variant": "diagonal",
+                                      "entries": [{"num": 1, "den": 2.5}]}]},
+                     id="den-float"),
+        pytest.param({"generators": [{"variant": "monomial_cycle",
+                                      "d": [{"num": 0, "den": 1}] * 2, "k": True}]},
+                     id="k-bool"),
+        pytest.param('{"generators": [%s{"variant": "diagonal", "entries": '
+                     '[{"num": 0, "den": 1}]}%s]}'
+                     % ('{"variant": "block_diag", "blocks": [' * 600, "]}" * 600),
+                     id="nested-600"),
+        pytest.param("[" * 5000 + "]" * 5000, id="nested-array"),
+        pytest.param("[]", id="list"),
+        pytest.param("{", id="truncated"),
     ])
     def test_malformed_spec_is_a_config_error(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
@@ -116,7 +152,35 @@ class TestExitCodes:
         code, out, err = run(capsys, "measure", "--spec", str(path),
                              "--deterministic")
         assert code == 1 and not out
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: malformed ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("tadpole-bound", "--pairs", "0"),
+         "error: --pairs 0 leaves tadpole-bound nothing to check"),
+        (("sr-bound", "--samples", "0"),
+         "error: --samples 0 leaves sr-bound nothing to check"),
+        (("lemma-spectrum", "--trials", "0"),
+         "error: --trials 0 leaves lemma-spectrum nothing to check"),
+        (("tadpole-bound", "--pairs", "-3"),
+         "argument --pairs: expected a count of 0 or more, not '-3'"),
+        (("lemma-spectrum", "--trials", "-1"),
+         "argument --trials: expected a count of 0 or more, not '-1'"),
+        (("conversions", "--trials", "-1"),
+         "argument --trials: expected a count of 0 or more, not '-1'"),
+        (("sr-bound", "--samples", "1e3"),
+         "argument --samples: expected a count of 0 or more, not '1e3'"),
+    ], ids=["tadpole-zero", "sr-zero", "lemma-zero", "tadpole-negative",
+            "lemma-negative", "conversions-negative", "not-digits"])
+    def test_verify_that_would_check_nothing_exits_1(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv, "--deterministic")
+        assert code == 1 and not out
+        assert err.endswith(message + "\n")
+
+    def test_conversions_without_trials_still_checks_the_grid(self, capsys):
+        code, out, _ = run(capsys, "verify", "conversions", "--trials", "0",
+                           "--deterministic")
+        assert code == 0
+        assert json.loads(out)["report"]["evidence"]["pairs"] == 60 * 60
 
     def test_verify_failure_exits_2(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._VERIFY_TABLE, "conversions",
@@ -428,6 +492,18 @@ class TestPlotdata:
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("text", [
+        '{"report": {"worst": %s}}' % ("[" * 5000 + "]" * 5000),
+        '{"report": {"worst": {"spectra": {"a": [{"num": 0.5, "den": 2}]}}}}',
+        '{"report": {"worst": {"witness": {"gamma": {"num": 1, "den": true}}}}}',
+    ], ids=["nested", "num-float", "den-bool"])
+    def test_report_refused_with_one_line(self, capsys, tmp_path, text):
+        rep = tmp_path / "bad.json"
+        rep.write_text(text)
+        code, out, err = run(capsys, "plotdata", str(rep))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed ") and err.count("\n") == 1
+
     # JSON text, since json.dumps cannot write an overflowing literal
     @pytest.mark.parametrize("point", [
         '{"angle": NaN}',
@@ -483,6 +559,18 @@ class TestBuild:
         assert all(g.dim == 2 for g in gens)
         _, out, _ = run(capsys, "build", "cyclic", "--p", "7", "--deterministic")
         assert json.loads(out)["report"]["p"] == 7
+
+    @pytest.mark.parametrize("argv", [
+        ("q8",), ("cyclic", "--p", "7"), ("tadpole-pair", "--p", "5", "--k", "2"),
+        ("miller-moreno", "--p", "7", "--q", "43"),
+    ], ids=["q8", "cyclic", "tadpole-pair", "miller-moreno"])
+    def test_every_target_reads_back_equal(self, capsys, argv):
+        _, out, _ = run(capsys, "build", *argv, "--deterministic")
+        rep = json.loads(out)["report"]
+        for g in rep["generators"]:
+            assert matrix_to_json(matrix_from_json(g)) == g
+        for params in rep.get("params", {}).values():
+            assert TadpoleParams.from_json_dict(params).to_json_dict() == params
 
     def test_miller_moreno_payload(self, capsys):
         _, out, _ = run(capsys, "build", "miller-moreno", "--deterministic")

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from json_fuzz import JSON_VALUES, json_paths, replaced
+
 from specmul import _ziggurat, constructions
 from specmul.asm import pair_defect
 from specmul.circle import ONE, RationalAngle, UnitPoint
@@ -46,7 +48,9 @@ from specmul.constructions import (
 from specmul.errors import (
     DeterminantNotOneError,
     InvalidParamsError,
+    MalformedJsonError,
     PrimeMismatchError,
+    SpecmulError,
 )
 from specmul.linalg import match_spectra
 
@@ -101,6 +105,15 @@ class TestSpectrumDck:
             spectrum_dck((ONE,) * 3, 1, 5)
 
 
+# an exact and a float tadpole, as JSON
+TADPOLE_DOCS = [
+    TadpoleParams(3, (UnitPoint.exact(1, 9), UnitPoint.exact(1, 18),
+                      UnitPoint.exact(5, 6)), 2, (1, 0)).to_json_dict(),
+    TadpoleParams(2, (UnitPoint.approx(0.25), UnitPoint.approx(0.75)), 1,
+                  (1,)).to_json_dict(),
+]
+
+
 class TestTadpoleParams:
     def test_validation(self):
         good = tadpole_identity(3)
@@ -148,6 +161,38 @@ class TestTadpoleParams:
         # files written with the angle as a decimal string still load
         old = dict(d, d=[dict(e, angle=repr(e["angle"])) for e in d["d"]])
         assert TadpoleParams.from_json_dict(old) == t
+
+    @pytest.mark.parametrize("change", [
+        {"k": 1.9}, {"k": True}, {"p": 3.0}, {"a": [0.2, 1.7]}, {"a": [False, 1]},
+        {"a": "01"}, {"d": {"x": 1}}, {"d": [{"num": 0.5, "den": 1}] * 3},
+    ], ids=["k-float", "k-bool", "p-float", "a-floats", "a-bool", "a-string",
+            "d-object", "num-float"])
+    def test_json_malformed_fields_raise(self, change):
+        d = {**TadpoleParams(3, (ONE,) * 3, 1, (0, 1)).to_json_dict(), **change}
+        with pytest.raises(MalformedJsonError):
+            TadpoleParams.from_json_dict(d)
+
+    def test_json_large_prime_is_refused_before_the_primality_test(self):
+        # trial division up to sqrt(2^61 - 1) would take minutes; the
+        # diagonal's length refuses this p at once
+        d = {**tadpole_identity(3).to_json_dict(), "p": 2 ** 61 - 1}
+        with pytest.raises(InvalidParamsError, match="length p"):
+            TadpoleParams.from_json_dict(d)
+
+    @pytest.mark.parametrize("d", [{"p": 3}, {}, [], None])
+    def test_json_missing_fields_raise(self, d):
+        with pytest.raises(MalformedJsonError):
+            TadpoleParams.from_json_dict(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_json_fuzzed_fields_load_or_raise(self, data, value):
+        doc = data.draw(st.sampled_from(TADPOLE_DOCS))
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        try:
+            TadpoleParams.from_json_dict(replaced(doc, path, value))
+        except SpecmulError:
+            pass
 
 
 class TestTadpoleAlgebra:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from json_fuzz import JSON_VALUES
+
 from specmul.circle import ONE, UnitPoint
 from specmul.cli import (
     _param_closure_count,
@@ -51,12 +53,17 @@ from specmul.linalg import (
     matmul,
 )
 
-# any JSON value, for fuzzing the loaders
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=8)
+
+def spy_tables(monkeypatch):
+    """Record the order of every closure whose full Cayley table is built."""
+    built, real = [], GroupClosure.cayley_table
+
+    def spy(self):
+        built.append(self.order)
+        return real(self)
+
+    monkeypatch.setattr(GroupClosure, "cayley_table", spy)
+    return built
 
 
 def cyclic_generator(p):
@@ -142,17 +149,19 @@ class TestCayleyTable:
             assert np.array_equal(np.sort(cay[:, i]), want)
 
     def test_inverse_index(self, q8):
+        inv = q8.inverses()
         for i in range(q8.order):
-            j = q8.inverse_index(i)
+            j = inv[i]
             assert np.allclose(
                 matmul(q8.elements[i], q8.elements[j]).to_dense(), np.eye(2),
                 atol=1e-12)
 
-    def test_rows_on_demand_match_the_table(self):
+    def test_rows_on_demand_match_the_table(self, monkeypatch):
         c = close(miller_moreno(default_miller_moreno(3, 7)))
         idx = [5, 0, 20, 5, 11]
+        built = spy_tables(monkeypatch)
         rows = c.cayley_rows(idx)
-        assert c._cayley is None
+        assert built == []
         assert np.array_equal(rows, c.cayley_table()[idx])
         assert c.cayley_rows([]).shape == (0, 21)
 
@@ -251,10 +260,11 @@ class TestConjugacyClasses:
 
 class TestCentre:
     @pytest.mark.parametrize("name", ["q8", "cyclic5", "mm3_7"])
-    def test_matches_full_table_scan(self, name):
+    def test_matches_full_table_scan(self, name, monkeypatch):
         c = close(CLASS_GROUPS[name][0]())
+        built = spy_tables(monkeypatch)
         z = centre(c)
-        assert c._cayley is None
+        assert built == []
         cay = c.cayley_table()
         assert z == [i for i in range(c.order)
                      if all(cay[i, g] == cay[g, i] for g in c.gen_indices)]
@@ -669,8 +679,30 @@ class TestMillerMorenoClosures:
 
     def test_inverses_present(self):
         c = close(miller_moreno(default_miller_moreno(3, 7)))
-        for i in range(c.order):
-            c.inverse_index(i)  # raises if missing
+        cay = c.cayley_table()
+        assert np.array_equal(cay[np.arange(c.order), c.inverses()], np.zeros(c.order))
+
+    @pytest.mark.parametrize("make", [
+        *(gens for gens, _ in CLASS_GROUPS.values()),
+        lambda: [Dense(g.to_dense()) for g in _q8_generators()],
+    ], ids=[*CLASS_GROUPS, "dense-q8"])
+    def test_inverses_match_the_table(self, make, monkeypatch):
+        c = close(make())
+        cay = c.cayley_table()
+        built = spy_tables(monkeypatch)
+        inv = c.inverses()
+        assert built == []
+        every = np.arange(c.order)
+        assert np.array_equal(cay[every, inv], np.zeros(c.order))
+        assert np.array_equal(cay[inv, every], np.zeros(c.order))
+
+    def test_generator_inverses_need_a_complete_closure(self):
+        # the walk to each generator's inverse stops at an unfilled -1 entry
+        # of an incomplete gen_table instead of cycling through it
+        c = close(_q8_generators(), max_elements=5)
+        for method in (c.inverses, c.conjugacy_labels):
+            with pytest.raises(IncompleteClosureError):
+                method()
 
 
 class TestRestrictedTadpole:
@@ -756,6 +788,18 @@ class TestJsonRoundTrip:
     def test_wrong_types(self, bad):
         with pytest.raises(MalformedJsonError):
             closure_from_json(bad)
+
+    @pytest.mark.parametrize("key, value", [
+        ("order", "8"), ("order", 8.0), ("complete", 1), ("complete", "true"),
+        ("generators", [{"variant": "monomial_cycle", "d": [], "k": 0}]),
+        ("generators", [{"variant": "diagonal", "entries": []}]),
+    ], ids=["order-string", "order-float", "complete-int", "complete-string",
+            "empty-cycle", "empty-diagonal"])
+    def test_malformed_fields_are_not_a_mismatch(self, key, value):
+        d = closure_to_json(close(_q8_generators()))
+        d[key] = value
+        with pytest.raises(MalformedJsonError, match="^malformed "):
+            closure_from_json(d)
 
     @pytest.mark.parametrize("cayley", [[0, 1], "table", [[0.5] * 8] * 8, [2 ** 70] * 64])
     def test_malformed_cayley_table(self, cayley):

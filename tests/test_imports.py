@@ -1,11 +1,13 @@
-"""Every import in the package's modules is used or exported, and every
-private definition is read.
+"""Every import in the package's modules is used or exported, every
+private definition is read, and one module decides what malformed input is.
 
 A name a module imports must appear in its code (a string annotation
 counts) or in its ``__all__``; otherwise the import is dead.  A private
 function, class or method must be read somewhere in the package outside
 its own definition; a helper kept only for tests belongs in ``tests/``.
-The modules are read as syntax trees, so nothing is imported or executed.
+Which exceptions of a JSON reader mean malformed input is decided once, by
+``errors._loading``; no other module catches them itself.  The modules are
+read as syntax trees, so nothing is imported or executed.
 """
 
 import ast
@@ -113,3 +115,33 @@ def test_no_dead_private_code():
             # reads inside its own body (recursion) do not keep it alive
             if refs[node.name] <= _references(node)[node.name]]
     assert not dead, f"private definitions never read: {dead}"
+
+
+# What a reader raises on malformed input; only errors.py turns these into
+# ``MalformedJsonError``.
+READER_ERRORS = {"KeyError", "TypeError", "OverflowError", "ZeroDivisionError"}
+POLICY_MODULE = "errors.py"
+
+
+def _caught(handler: ast.ExceptHandler) -> set:
+    """The exception names an ``except`` clause lists (a bare one lists none)."""
+    if handler.type is None:
+        return set()
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(handler.type)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_reader_errors_are_caught_only_in_errors():
+    stray = [f"{m.name}:{node.lineno} catches {sorted(_caught(node) & READER_ERRORS)}"
+             for m in MODULES if m.name != POLICY_MODULE
+             for node in ast.walk(ast.parse(m.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ExceptHandler) and _caught(node) & READER_ERRORS]
+    assert not stray, f"malformed-input policy outside {POLICY_MODULE}: {stray}"
+
+
+def test_the_policy_module_catches_them():
+    tree = ast.parse((PACKAGE / POLICY_MODULE).read_text(encoding="utf-8"))
+    caught = set().union(*(_caught(node) for node in ast.walk(tree)
+                           if isinstance(node, ast.ExceptHandler)))
+    assert READER_ERRORS | {"RecursionError", "ValueError"} <= caught

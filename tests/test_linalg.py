@@ -1,6 +1,8 @@
 """Structured matrices: closed-form spectra against the dense eigensolver."""
 
+import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmul.circle import ONE, RationalAngle, UnitPoint
+from json_fuzz import JSON_VALUES, json_paths, replaced
+
+from specmul.circle import ONE, RationalAngle, UnitPoint, _float_circle_distance
 from specmul import linalg
-from specmul.errors import DimensionMismatchError, MalformedJsonError, NonUnitaryError
+from specmul.errors import (
+    DimensionMismatchError,
+    MalformedJsonError,
+    NonUnitaryError,
+    SpecmulError,
+)
 from specmul.linalg import (
     BlockDiag,
     Dense,
@@ -218,6 +227,14 @@ class TestMatmulDispatch:
         assert matmul(a, b).exactness_lost
 
 
+def _match_spectra_loop(ta, tb) -> float:
+    """``match_spectra`` one cyclic offset and one pair of angles at a time."""
+    sa, sb = sorted(t % 1.0 for t in ta), sorted(t % 1.0 for t in tb)
+    n = len(sa)
+    return min(max(_float_circle_distance(sa[i], sb[(i + s) % n]) for i in range(n))
+               for s in range(n))
+
+
 class TestSpectrumHelpers:
     def test_common_denominator_and_int_angles(self):
         s = Spectrum.from_points([UnitPoint.exact(1, 4), UnitPoint.exact(1, 6),
@@ -230,6 +247,14 @@ class TestSpectrumHelpers:
         b = [0.4, 0.7, 0.1]
         assert match_spectra(a, b) == 0.0
         assert match_spectra(a, [0.1, 0.4, 0.8]) == pytest.approx(0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        *[st.lists(st.floats(-3, 3), min_size=n, max_size=n)] * 2)))
+    def test_match_spectra_equals_the_offset_loop(self, pair):
+        ta, tb = pair
+        got = match_spectra(ta, tb)
+        assert type(got) is float and got == _match_spectra_loop(ta, tb)
 
     def test_match_spectra_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -310,6 +335,10 @@ JSON_VARIANTS = [
     lambda: Dense(random_unitary(3)),
 ]
 
+# every variant as JSON, with a fixed dense unitary
+JSON_DOCS = [matrix_to_json(build()) for build in JSON_VARIANTS[:3]] + [
+    matrix_to_json(Dense(random_unitary(2, np.random.default_rng(5))))]
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("build", JSON_VARIANTS)
@@ -340,3 +369,47 @@ class TestJsonRoundTrip:
         d["blocks"][1]["dim"] = 1
         with pytest.raises(MalformedJsonError, match="declares dim"):
             matrix_from_json(d)
+
+    @pytest.mark.parametrize("d", [
+        {"variant": "diagonal", "entries": []},
+        {"variant": "block_diag", "blocks": []},
+        {"variant": "monomial_cycle", "d": [], "k": 0},
+        {"variant": "diagonal", "entries": [{"num": 0.5, "den": 2}]},
+        {"variant": "diagonal", "entries": [{"num": 1, "den": 2.5}]},
+        {"variant": "diagonal", "entries": [{"num": True, "den": 2}]},
+        {"variant": "monomial_cycle", "d": [{"num": 0, "den": 1}] * 2, "k": True},
+        {"variant": "monomial_cycle", "d": [{"num": 0, "den": 1}] * 2, "k": 1.0},
+        {"variant": "diagonal", "dim": True, "entries": [{"num": 0, "den": 1}]},
+        {"variant": "diagonal", "dim": 1.0, "entries": [{"num": 0, "den": 1}]},
+        {"variant": "dense", "entries": [[[1.0, 0.0]]], "unitary": "yes"},
+        {"variant": "dense", "entries": [[[1.0, 0.0]]], "unitary": 1},
+    ], ids=["empty-diagonal", "no-blocks", "empty-cycle", "num-float",
+            "den-float", "num-bool", "k-bool", "k-float", "dim-bool",
+            "dim-float", "unitary-string", "unitary-int"])
+    def test_malformed_fields_raise(self, d):
+        with pytest.raises(MalformedJsonError):
+            matrix_from_json(d)
+
+    def test_nesting_past_the_recursion_limit_raises(self):
+        d = {"variant": "diagonal", "entries": [{"num": 0, "den": 1}]}
+        for _ in range(sys.getrecursionlimit()):
+            d = {"variant": "block_diag", "blocks": [d]}
+        with pytest.raises(MalformedJsonError, match="RecursionError"):
+            matrix_from_json(d)
+
+    @pytest.mark.parametrize("text", [
+        '{"num": 3, "den": 8}', '{"angle": 0.375, "err": 1e-12}',
+        '{"angle": "0.375", "err": "1e-12"}', '{"angle": 0.375}'])
+    def test_points_that_load(self, text):
+        d = {"variant": "diagonal", "entries": [json.loads(text)]}
+        assert matrix_from_json(d).entries[0].turns == 0.375
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_fuzzed_fields_load_or_raise(self, data, value):
+        doc = data.draw(st.sampled_from(JSON_DOCS))
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        try:
+            matrix_from_json(replaced(doc, path, value))
+        except SpecmulError:
+            pass
