@@ -27,15 +27,23 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .circle import UnitPoint, _frac_str, _point_from_json, _point_to_json
-from .constructions import SrBatch, SrElement, _cmul, _mod1, sr_pair_gamma
+from .constructions import (
+    SrBatch,
+    SrElement,
+    TadpoleSampler,
+    _cmul,
+    _mod1,
+    sr_pair_gamma,
+)
 from .errors import (
     IncompleteClosureError,
     ZeroSpectralRadiusError,
+    _complex,
     _loading,
     _typed,
     _typed_items,
@@ -67,13 +75,9 @@ DEFAULT_BINS = 20
 SUB_ZERO_TOL = 1e-9
 
 # Pool startup dwarfs the work below this many pairs, so small jobs stay
-# in-process regardless of the requested worker count.
-PARALLEL_MIN_PAIRS = 2048
-
-# The same floor for runs whose chunks the samplers' ``batch`` draws and
-# scores: their pairs cost far less, so the pool pays off only later.
-# Medians of 31 in-process runs on 2 vCPUs, sizes and worker order
-# interleaved, --workers 1 against 2: p = 5 tadpoles at 16,000 pairs
+# in-process regardless of the requested worker count.  Medians of 31
+# in-process runs on 2 vCPUs, sizes and worker order interleaved,
+# --workers 1 against 2 (float draws): p = 5 tadpoles at 16,000 pairs
 # 0.131 s against 0.129 s, at 20,000 0.177 s against 0.156 s, at 24,000
 # 0.206 s against 0.167 s; sr at 16,000 0.094 s against 0.110 s, at 20,000
 # 0.141 s against 0.127 s, at 24,000 0.160 s against 0.135 s.  Both break
@@ -309,12 +313,13 @@ def _eig_json(p) -> dict:
 
 
 def _eig_from_json(d: dict):
-    """Inverse of ``_eig_json``; a non-finite part is a ``ValueError``."""
+    """Inverse of ``_eig_json``; a part that is not a JSON number is a
+    ``TypeError``, a non-finite one a ``ValueError``."""
     if "re" in d:
-        re, im = float(d["re"]), float(d["im"])
-        if not (math.isfinite(re) and math.isfinite(im)):
+        z = _complex(d["re"], d["im"])
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError(f"non-finite eigenvalue {d!r}")
-        return complex(re, im)
+        return z
     return _point_from_json(d)
 
 
@@ -546,29 +551,9 @@ def _map_chunks(fn, chunk_args: list, workers: int) -> list:
         return list(pool.map(fn, chunk_args))
 
 
-def _sampled_chunk(args):
-    """Draw ``count`` pairs one at a time and score each with
-    ``defect_of(a, b)``, a ``PairDefect``.  Returns (defects, the first
-    maximum's pair (A, B), all exact)."""
-    sampler, count, seed_seq, defect_of = args
-    rng = np.random.default_rng(seed_seq)
-    vals = np.empty(count, dtype=float)
-    best = -1.0
-    best_pair = None
-    all_exact = True
-    for t in range(count):
-        a = sampler(rng)
-        b = sampler(rng)
-        pd = defect_of(a, b)
-        if pd.defect_exact is None:
-            all_exact = False
-        vals[t] = pd.defect
-        if pd.defect > best:
-            best, best_pair = pd.defect, (a, b)
-    return vals, best_pair, all_exact
-
-
 def _tadpole_batch_defects(drawn) -> np.ndarray:
+    if drawn.exact:
+        return _exact_defects(*drawn.spectra(), drawn.scale) / drawn.scale
     return _float_defects(*drawn.spectra())
 
 
@@ -576,21 +561,17 @@ def _sr_batch_defects(drawn) -> np.ndarray:
     return _chord_defects(*drawn.eigenvalues())
 
 
-def _scored(drawn, kernel):
-    """(defects of the batch ``drawn``, its first maximum's pair as a
-    one-row batch): no matrix is built for a pair that may not win the run."""
-    values = kernel(drawn)
-    return values, drawn.take(int(values.argmax()))
-
-
 def _sampled_group(args):
-    """Draw a group of consecutive chunks, each (count, seed sequence)
-    drawn by the sampler's ``batch`` from its own seed, and score them
-    stacked with one ``kernel`` call, as ``_scored``."""
+    """Draw a group of consecutive (count, seed sequence) chunks by the
+    sampler's ``batch``, each from its own seed, and score them stacked with
+    one ``kernel`` call: (defects, the first maximum's pair as a one-row
+    batch, so no matrix is built for a pair that may not win the run)."""
     sampler, chunks, kernel = args
     drawn = [sampler.batch(np.random.default_rng(seed_seq), count)
              for count, seed_seq in chunks]
-    return _scored(type(drawn[0]).concat(drawn), kernel)
+    drawn = type(drawn[0]).concat(drawn)
+    values = kernel(drawn)
+    return values, drawn.take(int(values.argmax()))
 
 
 def _chunk_sizes(total: int, parts: int) -> list[int]:
@@ -726,54 +707,40 @@ def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
                      kernel, worst_of, vmax, gamma_convention=None):
     """The seeded sampled run of both the argument and the chord defect.
 
-    Chunk k of ``SAMPLE_CHUNKS`` fixed chunks is drawn from its own spawned
-    seed, so the pairs do not depend on ``workers``; ``kernel`` scores a
-    batch, ``worst_of`` one pair (and builds the run's first maximum, the
-    only pair whose matrices are built).  ``vmax`` tops the histogram (None:
-    the largest defect).  The sampler's ``batch`` is asked for chunk 0, in
-    process.  If it draws it, the other chunks go in groups of consecutive
-    chunks of at most ``SAMPLE_GROUP_PAIRS`` pairs (or one chunk, when a
-    chunk alone is larger), to the pool from ``PARALLEL_MIN_BATCHED_PAIRS``
-    pairs; if the sampler has no batch, every chunk is drawn one pair at a
-    time as its own task, to the pool from ``PARALLEL_MIN_PAIRS``.
+    Chunk k of ``SAMPLE_CHUNKS`` fixed chunks is drawn by the sampler's
+    ``batch`` (a ``TypeError`` if it has none) from its own spawned seed, so
+    the pairs do not depend on ``workers``.  Groups of consecutive chunks of
+    at most ``SAMPLE_GROUP_PAIRS`` pairs (or one chunk, when a chunk alone is
+    larger) are scored by one ``kernel`` call each, in the pool from
+    ``PARALLEL_MIN_BATCHED_PAIRS`` pairs.  ``worst_of`` builds the run's
+    first maximum, the only pair built as matrices; the report is exact when
+    its defect is.  ``vmax`` tops the histogram (None: the largest defect).
     """
+    if not hasattr(sampler, "batch"):
+        raise TypeError(f"{sampler!r} has no batch to draw the pairs with")
     if pair_count < 1:
         raise ValueError("need at least one pair")
     sizes = _chunk_sizes(pair_count, SAMPLE_CHUNKS)
     chunks = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
-    batch = getattr(sampler, "batch", None)
-    first = None if batch is None else batch(np.random.default_rng(chunks[0][1]),
-                                             sizes[0])
-    if first is None:
-        defect_of = partial(worst_of, with_matrices=False)
-        tasks = [(sampler, count, seed_seq, defect_of) for count, seed_seq in chunks]
-        parts = _map_chunks(_sampled_chunk, tasks,
-                            workers if pair_count >= PARALLEL_MIN_PAIRS else 1)
-        all_exact = all(p[2] for p in parts)
-    else:
-        per = max(1, SAMPLE_GROUP_PAIRS // sizes[0])
-        tasks = [(sampler, chunks[lo:lo + per], kernel)
-                 for lo in range(1, len(chunks), per)]
-        parts = [_scored(first, kernel)] + _map_chunks(
-            _sampled_group, tasks,
-            workers if pair_count >= PARALLEL_MIN_BATCHED_PAIRS else 1)
-        # a batch holds float draws only, so its defects are never exact
-        all_exact = False
+    per = max(1, SAMPLE_GROUP_PAIRS // sizes[0])
+    tasks = [(sampler, chunks[lo:lo + per], kernel)
+             for lo in range(0, len(chunks), per)]
+    parts = _map_chunks(_sampled_group, tasks,
+                        workers if pair_count >= PARALLEL_MIN_BATCHED_PAIRS else 1)
     values = np.concatenate([p[0] for p in parts])
     # the first maximum lies in the part whose end is the first one past it
     best_idx = int(values.argmax())
     ends = np.cumsum([len(p[0]) for p in parts])
     best = parts[int(np.searchsorted(ends, best_idx, side="right"))][1]
-    a, b = best if first is None else best.pair(0)
-    worst = worst_of(a, b, pair=("sampled", best_idx))
+    worst = worst_of(*best.pair(0), pair=("sampled", best_idx))
     rows = [(int(t), -1, float(v)) for t, v in enumerate(values)] if collect_pairs else None
     return AsmReport(
         kind=worst.kind,
         mode="sampled",
         bound="lower",
         epsilon=float(values.max()),
-        epsilon_exact=worst.defect_exact if all_exact else None,
-        exact=all_exact,
+        epsilon_exact=worst.defect_exact,
+        exact=worst.defect_exact is not None,
         pair_total=pair_count,
         sample_count=pair_count,
         seed=seed,
@@ -786,7 +753,7 @@ def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
 
 
 def measure_asm_sampled(
-    sampler: Callable,
+    sampler: TadpoleSampler,
     pair_count: int,
     seed: int,
     workers: int = 1,
@@ -794,8 +761,9 @@ def measure_asm_sampled(
     collect_pairs: bool = False,
 ) -> AsmReport:
     """Sampled lower bound on the defect: draws pair_count independent pairs
-    from the seeded sampler.  The seed space is split deterministically into
-    spawned streams, so the worker count does not change the pairs."""
+    through the seeded sampler's ``batch``, exactly when the sampler is
+    exact.  The seed space is split deterministically into spawned streams,
+    so the worker count does not change the pairs."""
     return _measure_sampled(sampler, pair_count, seed, workers, bins,
                             collect_pairs, _tadpole_batch_defects, pair_defect,
                             vmax=0.5)

@@ -36,12 +36,12 @@ from .asm import (
     DEFAULT_BINS,
     _chord_defects,
     _eig_from_json,
+    _exact_defects,
     _float_defects,
     conversion_check,
     measure_asm,
     measure_asm_sampled,
     measure_sub,
-    pair_defect,
 )
 from .circle import (
     ONE,
@@ -56,6 +56,7 @@ from .constructions import (
     SrParams,
     TadpoleParams,
     _cmul,
+    _tadpole_cases,
     adversarial_case4_pair,
     cycle_matrix,
     default_miller_moreno,
@@ -397,15 +398,11 @@ def _verify_tadpole_bound(args) -> tuple[bool, dict]:
     p = args.p
     bound = Fraction(1, 2 * p * p)
     rng = np.random.default_rng(args.seed)
-    from .constructions import sample_tadpole, tadpole_case
-
-    sampler = tadpole_sampler(p)
     max_defect = 0.0
-    cases = {1: 0, 2: 0, 3: 0, 4: 0}
     bad = None
     float_tol = float(bound) + args.tol
     for lo in range(0, args.pairs, VERIFY_BLOCK):
-        drawn = sampler.batch(rng, min(VERIFY_BLOCK, args.pairs - lo))
+        drawn = tadpole_sampler(p).batch(rng, min(VERIFY_BLOCK, args.pairs - lo))
         vals = _float_defects(*drawn.spectra())
         max_defect = max(max_defect, float(vals.max()))
         hits = np.flatnonzero(vals > float_tol)
@@ -413,29 +410,27 @@ def _verify_tadpole_bound(args) -> tuple[bool, dict]:
             t = int(hits[0])
             bad = {"defect": float(vals[t]), "a": drawn.params(t, 0).to_json_dict(),
                    "b": drawn.params(t, 1).to_json_dict()}
+    # case 4 (diagonal product of non-diagonal factors) may reach the bound,
+    # every other case has defect 0
     exact_pairs = min(args.pairs, 2000)
-    zeros_ok = True
-    for _ in range(exact_pairs):
-        ta = sample_tadpole(p, rng, exact=True)
-        tb = sample_tadpole(p, rng, exact=True)
-        case = tadpole_case(ta, tb)
-        cases[case] += 1
-        fr = pair_defect(tadpole(ta), tadpole(tb), with_matrices=False).defect_exact
-        bad_zero = case in (1, 2, 3) and fr != 0
-        bad_four = case == 4 and fr > bound
-        if bad_zero or bad_four:
-            zeros_ok = False
-            if bad is None:
-                bad = {"case": case, "defect": _frac_str(fr),
-                       "a": ta.to_json_dict(), "b": tb.to_json_dict()}
-    ok = bad is None and zeros_ok
-    return ok, {
+    drawn = tadpole_sampler(p, exact=True).batch(rng, exact_pairs)
+    nums = _exact_defects(*drawn.spectra(), drawn.scale)
+    cases = _tadpole_cases(*drawn.k.T, p)
+    fails = np.flatnonzero(np.where(cases == 4, nums > int(bound * drawn.scale),
+                                    nums != 0))
+    if fails.size and bad is None:
+        t = int(fails[0])
+        bad = {"case": int(cases[t]),
+               "defect": _frac_str(Fraction(int(nums[t]), drawn.scale)),
+               "a": drawn.params(t, 0).to_json_dict(),
+               "b": drawn.params(t, 1).to_json_dict()}
+    return bad is None, {
         "p": p,
         "bound": _frac_str(bound),
         "sampled_pairs": args.pairs,
         "max_defect": max_defect,
         "exact_pairs": exact_pairs,
-        "exact_cases": {str(k): v for k, v in cases.items()},
+        "exact_cases": {str(c): int((cases == c).sum()) for c in (1, 2, 3, 4)},
         "counterexample": bad,
     }
 

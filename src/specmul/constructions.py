@@ -257,11 +257,13 @@ def tadpole_case(a: TadpoleParams, b: TadpoleParams) -> int:
     factor nor the product diagonal; 4: both factors non-diagonal but the
     product diagonal (k + l = p).
     """
-    if a.k == 0 and b.k == 0:
-        return 1
-    if a.k == 0 or b.k == 0:
-        return 2
-    return 4 if (a.k + b.k) % a.p == 0 else 3
+    return int(_tadpole_cases(np.asarray(a.k), np.asarray(b.k), a.p))
+
+
+def _tadpole_cases(ka: np.ndarray, kb: np.ndarray, p: int) -> np.ndarray:
+    """``tadpole_case`` of the pairs whose head shifts are ``ka`` and ``kb``."""
+    return np.select([(ka == 0) & (kb == 0), (ka == 0) | (kb == 0),
+                      (ka + kb) % p == 0], [1, 2, 4], 3)
 
 
 def random_det1_diagonal(
@@ -274,21 +276,22 @@ def random_det1_diagonal(
     With ``exact`` the angles are random rationals over p^2 or 2p^2, so
     determinants cancel exactly."""
     if exact:
-        choices = (p * p, 2 * p * p)
-        total = Fraction(0)
-        pts = []
-        for _ in range(p - 1):
-            den = int(rng.choice(choices))
-            f = Fraction(int(rng.integers(0, den)), den)
-            total += f
-            pts.append(UnitPoint.exact(f.numerator, f.denominator))
-        last = (-total) % 1
-        pts.append(UnitPoint.exact(last.numerator, last.denominator))
-    else:
-        angles = rng.random(p - 1)
-        pts = [UnitPoint.approx(float(t)) for t in angles]
-        pts.append(UnitPoint.approx(float((-angles.sum()) % 1.0)))
+        return tuple(UnitPoint.exact(x, 2 * p * p) for x in _exact_head(p, rng))
+    angles = rng.random(p - 1)
+    pts = [UnitPoint.approx(float(t)) for t in angles]
+    pts.append(UnitPoint.approx(float((-angles.sum()) % 1.0)))
     return tuple(pts)
+
+
+def _exact_head(p: int, rng: np.random.Generator) -> list[int]:
+    """``random_det1_diagonal(exact=True)`` as numerators over 2p^2: p - 1
+    uniform over p^2 or 2p^2, the last making the sum 0 mod 1."""
+    den = 2 * p * p
+    nums = []
+    for _ in range(p - 1):
+        over = int(rng.choice((p * p, den)))
+        nums.append(int(rng.integers(0, over)) * (den // over))
+    return nums + [-sum(nums) % den]
 
 
 def sample_tadpole(
@@ -321,6 +324,14 @@ def _head_angles(d: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
     return np.where(k[:, None] == 0, d, roots)
 
 
+def _head_numerators(d: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
+    """``_head_angles`` of exact heads: numerators over 2p^3 from D's
+    numerators ``d`` over 2p^2, the roots (w + t) / p of the weight w."""
+    den = 2 * p * p
+    roots = (d.sum(axis=1)[:, None] + np.arange(p) * den) % (den * p)
+    return np.where(k[:, None] == 0, d * p, roots)
+
+
 def _tail_exponents(k: np.ndarray, a: np.ndarray, p: int) -> np.ndarray:
     """Tail exponents j*k + a_j*p mod p^2 (a_0 = 0) over xi = exp(2 pi i/p^2)."""
     a0 = np.concatenate([np.zeros((len(k), 1), dtype=np.int64), a], axis=1)
@@ -329,17 +340,19 @@ def _tail_exponents(k: np.ndarray, a: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TadpoleBatch:
-    """Sampled pairs of float tadpoles as parameter arrays.
+    """Sampled pairs of tadpoles as parameter arrays.
 
     Row t is the t-th pair; along the second axis, 0 is the left factor A and
-    1 the right factor B.  ``d (m, 2, p)`` holds the head angles in turns,
-    ``k (m, 2)`` the shifts and ``a (m, 2, p-1)`` the tail exponents.
+    1 the right factor B.  ``d (m, 2, p)`` holds the head angles, in turns or
+    with ``exact`` as int64 numerators over 2p^2, ``k (m, 2)`` the shifts and
+    ``a (m, 2, p-1)`` the tail exponents.
     """
 
     p: int
     d: np.ndarray
     k: np.ndarray
     a: np.ndarray
+    exact: bool = False
 
     @classmethod
     def concat(cls, batches: Sequence["TadpoleBatch"]) -> "TadpoleBatch":
@@ -348,41 +361,51 @@ class TadpoleBatch:
             return batches[0]
         return cls(batches[0].p, np.concatenate([b.d for b in batches]),
                    np.concatenate([b.k for b in batches]),
-                   np.concatenate([b.a for b in batches]))
+                   np.concatenate([b.a for b in batches]), batches[0].exact)
 
     def take(self, t: int) -> "TadpoleBatch":
         """Pair t alone, as a batch that holds no view of this one."""
         pick = slice(t, t + 1)
         return TadpoleBatch(self.p, self.d[pick].copy(), self.k[pick].copy(),
-                            self.a[pick].copy())
+                            self.a[pick].copy(), self.exact)
+
+    @property
+    def scale(self) -> int:
+        """The denominator 2p^3 of the numerators of exact ``spectra``."""
+        return 2 * self.p ** 3
 
     def params(self, t: int, side: int) -> TadpoleParams:
-        return TadpoleParams(self.p,
-                             tuple(UnitPoint.approx(float(x)) for x in self.d[t, side]),
-                             int(self.k[t, side]),
-                             tuple(int(x) for x in self.a[t, side]))
+        d = tuple(UnitPoint.exact(x, 2 * self.p * self.p) if self.exact
+                  else UnitPoint.approx(x) for x in self.d[t, side].tolist())
+        return TadpoleParams(self.p, d, int(self.k[t, side]),
+                             tuple(self.a[t, side].tolist()))
 
     def pair(self, t: int) -> tuple[UMatrix, UMatrix]:
         return tadpole(self.params(t, 0)), tadpole(self.params(t, 1))
 
     def spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Angle arrays (m, 2p) of sigma(A), sigma(B) and sigma(AB), equal
-        as multisets to the spectra of the matrices and their product.
+        """Arrays (m, 2p) of sigma(A), sigma(B) and sigma(AB), equal as
+        multisets to the spectra of the matrices and their product: angles
+        in turns, or with ``exact`` int64 numerators over ``scale``.
 
-        The product follows ``tadpole_mul``: D_AB = D_A * sigma_k(D_B) with
-        ``% 1.0`` as in ``UnitPoint.__mul__``, r = k + l mod p, and the tail
-        exponents add mod p^2.
+        The product follows ``tadpole_mul``: D_AB = D_A * sigma_k(D_B) (with
+        ``% 1.0`` as in ``UnitPoint.__mul__``, or mod 2p^2), r = k + l mod p,
+        and the tail exponents add mod p^2.
         """
         p, sq = self.p, self.p * self.p
         (da, db), (ka, kb) = self.d.transpose(1, 0, 2), self.k.T
         ea = _tail_exponents(ka, self.a[:, 0], p)
         eb = _tail_exponents(kb, self.a[:, 1], p)
-        dab = _mod1(da + np.take_along_axis(db, (np.arange(p) + ka[:, None]) % p,
-                                            axis=1))
-        return (np.concatenate([_head_angles(da, ka, p), ea / sq], axis=1),
-                np.concatenate([_head_angles(db, kb, p), eb / sq], axis=1),
-                np.concatenate([_head_angles(dab, (ka + kb) % p, p),
-                                (ea + eb) % sq / sq], axis=1))
+        dab = da + np.take_along_axis(db, (np.arange(p) + ka[:, None]) % p, axis=1)
+        if self.exact:
+            heads, tails = _head_numerators, lambda e: e * (2 * p)
+            dab %= 2 * sq
+        else:
+            heads, tails = _head_angles, lambda e: e / sq
+            _mod1(dab, out=dab)
+        return tuple(np.concatenate([heads(d, k, p), tails(e)], axis=1)
+                     for d, k, e in ((da, ka, ea), (db, kb, eb),
+                                     (dab, (ka + kb) % p, (ea + eb) % sq)))
 
 
 @dataclass(frozen=True)
@@ -399,25 +422,29 @@ class TadpoleSampler:
     def __call__(self, rng: np.random.Generator) -> UMatrix:
         return tadpole(sample_tadpole(self.p, rng, exact=self.exact))
 
-    def batch(self, rng: np.random.Generator, count: int) -> Optional[TadpoleBatch]:
+    def batch(self, rng: np.random.Generator, count: int) -> TadpoleBatch:
         """The next ``count`` pairs, drawn from ``rng`` as 2*count calls
-        would draw them and leaving it where they would; None in exact mode,
-        which has no batch: its rational angles are drawn one pair at a
-        time.  Raises ``TypeError`` for a bit generator other than PCG64,
-        whose stream is not replayed."""
-        if self.exact:
-            return None
-        _require_pcg64(rng)
+        would draw them and leaving it where they would.  Exact draws make
+        those calls' own ``choice`` and ``integers`` calls; float draws are
+        replayed from raw words and raise ``TypeError`` for a bit generator
+        other than PCG64."""
         p = self.p
         if not is_prime(p):
             raise InvalidParamsError("p must be prime")
-        angles, ints = _tadpole_draws(rng, p, 2 * count)
-        # random_det1_diagonal's last angle, then UnitPoint's own % 1.0
-        last = _mod1(_mod1(-angles.sum(axis=1)))
-        d = np.concatenate([angles, last[:, None]], axis=1)
+        if self.exact:
+            draws = np.array([(*_exact_head(p, rng), rng.integers(0, p),
+                               *rng.integers(0, p, size=p - 1))
+                              for _ in range(2 * count)], dtype=np.int64)
+            d, ints = np.split(draws.reshape(2 * count, 2 * p), [p], axis=1)
+        else:
+            _require_pcg64(rng)
+            angles, ints = _tadpole_draws(rng, p, 2 * count)
+            # random_det1_diagonal's last angle, then UnitPoint's own % 1.0
+            last = _mod1(_mod1(-angles.sum(axis=1)))
+            d = np.concatenate([angles, last[:, None]], axis=1)
         return TadpoleBatch(p, d.reshape(count, 2, p),
                             ints[:, 0].reshape(count, 2),
-                            ints[:, 1:].reshape(count, 2, p - 1))
+                            ints[:, 1:].reshape(count, 2, p - 1), self.exact)
 
 
 # random() is (word >> 11) * 2**-53, one PCG64 word per double

@@ -79,6 +79,13 @@ def _typed(d, key, kind, nullable: bool = False):
     raise TypeError(f"{key} must be {kind}, not {value!r}")
 
 
+def _complex(re, im) -> complex:
+    """``re + i im`` if both are JSON numbers."""
+    if not (_is(re, (int, float)) and _is(im, (int, float))):
+        raise TypeError(f"re and im must be numbers, not {re!r} and {im!r}")
+    return complex(re, im)
+
+
 def _typed_items(d, key, kind) -> tuple:
     """The items of the list ``d[key]`` if each is a ``kind``."""
     items = _typed(d, key, list)

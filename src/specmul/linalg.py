@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatchError,
     MalformedJsonError,
     NonUnitaryError,
+    _complex,
     _is,
     _loading,
     _typed,
@@ -535,7 +536,7 @@ def matrix_from_json(d: dict) -> UMatrix:
         elif variant == "block_diag":
             m = BlockDiag(tuple(matrix_from_json(b) for b in d["blocks"]))
         else:
-            a = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
+            a = np.array([[_complex(*z) for z in row] for row in d["entries"]])
             m = Dense(a, unitary=_typed(d, "unitary", bool, nullable=True)
                       if "unitary" in d else None)
         if not m.dim:

@@ -345,6 +345,15 @@ class TestConversions:
         assert asm == pytest.approx(0.05)
 
 
+def _chord_worst(re, im) -> dict:
+    """A chord report's worst pair whose witness gamma is written as
+    {"re": re, "im": im}."""
+    a, b = (sr_sample(SrParams(0.5), np.random.default_rng(s)) for s in (0, 1))
+    d = pair_sub_defect(a, b).to_json_dict()
+    d["witness"]["gamma"] = {"re": re, "im": im}
+    return d
+
+
 class TestReportSerialization:
     def test_round_trip_through_json(self):
         r = measure_asm(close(_q8_generators()), collect_pairs=True)
@@ -387,6 +396,7 @@ class TestReportSerialization:
         ("kind", 3), ("epsilon", "0.1"), ("epsilon", True), ("exact", "false"),
         ("epsilon_exact", "1/0"), ("pair_total", 64.0), ("seed", "7"),
         ("histogram", [1, 2]), ("worst", "pair"), ("pair_rows", 5),
+        ("worst", _chord_worst(True, 0.0)), ("worst", _chord_worst(0.5, "0.5")),
     ])
     def test_wrong_types(self, key, value):
         d = measure_asm(close(_q8_generators())).to_json_dict()
@@ -477,23 +487,72 @@ def _dense_mm_closure(seed):
     return _dense_closure(miller_moreno(default_miller_moreno(3, 7)), seed)
 
 
+def _one_pair_chunk(args):
+    """Draw ``count`` pairs one at a time and score each with
+    ``defect_of(a, b)``, a ``PairDefect``: a chunk of a sampled run before
+    every run drew through the sampler's ``batch``, kept as the reference
+    for ``asm._sampled_group``.  Returns (defects, the first maximum's pair
+    (A, B), all exact)."""
+    sampler, count, seed_seq, defect_of = args
+    rng = np.random.default_rng(seed_seq)
+    vals = np.empty(count, dtype=float)
+    best = -1.0
+    best_pair = None
+    all_exact = True
+    for t in range(count):
+        a = sampler(rng)
+        b = sampler(rng)
+        pd = defect_of(a, b)
+        if pd.defect_exact is None:
+            all_exact = False
+        vals[t] = pd.defect
+        if pd.defect > best:
+            best, best_pair = pd.defect, (a, b)
+    return vals, best_pair, all_exact
+
+
+def _one_pair_report(sampler, count, seed, worst_of, vmax, gamma_convention=None):
+    """The sampled run of ``sampler`` (rng -> element) drawn and scored one
+    pair at a time in one process, with pairs collected: the reference for
+    ``asm._measure_sampled``."""
+    sizes = asm._chunk_sizes(count, asm.SAMPLE_CHUNKS)
+    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    defect_of = partial(worst_of, with_matrices=False)
+    parts = [_one_pair_chunk((sampler, c, s, defect_of)) for c, s in zip(sizes, seeds)]
+    values = np.concatenate([p[0] for p in parts])
+    exact = all(p[2] for p in parts)
+    best_idx = int(values.argmax())
+    a, b = parts[int(np.searchsorted(np.cumsum(sizes), best_idx, side="right"))][1]
+    worst = worst_of(a, b, pair=("sampled", best_idx))
+    return AsmReport(
+        kind=worst.kind, mode="sampled", bound="lower",
+        epsilon=float(values.max()),
+        epsilon_exact=worst.defect_exact if exact else None, exact=exact,
+        pair_total=count, sample_count=count, seed=seed, group_order=None,
+        worst=worst, histogram=asm._make_histogram(values, asm.DEFAULT_BINS, vmax),
+        gamma_convention=gamma_convention,
+        pair_rows=[(int(t), -1, float(v)) for t, v in enumerate(values)])
+
+
 class TestBatchedKernel:
-    """The batched float path against the one-pair-at-a-time path."""
+    """The batched path against the one-pair-at-a-time reference."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tadpole_chunk_matches_scalar_loop(self, p, seed):
-        sampler = tadpole_sampler(p)
-        seq = np.random.SeedSequence(seed)
-        vals, best = asm._sampled_group(
-            (sampler, [(40, seq)], asm._tadpole_batch_defects))
-        svals, spair, sexact = asm._sampled_chunk(
-            (sampler, 40, seq, partial(pair_defect, with_matrices=False)))
-        assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
-        assert not sexact
-        pair = best.pair(0)
-        assert pair == spair
-        assert [m.to_json_dict() for m in pair] == [m.to_json_dict() for m in spair]
+        for exact in (False, True):
+            sampler = tadpole_sampler(p, exact=exact)
+            seq = np.random.SeedSequence(seed)
+            vals, best = asm._sampled_group(
+                (sampler, [(40, seq)], asm._tadpole_batch_defects))
+            svals, spair, sexact = _one_pair_chunk(
+                (sampler, 40, seq, partial(pair_defect, with_matrices=False)))
+            assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
+            assert best.exact is sexact is exact
+            pair = best.pair(0)
+            assert pair == spair
+            assert ([m.to_json_dict() for m in pair]
+                    == [m.to_json_dict() for m in spair])
 
     @pytest.mark.parametrize("p", sorted(SAMPLED_GOLDEN))
     def test_sampled_report_matches_golden(self, p):
@@ -520,10 +579,15 @@ class TestBatchedKernel:
         monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
         assert asm._float_defects(sa, sb, sab).tolist() == want
 
-    def test_exact_sampler_has_no_batch(self):
-        rng = np.random.default_rng(0)
-        assert tadpole_sampler(3, exact=True).batch(rng, 5) is None
-        assert rng.random() == np.random.default_rng(0).random()
+    def test_exact_batch_replays_the_one_pair_draws(self):
+        # 2 * count ``sample_tadpole(exact=True)`` calls, and their state
+        for p in (2, 3, 5, 7):
+            rng, ref = np.random.default_rng(p), np.random.default_rng(p)
+            drawn = tadpole_sampler(p, exact=True).batch(rng, 20)
+            assert drawn.exact
+            want = [sample_tadpole(p, ref, exact=True) for _ in range(40)]
+            assert [drawn.params(t, side) for t in range(20) for side in (0, 1)] == want
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_dense_rows_match_pair_defects(self):
         c = _dense_mm_closure(5)
@@ -786,6 +850,16 @@ DRIVER_GOLDEN = {
     "sr_exhaustive": "5b91d17d510382a5efaa0ed2418a8844309f83a4d7328a971768e2a1a0c49a30",
 }
 
+# p -> (seed, sha256 of the report as ``_report_sha`` hashes it) of
+# measure_asm_sampled(tadpole_sampler(p, exact=True), 5000, seed,
+# collect_pairs=True), as the one-pair-at-a-time exact loop produced them:
+# 5,000 pairs make chunks of 78 and 79 pairs, scored in several groups.
+EXACT_SAMPLED_GOLDEN = {
+    2: (52, "5d8414a820bf0a2571c998ed073a4476be07a113fdaab178c4217f20288c8d28"),
+    5: (55, "af844edfc2ea3750f035e23ae920fc0318de4c11d10ef1c63c47e1238263438e"),
+    7: (57, "13c085afc65bc4f459949e8f611ea6b2a47ce8c3e600f9ad76be2d8504c44c7a"),
+}
+
 
 def _report_sha(rep):
     blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
@@ -813,6 +887,25 @@ class TestSampledDriverGolden:
                                   collect_pairs=True)
         assert rep.exact
         assert _report_sha(rep) == DRIVER_GOLDEN["tadpole_exact"]
+
+    def test_exact_tadpole_sampled_through_the_pool(self, monkeypatch):
+        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        # groups of 10 chunks, so that 2 workers get 7 tasks
+        monkeypatch.setattr(asm, "SAMPLE_GROUP_PAIRS", 50)
+        seen = spy_workers(monkeypatch)
+        reps = [measure_asm_sampled(tadpole_sampler(3, exact=True), 300, seed=42,
+                                    workers=workers, collect_pairs=True)
+                for workers in (1, 2)]
+        assert seen == [1, 2]
+        assert [_report_sha(rep) for rep in reps] == [DRIVER_GOLDEN["tadpole_exact"]] * 2
+
+    @pytest.mark.parametrize("p", sorted(EXACT_SAMPLED_GOLDEN))
+    def test_exact_tadpole_sampled_in_groups(self, p):
+        seed, sha = EXACT_SAMPLED_GOLDEN[p]
+        rep = measure_asm_sampled(tadpole_sampler(p, exact=True), 5000, seed,
+                                  collect_pairs=True)
+        assert rep.exact and rep.epsilon_exact == Fraction(1, 2 * p * p)
+        assert _report_sha(rep) == sha
 
     @pytest.mark.parametrize("seed", range(8))
     def test_worst_pair_is_the_first_maximum(self, seed):
@@ -927,9 +1020,8 @@ class TestGroupedScoring:
 
 
 class TestPoolFloor:
-    """Whether the sampler's batch draws chunk 0 picks the pair count from
-    which the tasks go to the pool, and whether a task is a group of chunks
-    or one chunk."""
+    """The pair count from which the tasks go to the pool, and whether a
+    task is a group of chunks or one chunk."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -943,9 +1035,8 @@ class TestPoolFloor:
         return calls
 
     def test_batched_run_below_its_floor_stays_in_process(self, calls):
-        measure_asm_sampled(tadpole_sampler(3), asm.PARALLEL_MIN_PAIRS, seed=1,
-                            workers=2)
-        # chunks 1-63 of 32 pairs, in groups of 25, 25 and 13 chunks
+        measure_asm_sampled(tadpole_sampler(3), 2048, seed=1, workers=2)
+        # 64 chunks of 32 pairs, in groups of 25, 25 and 14 chunks
         assert calls == [(3, 1)]
 
     def test_batched_run_from_its_floor_uses_the_pool(self, calls, monkeypatch):
@@ -953,16 +1044,8 @@ class TestPoolFloor:
         for count in (3000, 2999):
             measure_sub(sr_sampler(SrParams(0.5)), pair_count=count, seed=1,
                         workers=2)
-        # chunks 1-63 of at most 47 pairs, in groups of 17, 17, 17 and 12
+        # 64 chunks of at most 47 pairs, in groups of 17, 17, 17 and 13
         assert calls == [(4, 2), (4, 1)]
-
-    def test_scalar_run_keeps_the_pairs_floor(self, calls, monkeypatch):
-        monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 200)
-        for count in (200, 199):
-            measure_asm_sampled(tadpole_sampler(3, exact=True), count, seed=1,
-                                workers=2)
-        # chunk 0 asks the sampler's batch, then every chunk is a task
-        assert calls == [(asm.SAMPLE_CHUNKS, 2), (asm.SAMPLE_CHUNKS, 1)]
 
     @pytest.mark.parametrize("budget, count", [
         (800, 799), (800, 800), (800, 801), (800, 5000), (800, 12000),
@@ -979,8 +1062,8 @@ class TestPoolFloor:
         measure_sub(sr_sampler(SrParams(0.5)), pair_count=count, seed=3)
         sizes = asm._chunk_sizes(count, asm.SAMPLE_CHUNKS)
         groups = [[c for c, _ in task[1]] for task in tasks]
-        # every chunk after chunk 0 once, in order
-        assert [c for g in groups for c in g] == sizes[1:]
+        # every chunk once, in order
+        assert [c for g in groups for c in g] == sizes
         if sizes[0] <= budget:
             assert max(map(sum, groups)) <= budget
             # as many chunks as the budget holds, but in the last group
@@ -1008,8 +1091,8 @@ class TestSrBatchChunk:
         seq = np.random.SeedSequence(seed)
         vals, best = asm._sampled_group(
             (sampler, [(count, seq)], asm._sr_batch_defects))
-        one_by_one = asm._sampled_chunk((sr_sampler(sampler.params), count, seq,
-                                         self.PER_PAIR))
+        one_by_one = _one_pair_chunk((sr_sampler(sampler.params), count, seq,
+                                      self.PER_PAIR))
         return (vals, best.pair(0)), one_by_one
 
     def _assert_same(self, got, want):
@@ -1048,24 +1131,33 @@ class TestSrBatchChunk:
         assert rng.bit_generator.state == ref.bit_generator.state
         self._assert_same(*self._chunks(_ZeroVectorSampler(params), seed))
         # a run whose every chunk declines reports what the one-pair path does
-        one_pair = partial(sr_sample, params)
         assert (measure_sub(_ZeroVectorSampler(params), pair_count=130, seed=seed,
                             collect_pairs=True).to_json_dict()
-                == measure_sub(one_pair, pair_count=130, seed=seed,
-                               collect_pairs=True).to_json_dict())
+                == _one_pair_report(partial(sr_sample, params), 130, seed,
+                                    pair_sub_defect, None, "nonzero").to_json_dict())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sampler_without_batch(self, monkeypatch, workers):
-        monkeypatch.setattr(asm, "PARALLEL_MIN_PAIRS", 1)
+        """A sampler without ``batch`` is refused before it draws; the pairs
+        it would draw one at a time are the pairs that ``batch`` draws."""
+        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
         seen = spy_workers(monkeypatch)
-        plain = partial(sr_sample, SrParams(0.5))
-        assert not hasattr(plain, "batch")
-        rep = measure_sub(plain, pair_count=300, seed=41, workers=workers,
-                          collect_pairs=True)
-        assert seen == [workers]
-        assert _report_sha(rep) == DRIVER_GOLDEN["sr_sampled"]
-        ref = measure_sub(sr_sampler(SrParams(0.5)), pair_count=300, seed=41,
+        called = []
+
+        def plain(rng):
+            called.append(rng)
+            return sr_sample(SrParams(0.5), rng)
+
+        with pytest.raises(TypeError, match="batch"):
+            measure_sub(plain, pair_count=300, seed=41, workers=workers)
+        with pytest.raises(TypeError, match="batch"):
+            measure_asm_sampled(plain, 300, seed=41, workers=workers)
+        assert called == [] and seen == []
+        ref = _one_pair_report(plain, 300, 41, pair_sub_defect, None, "nonzero")
+        assert _report_sha(ref) == DRIVER_GOLDEN["sr_sampled"]
+        rep = measure_sub(sr_sampler(SrParams(0.5)), pair_count=300, seed=41,
                           workers=workers, collect_pairs=True)
+        assert seen == [workers]
         assert rep.to_json_dict() == ref.to_json_dict()
 
     def test_chord_kernel_rejects_zero_radius(self):

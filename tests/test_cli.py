@@ -25,6 +25,9 @@ from specmul.constructions import (
     default_miller_moreno,
     miller_moreno,
     random_det1_diagonal,
+    sample_tadpole,
+    tadpole_case,
+    tadpole_sampler,
 )
 
 
@@ -406,6 +409,8 @@ TADPOLE_BOUND_GOLDEN = {
         ("a744b49ae8fc09771902eceb9a0e9958f269132841394eb396e293ee93fac444", 0),
     "--p 5":
         ("8b0baf15bc1504758e6093015e576325422039a35ef522adb7a09054e0625a92", 0),
+    "--p 7":
+        ("96c252f84f033f35105db9cc0cf44ad5c0eaf7d26e3c8215c4bc12df674d04f2", 0),
     # a negative tolerance makes a sampled pair the counterexample
     "--p 5 --pairs 500 --seed 1 --tol -0.001":
         ("ab2cf3ed148f8d36a5cfb3c54098601b2afd2e6d9dc5b40b6dcbb7279d2db982", 2),
@@ -426,6 +431,31 @@ class TestVerifyTadpoleBound:
         assert "case" not in whole[1]["counterexample"]  # a sampled float pair
         monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
         assert cli._verify_tadpole_bound(args) == whole
+
+    def test_first_exact_failure_is_the_counterexample(self, monkeypatch):
+        # exact pairs 5 and 9 get a defect just past the bound 1/18
+        real = cli._exact_defects
+
+        def broken(*args):
+            nums = real(*args)
+            nums[[5, 9]] = 4
+            return nums
+
+        monkeypatch.setattr(cli, "_exact_defects", broken)
+        args = argparse.Namespace(p=3, seed=4, pairs=700, tol=0.0)
+        ok, evidence = cli._verify_tadpole_bound(args)
+        assert not ok
+        rng = np.random.default_rng(4)
+        tadpole_sampler(3).batch(rng, 700)
+        pairs = [(sample_tadpole(3, rng, exact=True), sample_tadpole(3, rng, exact=True))
+                 for _ in range(6)]
+        a, b = pairs[5]
+        assert evidence["counterexample"] == {
+            "case": tadpole_case(a, b), "defect": "2/27",
+            "a": a.to_json_dict(), "b": b.to_json_dict()}
+        assert all(x.is_exact for x in a.d + b.d)
+        monkeypatch.setattr(cli, "_exact_defects", real)
+        assert cli._verify_tadpole_bound(args)[1]["counterexample"] is None
 
 
 class TestVerifySrBound:

@@ -367,7 +367,14 @@ class TestTadpoleReplay:
         with pytest.raises(TypeError, match="Philox"):
             tadpole_sampler(3).batch(rng, 5)
         assert rng.random() == np.random.Generator(np.random.Philox(0)).random()
-        assert tadpole_sampler(3, exact=True).batch(rng, 5) is None
+        # exact draws make the one-pair calls themselves, on any bit generator
+        ref = np.random.Generator(np.random.Philox(0))
+        ref.random()
+        drawn = tadpole_sampler(3, exact=True).batch(rng, 5)
+        want = [sample_tadpole(3, ref, exact=True) for _ in range(10)]
+        assert [drawn.params(t, side) for t in range(5) for side in (0, 1)] == want
+        # Philox's state holds arrays, which print in full at this size
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
     def test_batch_refuses_a_composite_p(self):
         with pytest.raises(InvalidParamsError):

@@ -383,9 +383,13 @@ class TestJsonRoundTrip:
         {"variant": "diagonal", "dim": 1.0, "entries": [{"num": 0, "den": 1}]},
         {"variant": "dense", "entries": [[[1.0, 0.0]]], "unitary": "yes"},
         {"variant": "dense", "entries": [[[1.0, 0.0]]], "unitary": 1},
+        {"variant": "dense", "entries": [[[True, False]]]},
+        {"variant": "dense", "entries": [[[1.0, "0.5"]]]},
+        {"variant": "dense", "entries": [[[1.0]]]},
     ], ids=["empty-diagonal", "no-blocks", "empty-cycle", "num-float",
             "den-float", "num-bool", "k-bool", "k-float", "dim-bool",
-            "dim-float", "unitary-string", "unitary-int"])
+            "dim-float", "unitary-string", "unitary-int", "entry-bool",
+            "entry-string", "entry-short"])
     def test_malformed_fields_raise(self, d):
         with pytest.raises(MalformedJsonError):
             matrix_from_json(d)
