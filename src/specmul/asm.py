@@ -54,6 +54,7 @@ from .linalg import (
     Spectrum,
     UMatrix,
     _dense_angles,
+    _require_unitary,
     general_spectrum,
     matmul,
     matrix_to_json,
@@ -260,21 +261,6 @@ def _defect_float(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray):
     return float(per_g[gi]), gi, ai, bi
 
 
-def _spectrum_defect(sa: Spectrum, sb: Spectrum, sab: Spectrum):
-    """Dispatch to the exact or float core; returns defect + witness points."""
-    if sa.exact and sb.exact and sab.exact:
-        scale = math.lcm(*(s.common_denominator() for s in (sa, sb, sab)))
-        d, g, x, y = _defect_exact(
-            sa.int_angles(scale), sb.int_angles(scale), sab.int_angles(scale), scale)
-        fr = Fraction(d, scale)
-        return (float(fr), fr,
-                UnitPoint.exact(g, scale), UnitPoint.exact(x, scale),
-                UnitPoint.exact(y, scale))
-    aa, ab, aab = sa.angles(), sb.angles(), sab.angles()
-    d, gi, ai, bi = _defect_float(aa, ab, aab)
-    return d, None, sab.points[gi], sa.points[ai], sb.points[bi]
-
-
 # ---------------------------------------------------------------------------
 # result containers
 
@@ -452,28 +438,37 @@ class AsmReport:
 def pair_defect(a: UMatrix, b: UMatrix, pair: tuple = ("explicit",),
                 with_matrices: bool = True) -> PairDefect:
     """Asm defect of the ordered pair (a, b) with deterministic witnesses."""
-    return _product_defect(a, b, matmul(a, b), pair, with_matrices)
+    return _spectra_pair(a.spectrum(), b.spectrum(), matmul(a, b).spectrum(),
+                         pair, (a, b) if with_matrices else None)
 
 
-def _product_defect(a: UMatrix, b: UMatrix, ab: UMatrix, pair: tuple,
-                    with_matrices: bool = True) -> PairDefect:
-    """``pair_defect`` with the product ``ab`` given: an exhaustive scan
-    passes the closure's stored product, whose spectrum it measured."""
-    sa, sb, sab = a.spectrum(), b.spectrum(), ab.spectrum()
-    d, fr, g, al, be = _spectrum_defect(sa, sb, sab)
+def _spectra_pair(sa: Spectrum, sb: Spectrum, sab: Spectrum, pair: tuple,
+                  matrices: Optional[tuple] = None) -> PairDefect:
+    """``pair_defect`` of the spectra sigma(A), sigma(B) and sigma(AB), with
+    the matrices (A, B) when given; exact when all three spectra are.  An
+    exhaustive scan passes the class representatives' spectra it scored."""
+    if sa.exact and sb.exact and sab.exact:
+        scale = math.lcm(*(s.common_denominator() for s in (sa, sb, sab)))
+        d, g, x, y = _defect_exact(
+            sa.int_angles(scale), sb.int_angles(scale), sab.int_angles(scale), scale)
+        fr = Fraction(d, scale)
+        d, wit = float(fr), [UnitPoint.exact(v, scale) for v in (g, x, y)]
+    else:
+        d, gi, ai, bi = _defect_float(sa.angles(), sb.angles(), sab.angles())
+        fr, wit = None, [sab.points[gi], sa.points[ai], sb.points[bi]]
     return PairDefect(
         kind="asm",
         defect=d,
         defect_exact=fr,
         pair=pair,
-        witness_gamma=g,
-        witness_alpha=al,
-        witness_beta=be,
+        witness_gamma=wit[0],
+        witness_alpha=wit[1],
+        witness_beta=wit[2],
         spectrum_a=sa.points,
         spectrum_b=sb.points,
         spectrum_ab=sab.points,
-        matrix_a=matrix_to_json(a) if with_matrices else None,
-        matrix_b=matrix_to_json(b) if with_matrices else None,
+        matrix_a=None if matrices is None else matrix_to_json(matrices[0]),
+        matrix_b=None if matrices is None else matrix_to_json(matrices[1]),
     )
 
 
@@ -583,19 +578,20 @@ def _chunk_sizes(total: int, parts: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # measurements
 
-def _exact_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
-                rows: np.ndarray, collect_pairs: bool):
-    """Exact defects of the representative rows ``rows``: the unique
-    (sigma(A), sigma(B), sigma(AB)) triples go through one call of the
-    batched integer kernel ``_exact_defects``.  ``spectra`` are the
-    representatives' and ``class_of`` gives each element's class.  Returns
-    (numerators shaped like ``rows``, their denominator, full grid or None).
+def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
+                rows: np.ndarray, kernel, collect_pairs: bool):
+    """Defects of the representative rows ``rows``: the unique
+    (sigma(A), sigma(B), sigma(AB)) triples go through one ``kernel`` call.
+    ``spectra`` holds the representatives' spectra as tuples of angles, int
+    numerators for an exact closure (``kernel`` is ``_exact_defects`` at
+    their scale) and float turns for a dense one (``_float_defects``);
+    ``class_of`` gives each element's class.  Returns (defects shaped like
+    ``rows``, full grid or None).
     """
-    scale = math.lcm(*(s.common_denominator() for s in spectra))
-    # distinct spectra as integer angles, numbered in first-seen order
+    # distinct spectra, numbered in first-seen order
     rep_ids: dict = {}
-    class_sid = np.array([rep_ids.setdefault(s.int_angles(scale), len(rep_ids))
-                          for s in spectra], dtype=np.int64)
+    class_sid = np.array([rep_ids.setdefault(s, len(rep_ids)) for s in spectra],
+                         dtype=np.int64)
     uniq_reps = list(rep_ids)
     sid = class_sid[class_of]
     ns = len(uniq_reps)
@@ -604,25 +600,15 @@ def _exact_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     # each distinct spectrum padded to one width with repeats of its first angle
     width = max(len(s) for s in uniq_reps)
     padded = np.array([s + s[:1] * (width - len(s)) for s in uniq_reps],
-                      dtype=np.int64)
+                      dtype=np.int64 if closure.exact else float)
     ia, rem = np.divmod(uniq_tri, ns * ns)
     ib, iab = np.divmod(rem, ns)
-    tri_defects = _exact_defects(padded[ia], padded[ib], padded[iab], scale)
+    tri_defects = kernel(padded[ia], padded[ib], padded[iab])
     grid = None
     if collect_pairs:
         full = (sid[:, None] * ns + sid[None, :]) * ns + sid[closure.cayley_table()]
         grid = tri_defects[np.searchsorted(uniq_tri, full)]
-    return tri_defects[inv].reshape(rows.shape), scale, grid
-
-
-def _float_rows(angles: np.ndarray, left, table: np.ndarray) -> np.ndarray:
-    """Float defects of the pairs (left[t], j) over every column j, with
-    sigma(AB) taken from the stored product ``table[t, j]``; row e of
-    ``angles`` is element e's spectrum in turns."""
-    k, n = table.shape
-    return _float_defects(np.repeat(angles[left], n, axis=0),
-                          np.tile(angles, (k, 1)),
-                          angles[table.reshape(-1)]).reshape(k, n)
+    return tri_defects[inv].reshape(rows.shape), grid
 
 
 def _exhaustive_report(worst, n, values, grid, bins, vmax, collect_pairs,
@@ -657,19 +643,17 @@ def measure_asm(
 ) -> AsmReport:
     """Exhaustive maximum defect over all ordered pairs of a complete closure.
 
-    A pair's defect depends only on sigma(A), sigma(B) and sigma(AB), which
-    simultaneous conjugation fixes, so every row is a permutation of its
-    class representative's row.  One process scores one Cayley row per
-    conjugacy class, in integers for exact closures (which read only the k
-    representatives, B and AB from ``closure.elements``) and in floats for
-    dense ones (off an all-pairs scan only by rounding).  A float scan needs
-    every element's spectrum; a float closure is dense-coded, so they come
-    from stacked eigensolves over blocks of its element stack, bit for bit
-    what each element's ``spectrum`` gives, with the same
-    ``NonUnitaryError`` checks.  The histogram weights each row by its
-    class size.  Representatives are class minima, so the first maximum is
-    the full row-major grid's.  ``worst`` is rebuilt from the stored
-    product AB, so its defect is ``epsilon`` bit for bit.
+    A pair's defect depends only on sigma(A), sigma(B) and sigma(AB), and a
+    spectrum is a class function, so one process scores one Cayley row per
+    conjugacy class, each spectrum its class representative's: the unique
+    triples go through one kernel call, in integers for exact closures and
+    in floats for dense ones (off an all-pairs scan only by rounding).  A
+    dense closure eigensolves only its k representatives, stacked
+    (``_dense_angles``), after every element passes ``Dense.spectrum``'s
+    unitarity check.  The histogram weights each row by its class size.
+    Representatives are class minima, so the first maximum is the full
+    row-major grid's.  ``worst`` is rebuilt from its three classes'
+    spectra, so its defect is ``epsilon`` bit for bit.
     """
     if not closure.complete:
         raise IncompleteClosureError(
@@ -679,22 +663,25 @@ def measure_asm(
     n = len(elements)
     reps, class_of, sizes = np.unique(closure.conjugacy_labels(),
                                       return_inverse=True, return_counts=True)
-    rep_elements = [elements[r] for r in reps]
+    rep_elements = [elements[x] for x in reps]
     rows = closure.cayley_rows(reps)
     if closure.exact:
-        per_rep, scale, grid = _exact_rows(
-            closure, [e.spectrum() for e in rep_elements], class_of, rows,
-            collect_pairs)
+        spectra = [e.spectrum() for e in rep_elements]
+        scale = math.lcm(*(s.common_denominator() for s in spectra))
+        angles = [s.int_angles(scale) for s in spectra]
+        kernel = partial(_exact_defects, scale=scale)
     else:
-        angles = _dense_angles(elements.rows)
-        per_rep, scale = _float_rows(angles, reps, rows), 1
-        grid = (_float_rows(angles, np.arange(n), closure.cayley_table())
-                if collect_pairs else None)
+        _require_unitary(elements.rows)
+        angles = list(map(tuple, _dense_angles(elements.rows[reps]).tolist()))
+        scale, kernel = 1, _float_defects
+    per_rep, grid = _class_rows(closure, angles, class_of, rows, kernel,
+                                collect_pairs)
     row_max = per_rep.max(axis=1)
     r = int(row_max.argmax())
     i, j = int(reps[r]), int(per_rep[r].argmax())
-    worst = _product_defect(rep_elements[r], elements[j],
-                            elements[int(rows[r, j])], ("elements", i, j))
+    classes = (r, class_of[j], class_of[rows[r, j]])
+    worst = _spectra_pair(*(rep_elements[c].spectrum() for c in classes),
+                          ("elements", i, j), (rep_elements[r], elements[j]))
     return _exhaustive_report(
         worst, n, per_rep.reshape(-1).astype(float) / scale,
         None if grid is None else grid.astype(float) / scale, bins, 0.5,

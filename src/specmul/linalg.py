@@ -389,26 +389,37 @@ def _off_circle(eigs: np.ndarray) -> np.ndarray:
     return np.any(np.abs(np.abs(eigs) - 1.0) > MODULUS_TOL, axis=-1)
 
 
-# Bytes of matrices per stacked eigensolve in ``_dense_angles``.  Each of
-# its (n, d, d) temporaries then stays under the allocator's 128 KB mmap
-# threshold; freeing larger ones raised the peak RSS of a dense run by
-# about 0.5 MB.
+# Bytes of matrices per stacked eigensolve in ``_dense_angles`` (and per
+# unitarity check in ``_require_unitary``).  Each of its (n, d, d)
+# temporaries then stays under the allocator's 128 KB mmap threshold;
+# freeing larger ones raised the peak RSS of a dense run by about 0.5 MB.
 _EIG_BLOCK_BYTES = 1 << 16
+
+
+def _eig_blocks(stack: np.ndarray):
+    """(offset, block) over an (n, d, d) stack, in ``_EIG_BLOCK_BYTES``."""
+    step = max(1, _EIG_BLOCK_BYTES // (16 * stack.shape[-1] ** 2))
+    return ((lo, stack[lo:lo + step]) for lo in range(0, len(stack), step))
+
+
+def _require_unitary(stack: np.ndarray) -> None:
+    """``Dense.spectrum``'s unitarity refusal for an (n, d, d) stack."""
+    for _, part in _eig_blocks(stack):
+        if not np.all(_unitarity_gaps(part) <= UNITARITY_TOL):
+            raise NonUnitaryError("spectrum on the unit circle needs a unitary matrix")
 
 
 def _dense_angles(stack: np.ndarray) -> np.ndarray:
     """``Dense(m).spectrum().angles()`` for every m of an (n, d, d) stack,
-    bit for bit, from one stacked eigensolve per block of matrices.
+    bit for bit, from one stacked eigensolve per block of matrices (an
+    exhaustive dense scan passes its k class representatives).
 
     Raises ``NonUnitaryError`` for the first matrix that ``Dense.spectrum``
     would refuse, with its message: unitarity is checked before the moduli.
     """
-    d = stack.shape[-1]
-    step = max(1, _EIG_BLOCK_BYTES // (16 * d * d))
     two_pi = 2.0 * math.pi
     turns = np.empty(stack.shape[:2])
-    for lo in range(0, len(stack), step):
-        part = stack[lo:lo + step]
+    for lo, part in _eig_blocks(stack):
         unitary = _unitarity_gaps(part) <= UNITARITY_TOL
         eigs, _ = eigensolve_dense(part)
         bad = np.flatnonzero(~unitary | _off_circle(eigs))
@@ -417,8 +428,8 @@ def _dense_angles(stack: np.ndarray) -> np.ndarray:
         if bad.size:
             raise NonUnitaryError("eigenvalue modulus off the unit circle")
         # the angle as UnitPoint.from_complex turns it
-        turns[lo:lo + step] = [[math.atan2(z.imag, z.real) / two_pi % 1.0 % 1.0
-                                for z in row] for row in eigs.tolist()]
+        turns[lo:lo + len(part)] = [[math.atan2(z.imag, z.real) / two_pi % 1.0 % 1.0
+                                     for z in row] for row in eigs.tolist()]
     turns.sort(axis=1)
     return turns
 

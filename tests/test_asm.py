@@ -57,11 +57,11 @@ RNG = np.random.default_rng(20240911)
 
 
 def spy_workers(monkeypatch):
-    """Record the worker count of every ``asm._map_chunks`` call."""
+    """Record (worker count, task count) of every ``asm._map_chunks`` call."""
     seen, real = [], asm._map_chunks
 
     def spy(fn, chunk_args, workers):
-        seen.append(workers)
+        seen.append((workers, len(chunk_args)))
         return real(fn, chunk_args, workers)
 
     monkeypatch.setattr(asm, "_map_chunks", spy)
@@ -226,7 +226,8 @@ class TestMeasureAsmSampled:
         s = tadpole_sampler(3)
         r1 = measure_asm_sampled(s, 2048, seed=5, workers=1)
         r2 = measure_asm_sampled(s, 2048, seed=5, workers=2)
-        assert seen == [1, 2]
+        # 64 chunks of 32 pairs, 25 chunks a group
+        assert seen == [(1, 3), (2, 3)]
         assert r1.epsilon == r2.epsilon
         assert r1.histogram == r2.histogram
         assert r1.worst.defect == r2.worst.defect
@@ -470,16 +471,20 @@ SAMPLED_GOLDEN = {
 }
 
 
-def _dense_closure(gens, seed):
-    """The group of ``gens`` conjugated by a seeded Haar unitary, as dense
-    matrices."""
+def _conjugated(gens, seed):
+    """``gens`` conjugated by a seeded Haar unitary, as dense matrices."""
     rng = np.random.default_rng(seed)
     d = gens[0].dim
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, rr = np.linalg.qr(z)
     u = q * (np.diag(rr) / np.abs(np.diag(rr)))
-    return close([Dense(u @ g.to_dense() @ u.conj().T, unitary=True)
-                  for g in gens])
+    return [Dense(u @ g.to_dense() @ u.conj().T, unitary=True) for g in gens]
+
+
+def _dense_closure(gens, seed):
+    """The group of ``gens`` conjugated by a seeded Haar unitary, as dense
+    matrices."""
+    return close(_conjugated(gens, seed))
 
 
 def _dense_mm_closure(seed):
@@ -563,10 +568,12 @@ class TestBatchedKernel:
 
     def test_sampled_golden_through_the_pool(self, monkeypatch):
         monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        # groups of 10 chunks, so that 2 workers get 7 tasks
+        monkeypatch.setattr(asm, "SAMPLE_GROUP_PAIRS", 50)
         seen = spy_workers(monkeypatch)
         rep = measure_asm_sampled(tadpole_sampler(5), 300, seed=2029,
                                   workers=2, collect_pairs=True)
-        assert seen == [2]
+        assert seen == [(2, 7)]
         blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == SAMPLED_GOLDEN[5]
 
@@ -592,34 +599,42 @@ class TestBatchedKernel:
     def test_dense_rows_match_pair_defects(self):
         c = _dense_mm_closure(5)
         cay = c.cayley_table()
+        rep_of = c.conjugacy_labels()
+        spectra = {x: c.elements[x].spectrum() for x in np.unique(rep_of)}
         r = measure_asm(c, collect_pairs=True)
         assert c.order == 21 and len(r.pair_rows) == 441
         for i, j, v in r.pair_rows:
-            a, b = c.elements[i], c.elements[j]
-            # bit for bit against the one-pair kernel on the closure's spectra
-            ab = c.elements[cay[i, j]]
-            assert v == asm._spectrum_defect(a.spectrum(), b.spectrum(),
-                                             ab.spectrum())[0]
-            # pair_defect multiplies a @ b afresh, so sigma(AB) may move in
-            # the last bits
-            assert v == pytest.approx(pair_defect(a, b).defect, abs=1e-13)
+            # bit for bit against the one-pair kernel on the spectra of the
+            # class representatives of A, B and the stored product AB
+            assert v == asm._spectra_pair(
+                spectra[rep_of[i]], spectra[rep_of[j]],
+                spectra[rep_of[cay[i, j]]], ()).defect
+            # pair_defect takes each element's own spectrum and multiplies
+            # a @ b afresh, so the defect may move in the last bits
+            assert v == pytest.approx(
+                pair_defect(c.elements[i], c.elements[j]).defect, abs=1e-13)
 
     def test_worst_pair_agrees_with_epsilon(self):
         # epsilon is the largest one-pair defect over the class
-        # representatives' rows, each with sigma(AB) of the stored product;
-        # the worst pair is rebuilt from that product, so it matches bit for bit
+        # representatives' rows, each spectrum its class representative's;
+        # the worst pair is rebuilt from those spectra, so it matches bit for
+        # bit
         c = _dense_mm_closure(5)
         r = measure_asm(c)
-        spectra = [e.spectrum() for e in c.elements]
         cay = c.cayley_table()
-        reps = np.unique(c.conjugacy_labels())
+        rep_of = c.conjugacy_labels()
+        reps = np.unique(rep_of)
+        spectra = {x: c.elements[x].spectrum() for x in reps}
         assert r.epsilon == max(
-            asm._spectrum_defect(spectra[i], spectra[j], spectra[cay[i, j]])[0]
+            asm._spectra_pair(spectra[i], spectra[rep_of[j]],
+                              spectra[rep_of[cay[i, j]]], ()).defect
             for i in reps for j in range(c.order))
         assert abs(r.epsilon - 1 / 7) < 1e-14
         assert r.worst.defect == r.epsilon
         i, j = r.worst.pair[1:]
-        assert r.worst.spectrum_ab == spectra[cay[i, j]].points
+        assert r.worst.spectrum_ab == spectra[rep_of[cay[i, j]]].points
+        assert r.worst.matrix_a == c.elements[i].to_json_dict()
+        assert r.worst.matrix_b == c.elements[j].to_json_dict()
 
 
 # sha256 of json.dumps(measure_asm(close(gens), collect_pairs=...)
@@ -732,6 +747,74 @@ class TestStackedSpectra:
         assert not c.elements[7].unitary
         with pytest.raises(NonUnitaryError, match="needs a unitary"):
             measure_asm(c)
+
+    def test_non_unitary_non_representative_raises(self):
+        # only the class representatives are eigensolved; every element is
+        # still checked for unitarity
+        c = _dense_mm_closure(1)
+        others = np.setdiff1d(np.arange(c.order), c.conjugacy_labels())
+        x = int(others[-1])
+        c.elements.rows[x] *= 1.01
+        assert not c.elements[x].unitary
+        with pytest.raises(NonUnitaryError, match="needs a unitary"):
+            measure_asm(c)
+
+    @pytest.mark.parametrize("name", ["mm3_7", "mm7_43", "mm3_7_block"])
+    def test_eigensolves_only_class_representatives(self, name, monkeypatch):
+        # k stacked representatives plus the worst pair's three spectra
+        c = close(_dense_oracle_gens(name, 0))
+        k = len(np.unique(c.conjugacy_labels()))
+        solved, real = [], linalg.eigensolve_dense
+
+        def spy(a):
+            solved.append(math.prod(np.shape(a)[:-2]))
+            return real(a)
+
+        monkeypatch.setattr(linalg, "eigensolve_dense", spy)
+        measure_asm(c, collect_pairs=True)
+        assert sum(solved) <= k + 3 < c.order
+
+
+# exact generators; ``_dense_oracle_gens`` conjugates them into dense ones
+DENSE_ORACLE_EXACT = {
+    "q8": _q8_generators,
+    "mm3_7": REDUCTION_GROUPS["mm3_7"],
+    "mm5_11": REDUCTION_GROUPS["mm5_11"],
+    "mm7_43": lambda: miller_moreno(default_miller_moreno(7, 43)),
+    "mm3_7_block": REDUCTION_GROUPS["mm3_7"],
+}
+
+
+def _dense_oracle_gens(name, seed):
+    """``DENSE_ORACLE_EXACT[name]`` conjugated by a seeded Haar unitary; a
+    ``_block`` name keeps each exact generator as a second block, which
+    changes no spectrum as a set."""
+    gens = DENSE_ORACLE_EXACT[name]()
+    dense = _conjugated(gens, seed)
+    if name.endswith("_block"):
+        return [linalg.BlockDiag(pair) for pair in zip(dense, gens)]
+    return dense
+
+
+class TestDenseAgainstExact:
+    """A dense run against the exact run of the same group, which calls no
+    eigensolver: conjugation changes no spectrum, so every pair's defect is
+    the exact one up to rounding."""
+
+    @pytest.mark.parametrize("name, seed", [
+        (name, seed) for name in ("q8", "mm3_7", "mm5_11", "mm7_43")
+        for seed in (0, 1)] + [("mm3_7_block", 0)])
+    def test_level_and_histogram_match_the_exact_run(self, name, seed):
+        exact = measure_asm(close(DENSE_ORACLE_EXACT[name]()))
+        c = close(_dense_oracle_gens(name, seed))
+        assert isinstance(c.elements.code, groups._DenseCode)
+        r = measure_asm(c)
+        assert c.order == exact.group_order
+        assert abs(r.epsilon - float(exact.epsilon_exact)) < 1e-13
+        assert r.worst.defect == r.epsilon
+        if name != "q8":
+            # q8's level 1/4 sits on a bin edge
+            assert r.histogram.counts == exact.histogram.counts
 
 
 def _scalar_defects(sa, sb, sab, scale):
@@ -876,10 +959,12 @@ class TestSampledDriverGolden:
 
     def test_sr_sampled_through_the_pool(self, monkeypatch):
         monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        # groups of 10 chunks, so that 2 workers get 7 tasks
+        monkeypatch.setattr(asm, "SAMPLE_GROUP_PAIRS", 50)
         seen = spy_workers(monkeypatch)
         rep = measure_sub(sr_sampler(SrParams(0.5)), pair_count=300, seed=41,
                           workers=2, collect_pairs=True)
-        assert seen == [2]
+        assert seen == [(2, 7)]
         assert _report_sha(rep) == DRIVER_GOLDEN["sr_sampled"]
 
     def test_exact_tadpole_sampled(self):
@@ -896,7 +981,7 @@ class TestSampledDriverGolden:
         reps = [measure_asm_sampled(tadpole_sampler(3, exact=True), 300, seed=42,
                                     workers=workers, collect_pairs=True)
                 for workers in (1, 2)]
-        assert seen == [1, 2]
+        assert seen == [(1, 7), (2, 7)]
         assert [_report_sha(rep) for rep in reps] == [DRIVER_GOLDEN["tadpole_exact"]] * 2
 
     @pytest.mark.parametrize("p", sorted(EXACT_SAMPLED_GOLDEN))
@@ -1014,7 +1099,8 @@ class TestGroupedScoring:
         seen = spy_workers(monkeypatch)
         one = _grouped_report(family, count, workers=1, collect_pairs=True)
         two = _grouped_report(family, count, workers=2, collect_pairs=True)
-        assert seen == [1, 2]
+        # 64 chunks of 312 or 313 pairs, 2 chunks a group
+        assert seen == [(1, 32), (2, 32)]
         assert one.to_json_dict() == two.to_json_dict()
         assert two.to_json_dict() == _reference(family, count)[1].to_json_dict()
 
@@ -1157,7 +1243,7 @@ class TestSrBatchChunk:
         assert _report_sha(ref) == DRIVER_GOLDEN["sr_sampled"]
         rep = measure_sub(sr_sampler(SrParams(0.5)), pair_count=300, seed=41,
                           workers=workers, collect_pairs=True)
-        assert seen == [workers]
+        assert seen == [(workers, 1)]
         assert rep.to_json_dict() == ref.to_json_dict()
 
     def test_chord_kernel_rejects_zero_radius(self):

@@ -207,12 +207,12 @@ def _write_dense_mm_spec(path, seed=7):
 
 # sha256 of the stdout of ``measure --spec dense.json --deterministic
 # --workers 1`` plus the extra arguments, for ``_write_dense_mm_spec``'s file,
-# as the object BFS with one ``Dense.spectrum`` per element produced it.
+# with every spectrum its class representative's.
 DENSE_SPEC_GOLDEN = {
     "--collect-pairs":
-        "ef9978d736a98a4fcea735585f25b591f16afe8b48dec50419e5fe3d5a75c199",
+        "a0fa690f1737174babb5c950f3953de2546c00a3d58be4ff37bbda16b7e44ae3",
     "--format csv":
-        "a23483a1a8621b9b45834c8ef8449b59e5d3a48cb266810bbf54cd19a97166ad",
+        "380fa4bbe34190bbcb40c5d865b9a7594a53cbec25e6e85a21983363ac7e9aa9",
 }
 
 
