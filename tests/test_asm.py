@@ -639,9 +639,11 @@ class TestBatchedKernel:
 
 # sha256 of json.dumps(measure_asm(close(gens), collect_pairs=...)
 # .to_json_dict(), sort_keys=True), as the all-pairs scan produced it before
-# the class-reduced scan.
+# the class-reduced scan; mm3_1201 (403 classes, 3,603 elements) as the
+# class-reduced scan produced it before the triple tally.
 EXHAUSTIVE_GOLDEN = {
     "mm13_157": "43bcb9279e61f3ef1727471b2ba2c96a4c422ff4f76d082e36a938cccd743931",
+    "mm3_1201": "b32621e0cf5a8270bff0b1945b0b5336d792318540117f9733664c74fa17b03c",
     "mm3_7_pairs": "d4f591309f503e3adfb9cdccf8d36a81faa68c0010a870f870de0c4a589b9e24",
     "q8": "662cbfa839dcfba3eb802aee522347e9c062251aae144eaee6f2511f32b74549",
     "q8_pairs": "3e7908780a5290714c81be99b5b210bb59f463d403c4d0df799e1e8ebc9adcee",
