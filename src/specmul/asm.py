@@ -204,8 +204,11 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     block sorts its rows of products (a + b) % scale, shifts row r by
     r * 2 * scale so that one ``searchsorted`` over the flattened block finds
     every gamma's circular neighbours, and takes the arc distance
-    min(t, scale - t) to the nearer one.  When even one shifted row would not
-    fit in int64, the rows go through ``_defect_exact`` one by one.
+    min(t, scale - t) to the nearer one.  Sums a + b lie in [0, 2 * scale)
+    and gaps gamma - neighbour in (-scale, scale), so a wrap-min on uint64
+    views, min(u, u - scale) and min(t, t + scale), reduces each mod
+    ``scale`` without a division.  When even one shifted row would not fit
+    in int64, the rows go through ``_defect_exact`` one by one.
     """
     m = len(sab)
     width = sa.shape[1] * sb.shape[1]
@@ -222,7 +225,8 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
         part = slice(lo, lo + step)
         rows = np.arange(len(sab[part]), dtype=np.int64)[:, None]
         prods = np.add(sa[part, :, None], sb[part, None, :]).reshape(len(rows), width)
-        np.remainder(prods, scale, out=prods)
+        u = prods.view(np.uint64)
+        np.minimum(u, u - scale, out=u)
         prods.sort(axis=1)
         shift = rows * (2 * scale)
         prods += shift
@@ -232,7 +236,8 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
         flat, start = prods.reshape(-1), rows * width
         hi = np.searchsorted(flat, gam) - start
         near = np.stack((flat[start + hi % width], flat[start + (hi - 1) % width]))
-        t = np.remainder(gam - near, scale)
+        t = (gam - near).view(np.uint64)
+        np.minimum(t, t + scale, out=t)
         out[part] = np.minimum(t, scale - t).min(axis=0).max(axis=1)
     return out
 
@@ -578,15 +583,28 @@ def _chunk_sizes(total: int, parts: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # measurements
 
+def _unique_codes(codes: np.ndarray, bound: int):
+    """``np.unique(codes, return_inverse=True)`` of int codes in [0, bound):
+    through a table of ``bound`` flags and its running count when ``bound``
+    is at most ``codes.size``, by a sort otherwise."""
+    if bound > codes.size:
+        return np.unique(codes, return_inverse=True)
+    seen = np.zeros(bound, dtype=bool)
+    seen[codes] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes]
+
+
 def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
-                rows: np.ndarray, kernel, collect_pairs: bool):
+                rows: np.ndarray, sizes: np.ndarray, kernel, collect_pairs: bool):
     """Defects of the representative rows ``rows``: the unique
     (sigma(A), sigma(B), sigma(AB)) triples go through one ``kernel`` call.
     ``spectra`` holds the representatives' spectra as tuples of angles, int
     numerators for an exact closure (``kernel`` is ``_exact_defects`` at
     their scale) and float turns for a dense one (``_float_defects``);
-    ``class_of`` gives each element's class.  Returns (defects shaped like
-    ``rows``, full grid or None).
+    ``class_of`` gives each element's class and ``sizes`` each class's size.
+    Returns (the unique triples' defects, each one's pair count: its row
+    entries weighted by their class sizes, the first row-major (r, j) whose
+    triple attains the maximum, full grid or None).
     """
     # distinct spectra, numbered in first-seen order
     rep_ids: dict = {}
@@ -596,7 +614,7 @@ def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     sid = class_sid[class_of]
     ns = len(uniq_reps)
     tri = (class_sid[:, None] * ns + sid[None, :]) * ns + sid[rows]
-    uniq_tri, inv = np.unique(tri, return_inverse=True)
+    uniq_tri, inv = _unique_codes(tri.reshape(-1), ns ** 3)
     # each distinct spectrum padded to one width with repeats of its first angle
     width = max(len(s) for s in uniq_reps)
     padded = np.array([s + s[:1] * (width - len(s)) for s in uniq_reps],
@@ -604,11 +622,13 @@ def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     ia, rem = np.divmod(uniq_tri, ns * ns)
     ib, iab = np.divmod(rem, ns)
     tri_defects = kernel(padded[ia], padded[ib], padded[iab])
+    counts = np.bincount(inv, weights=np.repeat(sizes, rows.shape[1]))
+    first = int((tri_defects == tri_defects.max())[inv].argmax())
     grid = None
     if collect_pairs:
         full = (sid[:, None] * ns + sid[None, :]) * ns + sid[closure.cayley_table()]
         grid = tri_defects[np.searchsorted(uniq_tri, full)]
-    return tri_defects[inv].reshape(rows.shape), grid
+    return tri_defects, counts, divmod(first, rows.shape[1]), grid
 
 
 def _exhaustive_report(worst, n, values, grid, bins, vmax, collect_pairs,
@@ -650,7 +670,8 @@ def measure_asm(
     in floats for dense ones (off an all-pairs scan only by rounding).  A
     dense closure eigensolves only its k representatives, stacked
     (``_dense_angles``), after every element passes ``Dense.spectrum``'s
-    unitarity check.  The histogram weights each row by its class size.
+    unitarity check.  The histogram takes each unique triple once, weighted
+    by its pairs: its row entries times their class sizes.
     Representatives are class minima, so the first maximum is the full
     row-major grid's.  ``worst`` is rebuilt from its three classes'
     spectra, so its defect is ``epsilon`` bit for bit.
@@ -674,20 +695,18 @@ def measure_asm(
         _require_unitary(elements.rows)
         angles = list(map(tuple, _dense_angles(elements.rows[reps]).tolist()))
         scale, kernel = 1, _float_defects
-    per_rep, grid = _class_rows(closure, angles, class_of, rows, kernel,
-                                collect_pairs)
-    row_max = per_rep.max(axis=1)
-    r = int(row_max.argmax())
-    i, j = int(reps[r]), int(per_rep[r].argmax())
+    tri_defects, counts, (r, j), grid = _class_rows(
+        closure, angles, class_of, rows, sizes, kernel, collect_pairs)
+    i = int(reps[r])
     classes = (r, class_of[j], class_of[rows[r, j]])
     worst = _spectra_pair(*(rep_elements[c].spectrum() for c in classes),
                           ("elements", i, j), (rep_elements[r], elements[j]))
     return _exhaustive_report(
-        worst, n, per_rep.reshape(-1).astype(float) / scale,
+        worst, n, tri_defects.astype(float) / scale,
         None if grid is None else grid.astype(float) / scale, bins, 0.5,
         collect_pairs,
-        eps_exact=Fraction(int(row_max[r]), scale) if closure.exact else None,
-        weights=np.repeat(sizes, n))
+        eps_exact=Fraction(int(tri_defects.max()), scale) if closure.exact else None,
+        weights=counts)
 
 
 def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,

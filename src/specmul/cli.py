@@ -124,10 +124,12 @@ def _fraction_or_float(s: str):
             f"expected a fraction num/den or a decimal, not {s!r}") from None
 
 
-def _count(s: str) -> int:
-    """A number of trials, pairs or samples, written in decimal digits."""
-    if not s.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, not {s!r}")
+def _count(s: str, least: int = 0) -> int:
+    """A number of trials, pairs, samples or workers, written in decimal
+    digits, at least ``least``."""
+    if not s.isdecimal() or int(s) < least:
+        raise argparse.ArgumentTypeError(
+            f"expected a count of {least} or more, not {s!r}")
     return int(s)
 
 
@@ -217,7 +219,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     workers, bins = args.workers, args.bins
     collect = args.collect_pairs or args.format == "csv"
     if args.builtin == "tadpole":
-        if not args.pairs:
+        if args.pairs is None:
             raise SpecmulError(
                 "the tadpole family is continuous; give --pairs to sample")
         sampler = tadpole_sampler(args.p, exact=args.exact)
@@ -225,19 +227,19 @@ def cmd_measure(args: argparse.Namespace) -> int:
                                      workers=workers, bins=bins,
                                      collect_pairs=collect)
     elif args.builtin == "sr":
-        if not args.pairs:
+        if args.pairs is None:
             raise SpecmulError(
                 "the rank-one semigroup is continuous; give --pairs to sample")
         sampler = sr_sampler(SrParams(args.r, args.dim))
         report = measure_sub(sampler, pair_count=args.pairs, seed=args.seed,
                              workers=workers, bins=bins, collect_pairs=collect)
     else:  # a finite group: close it and scan every pair
+        if args.pairs is not None:
+            raise SpecmulError("--pairs applies to sampled builtins only")
         if args.spec:
             with open(args.spec, encoding="utf-8") as fh, _loading(args.spec):
                 gens = [matrix_from_json(g)
                         for g in _typed(json.load(fh), "generators", list)]
-            if args.pairs:
-                raise SpecmulError("--pairs applies to sampled builtins only")
         elif args.builtin == "q8":
             gens = _q8_generators()
         elif args.builtin == "cyclic":
@@ -661,7 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--exact", action="store_true",
                    help="sample tadpole angles on the exact grid")
     m.add_argument("--max-elements", type=int, default=DEFAULT_BUDGET)
-    m.add_argument("--workers", type=int, default=_default_workers(),
+    m.add_argument("--workers", type=lambda s: _count(s, least=1),
+                   default=_default_workers(),
                    help="process count of sampled runs only; exhaustive "
                         "runs use one process")
     m.add_argument("--bins", type=int, default=DEFAULT_BINS)

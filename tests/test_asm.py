@@ -727,6 +727,55 @@ class TestClassReducedScan:
             assert r.histogram.counts == tuple(int(x) for x in counts)
 
 
+class TestTripleTally:
+    """An exhaustive scan dedups, tallies and finds its first maximum on the
+    unique class triples, never on the k x n representative rows."""
+
+    @pytest.mark.parametrize("bound", [1, 7, 499, 500, 501, 4096])
+    def test_unique_codes_match_np_unique(self, bound):
+        # 500 codes: a table below and at the bound, a sort above it
+        codes = np.random.default_rng(bound).integers(0, bound, size=500)
+        uniq, inv = asm._unique_codes(codes, bound)
+        want_uniq, want_inv = np.unique(codes, return_inverse=True)
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(inv, want_inv)
+
+    @pytest.mark.parametrize("p, q, sorted_", [(13, 157, False), (3, 61, True)])
+    def test_dedup_branch_follows_the_sizes(self, p, q, sorted_, monkeypatch):
+        # mm13_157: 14 distinct spectra, 14**3 <= 25 * 2041 triple codes;
+        # mm3_61: 22 distinct spectra, 22**3 > 23 * 183
+        c = close(miller_moreno(default_miller_moreno(p, q)))
+        k = len(np.unique(c.conjugacy_labels()))
+        sizes, real = [], np.unique
+
+        def spy(a, *args, **kw):
+            sizes.append(np.size(a))
+            return real(a, *args, **kw)
+
+        monkeypatch.setattr(np, "unique", spy)
+        measure_asm(c)
+        assert (k * c.order in sizes) is sorted_
+
+    @pytest.mark.parametrize("name", sorted(REDUCTION_GROUPS))
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_tally_and_first_maximum_match_the_rows(self, name, seed):
+        gens = REDUCTION_GROUPS[name]()
+        c = close(gens) if seed is None else _dense_closure(gens, seed)
+        n = c.order
+        reps, sizes = np.unique(c.conjugacy_labels(), return_counts=True)
+        grid = np.array([v for _, _, v in measure_asm(
+            c, collect_pairs=True).pair_rows]).reshape(n, n)
+        # the k x n representative rows, each weighted by its class size
+        per_rep = grid[reps]
+        counts, _ = np.histogram(per_rep.reshape(-1), bins=asm.DEFAULT_BINS,
+                                 range=(0.0, 0.5), weights=np.repeat(sizes, n))
+        r, j = divmod(int(per_rep.argmax()), n)
+        rep = measure_asm(c)
+        assert rep.histogram.counts == tuple(int(x) for x in counts)
+        assert rep.worst.pair == ("elements", int(reps[r]), j)
+        assert rep.epsilon == per_rep.max()
+
+
 class TestStackedSpectra:
     """A dense-coded closure's spectra come from one stacked eigensolve."""
 

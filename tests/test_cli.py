@@ -76,6 +76,35 @@ class TestExitCodes:
                            "--deterministic")
         assert code == 1 and "--pairs" in err
 
+    @pytest.mark.parametrize("source", [
+        ("--builtin", "miller-moreno", "--p", "3", "--q", "7"),
+        ("--builtin", "q8"),
+        ("--builtin", "cyclic", "--p", "5"),
+    ], ids=["miller-moreno", "q8", "cyclic"])
+    @pytest.mark.parametrize("pairs", ["5", "0"])
+    def test_exhaustive_source_refuses_pairs(self, capsys, source, pairs):
+        code, out, err = run(capsys, "measure", *source, "--pairs", pairs,
+                             "--deterministic")
+        assert code == 1 and not out
+        assert err == "error: --pairs applies to sampled builtins only\n"
+
+    @pytest.mark.parametrize("builtin", ["tadpole", "sr"])
+    def test_zero_sampled_pairs_exits_1(self, capsys, builtin):
+        code, out, err = run(capsys, "measure", "--builtin", builtin,
+                             "--pairs", "0", "--deterministic")
+        assert code == 1 and not out
+        assert err == "error: need at least one pair\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_workers_below_one_is_a_usage_error(self, capsys, workers):
+        code, out, err = run(capsys, "measure", "--builtin", "tadpole",
+                             "--pairs", "5", "--workers", workers,
+                             "--deterministic")
+        assert code == 1 and not out
+        assert err.startswith("usage: ")
+        assert err.endswith("argument --workers: expected a count of 1 or "
+                            f"more, not {workers!r}\n")
+
     @pytest.mark.parametrize("argv", [
         ("measure", "--builtin", "q8", "--assert-le", "1/0"),
         ("qset", "--p", "5", "--eps", "1/0"),
@@ -322,8 +351,11 @@ class TestMeasureOutput:
         spec = tmp_path / "gens.json"
         spec.write_text(json.dumps(
             {"generators": [matrix_to_json(cycle_matrix(5))]}))
-        assert run(capsys, "measure", "--spec", str(spec), "--pairs", "10",
-                   "--deterministic")[0] == 1
+        for pairs in ("10", "0"):
+            code, out, err = run(capsys, "measure", "--spec", str(spec),
+                                 "--pairs", pairs, "--deterministic")
+            assert code == 1 and not out
+            assert err == "error: --pairs applies to sampled builtins only\n"
 
     def test_missing_spec_file(self, capsys):
         assert run(capsys, "measure", "--spec", "/no/such/file.json",
