@@ -53,7 +53,7 @@ from .linalg import (
     Dense,
     Spectrum,
     UMatrix,
-    _dense_angles,
+    _dense_spectra,
     _require_unitary,
     general_spectrum,
     matmul,
@@ -477,12 +477,12 @@ def _spectra_pair(sa: Spectrum, sb: Spectrum, sab: Spectrum, pair: tuple,
     )
 
 
-def _nonzero_eigs(x, ztol: float):
+def _nonzero_eigs(x):
     if isinstance(x, SrElement):
         return [x.nonzero_eigenvalue()], x.spectral_radius()
     eigs = general_spectrum(np.asarray(x, dtype=complex))
     rho = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    keep = [complex(z) for z in eigs if abs(z) > ztol]
+    keep = [complex(z) for z in eigs if abs(z) > SUB_ZERO_TOL]
     return keep, rho
 
 
@@ -491,18 +491,18 @@ def _sub_dense(x):
 
 
 def pair_sub_defect(a, b, pair: tuple = ("explicit",),
-                    ztol: float = SUB_ZERO_TOL,
                     with_matrices: bool = True) -> PairDefect:
-    """Chord defect |gamma - alpha beta| / (rho(a) rho(b)) over nonzero
-    eigenvalues; closed form when both elements are rank-one samples."""
-    alphas, ra = _nonzero_eigs(a, ztol)
-    betas, rb = _nonzero_eigs(b, ztol)
+    """Chord defect |gamma - alpha beta| / (rho(a) rho(b)) over the
+    eigenvalues of modulus above ``SUB_ZERO_TOL``; closed form when both
+    elements are rank-one samples."""
+    alphas, ra = _nonzero_eigs(a)
+    betas, rb = _nonzero_eigs(b)
     if ra == 0.0 or rb == 0.0:
         raise ZeroSpectralRadiusError("spectral radius vanishes; defect undefined")
     if isinstance(a, SrElement) and isinstance(b, SrElement):
         gammas = [sr_pair_gamma(a, b)]
     else:
-        gammas, _ = _nonzero_eigs(_sub_dense(a) @ _sub_dense(b), ztol)
+        gammas, _ = _nonzero_eigs(_sub_dense(a) @ _sub_dense(b))
     scale = ra * rb
     best = -1.0
     wit = None
@@ -536,8 +536,6 @@ def pair_sub_defect(a, b, pair: tuple = ("explicit",),
 
 
 def matrix_to_json_like(x) -> dict:
-    if isinstance(x, UMatrix):
-        return matrix_to_json(x)
     return Dense(_sub_dense(x), unitary=False).to_json_dict()
 
 
@@ -545,7 +543,10 @@ def matrix_to_json_like(x) -> dict:
 # worker helpers (module level so process pools can pickle them)
 
 def _map_chunks(fn, chunk_args: list, workers: int) -> list:
-    if workers <= 1 or len(chunk_args) <= 1:
+    """``fn`` over the tasks, in a pool of at most one process per task: a
+    forking pool starts all of its processes at the first submit."""
+    workers = min(workers, len(chunk_args))
+    if workers <= 1:
         return [fn(c) for c in chunk_args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunk_args))
@@ -668,13 +669,13 @@ def measure_asm(
     conjugacy class, each spectrum its class representative's: the unique
     triples go through one kernel call, in integers for exact closures and
     in floats for dense ones (off an all-pairs scan only by rounding).  A
-    dense closure eigensolves only its k representatives, stacked
-    (``_dense_angles``), after every element passes ``Dense.spectrum``'s
+    dense closure eigensolves exactly its k representatives, stacked
+    (``_dense_spectra``), after every element passes ``Dense.spectrum``'s
     unitarity check.  The histogram takes each unique triple once, weighted
     by its pairs: its row entries times their class sizes.
     Representatives are class minima, so the first maximum is the full
-    row-major grid's.  ``worst`` is rebuilt from its three classes'
-    spectra, so its defect is ``epsilon`` bit for bit.
+    row-major grid's.  ``worst`` is built from the scan's own spectra of
+    its three classes, so its defect is ``epsilon`` bit for bit.
     """
     if not closure.complete:
         raise IncompleteClosureError(
@@ -684,23 +685,23 @@ def measure_asm(
     n = len(elements)
     reps, class_of, sizes = np.unique(closure.conjugacy_labels(),
                                       return_inverse=True, return_counts=True)
-    rep_elements = [elements[x] for x in reps]
     rows = closure.cayley_rows(reps)
     if closure.exact:
-        spectra = [e.spectrum() for e in rep_elements]
+        spectra = [elements[x].spectrum() for x in reps]
         scale = math.lcm(*(s.common_denominator() for s in spectra))
         angles = [s.int_angles(scale) for s in spectra]
         kernel = partial(_exact_defects, scale=scale)
     else:
         _require_unitary(elements.rows)
-        angles = list(map(tuple, _dense_angles(elements.rows[reps]).tolist()))
+        spectra = _dense_spectra(elements.rows[reps])
+        angles = [tuple(s.angles().tolist()) for s in spectra]
         scale, kernel = 1, _float_defects
     tri_defects, counts, (r, j), grid = _class_rows(
         closure, angles, class_of, rows, sizes, kernel, collect_pairs)
     i = int(reps[r])
     classes = (r, class_of[j], class_of[rows[r, j]])
-    worst = _spectra_pair(*(rep_elements[c].spectrum() for c in classes),
-                          ("elements", i, j), (rep_elements[r], elements[j]))
+    worst = _spectra_pair(*(spectra[c] for c in classes), ("elements", i, j),
+                          (elements[i], elements[j]))
     return _exhaustive_report(
         worst, n, tri_defects.astype(float) / scale,
         None if grid is None else grid.astype(float) / scale, bins, 0.5,
@@ -781,18 +782,17 @@ def measure_sub(
     seed: Optional[int] = None,
     workers: int = 1,
     bins: int = DEFAULT_BINS,
-    ztol: float = SUB_ZERO_TOL,
     collect_pairs: bool = False,
 ) -> AsmReport:
     """Sub defect over a finite element list (exhaustive ordered pairs) or a
-    seeded sampler (pair_count pairs).  Zero eigenvalues are excluded; the
-    report says so."""
+    seeded sampler (pair_count pairs).  Zero eigenvalues (modulus at most
+    ``SUB_ZERO_TOL``) are excluded; the report says so."""
     if callable(source):
         if pair_count is None or seed is None:
             raise ValueError("sampled mode needs pair_count and seed")
         return _measure_sampled(source, pair_count, seed, workers, bins,
                                 collect_pairs, _sr_batch_defects,
-                                partial(pair_sub_defect, ztol=ztol),
+                                pair_sub_defect,
                                 vmax=None, gamma_convention="nonzero")
     elements = list(source)
     n = len(elements)
@@ -809,10 +809,10 @@ def measure_sub(
         for i, a in enumerate(elements):
             for j, b in enumerate(elements):
                 values[i * n + j] = pair_sub_defect(
-                    a, b, ztol=ztol, with_matrices=False).defect
+                    a, b, with_matrices=False).defect
     flat = int(values.argmax())
     i, j = divmod(flat, n)
-    worst = pair_sub_defect(elements[i], elements[j], pair=("elements", i, j), ztol=ztol)
+    worst = pair_sub_defect(elements[i], elements[j], pair=("elements", i, j))
     return _exhaustive_report(worst, n, values, values.reshape(n, n), bins,
                               None, collect_pairs, gamma_convention="nonzero")
 

@@ -200,11 +200,12 @@ def nearest_root_of_unity(z: UnitPoint, q: int) -> RationalAngle:
         arg_distance(z, UnitPoint.exact(j, q)), j)), q)
 
 
-def points_equal(z: UnitPoint, w: UnitPoint, tol: float = DEFAULT_ANGLE_TOL) -> bool:
-    """Equality test: exact rational equality when possible, else within tol."""
+def points_equal(z: UnitPoint, w: UnitPoint) -> bool:
+    """Equality test: exact rational equality when possible, else within
+    ``DEFAULT_ANGLE_TOL``."""
     if z.is_exact and w.is_exact:
         return z.angle == w.angle
-    return _float_circle_distance(z.turns, w.turns) <= tol
+    return _float_circle_distance(z.turns, w.turns) <= DEFAULT_ANGLE_TOL
 
 
 def _point_to_json(p: UnitPoint) -> dict:

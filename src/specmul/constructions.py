@@ -289,7 +289,9 @@ def _exact_head(p: int, rng: np.random.Generator) -> list[int]:
     den = 2 * p * p
     nums = []
     for _ in range(p - 1):
-        over = int(rng.choice((p * p, den)))
+        # the integer and the generator state of rng.choice((p * p, den)),
+        # without the np.prod that every choice call makes
+        over = (p * p, den)[int(rng.integers(0, 2))]
         nums.append(int(rng.integers(0, over)) * (den // over))
     return nums + [-sum(nums) % den]
 
@@ -425,9 +427,9 @@ class TadpoleSampler:
     def batch(self, rng: np.random.Generator, count: int) -> TadpoleBatch:
         """The next ``count`` pairs, drawn from ``rng`` as 2*count calls
         would draw them and leaving it where they would.  Exact draws make
-        those calls' own ``choice`` and ``integers`` calls; float draws are
-        replayed from raw words and raise ``TypeError`` for a bit generator
-        other than PCG64."""
+        those calls' own ``integers`` calls; float draws are replayed from
+        raw words and raise ``TypeError`` for a bit generator other than
+        PCG64."""
         p = self.p
         if not is_prime(p):
             raise InvalidParamsError("p must be prime")
@@ -725,7 +727,6 @@ class SrParams:
 
     r: float
     n: int = 4
-    margin: float = 0.999
 
     def __post_init__(self) -> None:
         if not 0.0 < self.r < 1.0:
@@ -771,19 +772,23 @@ class SrElement:
         return abs(self.nonzero_eigenvalue())
 
 
+# Vectors are drawn in the ball of radius SR_MARGIN * r, inside the open r-ball.
+SR_MARGIN = 0.999
+
+
 def _ball_point(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
+    """A uniform point of the complex ``dim``-ball of ``radius``: a normal
+    direction, then a radius draw; normals that are all 0 give the point 0."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        return np.zeros(dim, dtype=complex)
     u = float(rng.random()) ** (1.0 / (2 * dim))
-    return v / nrm * (radius * u)
+    return v / (nrm or 1.0) * (radius * u)
 
 
 def sr_sample(params: SrParams, rng: np.random.Generator) -> SrElement:
     """One random element: unit-modulus lam, vectors uniform in the r-ball."""
     dim = params.n - 1
-    radius = params.r * params.margin
+    radius = params.r * SR_MARGIN
     lam = cmath.exp(2j * math.pi * float(rng.random()))
     x = _ball_point(rng, dim, radius)
     y = _ball_point(rng, dim, radius)
@@ -869,38 +874,30 @@ class SrSampler:
     def batch(self, rng: np.random.Generator, count: int) -> SrBatch:
         """The next ``count`` pairs, drawn from ``rng`` as 2*count
         ``sr_sample`` calls would draw them and leaving it where they would.
-        When ``assemble`` declines, the chunk is redrawn by those calls.
         Raises ``TypeError`` for a bit generator other than PCG64, whose
         stream is not replayed."""
         _require_pcg64(rng)
-        state = rng.bit_generator.state
-        drawn = self.assemble(*_sr_draws(rng.bit_generator, self.params.n - 1,
-                                         2 * count))
-        if drawn is None:
-            rng.bit_generator.state = state
-            drawn = SrBatch.of([sr_sample(self.params, rng) for _ in range(2 * count)])
-        return drawn
+        return self.assemble(*_sr_draws(rng.bit_generator, self.params.n - 1,
+                                        2 * count))
 
     def assemble(self, turns: np.ndarray, gauss: np.ndarray,
-                 radii: np.ndarray) -> Optional[SrBatch]:
-        """The batch of the draws of ``_sr_draws``; None if a vector has
-        norm 0: ``_ball_point`` then skips its radius draw, so the draws
-        are not those of ``sr_sample``.
+                 radii: np.ndarray) -> SrBatch:
+        """The batch of the draws of ``_sr_draws``; a vector whose normals
+        are all 0 is 0, as ``_ball_point`` makes it.
 
         Every step rounds as its scalar twin in ``sr_sample`` does: norms
         through the same dot kernel, powers in Python floats.
         """
         dim = self.params.n - 1
-        radius = self.params.r * self.params.margin
+        radius = self.params.r * SR_MARGIN
         v = gauss[..., :dim] + 1j * gauss[..., dim:]
         # np.linalg.norm: real and imaginary parts as strided dot products
         re, im = v.real[..., None, :], v.imag[..., None, :]
         nrm = np.sqrt(np.matmul(re, re.swapaxes(-1, -2))
                       + np.matmul(im, im.swapaxes(-1, -2)))[..., 0, 0]
-        if not nrm.all():
-            return None
         power = 1.0 / (2 * dim)
         scale = np.array([radius * u ** power for u in radii.ravel().tolist()])
+        nrm = np.where(nrm, nrm, 1.0)
         vec = v / nrm[..., None] * scale.reshape(radii.shape)[..., None]
         lam = np.array([cmath.exp(2j * math.pi * u) for u in turns.tolist()])
         return SrBatch(lam, vec[:, 0], vec[:, 1])

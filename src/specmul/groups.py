@@ -51,7 +51,6 @@ from .errors import (
     _typed,
 )
 from .linalg import (
-    KEY_TOL,
     BlockDiag,
     Dense,
     Diagonal,
@@ -209,18 +208,17 @@ class _DenseCode:
     product as ``matmul`` does.
     """
 
-    def __init__(self, key_tol: float):
-        self.key_tol = key_tol
-
     @staticmethod
     def encode(m: UMatrix) -> np.ndarray:
         return m.to_dense()
 
-    def key(self, m: UMatrix):
-        return _dense_key(m.to_dense(), self.key_tol)
+    @staticmethod
+    def key(m: UMatrix):
+        return _dense_key(m.to_dense())
 
-    def keys(self, rows: np.ndarray) -> list:
-        return _dense_keys(rows, self.key_tol)
+    @staticmethod
+    def keys(rows: np.ndarray) -> list:
+        return _dense_keys(rows)
 
     @staticmethod
     def decode(row: np.ndarray) -> Dense:
@@ -263,7 +261,6 @@ class GroupClosure:
     gen_table: np.ndarray
     key_index: dict
     gen_indices: list[int]
-    key_tol: float = KEY_TOL
 
     @property
     def order(self) -> int:
@@ -373,7 +370,6 @@ def _check_generator_action(gen_table: np.ndarray) -> None:
 def close(
     generators: Sequence[UMatrix],
     max_elements: int = DEFAULT_BUDGET,
-    key_tol: float = KEY_TOL,
 ) -> GroupClosure:
     """BFS closure of the generators under right multiplication.
 
@@ -388,11 +384,11 @@ def close(
     """
     if max_elements < 1:
         raise ValueError("the element budget must be at least 1")
-    code, gens = _prepare(generators, key_tol)
-    return _close_encoded(code, gens, max_elements, key_tol)
+    code, gens = _prepare(generators)
+    return _close_encoded(code, gens, max_elements)
 
 
-def _prepare(generators: Sequence[UMatrix], key_tol: float
+def _prepare(generators: Sequence[UMatrix]
              ) -> tuple[_MonomialCode | _DenseCode, list[UMatrix]]:
     """The code of the generators, and the generators checked, normalized,
     put in that code's representation and deduplicated."""
@@ -414,7 +410,7 @@ def _prepare(generators: Sequence[UMatrix], key_tol: float
         gens = [g if isinstance(g, Dense) else Dense(g.to_dense()) for g in gens]
         if not all(g.unitary for g in gens):
             raise NonUnitaryError("dense generator fails the unitarity check")
-        code = _DenseCode(key_tol)
+        code = _DenseCode()
 
     # Deduplicate generators; gen_table has one column per distinct one.
     uniq: dict = {}
@@ -424,7 +420,7 @@ def _prepare(generators: Sequence[UMatrix], key_tol: float
 
 
 def _close_encoded(code: _MonomialCode | _DenseCode, gens: list[UMatrix],
-                   max_elements: int, key_tol: float) -> GroupClosure:
+                   max_elements: int) -> GroupClosure:
     """The BFS on code rows, one layer at a time.  A layer's products come
     in (parent, generator) order and new ones are numbered in that order,
     which is the order of a BFS that forms one product at a time."""
@@ -473,7 +469,6 @@ def _close_encoded(code: _MonomialCode | _DenseCode, gens: list[UMatrix],
         gen_table=gen_table,
         key_index=key_index,
         gen_indices=[key_index.get(k, -1) for k in code.keys(gen_rows)],
-        key_tol=key_tol,
     )
 
 
@@ -492,21 +487,20 @@ def quotient_order_mod_centre(closure: GroupClosure) -> int:
     return closure.order // len(centre(closure))
 
 
-def is_irreducible(
-    elements: Sequence,
-    dim: Optional[int] = None,
-    tol: float = 1e-8,
-    max_rounds: Optional[int] = None,
-) -> bool:
+# Absolute threshold of ``is_irreducible``'s rank decisions.
+_SPAN_TOL = 1e-8
+
+
+def is_irreducible(elements: Sequence) -> bool:
     """Burnside span test: do products of the elements span all of M_n?
 
     Grows the linear span of the given matrices by repeated left
     multiplication until it stabilizes (the generated algebra), then checks
     whether its dimension is n^2.  Each round multiplies only the directions
     the last round added, since the rest were multiplied before; a round
-    that adds none ends the loop, so it runs at most n^2 rounds unless
-    ``max_rounds`` caps it.  Rank decisions use singular values of
-    unit-normalized vectorized matrices against an absolute threshold.
+    that adds none ends the loop, so it runs at most n^2 rounds.  Rank
+    decisions use singular values of unit-normalized vectorized matrices
+    against the absolute threshold ``_SPAN_TOL``.
     Accepts a closure, structured matrices, or plain arrays.  A closure is
     tested through its generators: its elements are products of them, so
     both generate the same algebra, and no element is built.  Words in a
@@ -519,24 +513,21 @@ def is_irreducible(
     if not mats:
         return False
     n = mats[0].shape[0]
-    if dim is not None and dim != n:
-        raise DimensionMismatchError("declared dimension disagrees with elements")
     full = n * n
 
     def orth_extend(basis: np.ndarray, cands: np.ndarray) -> np.ndarray:
         """Orthonormal directions of ``cands`` outside the span of the
         orthonormal rows of ``basis``."""
         cands = cands - (cands @ basis.conj().T) @ basis
-        keep = cands[np.linalg.norm(cands, axis=1) > tol]
+        keep = cands[np.linalg.norm(cands, axis=1) > _SPAN_TOL]
         if len(keep) == 0:
             return keep
         u, s, vh = np.linalg.svd(keep, full_matrices=False)
-        return vh[s > tol]
+        return vh[s > _SPAN_TOL]
 
     basis = np.zeros((0, full), dtype=complex)
     new = np.array([m.reshape(-1) / np.linalg.norm(m) for m in mats])
-    rounds = 0
-    while len(new) and (max_rounds is None or rounds <= max_rounds):
+    while len(new):
         new = orth_extend(basis, new)
         basis = np.vstack([basis, new])
         if len(basis) >= full:
@@ -544,8 +535,7 @@ def is_irreducible(
         rows = new.reshape(-1, n, n)
         prods = np.concatenate([(m @ rows).reshape(len(rows), full) for m in mats])
         norms = np.linalg.norm(prods, axis=1)
-        new = prods[norms > tol] / norms[norms > tol, None]
-        rounds += 1
+        new = prods[norms > _SPAN_TOL] / norms[norms > _SPAN_TOL, None]
     return len(basis) >= full
 
 

@@ -123,9 +123,9 @@ class UMatrix:
     def exact(self) -> bool:
         raise NotImplementedError
 
-    def canonical_key(self, tol: float = KEY_TOL):
-        """Hashable key identifying the matrix up to rounding at ``tol``."""
-        return _dense_key(self.to_dense(), tol)
+    def canonical_key(self):
+        """Hashable key identifying the matrix up to rounding at ``KEY_TOL``."""
+        return _dense_key(self.to_dense())
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         return matmul(self, other)
@@ -134,15 +134,15 @@ class UMatrix:
         raise NotImplementedError
 
 
-def _dense_key(a: np.ndarray, tol: float):
-    return _dense_keys(a[None], tol)[0]
+def _dense_key(a: np.ndarray):
+    return _dense_keys(a[None])[0]
 
 
-def _dense_keys(stack: np.ndarray, tol: float) -> list:
+def _dense_keys(stack: np.ndarray) -> list:
     """The rounded-entry key of every matrix of an (m, d, d) stack: its
-    entries over ``tol``, rounded, as int64 bytes of the real and the
+    entries over ``KEY_TOL``, rounded, as int64 bytes of the real and the
     imaginary parts."""
-    scaled = np.round(stack / tol)
+    scaled = np.round(stack / KEY_TOL)
     d = stack.shape[-1]
     width = d * d * 8
     re = scaled.real.astype(np.int64).tobytes()
@@ -172,10 +172,10 @@ class Diagonal(UMatrix):
     def inverse(self) -> "Diagonal":
         return Diagonal(tuple(p.conj() for p in self.entries))
 
-    def canonical_key(self, tol: float = KEY_TOL):
+    def canonical_key(self):
         if self.exact:
             return ("diag", tuple((p.angle.num, p.angle.den) for p in self.entries))
-        return _dense_key(self.to_dense(), tol)
+        return _dense_key(self.to_dense())
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,10 +242,10 @@ class MonomialCycle(UMatrix):
         inv = tuple(p.conj() for p in self.d)
         return monomial_cycle(_shift(inv, -self.k), -self.k)
 
-    def canonical_key(self, tol: float = KEY_TOL):
+    def canonical_key(self):
         if self.exact:
             return ("mono", self.k, tuple((p.angle.num, p.angle.den) for p in self.d))
-        return _dense_key(self.to_dense(), tol)
+        return _dense_key(self.to_dense())
 
     def to_json_dict(self) -> dict:
         return {
@@ -294,8 +294,8 @@ class BlockDiag(UMatrix):
     def inverse(self) -> "BlockDiag":
         return BlockDiag(tuple(b.inverse() for b in self.blocks))
 
-    def canonical_key(self, tol: float = KEY_TOL):
-        return ("block", tuple(b.canonical_key(tol) for b in self.blocks))
+    def canonical_key(self):
+        return ("block", tuple(b.canonical_key() for b in self.blocks))
 
     def to_json_dict(self) -> dict:
         return {
@@ -344,12 +344,7 @@ class Dense(UMatrix):
     def spectrum(self) -> Spectrum:
         if not self.unitary:
             raise NonUnitaryError("spectrum on the unit circle needs a unitary matrix")
-        eigs, errs = eigensolve_dense(self.a)
-        if _off_circle(eigs):
-            raise NonUnitaryError("eigenvalue modulus off the unit circle")
-        pts = [UnitPoint.from_complex(complex(z), err=float(e) / (2.0 * math.pi))
-               for z, e in zip(eigs, errs)]
-        return Spectrum.from_points(pts)
+        return _dense_spectra(self.a[None])[0]
 
     def inverse(self) -> "Dense":
         if not self.unitary:
@@ -379,17 +374,11 @@ def _unitarity_gaps(a: np.ndarray) -> np.ndarray:
                   axis=(-2, -1))
 
 
-def _is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    return bool(_unitarity_gaps(a) <= tol)
+def _is_unitary(a: np.ndarray) -> bool:
+    return bool(_unitarity_gaps(a) <= UNITARITY_TOL)
 
 
-def _off_circle(eigs: np.ndarray) -> np.ndarray:
-    """Whether an eigenvalue of a matrix (of each matrix of a stack) has a
-    modulus off 1 by more than ``MODULUS_TOL``."""
-    return np.any(np.abs(np.abs(eigs) - 1.0) > MODULUS_TOL, axis=-1)
-
-
-# Bytes of matrices per stacked eigensolve in ``_dense_angles`` (and per
+# Bytes of matrices per stacked eigensolve in ``_dense_spectra`` (and per
 # unitarity check in ``_require_unitary``).  Each of its (n, d, d)
 # temporaries then stays under the allocator's 128 KB mmap threshold;
 # freeing larger ones raised the peak RSS of a dense run by about 0.5 MB.
@@ -397,41 +386,34 @@ _EIG_BLOCK_BYTES = 1 << 16
 
 
 def _eig_blocks(stack: np.ndarray):
-    """(offset, block) over an (n, d, d) stack, in ``_EIG_BLOCK_BYTES``."""
+    """The blocks of an (n, d, d) stack, ``_EIG_BLOCK_BYTES`` each."""
     step = max(1, _EIG_BLOCK_BYTES // (16 * stack.shape[-1] ** 2))
-    return ((lo, stack[lo:lo + step]) for lo in range(0, len(stack), step))
+    return (stack[lo:lo + step] for lo in range(0, len(stack), step))
 
 
 def _require_unitary(stack: np.ndarray) -> None:
     """``Dense.spectrum``'s unitarity refusal for an (n, d, d) stack."""
-    for _, part in _eig_blocks(stack):
+    for part in _eig_blocks(stack):
         if not np.all(_unitarity_gaps(part) <= UNITARITY_TOL):
             raise NonUnitaryError("spectrum on the unit circle needs a unitary matrix")
 
 
-def _dense_angles(stack: np.ndarray) -> np.ndarray:
-    """``Dense(m).spectrum().angles()`` for every m of an (n, d, d) stack,
-    bit for bit, from one stacked eigensolve per block of matrices (an
-    exhaustive dense scan passes its k class representatives).
-
-    Raises ``NonUnitaryError`` for the first matrix that ``Dense.spectrum``
-    would refuse, with its message: unitarity is checked before the moduli.
-    """
-    two_pi = 2.0 * math.pi
-    turns = np.empty(stack.shape[:2])
-    for lo, part in _eig_blocks(stack):
-        unitary = _unitarity_gaps(part) <= UNITARITY_TOL
-        eigs, _ = eigensolve_dense(part)
-        bad = np.flatnonzero(~unitary | _off_circle(eigs))
-        if bad.size and not unitary[bad[0]]:
-            raise NonUnitaryError("spectrum on the unit circle needs a unitary matrix")
-        if bad.size:
+def _dense_spectra(stack: np.ndarray) -> list[Spectrum]:
+    """The spectrum of every matrix of an (n, d, d) stack of unitary
+    matrices, from one stacked eigensolve per block: the one dense spectrum
+    routine, behind ``Dense.spectrum`` and an exhaustive dense scan's k class
+    representatives.  Unitarity is the caller's check; an eigenvalue
+    modulus off the unit circle raises ``NonUnitaryError``."""
+    spectra = []
+    for part in _eig_blocks(stack):
+        eigs, errs = eigensolve_dense(part)
+        if np.any(np.abs(np.abs(eigs) - 1.0) > MODULUS_TOL):
             raise NonUnitaryError("eigenvalue modulus off the unit circle")
-        # the angle as UnitPoint.from_complex turns it
-        turns[lo:lo + len(part)] = [[math.atan2(z.imag, z.real) / two_pi % 1.0 % 1.0
-                                     for z in row] for row in eigs.tolist()]
-    turns.sort(axis=1)
-    return turns
+        spectra.extend(
+            Spectrum.from_points([UnitPoint.from_complex(z, err=e / (2.0 * math.pi))
+                                  for z, e in zip(row_z, row_e)])
+            for row_z, row_e in zip(eigs.tolist(), errs.tolist()))
+    return spectra
 
 
 def identity_like(m: UMatrix) -> UMatrix:

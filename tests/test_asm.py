@@ -29,11 +29,9 @@ from specmul.asm import (
 from specmul.circle import ONE, UnitPoint, arg_distance
 from specmul.cli import _q8_generators
 from specmul.constructions import (
-    SrBatch,
     SrElement,
     is_prime,
     SrParams,
-    SrSampler,
     default_miller_moreno,
     miller_moreno,
     sample_tadpole,
@@ -78,6 +76,11 @@ def spy_tables(monkeypatch):
 
     monkeypatch.setattr(GroupClosure, "cayley_table", spy)
     return built
+
+
+def spectrum_bits(s):
+    """The bytes of a float spectrum's angles and error bounds."""
+    return np.array([(p.angle, p.err) for p in s.points]).tobytes()
 
 
 def oracle_defect(a, b):
@@ -783,8 +786,8 @@ class TestStackedSpectra:
     def test_angles_match_each_spectrum(self, name):
         c = _dense_closure(KERNEL_GROUPS[name](), 4)
         assert isinstance(c.elements.code, groups._DenseCode)
-        want = np.array([e.spectrum().angles() for e in c.elements])
-        assert linalg._dense_angles(c.elements.rows).tobytes() == want.tobytes()
+        want = [spectrum_bits(e.spectrum()) for e in c.elements]
+        assert list(map(spectrum_bits, linalg._dense_spectra(c.elements.rows))) == want
 
     def test_modulus_check_still_raises(self, monkeypatch):
         c = _dense_mm_closure(1)
@@ -812,7 +815,7 @@ class TestStackedSpectra:
 
     @pytest.mark.parametrize("name", ["mm3_7", "mm7_43", "mm3_7_block"])
     def test_eigensolves_only_class_representatives(self, name, monkeypatch):
-        # k stacked representatives plus the worst pair's three spectra
+        # the k stacked representatives; the worst pair reuses their spectra
         c = close(_dense_oracle_gens(name, 0))
         k = len(np.unique(c.conjugacy_labels()))
         solved, real = [], linalg.eigensolve_dense
@@ -823,7 +826,7 @@ class TestStackedSpectra:
 
         monkeypatch.setattr(linalg, "eigensolve_dense", spy)
         measure_asm(c, collect_pairs=True)
-        assert sum(solved) <= k + 3 < c.order
+        assert sum(solved) == k < c.order
 
 
 # exact generators; ``_dense_oracle_gens`` conjugates them into dense ones
@@ -1035,6 +1038,34 @@ class TestSampledDriverGolden:
         assert seen == [(1, 7), (2, 7)]
         assert [_report_sha(rep) for rep in reps] == [DRIVER_GOLDEN["tadpole_exact"]] * 2
 
+    @pytest.mark.parametrize("workers", [2, 5000])
+    def test_pool_has_at_most_one_process_per_group(self, workers, monkeypatch):
+        """A forking pool starts all of its processes at once, so a run asks
+        for no more processes than it has groups; no process is started."""
+        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        monkeypatch.setattr(asm, "SAMPLE_GROUP_PAIRS", 50)
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(asm, "ProcessPoolExecutor", SerialPool)
+        rep = measure_asm_sampled(tadpole_sampler(3, exact=True), 300, seed=42,
+                                  workers=workers, collect_pairs=True)
+        # 300 pairs: 64 chunks of 4 or 5 pairs, 10 chunks a group
+        assert asked == [min(workers, 7)]
+        assert _report_sha(rep) == DRIVER_GOLDEN["tadpole_exact"]
+
     @pytest.mark.parametrize("p", sorted(EXACT_SAMPLED_GOLDEN))
     def test_exact_tadpole_sampled_in_groups(self, p):
         seed, sha = EXACT_SAMPLED_GOLDEN[p]
@@ -1075,7 +1106,7 @@ def _per_chunk_report(family, count, seed, collect_pairs):
     if family == "sr":
         sampler, kernel, vmax, convention = (
             sr_sampler(SrParams(0.5)), asm._sr_batch_defects, None, "nonzero")
-        worst_of = partial(pair_sub_defect, ztol=asm.SUB_ZERO_TOL)
+        worst_of = pair_sub_defect
     else:
         sampler, kernel, vmax, convention = (
             tadpole_sampler(int(family[7:])), asm._tadpole_batch_defects, 0.5, None)
@@ -1209,14 +1240,19 @@ class TestPoolFloor:
             assert all(len(g) == 1 for g in groups)
 
 
-class _ZeroVectorSampler(SrSampler):
-    """An ``SrSampler`` whose batch assembles element 1's x from zeros, so
-    ``assemble`` declines."""
+class _ZeroNormals:
+    """A generator whose normal draws come out as zeros; the words they
+    take are still drawn from ``rng``."""
 
-    def assemble(self, turns, gauss, radii):
-        gauss = gauss.copy()
-        gauss[1, 0] = 0.0
-        return super().assemble(turns, gauss, radii)
+    def __init__(self, rng):
+        self.rng = rng
+
+    def normal(self, size):
+        self.rng.normal(size=size)
+        return np.zeros(size)
+
+    def random(self):
+        return self.rng.random()
 
 
 class TestSrBatchChunk:
@@ -1246,32 +1282,35 @@ class TestSrBatchChunk:
     def test_chunk_matches_pair_sub_defect(self, n, r, seed):
         self._assert_same(*self._chunks(sr_sampler(SrParams(r, n)), seed))
 
-    def test_zero_vector_declines_the_batch(self):
-        sampler = sr_sampler(SrParams(0.5))
-        rng = np.random.default_rng(0)
-        turns, gauss, radii = constructions._sr_draws(rng.bit_generator, 3, 20)
-        assert sampler.assemble(turns, gauss, radii) is not None
-        gauss[1, 0] = 0.0
-        assert sampler.assemble(turns, gauss, radii) is None
-
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_declined_batch_takes_the_one_pair_path(self, seed):
-        """A declined assembly is redrawn inside ``batch`` by 2*count
-        ``sr_sample`` calls, which leave the generator where they do."""
+    def test_zero_vector_assembles_to_zero(self, seed):
+        """Normals that are all 0 give the vector 0; every other element of
+        the batch stays bit for bit what it was."""
+        sampler = sr_sampler(SrParams(0.5))
+        rng = np.random.default_rng(seed)
+        turns, gauss, radii = constructions._sr_draws(rng.bit_generator, 3, 20)
+        want = sampler.assemble(turns, gauss, radii)
+        gauss[1, 0] = 0.0
+        got = sampler.assemble(turns, gauss, radii)
+        assert not got.row[1].any()
+        got.row[1] = want.row[1]
+        for a, b in zip((got.lam, got.row, got.col), (want.lam, want.row, want.col)):
+            assert np.array_equal(a.view(np.float64), b.view(np.float64))
+
+    def test_zero_normals_still_draw_the_radius(self):
+        """``sr_sample`` makes the same draws whatever its normals are: a
+        zero vector still takes its radius, one word past its normals."""
         params = SrParams(0.5)
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = _ZeroVectorSampler(params).batch(rng, 40)
-        want = SrBatch.of([sr_sample(params, ref) for _ in range(80)])
-        for got, exp in zip((drawn.lam, drawn.row, drawn.col),
-                            (want.lam, want.row, want.col)):
-            assert np.array_equal(got.view(np.float64), exp.view(np.float64))
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        e = sr_sample(params, _ZeroNormals(rng))
+        assert not any(e.row) and not any(e.col)
+        sr_sample(params, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
-        self._assert_same(*self._chunks(_ZeroVectorSampler(params), seed))
-        # a run whose every chunk declines reports what the one-pair path does
-        assert (measure_sub(_ZeroVectorSampler(params), pair_count=130, seed=seed,
-                            collect_pairs=True).to_json_dict()
-                == _one_pair_report(partial(sr_sample, params), 130, seed,
-                                    pair_sub_defect, None, "nonzero").to_json_dict())
+        assert not constructions._ball_point(_ZeroNormals(rng), 3, 0.5).any()
+        ref.normal(size=3)
+        ref.normal(size=3)
+        ref.bit_generator.advance(1)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sampler_without_batch(self, monkeypatch, workers):

@@ -19,7 +19,6 @@ from specmul.cli import main
 from specmul.linalg import Dense, matrix_from_json, matrix_to_json
 from specmul.circle import _point_from_json
 from specmul.constructions import (
-    SrSampler,
     TadpoleParams,
     cycle_matrix,
     default_miller_moreno,
@@ -43,6 +42,14 @@ def run(capsys, *argv):
 class TestExitCodes:
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 1
+
+    def test_failed_allocation_is_one_line(self, capsys, monkeypatch):
+        def measure_asm(*args, **kw):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "measure_asm", measure_asm)
+        assert run(capsys, "measure", "--builtin", "q8") == (
+            1, "", "error: out of memory. Unable to allocate 745. GiB for an array\n")
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
@@ -498,13 +505,6 @@ class TestVerifySrBound:
         monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
         assert cli._verify_sr_bound(self.ARGS) == whole
         assert whole[1]["dense_cross_checks"] == 500
-
-    def test_declined_batch_redraws_one_element_at_a_time(self, monkeypatch):
-        # ``SrSampler.batch`` redraws a block whose assembly declines
-        want = cli._verify_sr_bound(self.ARGS)
-        monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
-        monkeypatch.setattr(SrSampler, "assemble", lambda self, *draws: None)
-        assert cli._verify_sr_bound(self.ARGS) == want
 
     def test_first_violation_is_reported(self, monkeypatch):
         monkeypatch.setattr(cli, "sr_ratio_bound", lambda r: 0.3)

@@ -381,6 +381,32 @@ class TestTadpoleReplay:
             tadpole_sampler(4).batch(np.random.default_rng(0), 5)
 
 
+def _exact_head_by_choice(p, rng):
+    """``constructions._exact_head`` as it drew with ``rng.choice``."""
+    den = 2 * p * p
+    nums = []
+    for _ in range(p - 1):
+        over = int(rng.choice((p * p, den)))
+        nums.append(int(rng.integers(0, over)) * (den // over))
+    return nums + [-sum(nums) % den]
+
+
+class TestExactHead:
+    """The exact draw picks its denominator with ``integers(0, 2)``, which
+    gives the integer and leaves the generator as ``choice`` of the two
+    does; a numpy whose ``choice`` draws otherwise fails here."""
+
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox])
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_draws_as_choice_does(self, bitgen, p):
+        for seed in range(20):
+            rng = np.random.Generator(bitgen(seed))
+            ref = np.random.Generator(bitgen(seed))
+            got = [constructions._exact_head(p, rng) for _ in range(10)]
+            assert got == [_exact_head_by_choice(p, ref) for _ in range(10)]
+            np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+
 class TestMod1:
     """``_mod1`` (x - floor(x)) equals numpy's float ``x % 1.0`` bit for bit;
     the batched spectra and the float kernel rely on it."""

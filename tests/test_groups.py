@@ -44,7 +44,6 @@ from specmul.groups import (
     quotient_order_mod_centre,
 )
 from specmul.linalg import (
-    KEY_TOL,
     BlockDiag,
     Dense,
     Diagonal,
@@ -349,7 +348,7 @@ class _ObjectClosure(GroupClosure):
     """A closure of matrix objects, keyed by their ``canonical_key``."""
 
     def index_of(self, m):
-        return self.key_index.get(m.canonical_key(self.key_tol))
+        return self.key_index.get(m.canonical_key())
 
 
 def _object_bfs(gens, budget=DEFAULT_BUDGET):
@@ -359,14 +358,14 @@ def _object_bfs(gens, budget=DEFAULT_BUDGET):
     ident = identity_like(gens[0])
     elements = [ident]
     parents = [(-1, -1)]
-    key_index = {ident.canonical_key(KEY_TOL): 0}
+    key_index = {ident.canonical_key(): 0}
     rows = []
     complete = True
     while complete and len(rows) < len(elements):
         i, row = len(rows), []
         for gi, g in enumerate(gens):
             h = matmul(elements[i], g)
-            k = h.canonical_key(KEY_TOL)
+            k = h.canonical_key()
             if k not in key_index:
                 if len(elements) >= budget:
                     complete = False
@@ -382,12 +381,12 @@ def _object_bfs(gens, budget=DEFAULT_BUDGET):
     return _ObjectClosure(
         elements=elements, generators=list(gens), complete=complete,
         parents=parents, gen_table=gen_table, key_index=key_index,
-        gen_indices=[key_index.get(g.canonical_key(KEY_TOL), -1) for g in gens])
+        gen_indices=[key_index.get(g.canonical_key(), -1) for g in gens])
 
 
 def _object_closure(gens, budget=DEFAULT_BUDGET):
     """The reference BFS on the generators ``close`` would use."""
-    return _object_bfs(groups._prepare(gens, KEY_TOL)[1], budget)
+    return _object_bfs(groups._prepare(gens)[1], budget)
 
 
 # Roots of unity of an order past 2**62, so the rows hold Python ints; x
@@ -753,11 +752,6 @@ class TestIsIrreducible:
 
     def test_empty(self):
         assert not is_irreducible([])
-
-    def test_dimension_check(self):
-        from specmul.errors import DimensionMismatchError
-        with pytest.raises(DimensionMismatchError):
-            is_irreducible([np.eye(2, dtype=complex)], dim=3)
 
 
 class TestJsonRoundTrip:

@@ -1,5 +1,6 @@
 """Every import in the package's modules is used or exported, every
-private definition is read, and one module decides what malformed input is.
+private definition and every parameter is read, and one module decides what
+malformed input is.
 
 A name a module imports must appear in its code (a string annotation
 counts) or in its ``__all__``; otherwise the import is dead.  A private
@@ -115,6 +116,27 @@ def test_no_dead_private_code():
             # reads inside its own body (recursion) do not keep it alive
             if refs[node.name] <= _references(node)[node.name]]
     assert not dead, f"private definitions never read: {dead}"
+
+
+def _unread_parameters(tree: ast.Module):
+    """``line name(parameter)`` of each parameter of a function or method,
+    ``self`` and ``cls`` aside, that its body never reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            yield from (f"{node.lineno} {node.name}({name})" for name in params
+                        if name not in ("self", "cls") and name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    """A parameter the body never reads is a knob that does nothing."""
+    unread = list(_unread_parameters(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not unread, f"{path.name}: parameters never read {unread}"
 
 
 # What a reader raises on malformed input; only errors.py turns these into

@@ -49,6 +49,11 @@ def exact_points(n, dens=(3, 4, 8, 9, 12)):
         min_size=n, max_size=n).map(tuple)
 
 
+def _bits(s):
+    """The bytes of a float spectrum's angles and error bounds."""
+    return np.array([(p.angle, p.err) for p in s.points]).tobytes()
+
+
 def random_unitary(n, rng=RNG):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
@@ -285,39 +290,52 @@ class TestSpectrumHelpers:
     # three 6 x 6 matrices per call, the last block holding two
     @pytest.mark.parametrize("block", [None, 1, 3 * 16 * 36])
     def test_stacked_angles_match_each_spectrum(self, block, monkeypatch):
+        """``_dense_spectra`` over any blocking equals, points and error
+        bounds bit for bit, the spectrum of one unstacked eigensolve per
+        matrix, and so does ``Dense.spectrum``."""
         if block:
             monkeypatch.setattr(linalg, "_EIG_BLOCK_BYTES", block)
         rng = np.random.default_rng(5)
         stack = np.stack([random_unitary(6, rng) for _ in range(30)]
                          + [np.eye(6), -np.eye(6)])
-        want = np.array([Dense(m).spectrum().angles() for m in stack])
-        assert linalg._dense_angles(stack).tobytes() == want.tobytes()
+        want = []
+        for m in stack:
+            eigs, errs = eigensolve_dense(m)
+            want.append(_bits(Spectrum.from_points(
+                [UnitPoint.from_complex(complex(z), err=float(e) / (2 * math.pi))
+                 for z, e in zip(eigs, errs)])))
+        assert list(map(_bits, linalg._dense_spectra(stack))) == want
+        assert [_bits(Dense(m).spectrum()) for m in stack] == want
 
     @pytest.mark.parametrize("block", [None, 1])
     def test_stacked_angles_refuse_as_spectrum_does(self, block, monkeypatch):
+        """``_dense_spectra`` refuses an eigenvalue off the unit circle;
+        unitarity is refused by ``_require_unitary`` and ``Dense.spectrum``."""
         if block:
             monkeypatch.setattr(linalg, "_EIG_BLOCK_BYTES", block)
         stack = np.stack([random_unitary(3) for _ in range(4)])
+        linalg._require_unitary(stack)
         stack[2] *= 1.01
         with pytest.raises(NonUnitaryError, match="needs a unitary"):
             Dense(stack[2]).spectrum()
         with pytest.raises(NonUnitaryError, match="needs a unitary"):
-            linalg._dense_angles(stack)
+            linalg._require_unitary(stack)
+        # stack[2]'s eigenvalues have modulus 1.01
+        with pytest.raises(NonUnitaryError, match="modulus"):
+            linalg._dense_spectra(stack)
+        assert len(linalg._dense_spectra(stack[:2])) == 2
         monkeypatch.setattr(linalg, "MODULUS_TOL", -1.0)
-        # every matrix now fails the modulus check: the first one decides
+        # every matrix now fails the modulus check
         with pytest.raises(NonUnitaryError, match="modulus"):
             Dense(stack[0]).spectrum()
         with pytest.raises(NonUnitaryError, match="modulus"):
-            linalg._dense_angles(stack)
-        stack[0] *= 1.01
-        with pytest.raises(NonUnitaryError, match="needs a unitary"):
-            linalg._dense_angles(stack)
+            linalg._dense_spectra(stack[:2])
 
     def test_stacked_keys_match_each_key(self):
         rng = np.random.default_rng(9)
         stack = np.stack([random_unitary(4, rng) for _ in range(20)])
-        keys = linalg._dense_keys(stack, 1e-7)
-        assert keys == [Dense(m).canonical_key(1e-7) for m in stack]
+        keys = linalg._dense_keys(stack)
+        assert keys == [Dense(m).canonical_key() for m in stack]
         gaps = linalg._unitarity_gaps(stack)
         assert gaps.tolist() == [linalg._unitarity_gaps(m) for m in stack]
 
