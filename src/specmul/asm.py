@@ -41,6 +41,7 @@ from .constructions import (
     sr_pair_gamma,
 )
 from .errors import (
+    ClosureInvariantError,
     IncompleteClosureError,
     ZeroSpectralRadiusError,
     _complex,
@@ -596,13 +597,22 @@ def _unique_codes(codes: np.ndarray, bound: int):
 
 
 def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
-                rows: np.ndarray, sizes: np.ndarray, kernel, collect_pairs: bool):
+                rows: np.ndarray, sizes: np.ndarray, kernel, negate,
+                collect_pairs: bool):
     """Defects of the representative rows ``rows``: the unique
-    (sigma(A), sigma(B), sigma(AB)) triples go through one ``kernel`` call.
+    (sigma(A), sigma(B), sigma(AB)) triples, one per symmetry orbit, go
+    through one ``kernel`` call.
     ``spectra`` holds the representatives' spectra as tuples of angles, int
     numerators for an exact closure (``kernel`` is ``_exact_defects`` at
     their scale) and float turns for a dense one (``_float_defects``);
     ``class_of`` gives each element's class and ``sizes`` each class's size.
+    ``negate`` maps a spectrum to its negation, the spectrum of the
+    inverses.  sigma(BA) = sigma(AB) and B^-1 A^-1 = (AB)^-1, and negation
+    keeps arc distances, so (a, b, c), (b, a, c), (-b, -a, -c) and
+    (-a, -b, -c) have one defect: only the least code of each orbit is
+    scored.  A dense closure's ``negate`` is the identity, since -x mod 1
+    rounds, and its orbits are the swaps alone, which the float kernel
+    scores bit for bit alike.
     Returns (the unique triples' defects, each one's pair count: its row
     entries weighted by their class sizes, the first row-major (r, j) whose
     triple attains the maximum, full grid or None).
@@ -612,24 +622,50 @@ def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     class_sid = np.array([rep_ids.setdefault(s, len(rep_ids)) for s in spectra],
                          dtype=np.int64)
     uniq_reps = list(rep_ids)
+    neg = [rep_ids.get(negate(s)) for s in uniq_reps]
+    if None in neg:
+        raise ClosureInvariantError(
+            "a class spectrum's negation is no class spectrum; the closure "
+            "is not closed under inverses")
+    neg = np.array(neg, dtype=np.int64)
     sid = class_sid[class_of]
     ns = len(uniq_reps)
-    tri = (class_sid[:, None] * ns + sid[None, :]) * ns + sid[rows]
+
+    def code(a, b, ab):
+        return (a * ns + b) * ns + ab
+
+    def least_swap(a, b, ab):
+        return np.minimum(code(a, b, ab), code(b, a, ab))
+
+    def ids(codes):
+        a, rem = np.divmod(codes, ns * ns)
+        return (a, *np.divmod(rem, ns))
+
+    tri = code(class_sid[:, None], sid[None, :], sid[rows])
     uniq_tri, inv = _unique_codes(tri.reshape(-1), ns ** 3)
+    # the least code of each orbit: of the triple and of its negation, each
+    # with and without the swap
+    ia, ib, iab = ids(uniq_tri)
+    orbits, back = _unique_codes(np.minimum(least_swap(ia, ib, iab),
+                                            least_swap(neg[ia], neg[ib], neg[iab])),
+                                 ns ** 3)
     # each distinct spectrum padded to one width with repeats of its first angle
     width = max(len(s) for s in uniq_reps)
     padded = np.array([s + s[:1] * (width - len(s)) for s in uniq_reps],
                       dtype=np.int64 if closure.exact else float)
-    ia, rem = np.divmod(uniq_tri, ns * ns)
-    ib, iab = np.divmod(rem, ns)
-    tri_defects = kernel(padded[ia], padded[ib], padded[iab])
+    tri_defects = kernel(*(padded[x] for x in ids(orbits)))[back]
     counts = np.bincount(inv, weights=np.repeat(sizes, rows.shape[1]))
     first = int((tri_defects == tri_defects.max())[inv].argmax())
     grid = None
     if collect_pairs:
-        full = (sid[:, None] * ns + sid[None, :]) * ns + sid[closure.cayley_table()]
+        full = code(sid[:, None], sid[None, :], sid[closure.cayley_table()])
         grid = tri_defects[np.searchsorted(uniq_tri, full)]
     return tri_defects, counts, divmod(first, rows.shape[1]), grid
+
+
+def _negated(angles: tuple, scale: int) -> tuple:
+    """The int angles of the inverses' spectrum: each -x mod ``scale``."""
+    return tuple(sorted((-x) % scale for x in angles))
 
 
 def _exhaustive_report(worst, n, values, grid, bins, vmax, collect_pairs,
@@ -668,14 +704,17 @@ def measure_asm(
     spectrum is a class function, so one process scores one Cayley row per
     conjugacy class, each spectrum its class representative's: the unique
     triples go through one kernel call, in integers for exact closures and
-    in floats for dense ones (off an all-pairs scan only by rounding).  A
-    dense closure eigensolves exactly its k representatives, stacked
-    (``_dense_spectra``), after every element passes ``Dense.spectrum``'s
-    unitarity check.  The histogram takes each unique triple once, weighted
-    by its pairs: its row entries times their class sizes.
-    Representatives are class minima, so the first maximum is the full
-    row-major grid's.  ``worst`` is built from the scan's own spectra of
-    its three classes, so its defect is ``epsilon`` bit for bit.
+    in floats for dense ones (off an all-pairs scan only by rounding), one
+    triple per symmetry orbit (``_class_rows``).  An exact closure reads
+    its k representatives' int angles off their monomial rows
+    (``_MonomialCode.int_spectra``) and builds ``Spectrum`` objects only for
+    the worst pair's classes.  A dense closure eigensolves exactly its k
+    representatives, stacked (``_dense_spectra``), after every element
+    passes ``Dense.spectrum``'s unitarity check.  The histogram takes each
+    unique triple once, weighted by its pairs: its row entries times their
+    class sizes.  Representatives are class minima, so the first maximum is
+    the full row-major grid's.  ``worst`` is built from the spectra of its
+    three classes the scan scored, so its defect is ``epsilon`` bit for bit.
     """
     if not closure.complete:
         raise IncompleteClosureError(
@@ -687,20 +726,24 @@ def measure_asm(
                                       return_inverse=True, return_counts=True)
     rows = closure.cayley_rows(reps)
     if closure.exact:
-        spectra = [elements[x].spectrum() for x in reps]
-        scale = math.lcm(*(s.common_denominator() for s in spectra))
-        angles = [s.int_angles(scale) for s in spectra]
+        angles, scale = elements.code.int_spectra(elements.rows[reps])
         kernel = partial(_exact_defects, scale=scale)
+        negate = partial(_negated, scale=scale)
+
+        def spectrum(c):
+            return elements[int(reps[c])].spectrum()
     else:
         _require_unitary(elements.rows)
         spectra = _dense_spectra(elements.rows[reps])
         angles = [tuple(s.angles().tolist()) for s in spectra]
-        scale, kernel = 1, _float_defects
+        # -x mod 1 rounds, so a dense run's orbits are the swaps alone
+        scale, kernel, spectrum, negate = (1, _float_defects, spectra.__getitem__,
+                                           lambda s: s)
     tri_defects, counts, (r, j), grid = _class_rows(
-        closure, angles, class_of, rows, sizes, kernel, collect_pairs)
+        closure, angles, class_of, rows, sizes, kernel, negate, collect_pairs)
     i = int(reps[r])
     classes = (r, class_of[j], class_of[rows[r, j]])
-    worst = _spectra_pair(*(spectra[c] for c in classes), ("elements", i, j),
+    worst = _spectra_pair(*map(spectrum, classes), ("elements", i, j),
                           (elements[i], elements[j]))
     return _exhaustive_report(
         worst, n, tri_defects.astype(float) / scale,

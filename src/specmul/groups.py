@@ -185,6 +185,53 @@ class _MonomialCode:
             for off, size in self.blocks)
         return BlockDiag(blocks) if self.nested else blocks[0]
 
+    def int_spectra(self, rows: np.ndarray) -> tuple[list, int]:
+        """The spectra of ``rows`` as int angle numerators over one scale:
+        each row's distinct numerators as a sorted tuple, and the scale,
+        the lcm of their reduced denominators.  Equal to ``int_angles`` of
+        the decoded matrices' spectra at their common denominator.
+
+        A cycle of ``s`` of length l whose exponents sum to S mod N gives
+        the l-th roots of e^{2 pi i S / N}: the angles (S + j N) / (l N)
+        for j < l, whose reduced denominators have the lcm
+        lcm(l N / gcd(S, l N), l).  At the scale they are b + j (scale / l)
+        with b = S scale / (l N).  One walk over every row at once, at most
+        ``dim`` steps, gives each position its cycle's l and S and its own
+        j: the steps from it to the cycle's least position.  The arithmetic
+        after the walk is in Python ints when l N could pass int64.
+        """
+        n, roots = self.dim, self.roots
+        # flat positions: row r's position i is r * n + i
+        nxt = (rows[:, :n].astype(np.intp)
+               + np.arange(0, rows.size // 2, n)[:, None]).ravel()
+        e = rows[:, n:].ravel()
+        start = cur = least = np.arange(nxt.size)
+        walked = e.copy()    # exponent sum of the positions walked, mod roots
+        total = np.zeros_like(e)
+        steps = np.zeros(nxt.size, dtype=np.int64)
+        length = np.zeros(nxt.size, dtype=np.int64)   # 0 while the cycle is open
+        for t in range(1, n + 1):
+            cur = nxt[cur]
+            back = (cur == start) & (length == 0)
+            length[back] = t
+            total[back] = walked[back]
+            if length.all():
+                break
+            walked += e[cur]
+            walked %= roots
+            lower = cur < least
+            steps[lower] = t
+            least = np.minimum(least, cur)
+        # the distinct lengths by a bincount: a plain np.unique would import
+        # numpy.ma on its first call, about 30 ms
+        if math.lcm(*np.flatnonzero(np.bincount(length))) * roots > np.iinfo(np.int64).max:
+            total, length = total.astype(object), length.astype(object)
+        big = length * roots
+        g = np.gcd(total, big)
+        scale = int(np.lcm.reduce(np.lcm(big // g, length)))
+        nums = (total // g) * (scale // (big // g)) + steps * (scale // length)
+        return [tuple(sorted(set(r))) for r in nums.reshape(-1, n).tolist()], scale
+
     def products(self, rows: np.ndarray, gen_rows: np.ndarray) -> np.ndarray:
         """All products rows[a] @ gen_rows[b], shape (len(rows), len(gen_rows),
         2 dim), in (a, b) order."""

@@ -43,6 +43,7 @@ from specmul.constructions import (
     tadpole_sampler,
 )
 from specmul.errors import (
+    ClosureInvariantError,
     IncompleteClosureError,
     MalformedJsonError,
     NonUnitaryError,
@@ -697,13 +698,25 @@ class TestClassReducedScan:
         blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == EXHAUSTIVE_GOLDEN[name]
 
-    def test_exact_run_decodes_representatives_and_the_worst_pair(self):
-        c = close(miller_moreno(default_miller_moreno(7, 43)))
-        want = measure_asm(c).to_json_dict()
-        k = len(np.unique(c.conjugacy_labels()))
-        c.elements = _CountingElements(c.elements)
-        assert measure_asm(c).to_json_dict() == want
-        assert c.elements.reads <= k + 2
+    def test_exact_run_decodes_representatives_and_the_worst_pair(self, monkeypatch):
+        # the k representatives' spectra come from their rows; only the
+        # worst pair's three classes and its two matrices are decoded, and
+        # only those classes' spectra built, whatever k is (13, then 403)
+        built = []
+        for cls in (Diagonal, linalg.MonomialCycle):
+            def spy(self, real=cls.spectrum):
+                built.append(self)
+                return real(self)
+
+            monkeypatch.setattr(cls, "spectrum", spy)
+        for p, q in [(7, 43), (3, 1201)]:
+            c = close(miller_moreno(default_miller_moreno(p, q)))
+            want = measure_asm(c).to_json_dict()
+            c.elements = _CountingElements(c.elements)
+            built.clear()
+            assert measure_asm(c).to_json_dict() == want
+            assert c.elements.reads <= 5
+            assert 1 <= len(built) <= 3
 
     @pytest.mark.parametrize("name", ["q8", "mm3_7", "mm7_43"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -878,10 +891,17 @@ def _scalar_defects(sa, sb, sab, scale):
             for a, b, ab in zip(sa.tolist(), sb.tolist(), sab.tolist())]
 
 
-def _padded(rows):
+def _padded(rows, dtype=np.int64):
     width = max(len(r) for r in rows)
-    return np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.int64)
+    return np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=dtype)
 
+
+# (scale, triples of distinct angle numerators of unequal lengths)
+RANDOM_TRIPLES = st.integers(1, 60).flatmap(lambda scale: st.tuples(
+    st.just(scale),
+    st.lists(st.tuples(*[st.lists(st.integers(0, scale - 1), min_size=1,
+                                  max_size=7, unique=True)] * 3),
+             min_size=1, max_size=12)))
 
 KERNEL_GROUPS = {
     "q8": _q8_generators,
@@ -910,14 +930,72 @@ class TestExactKernel:
         measure_asm(close(KERNEL_GROUPS[name]()))
         assert len(seen) == 1 and seen[0] >= 1
         if name == "mm13_157":
-            assert seen[0] == 1325
+            # 1,325 unique triples, one per symmetry orbit scored
+            assert seen[0] == 358
+
+    def test_every_unique_triple_gets_its_own_defect(self, monkeypatch):
+        # the defect gathered back to each unique triple from its orbit's
+        # scored member is the triple's own scalar defect
+        calls, real = [], asm._class_rows
+
+        def spy(closure, spectra, class_of, rows, *rest):
+            out = real(closure, spectra, class_of, rows, *rest)
+            kernel = rest[1]
+            calls.append((spectra, class_of, rows, kernel.keywords["scale"], out[0]))
+            return out
+
+        monkeypatch.setattr(asm, "_class_rows", spy)
+        measure_asm(close(KERNEL_GROUPS["mm13_157"]()))
+        (spectra, class_of, rows, scale, defects), = calls
+        uniq = list(dict.fromkeys(spectra))
+        ids = np.array([uniq.index(s) for s in spectra])
+        ns = len(uniq)
+        codes = np.unique((ids[:, None] * ns + ids[class_of][None, :]) * ns
+                          + ids[class_of[rows]])
+        want = [asm._defect_exact(uniq[t // ns ** 2], uniq[t // ns % ns],
+                                  uniq[t % ns], scale)[0] for t in codes.tolist()]
+        assert len(want) == 1325
+        assert defects.tolist() == want
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 60).flatmap(lambda scale: st.tuples(
-        st.just(scale),
-        st.lists(st.tuples(*[st.lists(st.integers(0, scale - 1), min_size=1,
-                                      max_size=7, unique=True)] * 3),
-                 min_size=1, max_size=12))))
+    @given(RANDOM_TRIPLES)
+    def test_orbit_members_have_one_defect(self, case):
+        scale, triples = case
+        a, b, c = ([t[k] for t in triples] for k in range(3))
+
+        def neg(rows):
+            return [sorted((-x) % scale for x in r) for r in rows]
+
+        members = [(a, b, c), (b, a, c), (neg(b), neg(a), neg(c)),
+                   (neg(a), neg(b), neg(c))]
+        got = [asm._exact_defects(*map(_padded, m), scale).tolist() for m in members]
+        assert got == got[:1] * 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.lists(st.floats(0, 1, exclude_max=True),
+                                         min_size=1, max_size=7)] * 3),
+                    min_size=1, max_size=12))
+    def test_float_swap_members_have_one_defect(self, triples):
+        a, b, c = (_padded([t[k] for t in triples], float) for k in range(3))
+        assert (asm._float_defects(a, b, c).tobytes()
+                == asm._float_defects(b, a, c).tobytes())
+
+    def test_missing_negated_spectrum_is_refused(self):
+        # a complete group holds every spectrum's negation; a list without
+        # one is refused, not a KeyError
+        c = close(KERNEL_GROUPS["mm3_7"]())
+        reps, class_of, sizes = np.unique(c.conjugacy_labels(),
+                                          return_inverse=True, return_counts=True)
+        angles, scale = c.elements.code.int_spectra(c.elements.rows[reps])
+        angles[-1] = (1, 2)
+        assert tuple(sorted((-x) % scale for x in angles[-1])) not in angles
+        with pytest.raises(ClosureInvariantError, match="negation"):
+            asm._class_rows(c, angles, class_of, c.cayley_rows(reps), sizes,
+                            partial(asm._exact_defects, scale=scale),
+                            partial(asm._negated, scale=scale), False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(RANDOM_TRIPLES)
     def test_random_spectra_of_unequal_lengths(self, case):
         scale, triples = case
         sa, sb, sab = (_padded([t[k] for t in triples]) for k in range(3))
@@ -949,10 +1027,13 @@ class TestExactKernel:
 
 
 class _CountingElements(Sequence):
-    """An element list that counts the elements read from it."""
+    """An element list that counts the elements read from it; its code and
+    rows, which decode no element, pass through uncounted."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.code = inner.code
+        self.rows = inner.rows
         self.reads = 0
 
     def __len__(self):
@@ -976,6 +1057,51 @@ def test_mm_closed_form_conjecture(p, q):
     whole sweep should run in under about 2 s."""
     r = measure_asm(close(miller_moreno(default_miller_moreno(p, q))))
     assert r.epsilon_exact == Fraction(q - 1, 2 * p * q)
+
+
+def _binary_dihedral_level(m):
+    """The level of the binary dihedral group Dic_m from its group law
+    alone, in integers over the scale 4m: no closure, no scan.
+
+    The elements are a^j x^f (j < 2m, f < 2) with x a x^-1 = a^-1 and
+    x^2 = a^m.  a^j has the angles +-2j / 4m and a^j x the angles
+    {m, 3m} / 4m; a product is a^(j + (-1)^f k) x^(f + g), times a^m when
+    f = g = 1.
+    """
+    scale = 4 * m
+
+    def spectrum(j, f):
+        return (m, 3 * m) if f else (2 * j % scale, -2 * j % scale)
+
+    def arc(t):
+        t %= scale
+        return min(t, scale - t)
+
+    level = 0
+    for j in range(2 * m):
+        for f in (0, 1):
+            for k in range(2 * m):
+                for g in (0, 1):
+                    ab = spectrum((j + (-k if f else k) + (m if f and g else 0))
+                                  % (2 * m), f ^ g)
+                    level = max(level, max(
+                        min(arc(c - x - y) for x in spectrum(j, f)
+                            for y in spectrum(k, g))
+                        for c in ab))
+    return Fraction(level, scale)
+
+
+@pytest.mark.parametrize("m", range(2, 25))
+def test_binary_dihedral_level_matches_its_oracle(m):
+    # Dic_m as <diag(z, z^-1), [[0, 1], [-1, 0]]>, z = e^(2 pi i / 2m): the
+    # level is 1/4 for even m and (m - 1)/(4m) for odd m
+    zeta = UnitPoint.exact(1, 2 * m)
+    c = close([Diagonal((zeta, zeta.conj())),
+               linalg.MonomialCycle((ONE, UnitPoint.exact(1, 2)), 1)])
+    level = Fraction(1, 4) if m % 2 == 0 else Fraction(m - 1, 4 * m)
+    assert c.order == 4 * m
+    assert _binary_dihedral_level(m) == level
+    assert measure_asm(c).epsilon_exact == level
 
 
 # sha256 of json.dumps(report.to_json_dict(), sort_keys=True) for the cases

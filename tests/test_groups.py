@@ -1,5 +1,6 @@
 """Group closures: enumeration, Cayley tables, centres, irreducibility."""
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -454,6 +455,48 @@ DENSE_GROUPS = {
     "mm7_43": lambda: _haar_conjugated(
         miller_moreno(default_miller_moreno(7, 43)), 2),
 }
+
+
+def _object_int_spectra(code, rows):
+    """``_MonomialCode.int_spectra`` the object way: each row decoded, its
+    ``Spectrum``'s int angles at the common denominator of them all."""
+    spectra = [code.decode(row).spectrum() for row in rows]
+    scale = math.lcm(*(s.common_denominator() for s in spectra))
+    return [s.int_angles(scale) for s in spectra], scale
+
+
+# every monomial layout (ARRAY_GROUPS holds the CLASS_GROUPS groups too):
+# Python-int rows, nested, offset and two blocks; and int64 rows,
+# N = 2**62 - 1 (a multiple of 3), whose 3-cycle of exponent sum N / 3 has
+# l N = 3 N past int64: a cyclic group of order 9
+X_NEAR = UnitPoint.exact(1, 2 ** 62 - 1)
+ROW_SPECTRA_GROUPS = {
+    **ARRAY_GROUPS,
+    "c9_near_2_62": lambda: [MonomialCycle(
+        (X_NEAR, X_NEAR.conj(), UnitPoint.exact(1, 3)), 1)],
+}
+
+
+class TestRowSpectra:
+    """Spectra read off the cycles of monomial rows against the decoded
+    matrices' ``Spectrum`` objects."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_SPECTRA_GROUPS))
+    def test_match_the_object_spectra(self, name):
+        c = close(ROW_SPECTRA_GROUPS[name]())
+        code, rows = c.elements.code, c.elements.rows
+        reps = np.unique(c.conjugacy_labels())
+        for pick in (reps, np.arange(c.order)):
+            got = code.int_spectra(rows[pick])
+            assert got == _object_int_spectra(code, rows[pick])
+            assert all(type(x) is int for s in got[0] for x in s)
+
+    @pytest.mark.parametrize("name", sorted(ROW_SPECTRA_GROUPS))
+    def test_scan_matches_an_object_spectra_scan(self, name, monkeypatch):
+        c = close(ROW_SPECTRA_GROUPS[name]())
+        want = measure_asm(c, collect_pairs=c.order <= 64).to_json_dict()
+        monkeypatch.setattr(groups._MonomialCode, "int_spectra", _object_int_spectra)
+        assert measure_asm(c, collect_pairs=c.order <= 64).to_json_dict() == want
 
 
 def _layer_cut_budget(c):
