@@ -22,7 +22,6 @@ serializes to JSON and round-trips.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +42,7 @@ from .constructions import (
 from .errors import (
     ClosureInvariantError,
     IncompleteClosureError,
+    InvalidParamsError,
     ZeroSpectralRadiusError,
     _complex,
     _loading,
@@ -106,98 +106,85 @@ SAMPLE_GROUP_PAIRS = 800
 # ---------------------------------------------------------------------------
 # defect cores
 
-def _defect_exact(sa, sb, sab, scale):
-    """Exact defect over integer angle numerators mod ``scale``.
-
-    Returns (defect numerator, gamma, alpha, beta) with the witnesses chosen
-    deterministically: first maximizing gamma in sorted order, then the
-    nearest product with the smaller representative.  The batch of one of
-    ``_exact_defects``, kept for its witnesses.
-    """
-    prod_src = {}
-    for x in sa:
-        for y in sb:
-            v = (x + y) % scale
-            if v not in prod_src:
-                prod_src[v] = (x, y)
-    prods = sorted(prod_src)
-    np_ = len(prods)
-    best = -1
-    best_w = None
-    for g in sab:
-        i = bisect_left(prods, g)
-        d = None
-        w = None
-        for cand in (prods[i % np_], prods[(i - 1) % np_]):
-            t = (g - cand) % scale
-            t = min(t, scale - t)
-            if d is None or t < d:
-                d, w = t, cand
-        if d > best:
-            best = d
-            best_w = (g, w)
-    g, v = best_w
-    x, y = prod_src[v]
-    return best, g, x, y
-
-
 # Elements of one (pairs, |sigma(AB)|, |sigma(A)||sigma(B)|) block of arc
 # distances: larger batches go through the kernel block by block, so its
 # transient memory stays under 1 MB whatever the batch size.  One call of
-# ``_float_defects`` allocates its block buffers once and reuses them for
+# ``_gap_defects`` allocates its block buffers once and reuses them for
 # every block: a 256 KB block lies above glibc's 128 KB mmap threshold, so
 # a fresh one would be mapped, faulted in and unmapped block by block.
 _KERNEL_BLOCK = 1 << 15
 
 
-def _gap_buffers(m: int, na: int, nb: int, nab: int) -> tuple:
-    """Buffers of ``_arc_gaps`` for up to m pairs: products and their floors
-    (m, na*nb), distances d and 1 - d (m, nab, na*nb)."""
-    prods = np.empty((m, na * nb))
-    diff = np.empty((m, nab, na * nb))
+def _gap_buffers(m: int, sa: np.ndarray, sb: np.ndarray, sab: np.ndarray) -> tuple:
+    """Buffers of ``_arc_gaps`` for up to m pairs of angles shaped and typed
+    as ``sa``, ``sb`` and ``sab``: products and their floors (m, na*nb),
+    distances d and scale - d (m, nab, na*nb)."""
+    prods = np.empty((m, sa.shape[1] * sb.shape[1]), dtype=sab.dtype)
+    diff = np.empty((m, sab.shape[1], prods.shape[1]), dtype=sab.dtype)
     return prods, np.empty_like(prods), diff, np.empty_like(diff)
 
 
-def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
+def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0,
               buffers: Optional[tuple] = None) -> np.ndarray:
     """Arc distance from every gamma to every product alpha*beta, batched.
 
     ``sa (m, |sigma(A)|)``, ``sb (m, |sigma(B)|)`` and ``sab (m, |sigma(AB)|)``
-    hold angles in turns; row t is one pair.  Returns ``min(d, 1 - d)`` for
-    ``d = |gamma - (alpha + beta) % 1|`` as an array
-    ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``, written into the leading rows
-    of ``buffers`` (from ``_gap_buffers``; fresh ones if None).
+    hold angles as multiples of 1 / ``scale``: float turns at scale 1.0, or
+    integer numerators (int64 while 2 * scale fits, Python ints otherwise)
+    at their common denominator; row t is one pair.  Returns
+    ``min(d, scale - d)`` for ``d = |gamma - (alpha + beta) % scale|`` as an
+    array ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``, written into the
+    leading rows of ``buffers`` (from ``_gap_buffers``; fresh ones if None).
     """
     m, na, nb = len(sa), sa.shape[1], sb.shape[1]
-    prods, floor, diff, flip = (
-        b[:m] for b in buffers or _gap_buffers(m, na, nb, sab.shape[1]))
+    prods, floor, diff, flip = (b[:m] for b in buffers or _gap_buffers(m, sa, sb, sab))
     np.add(sa[:, :, None], sb[:, None, :], out=prods.reshape(m, na, nb))
-    _mod1(prods, out=prods, floor=floor)
+    if prods.dtype.kind == "f":
+        _mod1(prods, out=prods, floor=floor)
+    else:
+        np.remainder(prods, scale, out=prods)
     np.subtract(sab[:, :, None], prods[:, None, :], out=diff)
     np.abs(diff, out=diff)
-    np.subtract(1.0, diff, out=flip)
+    np.subtract(scale, diff, out=flip)
     return np.minimum(diff, flip, out=diff)
 
 
-def _float_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray) -> np.ndarray:
-    """Float defects of m pairs given as angle arrays (see ``_arc_gaps``),
-    block by block through one set of buffers."""
+def _gap_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
+                 scale=1.0) -> np.ndarray:
+    """Defects of m pairs given as angle arrays (see ``_arc_gaps``), block by
+    block through one set of buffers, in the angles' dtype."""
     m, nab = sab.shape
     na, nb = sa.shape[1], sb.shape[1]
     step = max(1, min(m, _KERNEL_BLOCK // (nab * na * nb)))
-    buffers = _gap_buffers(step, na, nb, nab)
-    out = np.empty(m, dtype=float)
+    buffers = _gap_buffers(step, sa, sb, sab)
+    out = np.empty(m, dtype=sab.dtype)
     for lo in range(0, m, step):
         part = slice(lo, lo + step)
-        out[part] = _arc_gaps(sa[part], sb[part], sab[part],
+        out[part] = _arc_gaps(sa[part], sb[part], sab[part], scale,
                               buffers).min(axis=2).max(axis=1)
     return out
 
 
+def _defect_exact(sa, sb, sab, scale):
+    """Exact defect of one triple of integer angle numerators mod ``scale``
+    on the grid of ``_arc_gaps``, with its witnesses: (defect numerator,
+    gamma, alpha, beta) for the first gamma attaining the maximum, its
+    nearest product (the one above gamma on a tie) and the first (alpha,
+    beta) in row-major order giving that product."""
+    dtype = np.int64 if 2 * scale <= np.iinfo(np.int64).max else object
+    sa, sb, sab = (np.array(s, dtype=dtype) for s in (sa, sb, sab))
+    dist = _arc_gaps(sa[None], sb[None], sab[None], scale)[0]
+    per_g = dist.min(axis=1)
+    gi = int(per_g.argmax())
+    up = np.remainder(np.add.outer(sa, sb).reshape(-1) - sab[gi], scale)
+    ai, bi = divmod(int(np.lexsort((up, dist[gi]))[0]), len(sb))
+    return int(per_g[gi]), int(sab[gi]), int(sa[ai]), int(sb[bi])
+
+
 def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
                    scale: int) -> np.ndarray:
-    """Exact defect numerators of m triples: the integer twin of
-    ``_float_defects`` and the batched form of ``_defect_exact``.
+    """Exact defect numerators of m triples: ``_gap_defects`` at ``scale``,
+    found by a sorted-neighbour search instead of the full grid.
 
     ``sa (m, wa)``, ``sb (m, wb)`` and ``sab (m, wab)`` are int64 angle
     numerators mod ``scale``; row t is one triple, padded with repeats of an
@@ -209,7 +196,7 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     and gaps gamma - neighbour in (-scale, scale), so a wrap-min on uint64
     views, min(u, u - scale) and min(t, t + scale), reduces each mod
     ``scale`` without a division.  When even one shifted row would not fit
-    in int64, the rows go through ``_defect_exact`` one by one.
+    in int64, all rows go through ``_gap_defects`` at once as Python ints.
     """
     m = len(sab)
     width = sa.shape[1] * sb.shape[1]
@@ -218,9 +205,8 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     step = min(step, np.iinfo(np.int64).max // (2 * scale))
     out = np.empty(m, dtype=np.int64)
     if step < 1:
-        for t in range(m):
-            out[t] = _defect_exact(sa[t].tolist(), sb[t].tolist(),
-                                   sab[t].tolist(), scale)[0]
+        out[:] = _gap_defects(sa.astype(object), sb.astype(object),
+                              sab.astype(object), scale)
         return out
     for lo in range(0, m, step):
         part = slice(lo, lo + step)
@@ -243,18 +229,29 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     return out
 
 
+def _chords(gamma: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+            scale) -> np.ndarray:
+    """|gamma - alpha beta| / ``scale`` over broadcast complex arrays, rounded
+    as scalars round (the product written out, moduli by ``np.hypot``); an
+    eigenvalue that is not finite, or that overflows, has no defect."""
+    gap = gamma - _cmul(alpha, beta)
+    t = np.hypot(gap.real, gap.imag) / scale
+    if not np.isfinite(t).all():
+        raise InvalidParamsError("chord defect is not finite; every eigenvalue "
+                                 "and their products must be finite")
+    return t
+
+
 def _chord_defects(alpha: np.ndarray, beta: np.ndarray,
                    gamma: np.ndarray) -> np.ndarray:
     """Chord defects |gamma - alpha beta| / (|alpha| |beta|) of m pairs of
     rank-one elements given their nonzero eigenvalues as complex arrays (m,):
-    ``pair_sub_defect`` batched, rounded as its scalar steps round (the
-    product written out, moduli by ``np.hypot``)."""
+    ``pair_sub_defect`` batched."""
     ra = np.hypot(alpha.real, alpha.imag)
     rb = np.hypot(beta.real, beta.imag)
     if not (ra.all() and rb.all()):
         raise ZeroSpectralRadiusError("spectral radius vanishes; defect undefined")
-    gap = gamma - _cmul(alpha, beta)
-    return np.hypot(gap.real, gap.imag) / (ra * rb)
+    return _chords(gamma, alpha, beta, ra * rb)
 
 
 def _defect_float(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray):
@@ -504,22 +501,17 @@ def pair_sub_defect(a, b, pair: tuple = ("explicit",),
         gammas = [sr_pair_gamma(a, b)]
     else:
         gammas, _ = _nonzero_eigs(_sub_dense(a) @ _sub_dense(b))
-    scale = ra * rb
-    best = -1.0
-    wit = None
-    for g in gammas:
-        d = None
-        w = None
-        for al in alphas:
-            for be in betas:
-                t = abs(g - al * be) / scale
-                if d is None or t < d:
-                    d, w = t, (al, be)
-        if d is not None and d > best:
-            best = d
-            wit = (g, w[0], w[1])
-    if wit is None:
-        best, wit = 0.0, (0j, 0j, 0j)
+    # one row per gamma, one column per (alpha, beta) in row-major order
+    g, al, be = (np.array(z, dtype=complex) for z in (gammas, alphas, betas))
+    t = _chords(g[:, None], np.repeat(al, be.size), np.tile(be, al.size),
+                ra * rb)
+    best, wit = 0.0, (0j, 0j, 0j)
+    if t.size:
+        per_g = t.min(axis=1)
+        gi = int(per_g.argmax())
+        ai, bi = divmod(int(t[gi].argmin()), be.size)
+        best = float(per_g[gi])
+        wit = tuple(complex(z) for z in (gammas[gi], alphas[ai], betas[bi]))
     return PairDefect(
         kind="sub",
         defect=best,
@@ -556,7 +548,7 @@ def _map_chunks(fn, chunk_args: list, workers: int) -> list:
 def _tadpole_batch_defects(drawn) -> np.ndarray:
     if drawn.exact:
         return _exact_defects(*drawn.spectra(), drawn.scale) / drawn.scale
-    return _float_defects(*drawn.spectra())
+    return _gap_defects(*drawn.spectra())
 
 
 def _sr_batch_defects(drawn) -> np.ndarray:
@@ -604,7 +596,7 @@ def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     through one ``kernel`` call.
     ``spectra`` holds the representatives' spectra as tuples of angles, int
     numerators for an exact closure (``kernel`` is ``_exact_defects`` at
-    their scale) and float turns for a dense one (``_float_defects``);
+    their scale) and float turns for a dense one (``_gap_defects``);
     ``class_of`` gives each element's class and ``sizes`` each class's size.
     ``negate`` maps a spectrum to its negation, the spectrum of the
     inverses.  sigma(BA) = sigma(AB) and B^-1 A^-1 = (AB)^-1, and negation
@@ -737,7 +729,7 @@ def measure_asm(
         spectra = _dense_spectra(elements.rows[reps])
         angles = [tuple(s.angles().tolist()) for s in spectra]
         # -x mod 1 rounds, so a dense run's orbits are the swaps alone
-        scale, kernel, spectrum, negate = (1, _float_defects, spectra.__getitem__,
+        scale, kernel, spectrum, negate = (1, _gap_defects, spectra.__getitem__,
                                            lambda s: s)
     tri_defects, counts, (r, j), grid = _class_rows(
         closure, angles, class_of, rows, sizes, kernel, negate, collect_pairs)

@@ -37,7 +37,7 @@ from .asm import (
     _chord_defects,
     _eig_from_json,
     _exact_defects,
-    _float_defects,
+    _gap_defects,
     conversion_check,
     measure_asm,
     measure_asm_sampled,
@@ -113,15 +113,18 @@ def _default_workers() -> int:
 
 
 def _fraction_or_float(s: str):
-    """A level written as a fraction ``num/den``, kept exact, or a decimal."""
+    """A finite level: a fraction ``num/den``, kept exact, or a decimal."""
     num, slash, den = s.partition("/")
     try:
         if slash and int(den) == 0:
             raise argparse.ArgumentTypeError(f"zero denominator in {s!r}")
-        return Fraction(s) if slash else float(s)
+        level = Fraction(s) if slash else float(s)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a fraction num/den or a decimal, not {s!r}") from None
+    if not math.isfinite(level):
+        raise argparse.ArgumentTypeError(f"expected a finite level, not {s!r}")
+    return level
 
 
 def _count(s: str, least: int = 0) -> int:
@@ -405,7 +408,7 @@ def _verify_tadpole_bound(args) -> tuple[bool, dict]:
     float_tol = float(bound) + args.tol
     for lo in range(0, args.pairs, VERIFY_BLOCK):
         drawn = tadpole_sampler(p).batch(rng, min(VERIFY_BLOCK, args.pairs - lo))
-        vals = _float_defects(*drawn.spectra())
+        vals = _gap_defects(*drawn.spectra())
         max_defect = max(max_defect, float(vals.max()))
         hits = np.flatnonzero(vals > float_tol)
         if hits.size and bad is None:

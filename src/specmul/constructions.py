@@ -412,7 +412,8 @@ class TadpoleBatch:
 
 @dataclass(frozen=True)
 class TadpoleSampler:
-    """Sampler callable for the measurement loops: rng -> tadpole matrix.
+    """Tadpole pairs drawn by ``batch``; a call, rng -> tadpole matrix, is
+    the one-element draw that the tests replay batches against.
 
     A plain object rather than a closure so process pools can ship it to
     workers.

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from typing import Sequence
@@ -45,6 +46,7 @@ from specmul.constructions import (
 from specmul.errors import (
     ClosureInvariantError,
     IncompleteClosureError,
+    InvalidParamsError,
     MalformedJsonError,
     NonUnitaryError,
     ZeroSpectralRadiusError,
@@ -588,7 +590,7 @@ class TestBatchedKernel:
         sa, sb, sab = (rng.random((37, w)) for w in (3, 4, 5))
         want = [asm._defect_float(sa[t], sb[t], sab[t])[0] for t in range(37)]
         monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
-        assert asm._float_defects(sa, sb, sab).tolist() == want
+        assert asm._gap_defects(sa, sb, sab).tolist() == want
 
     def test_exact_batch_replays_the_one_pair_draws(self):
         # 2 * count ``sample_tadpole(exact=True)`` calls, and their state
@@ -728,9 +730,9 @@ class TestClassReducedScan:
         n = c.order
         # every pair through the float kernel, sigma(AB) from the full table
         angles = np.array([e.spectrum().angles() for e in c.elements])
-        ref = asm._float_defects(np.repeat(angles, n, axis=0),
-                                 np.tile(angles, (n, 1)),
-                                 angles[c.cayley_table().reshape(-1)])
+        ref = asm._gap_defects(np.repeat(angles, n, axis=0),
+                               np.tile(angles, (n, 1)),
+                               angles[c.cayley_table().reshape(-1)])
         assert abs(r.epsilon - ref.max()) < 1e-13
         assert not r.exact and r.epsilon_exact is None
         _, i, _ = r.worst.pair
@@ -884,10 +886,91 @@ class TestDenseAgainstExact:
             assert r.histogram.counts == exact.histogram.counts
 
 
+def _loop_defect_exact(sa, sb, sab, scale):
+    """Exact defect over integer angle numerators mod ``scale``, one gamma
+    at a time by bisection among the sorted products: the reference for
+    ``asm._defect_exact`` and the integer kernels.
+
+    Returns (defect numerator, gamma, alpha, beta): the first maximizing
+    gamma, then the nearest product, the upper neighbour on a tie, and the
+    first (alpha, beta) in row-major order giving it.
+    """
+    prod_src = {}
+    for x in sa:
+        for y in sb:
+            v = (x + y) % scale
+            if v not in prod_src:
+                prod_src[v] = (x, y)
+    prods = sorted(prod_src)
+    np_ = len(prods)
+    best = -1
+    best_w = None
+    for g in sab:
+        i = bisect_left(prods, g)
+        d = None
+        w = None
+        for cand in (prods[i % np_], prods[(i - 1) % np_]):
+            t = (g - cand) % scale
+            t = min(t, scale - t)
+            if d is None or t < d:
+                d, w = t, cand
+        if d > best:
+            best = d
+            best_w = (g, w)
+    g, v = best_w
+    x, y = prod_src[v]
+    return best, g, x, y
+
+
+def _loop_pair_sub_defect(a, b, pair: tuple = ("explicit",),
+                          with_matrices: bool = True) -> PairDefect:
+    """Chord defect of (a, b) one (gamma, alpha, beta) at a time, first
+    minimum and first maximum by strict comparisons: the reference for
+    ``pair_sub_defect`` and the batched chord kernel."""
+    alphas, ra = asm._nonzero_eigs(a)
+    betas, rb = asm._nonzero_eigs(b)
+    if ra == 0.0 or rb == 0.0:
+        raise ZeroSpectralRadiusError("spectral radius vanishes; defect undefined")
+    if isinstance(a, SrElement) and isinstance(b, SrElement):
+        gammas = [sr_pair_gamma(a, b)]
+    else:
+        gammas, _ = asm._nonzero_eigs(asm._sub_dense(a) @ asm._sub_dense(b))
+    scale = ra * rb
+    best = -1.0
+    wit = None
+    for g in gammas:
+        d = None
+        w = None
+        for al in alphas:
+            for be in betas:
+                t = abs(g - al * be) / scale
+                if d is None or t < d:
+                    d, w = t, (al, be)
+        if d is not None and d > best:
+            best = d
+            wit = (g, w[0], w[1])
+    if wit is None:
+        best, wit = 0.0, (0j, 0j, 0j)
+    return PairDefect(
+        kind="sub",
+        defect=best,
+        defect_exact=None,
+        pair=pair,
+        witness_gamma=wit[0],
+        witness_alpha=wit[1],
+        witness_beta=wit[2],
+        spectrum_a=tuple(alphas),
+        spectrum_b=tuple(betas),
+        spectrum_ab=tuple(gammas),
+        matrix_a=asm.matrix_to_json_like(a) if with_matrices else None,
+        matrix_b=asm.matrix_to_json_like(b) if with_matrices else None,
+    )
+
+
 def _scalar_defects(sa, sb, sab, scale):
-    """``_defect_exact`` row by row, on each row's distinct angles."""
-    return [asm._defect_exact(sorted(set(a)), sorted(set(b)), sorted(set(ab)),
-                              scale)[0]
+    """``_loop_defect_exact`` row by row, on each row's distinct angles."""
+    return [_loop_defect_exact(sorted(set(a)), sorted(set(b)), sorted(set(ab)),
+                               scale)[0]
             for a, b, ab in zip(sa.tolist(), sb.tolist(), sab.tolist())]
 
 
@@ -913,7 +996,7 @@ KERNEL_GROUPS = {
 
 
 class TestExactKernel:
-    """The batched integer kernel against the scalar ``_defect_exact``."""
+    """The batched integer kernel against ``_loop_defect_exact``."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
     def test_matches_scalar_on_every_unique_triple(self, name, monkeypatch):
@@ -952,8 +1035,8 @@ class TestExactKernel:
         ns = len(uniq)
         codes = np.unique((ids[:, None] * ns + ids[class_of][None, :]) * ns
                           + ids[class_of[rows]])
-        want = [asm._defect_exact(uniq[t // ns ** 2], uniq[t // ns % ns],
-                                  uniq[t % ns], scale)[0] for t in codes.tolist()]
+        want = [_loop_defect_exact(uniq[t // ns ** 2], uniq[t // ns % ns],
+                                   uniq[t % ns], scale)[0] for t in codes.tolist()]
         assert len(want) == 1325
         assert defects.tolist() == want
 
@@ -977,8 +1060,8 @@ class TestExactKernel:
                     min_size=1, max_size=12))
     def test_float_swap_members_have_one_defect(self, triples):
         a, b, c = (_padded([t[k] for t in triples], float) for k in range(3))
-        assert (asm._float_defects(a, b, c).tobytes()
-                == asm._float_defects(b, a, c).tobytes())
+        assert (asm._gap_defects(a, b, c).tobytes()
+                == asm._gap_defects(b, a, c).tobytes())
 
     def test_missing_negated_spectrum_is_refused(self):
         # a complete group holds every spectrum's negation; a list without
@@ -1024,6 +1107,140 @@ class TestExactKernel:
                        [scale // 2 + 1], [scale // 11, scale - 4]])
         assert (asm._exact_defects(sa, sb, sab, scale).tolist()
                 == _scalar_defects(sa, sb, sab, scale))
+
+
+def _midpoints(prods: list, scale: int) -> list:
+    """The points midway between circularly adjacent products, where the
+    arc between them has even length (a lone product's is the whole
+    circle)."""
+    prods = sorted(set(prods))
+    gaps = [(q - p - 1) % scale + 1 for p, q in zip(prods, prods[1:] + prods[:1])]
+    return [(p + g // 2) % scale for p, g in zip(prods, gaps) if g % 2 == 0]
+
+
+# scales of int64 grids and of Python-int grids (2 * scale past int64)
+WITNESS_SCALES = st.sampled_from([2, 3, 12, 60, 2**62 - 3, 2**62 + 5, 2**63 + 11,
+                                  3**45]) | st.integers(2, 10**4)
+
+
+class TestExactWitness:
+    """``_defect_exact``, the grid of one triple, against
+    ``_loop_defect_exact``: its defect and its witness rule."""
+
+    def test_midway_gamma_takes_the_product_above(self):
+        # products 0 and 4 of 12, gamma 2 midway; products 1 and 11, gamma 0
+        for sb in ([0, 4], [4, 0]):
+            assert asm._defect_exact([0], sb, [2], 12) == (2, 2, 0, 4)
+        for sb in ([1, 11], [11, 1]):
+            assert asm._defect_exact([0], sb, [0], 12) == (1, 0, 0, 1)
+        assert _loop_defect_exact([0], [4, 0], [2], 12) == (2, 2, 0, 4)
+
+    def test_shared_product_takes_the_first_row_major_pair(self):
+        # (2, 4) and (6, 0) both give 6, the product nearest gamma 7
+        assert asm._defect_exact([2, 6], [4, 0], [7], 32) == (1, 7, 2, 4)
+        assert asm._defect_exact([6, 2], [4, 0], [7], 32) == (1, 7, 6, 0)
+        assert _loop_defect_exact([6, 2], [4, 0], [7], 32) == (1, 7, 6, 0)
+
+    def test_first_maximizing_gamma(self):
+        # gammas 5 and 3 each lie 1 from their nearest product, 6 and 2: the
+        # first listed wins
+        assert asm._defect_exact([0], [2, 6], [5, 3], 12) == (1, 5, 0, 6)
+        assert _loop_defect_exact([0], [2, 6], [5, 3], 12) == (1, 5, 0, 6)
+
+    def test_denominators_past_int64_take_the_python_int_grid(self):
+        big, small = 2**61 - 1, 2**31 - 1
+        a = Diagonal(tuple(UnitPoint.exact(k, big) for k in (1, 2**60, 5 * 2**57)))
+        b = Diagonal(tuple(UnitPoint.exact(k, small) for k in (2**30, 3, 7)))
+        spectra = [m.spectrum() for m in (a, b, matmul(a, b))]
+        scale = math.lcm(*(s.common_denominator() for s in spectra))
+        assert 2 * scale > np.iinfo(np.int64).max
+        d, *wit = _loop_defect_exact(*(s.int_angles(scale) for s in spectra), scale)
+        r = pair_defect(a, b)
+        assert r.defect_exact == Fraction(d, scale)
+        assert ([r.witness_gamma, r.witness_alpha, r.witness_beta]
+                == [UnitPoint.exact(v, scale) for v in wit])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_loop_with_gamma_on_midpoints(self, data):
+        scale = data.draw(WITNESS_SCALES)
+        angles = st.lists(st.integers(0, scale - 1), min_size=1, max_size=6)
+        sa, sb = data.draw(angles), data.draw(angles)
+        mids = _midpoints([(x + y) % scale for x in sa for y in sb], scale)
+        sab = data.draw(st.lists(st.sampled_from(mids) | st.integers(0, scale - 1)
+                                 if mids else st.integers(0, scale - 1),
+                                 min_size=1, max_size=6))
+        assert (asm._defect_exact(sa, sb, sab, scale)
+                == _loop_defect_exact(sa, sb, sab, scale))
+
+    @pytest.mark.parametrize("block", [1, asm._KERNEL_BLOCK])
+    def test_python_int_rows_in_blocks(self, block, monkeypatch):
+        # past int64 the batch goes through the grid as Python ints, block
+        # by block; 2**63 + 11 itself does not fit an int64 entry
+        scale = 2**63 - 25
+        rng = np.random.default_rng(block)
+        sa, sb, sab = (_padded([rng.integers(0, scale, size=w).tolist()
+                                for w in rng.integers(1, 6, size=20)])
+                       for _ in range(3))
+        want = _scalar_defects(sa, sb, sab, scale)
+        monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
+        assert asm._exact_defects(sa, sb, sab, scale).tolist() == want
+
+
+def _sub_pairs() -> list:
+    """Pairs for the chord defect: dense, low rank with repeated
+    eigenvalues, unit diagonals whose products tie exactly, rank-one
+    samples and their dense matrices."""
+    rng = np.random.default_rng(47)
+
+    def gauss(n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    pairs = [(gauss(n), gauss(n)) for n in (2, 3, 4) for _ in range(4)]
+    for _ in range(4):
+        q = np.linalg.qr(gauss(4))[0]
+        pairs.append(tuple(q @ np.diag(d) @ q.conj().T for d in
+                           ([2, 2, 0, -1j], [0.5, 0.5, 0.5, 0])))
+    units = np.diag([1, 1j, -1, -1j])
+    pairs += [(units, units), (units, np.diag([1j, 1j, 1, 1])),
+              (np.diag([1, -1]), np.diag([1j, -1j]))]
+    for n in (2, 3, 5):
+        a, b = (sr_sample(SrParams(0.7, n), rng) for _ in range(2))
+        pairs += [(a, b), (a.matrix(), b.matrix()), (a, b.matrix())]
+    return pairs
+
+
+class TestSubWitness:
+    """``pair_sub_defect``, one (gamma, alpha beta) grid, against
+    ``_loop_pair_sub_defect``."""
+
+    @pytest.mark.parametrize("t", range(len(_sub_pairs())))
+    def test_matches_the_loop_bit_for_bit(self, t):
+        a, b = _sub_pairs()[t]
+        got = pair_sub_defect(a, b)
+        want = _loop_pair_sub_defect(a, b)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert np.float64(got.defect).tobytes() == np.float64(want.defect).tobytes()
+
+    def test_no_gamma_gives_zero(self):
+        # a nilpotent product has no eigenvalue above the tolerance
+        a = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+        b = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+        d = pair_sub_defect(a, b)
+        assert d.spectrum_ab == ()
+        assert (d.defect, d.witness_gamma, d.witness_alpha, d.witness_beta) == (
+            0.0, 0j, 0j, 0j)
+        assert d.to_json_dict() == _loop_pair_sub_defect(a, b).to_json_dict()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_element_is_refused(self):
+        live = SrElement(1.0, (0.1,), (0.2,))
+        for bad in (SrElement(math.nan, (0j,), (0j,)),
+                    SrElement(1e200, (1e200 + 0j,), (1e200 + 0j,))):
+            with pytest.raises(InvalidParamsError, match="not finite"):
+                pair_sub_defect(bad, live)
+            with pytest.raises(InvalidParamsError, match="not finite"):
+                measure_sub([bad, live])
 
 
 class _CountingElements(Sequence):
@@ -1382,9 +1599,10 @@ class _ZeroNormals:
 
 
 class TestSrBatchChunk:
-    """The batched chord kernel against ``pair_sub_defect`` pair by pair."""
+    """The batched chord kernel against ``_loop_pair_sub_defect`` pair by
+    pair, and the run's winner against it too."""
 
-    PER_PAIR = partial(pair_sub_defect, with_matrices=False)
+    PER_PAIR = partial(_loop_pair_sub_defect, with_matrices=False)
 
     def _chunks(self, sampler, seed, count=40):
         seq = np.random.SeedSequence(seed)
@@ -1400,7 +1618,7 @@ class TestSrBatchChunk:
         assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
         assert not sexact
         assert (pair_sub_defect(*pair).to_json_dict()
-                == pair_sub_defect(*spair).to_json_dict())
+                == _loop_pair_sub_defect(*spair).to_json_dict())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
@@ -1466,3 +1684,10 @@ class TestSrBatchChunk:
         z = np.array([0j, 1 + 0j])
         with pytest.raises(ZeroSpectralRadiusError):
             asm._chord_defects(z, z[::-1], z)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_chord_kernel_rejects_non_finite_values(self, bad):
+        z = np.array([1 + 0j, 0.5j, bad + 0j])
+        with pytest.raises(InvalidParamsError, match="not finite"):
+            asm._chord_defects(z, z, z[::-1])

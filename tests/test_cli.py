@@ -136,6 +136,18 @@ class TestExitCodes:
                             f"not {argv[-1]!r}\n")
         assert "_fraction_or_float" not in err
 
+    @pytest.mark.parametrize("level", ["nan", "NaN", "inf", "Infinity", "1e400"])
+    @pytest.mark.parametrize("flag", ["--assert-le", "--eps"])
+    def test_non_finite_level_is_a_usage_error(self, capsys, flag, level):
+        # nan would fail every --assert-le and inf pass every one
+        argv = (("measure", "--builtin", "q8") if flag == "--assert-le"
+                else ("qset", "--p", "3"))
+        code, out, err = run(capsys, *argv, flag, level, "--deterministic")
+        assert code == 1 and not out
+        assert err.startswith("usage: ")
+        assert err.endswith(f"argument {flag}: expected a finite level, "
+                            f"not {level!r}\n")
+
     @pytest.mark.parametrize("budget", ["1", "2"])
     def test_closure_cut_before_its_generators_exits_1(self, capsys, budget):
         code, out, err = run(capsys, "measure", "--builtin", "q8",

@@ -7,8 +7,9 @@ counts) or in its ``__all__``; otherwise the import is dead.  A private
 function, class or method must be read somewhere in the package outside
 its own definition; a helper kept only for tests belongs in ``tests/``.
 Which exceptions of a JSON reader mean malformed input is decided once, by
-``errors._loading``; no other module catches them itself.  The modules are
-read as syntax trees, so nothing is imported or executed.
+``errors._loading``; no other module catches them itself.  Every module's
+``__all__`` is the recorded public API.  The modules are read as syntax
+trees, so nothing is imported or executed.
 """
 
 import ast
@@ -137,6 +138,73 @@ def test_no_unread_parameters(path):
     """A parameter the body never reads is a knob that does nothing."""
     unread = list(_unread_parameters(ast.parse(path.read_text(encoding="utf-8"))))
     assert not unread, f"{path.name}: parameters never read {unread}"
+
+
+# The sorted ``__all__`` of every module that defines one: the public API.
+# A change here is a change of the API, made on purpose and recorded.
+PUBLIC_API = {
+    "__init__.py": [
+        "AsmReport", "BlockDiag", "ClosureRefusedError",
+        "ConvergenceFailureError", "DEFAULT_ANGLE_TOL", "DEFAULT_BUDGET",
+        "Dense", "DeterminantNotOneError", "Diagonal",
+        "DimensionMismatchError", "GroupClosure", "Histogram",
+        "IncompleteClosureError", "InvalidParamsError", "MillerMorenoParams",
+        "MmGapReport", "MonomialCycle", "NonUnitaryError", "ONE", "PairDefect",
+        "PrimeMismatchError", "QSetParams", "QSetResult", "RationalAngle",
+        "SpecmulError", "Spectrum", "SrElement", "SrParams", "TadpoleParams",
+        "UMatrix", "UnitPoint", "ZeroSpectralRadiusError",
+        "adversarial_case4_pair", "arg_distance", "block_diag", "centre",
+        "chord_distance", "close", "closure_from_json", "closure_to_json",
+        "conversion_check", "cycle_matrix", "default_miller_moreno",
+        "eigensolve_dense", "general_spectrum", "identity_like",
+        "is_irreducible", "is_prime", "match_spectra", "matmul",
+        "matrix_from_json", "matrix_to_json", "measure_asm",
+        "measure_asm_sampled", "measure_sub", "miller_moreno",
+        "mm_gap_analysis", "monomial_cycle", "nearest_root_of_unity",
+        "pair_defect", "pair_sub_defect", "points_equal", "primes_up_to",
+        "q_set", "quotient_order_mod_centre", "random_det1_diagonal",
+        "sample_tadpole", "spectral_radius", "spectrum_dck", "sr_pair_gamma",
+        "sr_ratio_bound", "sr_sample", "sr_sampler", "tadpole", "tadpole_case",
+        "tadpole_identity", "tadpole_inverse", "tadpole_mul", "tadpole_sampler",
+    ],
+    "asm.py": [
+        "AsmReport", "Histogram", "PairDefect", "conversion_check",
+        "measure_asm", "measure_asm_sampled", "measure_sub", "pair_defect",
+        "pair_sub_defect",
+    ],
+    "circle.py": [
+        "DEFAULT_ANGLE_TOL", "ONE", "RationalAngle", "UnitPoint",
+        "arg_distance", "chord_distance", "nearest_root_of_unity",
+        "points_equal",
+    ],
+    "constructions.py": [
+        "MillerMorenoParams", "MmGapReport", "QSetParams", "QSetResult",
+        "SrElement", "SrParams", "TadpoleParams", "adversarial_case4_pair",
+        "cycle_matrix", "default_miller_moreno", "is_prime", "miller_moreno",
+        "mm_gap_analysis", "primes_up_to", "q_set", "random_det1_diagonal",
+        "sample_tadpole", "spectrum_dck", "sr_pair_gamma", "sr_ratio_bound",
+        "sr_sample", "sr_sampler", "tadpole", "tadpole_case",
+        "tadpole_identity", "tadpole_inverse", "tadpole_mul", "tadpole_sampler",
+    ],
+    "groups.py": [
+        "GroupClosure", "centre", "close", "closure_from_json",
+        "closure_to_json", "is_irreducible", "quotient_order_mod_centre",
+    ],
+    "linalg.py": [
+        "BlockDiag", "Dense", "Diagonal", "KEY_TOL", "MODULUS_TOL",
+        "MonomialCycle", "Spectrum", "UMatrix", "UNITARITY_TOL", "block_diag",
+        "eigensolve_dense", "general_spectrum", "identity_like",
+        "match_spectra", "matmul", "matrix_from_json", "matrix_to_json",
+        "monomial_cycle", "spectral_radius",
+    ],
+}
+
+
+def test_public_api_is_pinned():
+    """Every module's ``__all__`` is the one recorded in ``PUBLIC_API``."""
+    api = {m.name: sorted(names) for m in MODULES
+           if (names := _exported(ast.parse(m.read_text(encoding="utf-8"))))}
+    assert api == PUBLIC_API
 
 
 # What a reader raises on malformed input; only errors.py turns these into
