@@ -25,7 +25,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Union
 
 import numpy as np
@@ -150,9 +150,13 @@ def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0,
 
 
 def _gap_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
-                 scale=1.0) -> np.ndarray:
+                 scale=1.0, pair: Optional[np.ndarray] = None) -> np.ndarray:
     """Defects of m pairs given as angle arrays (see ``_arc_gaps``), block by
-    block through one set of buffers, in the angles' dtype."""
+    block through one set of buffers, in the angles' dtype.  With ``pair``,
+    row t takes its alpha and beta from row ``pair[t]`` of ``sa`` and
+    ``sb`` (as ``_exact_defects``)."""
+    if pair is not None:
+        sa, sb = sa[pair], sb[pair]
     m, nab = sab.shape
     na, nb = sa.shape[1], sb.shape[1]
     step = max(1, min(m, _KERNEL_BLOCK // (nab * na * nb)))
@@ -182,23 +186,29 @@ def _defect_exact(sa, sb, sab, scale):
 
 
 def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
-                   scale: int) -> np.ndarray:
+                   scale: int, pair: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact defect numerators of m triples: ``_gap_defects`` at ``scale``,
     found by a sorted-neighbour search instead of the full grid.
 
-    ``sa (m, wa)``, ``sb (m, wb)`` and ``sab (m, wab)`` are int64 angle
-    numerators mod ``scale``; row t is one triple, padded with repeats of an
-    entry of its row (repeats change neither the min nor the max).  Each
-    block sorts its rows of products (a + b) % scale, shifts row r by
-    r * 2 * scale so that one ``searchsorted`` over the flattened block finds
-    every gamma's circular neighbours, and takes the arc distance
-    min(t, scale - t) to the nearer one.  Sums a + b lie in [0, 2 * scale)
-    and gaps gamma - neighbour in (-scale, scale), so a wrap-min on uint64
-    views, min(u, u - scale) and min(t, t + scale), reduces each mod
-    ``scale`` without a division.  When even one shifted row would not fit
-    in int64, all rows go through ``_gap_defects`` at once as Python ints.
+    ``sa (P, wa)`` and ``sb (P, wb)`` hold the alpha and beta rows of P
+    pairs, ``sab (m, wab)`` the gamma rows of the m triples, all int64 angle
+    numerators mod ``scale``, each row padded with repeats of one of its
+    entries (repeats change neither the min nor the max).  Triple t takes
+    pair row ``pair[t]``; ``pair`` never decreases, and None means
+    ``pair[t] = t``.  Each block takes consecutive pair rows, sorts their
+    products (a + b) % scale once per row, shifts row r by r * 2 * scale so
+    that one ``searchsorted`` over the flattened block finds the circular
+    neighbours of every gamma of the triples on those rows, and takes the
+    arc distance min(t, scale - t) to the nearer one.  Sums a + b lie in
+    [0, 2 * scale) and gaps gamma - neighbour in (-scale, scale), so a
+    wrap-min on uint64 views, min(u, u - scale) and min(t, t + scale),
+    reduces each mod ``scale`` without a division.  When even one shifted
+    row would not fit in int64, all triples go through ``_gap_defects`` at
+    once as Python ints.
     """
     m = len(sab)
+    if pair is None:
+        pair = np.arange(m)
     width = sa.shape[1] * sb.shape[1]
     step = max(1, _KERNEL_BLOCK // width)
     # shifted values stay below rows * 2 * scale, sums (a + b) below 2 * scale
@@ -206,18 +216,20 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     out = np.empty(m, dtype=np.int64)
     if step < 1:
         out[:] = _gap_defects(sa.astype(object), sb.astype(object),
-                              sab.astype(object), scale)
+                              sab.astype(object), scale, pair)
         return out
-    for lo in range(0, m, step):
+    # the block of pair rows from lo takes the triples t0:t1 on them
+    bounds = np.searchsorted(pair, range(0, len(sa) + step, step))
+    for lo, t0, t1 in zip(range(0, len(sa), step), bounds, bounds[1:]):
         part = slice(lo, lo + step)
-        rows = np.arange(len(sab[part]), dtype=np.int64)[:, None]
-        prods = np.add(sa[part, :, None], sb[part, None, :]).reshape(len(rows), width)
+        prods = np.add(sa[part, :, None], sb[part, None, :]).reshape(-1, width)
         u = prods.view(np.uint64)
         np.minimum(u, u - scale, out=u)
         prods.sort(axis=1)
-        shift = rows * (2 * scale)
-        prods += shift
-        gam = sab[part] + shift
+        prods += np.arange(len(prods), dtype=np.int64)[:, None] * (2 * scale)
+        # each triple's row in the block
+        rows = pair[t0:t1, None] - lo
+        gam = sab[t0:t1] + rows * (2 * scale)
         # each gamma's upper neighbour in its row and the entry before it,
         # both wrapping round the row
         flat, start = prods.reshape(-1), rows * width
@@ -225,7 +237,7 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
         near = np.stack((flat[start + hi % width], flat[start + (hi - 1) % width]))
         t = (gam - near).view(np.uint64)
         np.minimum(t, t + scale, out=t)
-        out[part] = np.minimum(t, scale - t).min(axis=0).max(axis=1)
+        out[t0:t1] = np.minimum(t, scale - t).min(axis=0).max(axis=1)
     return out
 
 
@@ -488,13 +500,13 @@ def _sub_dense(x):
     return x.matrix() if isinstance(x, SrElement) else np.asarray(x, dtype=complex)
 
 
-def pair_sub_defect(a, b, pair: tuple = ("explicit",),
-                    with_matrices: bool = True) -> PairDefect:
-    """Chord defect |gamma - alpha beta| / (rho(a) rho(b)) over the
-    eigenvalues of modulus above ``SUB_ZERO_TOL``; closed form when both
-    elements are rank-one samples."""
-    alphas, ra = _nonzero_eigs(a)
-    betas, rb = _nonzero_eigs(b)
+def _sub_grid(a, b, eigs_a: tuple, eigs_b: tuple) -> tuple:
+    """The chord defect of (a, b) given ``_nonzero_eigs`` of each: only the
+    product's spectrum is solved.  Returns (defect, witness (gamma, alpha,
+    beta), the gammas): the first row maximum of the (gamma, alpha beta)
+    grid and the first minimum in that row, or (0.0, (0j, 0j, 0j)) with no
+    gamma."""
+    (alphas, ra), (betas, rb) = eigs_a, eigs_b
     if ra == 0.0 or rb == 0.0:
         raise ZeroSpectralRadiusError("spectral radius vanishes; defect undefined")
     if isinstance(a, SrElement) and isinstance(b, SrElement):
@@ -505,13 +517,22 @@ def pair_sub_defect(a, b, pair: tuple = ("explicit",),
     g, al, be = (np.array(z, dtype=complex) for z in (gammas, alphas, betas))
     t = _chords(g[:, None], np.repeat(al, be.size), np.tile(be, al.size),
                 ra * rb)
-    best, wit = 0.0, (0j, 0j, 0j)
-    if t.size:
-        per_g = t.min(axis=1)
-        gi = int(per_g.argmax())
-        ai, bi = divmod(int(t[gi].argmin()), be.size)
-        best = float(per_g[gi])
-        wit = tuple(complex(z) for z in (gammas[gi], alphas[ai], betas[bi]))
+    if not t.size:
+        return 0.0, (0j, 0j, 0j), gammas
+    per_g = t.min(axis=1)
+    gi = int(per_g.argmax())
+    ai, bi = divmod(int(t[gi].argmin()), be.size)
+    return (float(per_g[gi]),
+            tuple(complex(z) for z in (gammas[gi], alphas[ai], betas[bi])), gammas)
+
+
+def pair_sub_defect(a, b, pair: tuple = ("explicit",),
+                    with_matrices: bool = True) -> PairDefect:
+    """Chord defect |gamma - alpha beta| / (rho(a) rho(b)) over the
+    eigenvalues of modulus above ``SUB_ZERO_TOL``; closed form when both
+    elements are rank-one samples."""
+    eigs_a, eigs_b = _nonzero_eigs(a), _nonzero_eigs(b)
+    best, wit, gammas = _sub_grid(a, b, eigs_a, eigs_b)
     return PairDefect(
         kind="sub",
         defect=best,
@@ -520,8 +541,8 @@ def pair_sub_defect(a, b, pair: tuple = ("explicit",),
         witness_gamma=wit[0],
         witness_alpha=wit[1],
         witness_beta=wit[2],
-        spectrum_a=tuple(alphas),
-        spectrum_b=tuple(betas),
+        spectrum_a=tuple(eigs_a[0]),
+        spectrum_b=tuple(eigs_b[0]),
         spectrum_ab=tuple(gammas),
         matrix_a=matrix_to_json_like(a) if with_matrices else None,
         matrix_b=matrix_to_json_like(b) if with_matrices else None,
@@ -593,7 +614,8 @@ def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
                 collect_pairs: bool):
     """Defects of the representative rows ``rows``: the unique
     (sigma(A), sigma(B), sigma(AB)) triples, one per symmetry orbit, go
-    through one ``kernel`` call.
+    through one ``kernel`` call, which takes each distinct (sigma(A),
+    sigma(B)) pair once and each triple's pair row.
     ``spectra`` holds the representatives' spectra as tuples of angles, int
     numerators for an exact closure (``kernel`` is ``_exact_defects`` at
     their scale) and float turns for a dense one (``_gap_defects``);
@@ -645,8 +667,16 @@ def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     width = max(len(s) for s in uniq_reps)
     padded = np.array([s + s[:1] * (width - len(s)) for s in uniq_reps],
                       dtype=np.int64 if closure.exact else float)
-    tri_defects = kernel(*(padded[x] for x in ids(orbits)))[back]
-    counts = np.bincount(inv, weights=np.repeat(sizes, rows.shape[1]))
+    # the orbit codes are sorted, so their (a, b) pairs never decrease: the
+    # distinct pairs are where a run starts
+    oa, ob, oab = ids(orbits)
+    fresh = np.ones(len(orbits), dtype=bool)
+    fresh[1:] = np.diff(orbits // ns) != 0
+    starts = np.flatnonzero(fresh)
+    tri_defects = kernel(padded[oa[starts]], padded[ob[starts]], padded[oab],
+                         pair=np.cumsum(fresh) - 1)[back]
+    counts = np.bincount(inv, weights=np.broadcast_to(sizes[:, None],
+                                                      rows.shape).reshape(-1))
     first = int((tri_defects == tri_defects.max())[inv].argmax())
     grid = None
     if collect_pairs:
@@ -840,11 +870,13 @@ def measure_sub(
         values = _sr_batch_defects(SrBatch(base.lam[grid], base.row[grid],
                                            base.col[grid]))
     else:
+        # each element's eigenvalues once, read in the order the pairs
+        # first need them, so the first refusal is the pair scan's
+        eigs = cache(lambda k: _nonzero_eigs(elements[k]))
         values = np.empty(n * n, dtype=float)
         for i, a in enumerate(elements):
             for j, b in enumerate(elements):
-                values[i * n + j] = pair_sub_defect(
-                    a, b, with_matrices=False).defect
+                values[i * n + j] = _sub_grid(a, b, eigs(i), eigs(j))[0]
     flat = int(values.argmax())
     i, j = divmod(flat, n)
     worst = pair_sub_defect(elements[i], elements[j], pair=("elements", i, j))

@@ -162,9 +162,11 @@ def _write_text(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args: argparse.Namespace, payload: dict,
+def _emit(args: argparse.Namespace, payload: Optional[dict],
           human: Optional[str] = None,
           csv_text: Optional[str] = None) -> None:
+    """Write the rendering ``--format`` asks for; ``payload`` may be None
+    when that format's own text is given."""
     fmt = getattr(args, "format", "json")
     if fmt == "json":
         wrapper = {"config": _config_dict(args), "report": payload}
@@ -252,8 +254,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
         closure = close(gens, max_elements=args.max_elements)
         report = measure_asm(closure, bins=bins, collect_pairs=collect)
 
-    _emit(args, report.to_json_dict(), human=_human_report(report),
-          csv_text=_report_csv(report))
+    # only the rendering asked for: with every pair each one is megabytes
+    fmt = args.format
+    _emit(args, report.to_json_dict() if fmt == "json" else None,
+          human=_human_report(report) if fmt == "human" else None,
+          csv_text=_report_csv(report) if fmt == "csv" else None)
     if args.assert_le is not None:
         level = report.epsilon
         threshold = args.assert_le
@@ -670,7 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_default_workers(),
                    help="process count of sampled runs only; exhaustive "
                         "runs use one process")
-    m.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    m.add_argument("--bins", type=lambda s: _count(s, least=1),
+                   default=DEFAULT_BINS)
     m.add_argument("--collect-pairs", action="store_true",
                    help="include every pair's defect in the report")
     m.add_argument("--assert-le", type=_fraction_or_float, metavar="EPS",

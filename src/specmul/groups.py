@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -172,8 +173,8 @@ class _MonomialCode:
         its Python ints as a tuple."""
         if rows.dtype == object:
             return list(map(tuple, rows.tolist()))
-        buf, width = rows.tobytes(), 16 * self.dim
-        return [buf[lo:lo + width] for lo in range(0, len(buf), width)]
+        row = np.dtype((np.void, 16 * self.dim))
+        return np.ascontiguousarray(rows).view(row).ravel().tolist()
 
     def decode(self, row: np.ndarray) -> UMatrix:
         """The matrix of ``row``, in the representation ``matmul`` gives
@@ -238,9 +239,10 @@ class _MonomialCode:
         n = self.dim
         s = rows[:, :n].astype(np.intp, copy=False)
         out = np.empty((len(rows), len(gen_rows), 2 * n), dtype=rows.dtype)
-        # gen_rows[b, s[a, i]] for every a, b, i
-        out[:, :, :n] = gen_rows[:, :n].T[s].transpose(0, 2, 1)
-        e = gen_rows[:, n:].T[s].transpose(0, 2, 1)
+        # gen_rows[b, s[a, i]] for every b, a, i, gathered (b, a, i) and
+        # copied to (a, b, i): i stays the contiguous axis of both
+        out[:, :, :n] = np.take(gen_rows[:, :n], s, axis=1).transpose(1, 0, 2)
+        e = np.take(gen_rows[:, n:], s, axis=1).transpose(1, 0, 2)
         np.add(e, rows[:, None, n:], out=out[:, :, n:])
         np.remainder(out[:, :, n:], self.roots, out=out[:, :, n:])
         return out
@@ -321,18 +323,21 @@ class GroupClosure:
     def index_of(self, m: UMatrix) -> Optional[int]:
         return self.key_index.get(self.elements.code.key(m))
 
-    def _layers(self):
+    @cached_property
+    def _layers(self) -> list:
         """(slice, parents, generators) of each BFS layer after the
-        identity.  Element j is element ``parents[j][0]`` times generator
-        ``parents[j][1]``.  Parents never decrease in BFS order, so the
-        elements from j up to the first one whose parent is j or later form
-        one layer, and each is a product of an earlier element."""
+        identity, derived from ``parents`` once per closure.  Element j is
+        element ``parents[j][0]`` times generator ``parents[j][1]``.
+        Parents never decrease in BFS order, so the elements from j up to
+        the first one whose parent is j or later form one layer, and each is
+        a product of an earlier element."""
         par, gen = np.array(self.parents, dtype=np.int64).T.copy()
-        j = 1
+        layers, j = [], 1
         while j < self.order:
             k = int(np.searchsorted(par, j))
-            yield slice(j, k), par[j:k], gen[j:k]
+            layers.append((slice(j, k), par[j:k], gen[j:k]))
             j = k
+        return layers
 
     def cayley_rows(self, idx) -> np.ndarray:
         """Rows ``idx`` of the multiplication table: entry (t, j) indexes
@@ -343,7 +348,7 @@ class GroupClosure:
         idx = np.asarray(idx, dtype=np.int64)
         rows = np.empty((len(idx), self.order), dtype=np.int64)
         rows[:, 0] = idx
-        for layer, par, gen in self._layers():
+        for layer, par, gen in self._layers:
             rows[:, layer] = self.gen_table[rows[:, par], gen]
         return rows
 
@@ -396,7 +401,7 @@ class GroupClosure:
         """
         left = self._generator_inverse_rows()
         inv = np.zeros(self.order, dtype=np.int64)
-        for layer, par, gen in self._layers():
+        for layer, par, gen in self._layers:
             inv[layer] = left[gen, inv[par]]
         return inv
 

@@ -1002,19 +1002,21 @@ class TestExactKernel:
     def test_matches_scalar_on_every_unique_triple(self, name, monkeypatch):
         seen = []
 
-        def checked(sa, sb, sab, scale):
-            out = kernel(sa, sb, sab, scale)
-            seen.append(len(out))
-            assert out.tolist() == _scalar_defects(sa, sb, sab, scale)
+        def checked(sa, sb, sab, scale, pair=None):
+            out = kernel(sa, sb, sab, scale, pair)
+            seen.append((len(out), len(sa)))
+            assert np.all(np.diff(pair) >= 0) and len(np.unique(pair)) == len(sa)
+            assert out.tolist() == _scalar_defects(sa[pair], sb[pair], sab, scale)
             return out
 
         kernel = asm._exact_defects
         monkeypatch.setattr(asm, "_exact_defects", checked)
         measure_asm(close(KERNEL_GROUPS[name]()))
-        assert len(seen) == 1 and seen[0] >= 1
+        assert len(seen) == 1 and seen[0][0] >= seen[0][1] >= 1
         if name == "mm13_157":
-            # 1,325 unique triples, one per symmetry orbit scored
-            assert seen[0] == 358
+            # 1,325 unique triples, one per symmetry orbit scored, on 57
+            # distinct (sigma(A), sigma(B)) pairs
+            assert seen[0] == (358, 57)
 
     def test_every_unique_triple_gets_its_own_defect(self, monkeypatch):
         # the defect gathered back to each unique triple from its orbit's
@@ -1095,6 +1097,27 @@ class TestExactKernel:
         want = _scalar_defects(sa, sb, sab, scale)
         monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
         assert asm._exact_defects(sa, sb, sab, scale).tolist() == want
+
+    @pytest.mark.parametrize("block", [1, 50, asm._KERNEL_BLOCK])
+    @pytest.mark.parametrize("scale", [2, 157 * 13, 2**62 - 3, 2**63 - 25])
+    def test_pair_rows_match_the_triples_they_expand_to(self, block, scale,
+                                                        monkeypatch):
+        # 40 pair rows, each used by 0 to 4 triples; 2**62 - 3 leaves room
+        # for one pair row per block, 2**63 - 25 takes the Python-int grid
+        rng = np.random.default_rng(block + scale % 1000)
+        sa, sb = (_padded([rng.integers(0, scale, size=w).tolist()
+                           for w in rng.integers(1, 6, size=40)])
+                  for _ in range(2))
+        pair = np.repeat(np.arange(40), rng.integers(0, 5, size=40))
+        sab = _padded([rng.integers(0, scale, size=w).tolist()
+                       for w in rng.integers(1, 6, size=len(pair))])
+        monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
+        got = asm._exact_defects(sa, sb, sab, scale, pair)
+        assert got.tolist() == _scalar_defects(sa[pair], sb[pair], sab, scale)
+        assert np.array_equal(got, asm._exact_defects(sa[pair], sb[pair], sab, scale))
+        fa, fb, fab = (x.astype(float) / scale for x in (sa, sb, sab))
+        assert (asm._gap_defects(fa, fb, fab, pair=pair).tobytes()
+                == asm._gap_defects(fa[pair], fb[pair], fab).tobytes())
 
     @pytest.mark.parametrize("scale", [2**62 - 3, 2**62 + 5, 2**63 - 25])
     def test_scales_near_the_int64_limit(self, scale):
@@ -1231,6 +1254,34 @@ class TestSubWitness:
         assert (d.defect, d.witness_gamma, d.witness_alpha, d.witness_beta) == (
             0.0, 0j, 0j, 0j)
         assert d.to_json_dict() == _loop_pair_sub_defect(a, b).to_json_dict()
+
+    def test_finite_list_solves_each_spectrum_once(self, monkeypatch):
+        # n element spectra, n**2 product spectra, and the worst pair's 3
+        rng = np.random.default_rng(53)
+        elems = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                 for _ in range(40)]
+        calls, real = [], asm.general_spectrum
+
+        def counted(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(asm, "general_spectrum", counted)
+        rep = measure_sub(elems, collect_pairs=True)
+        assert len(calls) == 40 + 40 ** 2 + 3
+        want = [pair_sub_defect(elems[i], elems[j], with_matrices=False).defect
+                for i, j, _ in rep.pair_rows]
+        assert (np.array([v for _, _, v in rep.pair_rows]).tobytes()
+                == np.array(want).tobytes())
+
+    def test_finite_list_refuses_the_first_bad_pair(self):
+        # pair (0, 1) meets the zero radius before any pair reads the
+        # non-finite matrix's spectrum
+        live = np.diag([1.0, 2.0]).astype(complex)
+        nil = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        bad = np.full((2, 2), np.nan, dtype=complex)
+        with pytest.raises(ZeroSpectralRadiusError):
+            measure_sub([live, nil, bad])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_element_is_refused(self):

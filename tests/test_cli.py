@@ -112,6 +112,20 @@ class TestExitCodes:
         assert err.endswith("argument --workers: expected a count of 1 or "
                             f"more, not {workers!r}\n")
 
+    @pytest.mark.parametrize("bins", ["0", "-3", "two"])
+    def test_bins_below_one_is_a_usage_error(self, capsys, monkeypatch, bins):
+        # refused while parsing, before any closure is built
+        def close(*args, **kw):
+            raise AssertionError("closure built")
+
+        monkeypatch.setattr(cli, "close", close)
+        code, out, err = run(capsys, "measure", "--builtin", "q8",
+                             "--bins", bins, "--deterministic")
+        assert code == 1 and not out
+        assert err.startswith("usage: ")
+        assert err.endswith("argument --bins: expected a count of 1 or "
+                            f"more, not {bins!r}\n")
+
     @pytest.mark.parametrize("argv", [
         ("measure", "--builtin", "q8", "--assert-le", "1/0"),
         ("qset", "--p", "5", "--eps", "1/0"),
@@ -307,6 +321,26 @@ class TestMeasureOutput:
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == DENSE_SPEC_GOLDEN[extra])
+
+    @pytest.mark.parametrize("fmt", ["json", "human", "csv"])
+    def test_only_the_asked_format_is_rendered(self, capsys, monkeypatch, fmt):
+        calls = []
+
+        def spy(name, real):
+            def render(rep):
+                calls.append((name, len(rep.pair_rows)))
+                return real(rep)
+            return render
+
+        monkeypatch.setattr(cli, "_report_csv", spy("csv", cli._report_csv))
+        monkeypatch.setattr(AsmReport, "to_json_dict",
+                            spy("json", AsmReport.to_json_dict))
+        code, out, _ = run(capsys, "measure", "--builtin", "q8", "--format",
+                           fmt, "--collect-pairs", "--deterministic")
+        assert code == 0
+        assert calls == ([] if fmt == "human" else [(fmt, 64)])
+        assert out.startswith({"json": "{", "human": "kind: asm",
+                               "csv": "i,j,defect\n"}[fmt])
 
     def test_dense_spectrum_off_the_circle_exits_1(self, capsys, tmp_path,
                                                    monkeypatch):

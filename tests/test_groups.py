@@ -1,5 +1,6 @@
 """Group closures: enumeration, Cayley tables, centres, irreducibility."""
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -497,6 +498,83 @@ class TestRowSpectra:
         want = measure_asm(c, collect_pairs=c.order <= 64).to_json_dict()
         monkeypatch.setattr(groups._MonomialCode, "int_spectra", _object_int_spectra)
         assert measure_asm(c, collect_pairs=c.order <= 64).to_json_dict() == want
+
+
+def _parent_layers(c):
+    """(slice, parents, generators) of each BFS layer after the identity,
+    read off ``parents`` one element at a time."""
+    layers, j = [], 1
+    while j < c.order:
+        k = j
+        while k < c.order and c.parents[k][0] < j:
+            k += 1
+        layers.append((slice(j, k), [p for p, _ in c.parents[j:k]],
+                       [g for _, g in c.parents[j:k]]))
+        j = k
+    return layers
+
+
+def _product_rows(code, rows, gen_rows):
+    """``_MonomialCode.products`` one (a, b) at a time by fancy indexing:
+    ``s = s_b[s_a]``, ``e = (e_a + e_b[s_a]) % roots``."""
+    n = code.dim
+    return np.array([[np.concatenate([g[:n][r[:n].astype(np.intp)],
+                                      (r[n:] + g[n:][r[:n].astype(np.intp)])
+                                      % code.roots])
+                      for g in gen_rows] for r in rows], dtype=rows.dtype)
+
+
+class TestClosureTables:
+    """The BFS layer table and the monomial code's products and keys
+    against plain references."""
+
+    # ARRAY_GROUPS holds the CLASS_GROUPS groups too
+    @pytest.mark.parametrize("name", sorted(ARRAY_GROUPS) + ["dense_q8"])
+    def test_layer_table_is_built_once_from_parents(self, name, monkeypatch):
+        built, prop = [], GroupClosure.__dict__["_layers"]
+
+        def counted(self):
+            built.append(self.order)
+            return prop.func(self)
+
+        spy = functools.cached_property(counted)
+        spy.__set_name__(GroupClosure, "_layers")
+        monkeypatch.setattr(GroupClosure, "_layers", spy)
+        gens = ARRAY_GROUPS.get(name, DENSE_GROUPS["q8"])()
+        c = close(gens)
+        assert built == []
+        c.conjugacy_labels()
+        c.inverses()
+        c.cayley_rows([0, c.order - 1])
+        measure_asm(c)
+        assert built == [c.order]
+        got = [(x, p.tolist(), g.tolist()) for x, p, g in c._layers]
+        assert got == _parent_layers(c)
+
+    @pytest.mark.parametrize("name", sorted(ROW_SPECTRA_GROUPS))
+    def test_products_match_fancy_indexing(self, name):
+        c = close(ROW_SPECTRA_GROUPS[name]())
+        code, rows = c.elements.code, c.elements.rows
+        gen_rows = np.stack([code.encode(g) for g in c.generators])
+        got = code.products(rows, gen_rows)
+        want = _product_rows(code, rows, gen_rows)
+        assert got.dtype == want.dtype == code.dtype
+        assert got.shape == want.shape and (got == want).all()
+
+    @pytest.mark.parametrize("name", sorted(ROW_SPECTRA_GROUPS))
+    def test_keys_match_row_bytes(self, name):
+        c = close(ROW_SPECTRA_GROUPS[name]())
+        code, rows = c.elements.code, c.elements.rows
+        if rows.dtype == object:
+            want = [tuple(r) for r in rows.tolist()]
+        else:
+            buf, width = rows.tobytes(), 16 * code.dim
+            want = [buf[lo:lo + width] for lo in range(0, len(buf), width)]
+        got = code.keys(rows)
+        assert got == want and all(type(k) is type(want[0]) for k in got)
+        # a strided view keys as its copy does
+        assert code.keys(rows[::2]) == want[::2]
+        assert list(c.key_index) == got
 
 
 def _layer_cut_budget(c):
