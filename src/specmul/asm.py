@@ -77,15 +77,13 @@ DEFAULT_BINS = 20
 SUB_ZERO_TOL = 1e-9
 
 # Pool startup dwarfs the work below this many pairs, so small jobs stay
-# in-process regardless of the requested worker count.  Medians of 31
-# in-process runs on 2 vCPUs, sizes and worker order interleaved,
-# --workers 1 against 2 (float draws): p = 5 tadpoles at 16,000 pairs
-# 0.131 s against 0.129 s, at 20,000 0.177 s against 0.156 s, at 24,000
-# 0.206 s against 0.167 s; sr at 16,000 0.094 s against 0.110 s, at 20,000
-# 0.141 s against 0.127 s, at 24,000 0.160 s against 0.135 s.  Both break
-# even between 16,000 and 20,000 pairs (21 other rounds: tadpoles even at
-# 12,000, sr 4% behind at 20,000; both ahead at 24,000 to 64,000), so one
-# floor serves both.
+# in-process regardless of the requested worker count.  Medians of 15
+# in-process runs on 2 vCPUs, worker order interleaved, the pool forced at
+# every size, --workers 2 against 1: p = 5 tadpoles take 1.19x as long at
+# 10,000 pairs, 0.85x at 20,000 and 0.65x at 50,000, so they break even
+# between 10,000 and 20,000; sr, whose draws are cheaper, takes 1.65x at
+# 20,000, 1.11x at 100,000 and 0.90x at 200,000, so this floor suits
+# tadpoles, not sr.
 PARALLEL_MIN_BATCHED_PAIRS = 20_000
 
 # Sampled runs are split into a fixed number of logical chunks, each with its

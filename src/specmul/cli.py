@@ -309,8 +309,8 @@ def cmd_qset(args: argparse.Namespace) -> int:
 # verify
 
 # Pairs drawn per batch by ``verify tadpole-bound`` and ``sr-bound``: the
-# blocks read one rng stream in turn, so they bound memory without changing
-# the draws.
+# blocks bound memory and read one rng stream in turn, each as one batch,
+# so the draws depend on the block size.
 VERIFY_BLOCK = 4096
 
 

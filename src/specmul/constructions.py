@@ -17,7 +17,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _ziggurat
 from .circle import (
     ONE,
     RationalAngle,
@@ -271,29 +269,51 @@ def random_det1_diagonal(
     rng: np.random.Generator,
     exact: bool = False,
 ) -> tuple[UnitPoint, ...]:
-    """p uniform unit angles with the last one correcting the product to 1.
+    """p uniform unit angles with the last one correcting the product to 1:
+    the batch of one head of ``_det1_heads``.
 
     With ``exact`` the angles are random rationals over p^2 or 2p^2, so
     determinants cancel exactly."""
+    return _head_points(_det1_heads(p, rng, 1, exact)[0], p, exact)
+
+
+def _det1_heads(p: int, rng: np.random.Generator, n: int, exact: bool) -> np.ndarray:
+    """n heads (n, p) of ``random_det1_diagonal``: angles in turns, or with
+    ``exact`` int64 numerators over 2p^2; the last entry of a row makes its
+    sum 0 mod 1.
+
+    Float rows are ``rng.random((n, p - 1))``.  Exact rows pick each
+    denominator by ``rng.integers(0, 2, (n, p - 1))`` (0 for p^2, 1 for
+    2p^2), then its numerator by ``rng.integers(0, over)`` with that array."""
     if exact:
-        return tuple(UnitPoint.exact(x, 2 * p * p) for x in _exact_head(p, rng))
-    angles = rng.random(p - 1)
-    pts = [UnitPoint.approx(float(t)) for t in angles]
-    pts.append(UnitPoint.approx(float((-angles.sum()) % 1.0)))
-    return tuple(pts)
+        den = 2 * p * p
+        over = np.where(rng.integers(0, 2, (n, p - 1)) == 1, den, p * p)
+        nums = rng.integers(0, over) * (den // over)
+        return np.concatenate([nums, -nums.sum(axis=1, keepdims=True) % den], axis=1)
+    angles = rng.random((n, p - 1))
+    # the correcting angle, then UnitPoint's own % 1.0
+    last = _mod1(_mod1(-angles.sum(axis=1, keepdims=True)))
+    return np.concatenate([angles, last], axis=1)
 
 
-def _exact_head(p: int, rng: np.random.Generator) -> list[int]:
-    """``random_det1_diagonal(exact=True)`` as numerators over 2p^2: p - 1
-    uniform over p^2 or 2p^2, the last making the sum 0 mod 1."""
-    den = 2 * p * p
-    nums = []
-    for _ in range(p - 1):
-        # the integer and the generator state of rng.choice((p * p, den)),
-        # without the np.prod that every choice call makes
-        over = (p * p, den)[int(rng.integers(0, 2))]
-        nums.append(int(rng.integers(0, over)) * (den // over))
-    return nums + [-sum(nums) % den]
+def _head_points(d: np.ndarray, p: int, exact: bool) -> tuple[UnitPoint, ...]:
+    """The points of one head row of ``_det1_heads``."""
+    return tuple(UnitPoint.exact(x, 2 * p * p) if exact else UnitPoint.approx(x)
+                 for x in d.tolist())
+
+
+def _draw_tadpoles(p: int, rng: np.random.Generator, n: int, exact: bool):
+    """n tadpoles as arrays (d (n, p), k (n,), a (n, p-1)): the heads of
+    ``_det1_heads``, then ``rng.integers(0, p, (n, p))`` for each shift and
+    its tail exponents."""
+    d = _det1_heads(p, rng, n, exact)
+    ints = rng.integers(0, p, (n, p))
+    return d, ints[:, 0], ints[:, 1:]
+
+
+def _tadpole_params(p: int, d: np.ndarray, k, a: np.ndarray,
+                    exact: bool) -> TadpoleParams:
+    return TadpoleParams(p, _head_points(d, p, exact), int(k), tuple(a.tolist()))
 
 
 def sample_tadpole(
@@ -302,11 +322,9 @@ def sample_tadpole(
     exact: bool = False,
 ) -> TadpoleParams:
     """Random tadpole: uniform head angles (det corrected on the last entry),
-    uniform k and tail exponents."""
-    pts = random_det1_diagonal(p, rng, exact=exact)
-    k = int(rng.integers(0, p))
-    a = tuple(int(x) for x in rng.integers(0, p, size=p - 1))
-    return TadpoleParams(p, pts, k, a)
+    uniform k and tail exponents; the batch of one of ``_draw_tadpoles``."""
+    d, k, a = _draw_tadpoles(p, rng, 1, exact)
+    return _tadpole_params(p, d[0], k[0], a[0], exact)
 
 
 def _head_angles(d: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
@@ -377,10 +395,8 @@ class TadpoleBatch:
         return 2 * self.p ** 3
 
     def params(self, t: int, side: int) -> TadpoleParams:
-        d = tuple(UnitPoint.exact(x, 2 * self.p * self.p) if self.exact
-                  else UnitPoint.approx(x) for x in self.d[t, side].tolist())
-        return TadpoleParams(self.p, d, int(self.k[t, side]),
-                             tuple(self.a[t, side].tolist()))
+        return _tadpole_params(self.p, self.d[t, side], self.k[t, side],
+                               self.a[t, side], self.exact)
 
     def pair(self, t: int) -> tuple[UMatrix, UMatrix]:
         return tadpole(self.params(t, 0)), tadpole(self.params(t, 1))
@@ -413,7 +429,7 @@ class TadpoleBatch:
 @dataclass(frozen=True)
 class TadpoleSampler:
     """Tadpole pairs drawn by ``batch``; a call, rng -> tadpole matrix, is
-    the one-element draw that the tests replay batches against.
+    one ``sample_tadpole`` draw.
 
     A plain object rather than a closure so process pools can ship it to
     workers.
@@ -426,98 +442,15 @@ class TadpoleSampler:
         return tadpole(sample_tadpole(self.p, rng, exact=self.exact))
 
     def batch(self, rng: np.random.Generator, count: int) -> TadpoleBatch:
-        """The next ``count`` pairs, drawn from ``rng`` as 2*count calls
-        would draw them and leaving it where they would.  Exact draws make
-        those calls' own ``integers`` calls; float draws are replayed from
-        raw words and raise ``TypeError`` for a bit generator other than
-        PCG64."""
+        """The next ``count`` pairs: 2*count tadpoles drawn at once by
+        ``_draw_tadpoles``, tadpoles 2t and 2t + 1 the pair t.  Works with
+        any bit generator."""
         p = self.p
         if not is_prime(p):
             raise InvalidParamsError("p must be prime")
-        if self.exact:
-            draws = np.array([(*_exact_head(p, rng), rng.integers(0, p),
-                               *rng.integers(0, p, size=p - 1))
-                              for _ in range(2 * count)], dtype=np.int64)
-            d, ints = np.split(draws.reshape(2 * count, 2 * p), [p], axis=1)
-        else:
-            _require_pcg64(rng)
-            angles, ints = _tadpole_draws(rng, p, 2 * count)
-            # random_det1_diagonal's last angle, then UnitPoint's own % 1.0
-            last = _mod1(_mod1(-angles.sum(axis=1)))
-            d = np.concatenate([angles, last[:, None]], axis=1)
-        return TadpoleBatch(p, d.reshape(count, 2, p),
-                            ints[:, 0].reshape(count, 2),
-                            ints[:, 1:].reshape(count, 2, p - 1), self.exact)
-
-
-# random() is (word >> 11) * 2**-53, one PCG64 word per double
-_WORD_TO_UNIT = 2.0 ** -53
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _require_pcg64(rng: np.random.Generator) -> None:
-    if type(rng.bit_generator) is not np.random.PCG64:
-        raise TypeError(f"batched draws replay PCG64 only, not "
-                        f"{type(rng.bit_generator).__name__}")
-
-
-def _replay_words(bitgen: np.random.PCG64, p: int, n: int):
-    """n rounds of ``random(p - 1)``, ``integers(0, p)`` and ``integers(0, p,
-    size=p - 1)`` replayed from raw PCG64 words: (angles (n, p-1), integers
-    (n, p), the first round holding a rejected draw or None).
-
-    ``integers`` takes p draws of ``next_uint32``, each the buffered high half
-    of an earlier word if there is one, else the low half of a new word whose
-    high half it buffers; ``random`` and ``random_raw`` leave that buffer
-    alone.  Lemire's method maps a draw u to (u * p) >> 32 and rejects it when
-    (u * p) mod 2**32 < 2**32 mod p.  Sets the buffer as the rounds leave it.
-    """
-    state = bitgen.state
-    has, held = state["has_uint32"], state["uinteger"]
-    # the buffer at the start of each round: p draws flip it when p is odd
-    buffered = (has + np.arange(n) * p) % 2
-    lengths = p - 1 + (p + 1 - buffered) // 2
-    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    words = bitgen.random_raw(len(pos))
-    is_double = pos < p - 1
-    angles = (words[is_double] >> np.uint64(11)) * _WORD_TO_UNIT
-    int_words = words[~is_double]
-    halves = np.empty(has + 2 * len(int_words), dtype=np.uint64)
-    halves[:has] = held
-    halves[has::2] = int_words & _LOW32
-    halves[has + 1::2] = int_words >> np.uint64(32)
-    scaled = halves[:n * p].reshape(n, p) * np.uint64(p)
-    rejected = np.flatnonzero(((scaled & _LOW32) < (1 << 32) % p).any(axis=1))
-    state = bitgen.state
-    state["has_uint32"] = len(halves) - n * p
-    if len(int_words):
-        state["uinteger"] = int(halves[-1])
-    bitgen.state = state
-    return (angles.reshape(n, p - 1), (scaled >> np.uint64(32)).astype(np.int64),
-            int(rejected[0]) if rejected.size else None)
-
-
-def _tadpole_draws(rng: np.random.Generator, p: int, n: int):
-    """What n rounds of ``random(p - 1)``, ``integers(0, p)`` and
-    ``integers(0, p, size=p - 1)`` draw from a PCG64 generator, as angles
-    (n, p-1) and integers (n, p).  A round that holds a rejected draw (for
-    p = 5, one round in about 8.6e8) is drawn by those three calls; the
-    rounds before it are replayed again from the saved state."""
-    bitgen = rng.bit_generator
-    angles, ints = [], []
-    while True:
-        state = bitgen.state
-        got_angles, got_ints, bad = _replay_words(bitgen, p, n)
-        if bad is None:
-            angles.append(got_angles)
-            ints.append(got_ints)
-            return np.concatenate(angles), np.concatenate(ints)
-        bitgen.state = state
-        got_angles, got_ints, _ = _replay_words(bitgen, p, bad)
-        angles += [got_angles, rng.random(p - 1)[None]]
-        k = rng.integers(0, p)
-        ints += [got_ints, np.array([[k, *rng.integers(0, p, size=p - 1)]])]
-        n -= bad + 1
+        d, k, a = _draw_tadpoles(p, rng, 2 * count, self.exact)
+        return TadpoleBatch(p, d.reshape(count, 2, p), k.reshape(count, 2),
+                            a.reshape(count, 2, p - 1), self.exact)
 
 
 def tadpole_sampler(p: int, exact: bool = False) -> TadpoleSampler:
@@ -777,23 +710,26 @@ class SrElement:
 SR_MARGIN = 0.999
 
 
-def _ball_point(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """A uniform point of the complex ``dim``-ball of ``radius``: a normal
-    direction, then a radius draw; normals that are all 0 give the point 0."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    nrm = np.linalg.norm(v)
-    u = float(rng.random()) ** (1.0 / (2 * dim))
-    return v / (nrm or 1.0) * (radius * u)
-
-
 def sr_sample(params: SrParams, rng: np.random.Generator) -> SrElement:
-    """One random element: unit-modulus lam, vectors uniform in the r-ball."""
+    """One random element: unit-modulus lam, vectors uniform in the r-ball;
+    the batch of one of ``_draw_sr``."""
+    return _draw_sr(params, rng, 1)._element(0)
+
+
+def _draw_sr(params: SrParams, rng: np.random.Generator, n: int) -> SrBatch:
+    """n elements, drawn by ``rng.random(n)`` (the turns u of lam =
+    exp(2 pi i u)), ``rng.standard_normal((n, 2, 2*dim))`` (the directions of
+    x and y, real parts first) and ``rng.random((n, 2))`` (their radii
+    SR_MARGIN * r * u^(1/(2*dim)), uniform in the ball); normals that are all
+    0 give the vector 0."""
     dim = params.n - 1
-    radius = params.r * SR_MARGIN
-    lam = cmath.exp(2j * math.pi * float(rng.random()))
-    x = _ball_point(rng, dim, radius)
-    y = _ball_point(rng, dim, radius)
-    return SrElement(lam, tuple(x), tuple(y))
+    turns = rng.random(n)
+    gauss = rng.standard_normal((n, 2, 2 * dim))
+    radii = params.r * SR_MARGIN * rng.random((n, 2)) ** (1.0 / (2 * dim))
+    v = gauss[..., :dim] + 1j * gauss[..., dim:]
+    nrm = np.linalg.norm(v, axis=-1, keepdims=True)
+    vec = v / np.where(nrm, nrm, 1.0) * radii[..., None]
+    return SrBatch(np.exp(2j * np.pi * turns), vec[:, 0], vec[:, 1])
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -867,204 +803,19 @@ class SrBatch:
 
 @dataclass(frozen=True)
 class SrSampler:
+    """``sr`` pairs drawn by ``batch``; a call, rng -> element, is one
+    ``sr_sample`` draw.  A plain object so process pools can ship it."""
+
     params: SrParams
 
     def __call__(self, rng: np.random.Generator) -> SrElement:
         return sr_sample(self.params, rng)
 
     def batch(self, rng: np.random.Generator, count: int) -> SrBatch:
-        """The next ``count`` pairs, drawn from ``rng`` as 2*count
-        ``sr_sample`` calls would draw them and leaving it where they would.
-        Raises ``TypeError`` for a bit generator other than PCG64, whose
-        stream is not replayed."""
-        _require_pcg64(rng)
-        return self.assemble(*_sr_draws(rng.bit_generator, self.params.n - 1,
-                                        2 * count))
-
-    def assemble(self, turns: np.ndarray, gauss: np.ndarray,
-                 radii: np.ndarray) -> SrBatch:
-        """The batch of the draws of ``_sr_draws``; a vector whose normals
-        are all 0 is 0, as ``_ball_point`` makes it.
-
-        Every step rounds as its scalar twin in ``sr_sample`` does: norms
-        through the same dot kernel, powers in Python floats.
-        """
-        dim = self.params.n - 1
-        radius = self.params.r * SR_MARGIN
-        v = gauss[..., :dim] + 1j * gauss[..., dim:]
-        # np.linalg.norm: real and imaginary parts as strided dot products
-        re, im = v.real[..., None, :], v.imag[..., None, :]
-        nrm = np.sqrt(np.matmul(re, re.swapaxes(-1, -2))
-                      + np.matmul(im, im.swapaxes(-1, -2)))[..., 0, 0]
-        power = 1.0 / (2 * dim)
-        scale = np.array([radius * u ** power for u in radii.ravel().tolist()])
-        nrm = np.where(nrm, nrm, 1.0)
-        vec = v / nrm[..., None] * scale.reshape(radii.shape)[..., None]
-        lam = np.array([cmath.exp(2j * math.pi * u) for u in turns.tolist()])
-        return SrBatch(lam, vec[:, 0], vec[:, 1])
-
-
-def _sr_draws(bitgen: np.random.PCG64, dim: int, m: int):
-    """What m ``sr_sample`` calls draw: the turns of lam (m,), the normals of
-    x and y (m, 2, 2*dim) and their radius draws (m, 2).  Each call is
-    ``random()``, ``normal(size=2*dim)``, ``random()``, ``normal(size=2*dim)``
-    and ``random()``."""
-    vector = [True] * (2 * dim) + [False]
-    values = _pcg64_draws(bitgen, [False] + 2 * vector, m)
-    rest = values[:, 1:].reshape(m, 2, 2 * dim + 1)
-    return values[:, 0], rest[..., :-1], rest[..., -1]
-
-
-# normal() is numpy's ziggurat: the low byte of a word picks one of 256
-# layers, bit 8 the sign and bits 9-60 a magnitude, which returns at once
-# when it is below the layer's KI entry (for about 98.5% of words)
-_KI, _WI, _FI = _ziggurat.KI, _ziggurat.WI, _ziggurat.FI
-# the same as Python numbers, for the draw-by-draw replay
-_TABLES = (_KI.tolist(), _WI.tolist(), _FI.tolist())
-_LOW8 = np.uint64(0xFF)
-_MAG52 = np.uint64((1 << 52) - 1)
-
-
-def _ziggurat_first(words: np.ndarray):
-    """Layers and magnitudes of words as the first of a ``normal()`` draw."""
-    return (words & _LOW8).astype(np.intp), (words >> np.uint64(9)) & _MAG52
-
-
-def _ziggurat_fast(words: np.ndarray) -> np.ndarray:
-    """The value x of each word as the first of a ``normal()`` draw: the
-    draw itself when the word returns at once or its wedge accepts it."""
-    layer, mag = _ziggurat_first(words)
-    x = mag * _WI[layer]
-    # bit 8 of the word is the sign; x >= 0, so or-ing it in negates x
-    x.view(np.uint64)[...] |= (words & np.uint64(0x100)) << np.uint64(55)
-    return x
-
-
-def _unit(word) -> float:
-    return (int(word) >> 11) * _WORD_TO_UNIT
-
-
-def _slow_words(words: np.ndarray, start: int = 0) -> tuple[list, list]:
-    """The positions p >= start of the words that do not return at once as
-    the first of a ``normal()`` draw, and for each whether the draw ends at
-    the next word: a wedge (layer > 0) whose test accepts x, the common
-    case, for which the draw is x and ``_slow_normal`` is not needed."""
-    layer, mag = _ziggurat_first(words[start:])
-    p = np.flatnonzero(mag >= _KI[layer])
-    layer, pos = layer[p], p + start
-    x = _ziggurat_fast(words[pos])
-    u = (words[np.minimum(pos + 1, len(words) - 1)] >> np.uint64(11)) * _WORD_TO_UNIT
-    edge = [math.exp(t) for t in (-0.5 * x * x).tolist()]
-    quick = ((layer > 0) & (pos + 1 < len(words))
-             & ((_FI[layer - 1] - _FI[layer]) * u + _FI[layer] < edge))
-    return pos.tolist(), quick.tolist()
-
-
-def _slow_normal(words: np.ndarray, p: int) -> tuple[float, int]:
-    """The ``normal()`` draw starting at a word that does not return at once,
-    as numpy's ``random_standard_normal`` takes it, and the number of words
-    it uses; IndexError when ``words`` ends first.
-
-    A word of layer i > 0 falls in the layer's wedge: one more ``random()``
-    u accepts x when (FI[i-1] - FI[i]) u + FI[i] < exp(-x^2/2).  Layer 0
-    draws from the tail beyond R: pairs u1, u2 until yy + yy > xx^2, with
-    xx = -log1p(-u1)/R and yy = -log1p(-u2), give R + xx, signed by bit 17
-    of the first word.  A rejected wedge starts over at the next word.
-    """
-    ki, wi, fi = _TABLES
-    start = p
-    while True:
-        w = int(words[p])
-        idx, mag = w & 0xFF, (w >> 9) & 0xFFFFFFFFFFFFF
-        x = -(mag * wi[idx]) if w >> 8 & 1 else mag * wi[idx]
-        if mag < ki[idx]:
-            return x, p + 1 - start
-        if idx == 0:
-            while True:
-                xx = -_ziggurat.INV_R * math.log1p(-_unit(words[p + 1]))
-                yy = -math.log1p(-_unit(words[p + 2]))
-                p += 2
-                if yy + yy > xx * xx:
-                    z = _ziggurat.R + xx
-                    return (-z if mag >> 8 & 1 else z), p + 1 - start
-        if ((fi[idx - 1] - fi[idx]) * _unit(words[p + 1]) + fi[idx]
-                < math.exp(-0.5 * x * x)):
-            return x, p + 2 - start
-        p += 2
-
-
-def _more_words(bitgen: np.random.PCG64, words: np.ndarray, slow: list,
-                quick: list):
-    """``words`` with more drawn after them, and ``_slow_words``' lists
-    extended over the new ones."""
-    start = len(words)
-    words = np.concatenate([words, bitgen.random_raw(start // 2 + 16)])
-    more, more_quick = _slow_words(words, start)
-    return words, slow + more, quick + more_quick
-
-
-def _pcg64_draws(bitgen: np.random.PCG64, pattern: Sequence[bool],
-                 repeats: int) -> np.ndarray:
-    """What ``repeats`` rounds of calls draw from a PCG64 generator, replayed
-    from its raw words, as an array (repeats, len(pattern)): a round makes one
-    ``normal()`` call per True entry of ``pattern`` and one ``random()`` call
-    per False entry, in order.  Leaves the generator where the calls leave
-    it, 32-bit buffer included.
-
-    ``random()`` takes one word.  ``normal()`` takes one unless its first
-    word misses the ziggurat's fast test.  Only those words are walked here,
-    each one the start of a draw only under the words the walk has added so
-    far; a wedge that accepts adds one word, and ``_slow_normal`` replays
-    the rest.  Every call's first word is then gathered through one
-    cumulative sum of the added words.
-    """
-    size = len(pattern)
-    n = size * repeats
-    state = bitgen.state
-    words = bitgen.random_raw(n + n // 32)
-    slow, quick = _slow_words(words)
-    added = np.zeros(n, dtype=np.int64)
-    replayed = {}
-    # words added so far, the next call, the next slow word
-    off = call = j = 0
-    while True:
-        if j == len(slow):
-            if n + off <= len(words):
-                break
-            words, slow, quick = _more_words(bitgen, words, slow, quick)
-            continue
-        k = slow[j] - off
-        if k >= n:
-            break
-        j += 1
-        if k < call or not pattern[k % size]:
-            continue
-        if quick[j - 1]:
-            used = 2
-        else:
-            try:
-                replayed[k], used = _slow_normal(words, slow[j - 1])
-            except IndexError:
-                words, slow, quick = _more_words(bitgen, words, slow, quick)
-                j -= 1
-                continue
-        added[k] = used - 1
-        off += used - 1
-        call = k + 1
-    drawn = words[np.arange(n) + np.cumsum(added) - added].reshape(repeats, size)
-    out = (drawn >> np.uint64(11)) * _WORD_TO_UNIT
-    normal = np.asarray(pattern, dtype=bool)
-    out[:, normal] = _ziggurat_fast(drawn[:, normal])
-    out.ravel()[list(replayed)] = list(replayed.values())
-    # normal() returns 0.0 + 1.0 * z, which turns -0.0 into 0.0
-    out += 0.0
-    has, held = state["has_uint32"], state["uinteger"]
-    bitgen.state = state
-    bitgen.advance(n + off)  # advance empties the 32-bit buffer
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = has, held
-    bitgen.state = state
-    return out
+        """The next ``count`` pairs: 2*count elements drawn at once by
+        ``_draw_sr``, elements 2t and 2t + 1 the pair t.  Works with any bit
+        generator."""
+        return _draw_sr(self.params, rng, 2 * count)
 
 
 def sr_sampler(params: SrParams) -> SrSampler:

@@ -368,10 +368,13 @@ class Dense(UMatrix):
 
 
 def _unitarity_gaps(a: np.ndarray) -> np.ndarray:
-    """max |A^H A - I| of a matrix, or of each matrix of a stack."""
+    """max |A^H A - I| of a matrix, or of each matrix of a stack.  Entries
+    too large or not finite give a gap of inf or nan, which fails every
+    ``<= UNITARITY_TOL`` test without a warning."""
     n = a.shape[-1]
-    return np.max(np.abs(np.swapaxes(a.conj(), -1, -2) @ a - np.eye(n)),
-                  axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(np.swapaxes(a.conj(), -1, -2) @ a - np.eye(n)),
+                      axis=(-2, -1))
 
 
 def _is_unitary(a: np.ndarray) -> bool:

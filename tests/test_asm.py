@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from json_fuzz import JSON_VALUES
 
-from specmul import asm, constructions, groups, linalg
+from specmul import asm, groups, linalg
 from specmul.asm import (
     AsmReport,
     Histogram,
@@ -466,14 +466,15 @@ class TestReportSerialization:
 
 
 # sha256 of json.dumps(measure_asm_sampled(tadpole_sampler(p), 300,
-# seed=2024 + p, collect_pairs=True).to_json_dict(), sort_keys=True), as the
-# one-pair-at-a-time implementation produced it before the batched path.
+# seed=2024 + p, collect_pairs=True).to_json_dict(), sort_keys=True), as
+# recorded when each chunk's stream became one numpy-native batch; each worst
+# pair was re-derived through pair_defect and stays under 1/(2p^2).
 SAMPLED_GOLDEN = {
-    2: "75e5cb62da442047af541b449287d623b13538d64abc039cdbdbe7d496e8565b",
-    3: "8cc4de24d7cbf655f80387fb6c72a402a912a9445ebdec85381d888d151dbb89",
-    5: "cca4915a005792b6d14a930555034130f404228e451d11787269f2e37dcad5c2",
-    7: "a1d02dc2aa902efdd24550204299b2cbfb82c01a0339f7b29c7bbf390148fefb",
-    11: "6df2b5f540ccc66a18ba0b359dff669d14d73aaef96673c8eeafda3d08c4dbc9",
+    2: "1611c95be0d80680639563a27d61479df246c0a5e7d908c889972446e3bcbfaf",
+    3: "c73a6e48b2195b49fb894343c6b58b183277af7960eb0cb2546c9207ce8550bf",
+    5: "c3188b761a85c7fa75146e0168eabcea166f955e7c35d037e0a9b1b3fd3d146a",
+    7: "135838137cafbae5e114309ff0bec0e3feab01d3cb5daecbb39385617c8eedcc",
+    11: "197d0eeea002b1ae5010a9cfd32f1f0f964a34e43638265e189399608f658a83",
 }
 
 
@@ -499,20 +500,19 @@ def _dense_mm_closure(seed):
 
 
 def _one_pair_chunk(args):
-    """Draw ``count`` pairs one at a time and score each with
-    ``defect_of(a, b)``, a ``PairDefect``: a chunk of a sampled run before
-    every run drew through the sampler's ``batch``, kept as the reference
-    for ``asm._sampled_group``.  Returns (defects, the first maximum's pair
+    """Draw ``count`` pairs by the sampler's ``batch`` and score each alone
+    with ``defect_of(a, b)``, a ``PairDefect``: a chunk of a sampled run
+    before the kernels scored stacked pairs, kept as the reference for
+    ``asm._sampled_group``.  Returns (defects, the first maximum's pair
     (A, B), all exact)."""
     sampler, count, seed_seq, defect_of = args
-    rng = np.random.default_rng(seed_seq)
+    drawn = sampler.batch(np.random.default_rng(seed_seq), count)
     vals = np.empty(count, dtype=float)
     best = -1.0
     best_pair = None
     all_exact = True
     for t in range(count):
-        a = sampler(rng)
-        b = sampler(rng)
+        a, b = drawn.pair(t)
         pd = defect_of(a, b)
         if pd.defect_exact is None:
             all_exact = False
@@ -523,8 +523,8 @@ def _one_pair_chunk(args):
 
 
 def _one_pair_report(sampler, count, seed, worst_of, vmax, gamma_convention=None):
-    """The sampled run of ``sampler`` (rng -> element) drawn and scored one
-    pair at a time in one process, with pairs collected: the reference for
+    """The sampled run of ``sampler`` scored one pair at a time in one
+    process, with pairs collected: the reference for
     ``asm._measure_sampled``."""
     sizes = asm._chunk_sizes(count, asm.SAMPLE_CHUNKS)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
@@ -591,16 +591,6 @@ class TestBatchedKernel:
         want = [asm._defect_float(sa[t], sb[t], sab[t])[0] for t in range(37)]
         monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
         assert asm._gap_defects(sa, sb, sab).tolist() == want
-
-    def test_exact_batch_replays_the_one_pair_draws(self):
-        # 2 * count ``sample_tadpole(exact=True)`` calls, and their state
-        for p in (2, 3, 5, 7):
-            rng, ref = np.random.default_rng(p), np.random.default_rng(p)
-            drawn = tadpole_sampler(p, exact=True).batch(rng, 20)
-            assert drawn.exact
-            want = [sample_tadpole(p, ref, exact=True) for _ in range(40)]
-            assert [drawn.params(t, side) for t in range(20) for side in (0, 1)] == want
-            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_dense_rows_match_pair_defects(self):
         c = _dense_mm_closure(5)
@@ -1373,22 +1363,24 @@ def test_binary_dihedral_level_matches_its_oracle(m):
 
 
 # sha256 of json.dumps(report.to_json_dict(), sort_keys=True) for the cases
-# below, as the code produced them while the argument and chord defects still
-# had separate sampling drivers.
+# below, as recorded when each chunk's stream became one numpy-native batch
+# (sr_exhaustive: when sr_sample became a batch of one); each worst pair was
+# re-derived through pair_defect or pair_sub_defect.
 DRIVER_GOLDEN = {
-    "sr_sampled": "3ec384d55410ed5c35ee3612ad198de96a119a67c0e2f8474b89de2f0c1cb439",
-    "tadpole_exact": "47a957f807d4553120a3ce19644a38938b401c73b923c34ec43114194d4a40ba",
-    "sr_exhaustive": "5b91d17d510382a5efaa0ed2418a8844309f83a4d7328a971768e2a1a0c49a30",
+    "sr_sampled": "d1bab9684b30fe4689c69f2f5d1e1ac289acab101d1ff3ed6add40d5b15e2f5a",
+    "tadpole_exact": "9077712537548d3d9764d2d099cbfe15e33e405b78b4632ba49686a5f5bfa398",
+    "sr_exhaustive": "ed3ac675ffcb79489e26d7e754027bed3608ce18d8ee97fb65ef8cfd0bedcc89",
 }
 
 # p -> (seed, sha256 of the report as ``_report_sha`` hashes it) of
 # measure_asm_sampled(tadpole_sampler(p, exact=True), 5000, seed,
-# collect_pairs=True), as the one-pair-at-a-time exact loop produced them:
-# 5,000 pairs make chunks of 78 and 79 pairs, scored in several groups.
+# collect_pairs=True), as recorded when each chunk's stream became one
+# numpy-native batch: 5,000 pairs make chunks of 78 and 79 pairs, scored in
+# several groups.
 EXACT_SAMPLED_GOLDEN = {
-    2: (52, "5d8414a820bf0a2571c998ed073a4476be07a113fdaab178c4217f20288c8d28"),
-    5: (55, "af844edfc2ea3750f035e23ae920fc0318de4c11d10ef1c63c47e1238263438e"),
-    7: (57, "13c085afc65bc4f459949e8f611ea6b2a47ce8c3e600f9ad76be2d8504c44c7a"),
+    2: (52, "ba3e03e9ac3be5b6b7933c318c7151465bce6b921003ebd3f4c04afa8e13ad5f"),
+    5: (55, "9725cd91f3f1c2c5b1afa09541428587613b252a777f68cfd8cfa5bc609dae12"),
+    7: (57, "f3e228d49feae16be821d21a29c214dd16b82cc37b29c3bc953c40d555e9327a"),
 }
 
 
@@ -1635,18 +1627,19 @@ class TestPoolFloor:
 
 
 class _ZeroNormals:
-    """A generator whose normal draws come out as zeros; the words they
-    take are still drawn from ``rng``."""
+    """A generator whose normals for the last element's x come out as
+    zeros; every draw is still made from ``rng``."""
 
     def __init__(self, rng):
         self.rng = rng
 
-    def normal(self, size):
-        self.rng.normal(size=size)
-        return np.zeros(size)
+    def standard_normal(self, size):
+        gauss = self.rng.standard_normal(size)
+        gauss[-1, 0] = 0.0
+        return gauss
 
-    def random(self):
-        return self.rng.random()
+    def random(self, size):
+        return self.rng.random(size)
 
 
 class TestSrBatchChunk:
@@ -1682,35 +1675,27 @@ class TestSrBatchChunk:
         """Normals that are all 0 give the vector 0; every other element of
         the batch stays bit for bit what it was."""
         sampler = sr_sampler(SrParams(0.5))
-        rng = np.random.default_rng(seed)
-        turns, gauss, radii = constructions._sr_draws(rng.bit_generator, 3, 20)
-        want = sampler.assemble(turns, gauss, radii)
-        gauss[1, 0] = 0.0
-        got = sampler.assemble(turns, gauss, radii)
-        assert not got.row[1].any()
-        got.row[1] = want.row[1]
+        want = sampler.batch(np.random.default_rng(seed), 10)
+        got = sampler.batch(_ZeroNormals(np.random.default_rng(seed)), 10)
+        assert not got.row[-1].any()
+        got.row[-1] = want.row[-1]
         for a, b in zip((got.lam, got.row, got.col), (want.lam, want.row, want.col)):
             assert np.array_equal(a.view(np.float64), b.view(np.float64))
 
     def test_zero_normals_still_draw_the_radius(self):
         """``sr_sample`` makes the same draws whatever its normals are: a
-        zero vector still takes its radius, one word past its normals."""
+        zero vector still takes its radius."""
         params = SrParams(0.5)
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         e = sr_sample(params, _ZeroNormals(rng))
-        assert not any(e.row) and not any(e.col)
-        sr_sample(params, ref)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert not constructions._ball_point(_ZeroNormals(rng), 3, 0.5).any()
-        ref.normal(size=3)
-        ref.normal(size=3)
-        ref.bit_generator.advance(1)
+        assert not any(e.row) and any(e.col)
+        assert sr_sample(params, ref).col == e.col
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sampler_without_batch(self, monkeypatch, workers):
-        """A sampler without ``batch`` is refused before it draws; the pairs
-        it would draw one at a time are the pairs that ``batch`` draws."""
+        """A sampler without ``batch`` is refused before it draws; with one,
+        the run is the one-pair reference's, in one process or the pool."""
         monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
         seen = spy_workers(monkeypatch)
         called = []
@@ -1724,7 +1709,8 @@ class TestSrBatchChunk:
         with pytest.raises(TypeError, match="batch"):
             measure_asm_sampled(plain, 300, seed=41, workers=workers)
         assert called == [] and seen == []
-        ref = _one_pair_report(plain, 300, 41, pair_sub_defect, None, "nonzero")
+        ref = _one_pair_report(sr_sampler(SrParams(0.5)), 300, 41, pair_sub_defect,
+                               None, "nonzero")
         assert _report_sha(ref) == DRIVER_GOLDEN["sr_sampled"]
         rep = measure_sub(sr_sampler(SrParams(0.5)), pair_count=300, seed=41,
                           workers=workers, collect_pairs=True)

@@ -14,17 +14,22 @@ import numpy as np
 import pytest
 
 from specmul import cli, linalg
-from specmul.asm import AsmReport, pair_defect
+from specmul.asm import AsmReport, _gap_defects, pair_defect
 from specmul.cli import main
 from specmul.linalg import Dense, matrix_from_json, matrix_to_json
 from specmul.circle import _point_from_json
 from specmul.constructions import (
+    SrBatch,
+    SrParams,
+    TadpoleBatch,
     TadpoleParams,
+    _cmul,
+    _tadpole_cases,
     cycle_matrix,
     default_miller_moreno,
     miller_moreno,
     random_det1_diagonal,
-    sample_tadpole,
+    sr_sampler,
     tadpole_case,
     tadpole_sampler,
 )
@@ -365,6 +370,21 @@ class TestMeasureOutput:
         assert code == 1 and not out
         assert err == "error: dense generator fails the unitarity check\n"
 
+    @pytest.mark.parametrize("entry", ["NaN", "1e400", "1e200"])
+    def test_non_finite_dense_generator_exits_1_quietly(self, capsys, tmp_path,
+                                                        entry):
+        # 1e400 reads as inf; 1e200 overflows A^H A
+        spec = tmp_path / "dense.json"
+        spec.write_text('{"generators": [{"variant": "dense", "entries": '
+                        f'[[[{entry}, 0], [0, 0]], [[0, 0], [1, 0]]]}}]}}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "measure", "--spec", str(spec),
+                                 "--deterministic")
+        assert code == 1 and not out
+        assert err == "error: dense generator fails the unitarity check\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_human_format(self, capsys):
         _, out, _ = run(capsys, "measure", "--builtin", "q8",
                         "--format", "human", "--deterministic")
@@ -487,18 +507,18 @@ class TestVerify:
 
 
 # sha256 of the stdout of ``specmul verify tadpole-bound ARGS --deterministic``
-# and its exit code, as the one-pair-at-a-time float loop produced them
-# before the float pairs were drawn through ``TadpoleSampler.batch``.
+# and its exit code, as recorded when each batch became numpy's own array
+# draws; the counterexample re-derives through pair_defect.
 TADPOLE_BOUND_GOLDEN = {
     "--p 3 --pairs 3000 --seed 4":
-        ("a744b49ae8fc09771902eceb9a0e9958f269132841394eb396e293ee93fac444", 0),
+        ("94f0e5ef76ca5430ccdaf8c1212a8d6e1cd83c821c165877bbe9d98225ba0567", 0),
     "--p 5":
-        ("8b0baf15bc1504758e6093015e576325422039a35ef522adb7a09054e0625a92", 0),
+        ("5301d2a587b58b885660a42e0bde1e9d293e9bcf3346e87d0799cb98c8e58b73", 0),
     "--p 7":
-        ("96c252f84f033f35105db9cc0cf44ad5c0eaf7d26e3c8215c4bc12df674d04f2", 0),
+        ("2229ed95d974fb44badfc8125d9943bc05861874e95369fb61c827fd68ff0414", 0),
     # a negative tolerance makes a sampled pair the counterexample
     "--p 5 --pairs 500 --seed 1 --tol -0.001":
-        ("ab2cf3ed148f8d36a5cfb3c54098601b2afd2e6d9dc5b40b6dcbb7279d2db982", 2),
+        ("a57e08b85940984a4ea061262d353f0bcbc4e8b33ad29eae01f400394dc27412", 2),
 }
 
 
@@ -510,12 +530,25 @@ class TestVerifyTadpoleBound:
         assert (hashlib.sha256(out.encode()).hexdigest(), code) == \
             TADPOLE_BOUND_GOLDEN[args]
 
-    def test_blocks_do_not_change_the_evidence(self, monkeypatch):
-        args = argparse.Namespace(p=3, seed=4, pairs=700, tol=-0.004)
-        whole = cli._verify_tadpole_bound(args)
-        assert "case" not in whole[1]["counterexample"]  # a sampled float pair
+    def test_blocks_merge_into_the_evidence(self, monkeypatch):
+        # each block is one batch: the evidence is that of the seeded blocks
+        # concatenated, whose first float pair past the bound lies in block 1
         monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
-        assert cli._verify_tadpole_bound(args) == whole
+        args = argparse.Namespace(p=3, seed=4, pairs=700, tol=-0.0002)
+        ok, evidence = cli._verify_tadpole_bound(args)
+        rng = np.random.default_rng(4)
+        merged = TadpoleBatch.concat([tadpole_sampler(3).batch(rng, count)
+                                      for count in (128,) * 5 + (60,)])
+        vals = _gap_defects(*merged.spectra())
+        t = int(np.flatnonzero(vals > 1 / 18 - 0.0002)[0])
+        assert not ok and t >= 128
+        assert evidence["max_defect"] == float(vals.max())
+        assert evidence["counterexample"] == {
+            "defect": float(vals[t]), "a": merged.params(t, 0).to_json_dict(),
+            "b": merged.params(t, 1).to_json_dict()}
+        cases = _tadpole_cases(*tadpole_sampler(3, exact=True).batch(rng, 700).k.T, 3)
+        assert evidence["exact_cases"] == {str(c): int((cases == c).sum())
+                                           for c in (1, 2, 3, 4)}
 
     def test_first_exact_failure_is_the_counterexample(self, monkeypatch):
         # exact pairs 5 and 9 get a defect just past the bound 1/18
@@ -532,9 +565,8 @@ class TestVerifyTadpoleBound:
         assert not ok
         rng = np.random.default_rng(4)
         tadpole_sampler(3).batch(rng, 700)
-        pairs = [(sample_tadpole(3, rng, exact=True), sample_tadpole(3, rng, exact=True))
-                 for _ in range(6)]
-        a, b = pairs[5]
+        drawn = tadpole_sampler(3, exact=True).batch(rng, 700)
+        a, b = drawn.params(5, 0), drawn.params(5, 1)
         assert evidence["counterexample"] == {
             "case": tadpole_case(a, b), "defect": "2/27",
             "a": a.to_json_dict(), "b": b.to_json_dict()}
@@ -546,21 +578,36 @@ class TestVerifyTadpoleBound:
 class TestVerifySrBound:
     ARGS = argparse.Namespace(r=0.6, dim=5, seed=9, samples=700)
 
-    def test_blocks_do_not_change_the_evidence(self, monkeypatch):
-        whole = cli._verify_sr_bound(self.ARGS)
+    def test_blocks_merge_into_the_evidence(self, monkeypatch):
+        # each block is one batch: the evidence is that of the seeded blocks
+        # concatenated, whose first ratio past 0.8 is sample 367, in block 2
         monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
-        assert cli._verify_sr_bound(self.ARGS) == whole
-        assert whole[1]["dense_cross_checks"] == 500
+        monkeypatch.setattr(cli, "sr_ratio_bound", lambda r: 0.8)
+        ok, evidence = cli._verify_sr_bound(self.ARGS)
+        rng = np.random.default_rng(9)
+        sampler = sr_sampler(SrParams(0.6, 5))
+        merged = SrBatch.concat([sampler.batch(rng, count)
+                                 for count in (128,) * 5 + (60,)])
+        alpha, beta, gamma = merged.eigenvalues()
+        quot = gamma / _cmul(alpha, beta)
+        ratio = np.hypot(quot.real - 1.0, quot.imag)
+        t = int(np.flatnonzero(ratio > 0.8)[0])
+        assert not ok and t == 367
+        assert evidence["max_ratio"] == float(ratio.max())
+        assert evidence["counterexample"] == {
+            "ratio": float(ratio[t]), "bound": 0.8, "sample": t}
+        assert evidence["dense_cross_checks"] == 500
 
     def test_first_violation_is_reported(self, monkeypatch):
-        monkeypatch.setattr(cli, "sr_ratio_bound", lambda r: 0.3)
+        monkeypatch.setattr(cli, "sr_ratio_bound", lambda r: 0.26)
         monkeypatch.setattr(cli, "VERIFY_BLOCK", 2)
         args = argparse.Namespace(r=0.5, dim=4, seed=3, samples=10)
         ok, evidence = cli._verify_sr_bound(args)
         assert not ok
-        # sample 3 of this stream is the first whose ratio exceeds 0.3
+        # sample 5 of this stream, the second of block 2, is the first whose
+        # ratio exceeds 0.26 (|sr_pair_gamma / (alpha beta) - 1| agrees)
         assert evidence["counterexample"] == {
-            "ratio": 0.3142084467129995, "bound": 0.3, "sample": 3}
+            "ratio": 0.26951284964814487, "bound": 0.26, "sample": 5}
 
 
 class TestPlotdata:
@@ -634,14 +681,15 @@ class TestPlotdata:
         assert err.startswith("error: malformed eigenvalue")
 
     # sha256 of the CSV of an exact, a float-angle and a complex-eigenvalue
-    # report, recorded before non-finite points were rejected
+    # report, recorded before non-finite points were rejected (the sampled
+    # two again when each batch became numpy's own array draws)
     @pytest.mark.parametrize("argv,digest", [
         (("--builtin", "q8"),
          "82ea9c946ed707150ab669fd222632c8e8ff6d9f45a95424e484b0b9fd4a1e13"),
         (("--builtin", "tadpole", "--p", "3", "--pairs", "50", "--seed", "3"),
-         "0e07cc06adee83eb15670c691ba7afadf029ac5e4604b455a6a921690278e688"),
+         "a1f831a0bb08d1cf8df13fc15efdc7d480984bfced367d20ca620e772fc8fdac"),
         (("--builtin", "sr", "--pairs", "50", "--seed", "3"),
-         "0cb62f631f028ac33e9fc1a944634712be69c15968bfe0adf5df642a47ccfeb6"),
+         "6b81503b6a446f0d1711c3cba990abbea7a5b3e14f31a3ae129976da151358ba"),
     ], ids=["q8", "tadpole", "sr"])
     def test_valid_report_csv_is_unchanged(self, capsys, tmp_path, argv, digest):
         rep = tmp_path / "rep.json"

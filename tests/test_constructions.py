@@ -1,7 +1,7 @@
 """Construction families: tadpole algebra, generator pairs, rank-one
 semigroup, admissible prime sets."""
 
-import itertools
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -13,15 +13,17 @@ from hypothesis import strategies as st
 
 from json_fuzz import JSON_VALUES, json_paths, replaced
 
-from specmul import _ziggurat, constructions
+from specmul import constructions
 from specmul.asm import pair_defect
 from specmul.circle import ONE, RationalAngle, UnitPoint
 from specmul.constructions import (
     MillerMorenoParams,
     QSetParams,
+    SR_MARGIN,
     SrBatch,
     SrElement,
     SrParams,
+    TadpoleBatch,
     TadpoleParams,
     adversarial_case4_pair,
     cycle_matrix,
@@ -288,20 +290,25 @@ class TestSamplers:
         assert min(total, 1.0 - total) < 1e-12
 
 
-def loop_batch(p, rng, count):
-    """``TadpoleSampler(p).batch`` drawn one scalar call at a time, the way
-    2*count ``sample_tadpole`` calls draw: the reference for the raw-word
-    replay.  Returns the arrays (d, k, a) of the batch."""
-    angles, k, a = [], [], []
-    for _ in range(2 * count):
-        angles.append(rng.random(p - 1))
-        k.append(rng.integers(0, p))
-        a.append(rng.integers(0, p, size=p - 1))
-    angles = np.array(angles)
-    last = (-angles.sum(axis=1)) % 1.0 % 1.0
-    d = np.concatenate([angles, last[:, None]], axis=1)
-    return (d.reshape(count, 2, p), np.array(k).reshape(count, 2),
-            np.array(a).reshape(count, 2, p - 1))
+def loop_tadpoles(p, rng, n, exact=False):
+    """n tadpoles drawn one row or one entry at a time, in the order the
+    batch makes its calls: every head, then every shift with its tail.  The
+    reference for ``TadpoleSampler.batch``; returns arrays (d, k, a) of
+    ``n`` rows."""
+    if exact:
+        den = 2 * p * p
+        picks = [rng.integers(0, 2, size=p - 1) for _ in range(n)]
+        heads = []
+        for pick in picks:
+            nums = [int(rng.integers(0, (p * p, den)[c])) * (2 - c) for c in pick]
+            heads.append(nums + [-sum(nums) % den])
+        d = np.array(heads)
+    else:
+        angles = np.array([rng.random(p - 1) for _ in range(n)])
+        last = (-angles.sum(axis=1)) % 1.0 % 1.0
+        d = np.concatenate([angles, last[:, None]], axis=1)
+    ints = np.array([rng.integers(0, p, size=p) for _ in range(n)])
+    return d, ints[:, 0], ints[:, 1:]
 
 
 def _with_buffer(seed, has_uint32, uinteger):
@@ -312,99 +319,115 @@ def _with_buffer(seed, has_uint32, uinteger):
     return rng
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.SFC64,
+                  np.random.MT19937]
+
+
 class TestTadpoleReplay:
-    """``TadpoleSampler.batch`` replays raw PCG64 words; ``loop_batch`` is
-    the scalar-call reference."""
+    """``TadpoleSampler.batch`` against ``loop_tadpoles``, which makes the
+    batch's calls row by row: equal arrays, and the generator left where the
+    loop leaves it."""
 
     @staticmethod
-    def _assert_replays(p, rng, ref, count):
-        drawn = tadpole_sampler(p).batch(rng, count)
-        d, k, a = loop_batch(p, ref, count)
-        assert np.array_equal(drawn.d.view(np.int64), d.view(np.int64))
-        assert drawn.k.dtype == k.dtype and np.array_equal(drawn.k, k)
-        assert drawn.a.dtype == a.dtype and np.array_equal(drawn.a, a)
-        # the generator is left where the loop leaves it, buffer included
-        assert rng.bit_generator.state == ref.bit_generator.state
+    def _assert_replays(p, rng, ref, count, exact=False):
+        drawn = tadpole_sampler(p, exact=exact).batch(rng, count)
+        d, k, a = loop_tadpoles(p, ref, 2 * count, exact)
+        assert drawn.exact is exact
+        assert drawn.d.dtype == d.dtype
+        assert np.array_equal(drawn.d.view(np.int64), d.reshape(count, 2, p).view(np.int64))
+        assert drawn.k.dtype == k.dtype and np.array_equal(drawn.k, k.reshape(count, 2))
+        assert drawn.a.dtype == a.dtype
+        assert np.array_equal(drawn.a, a.reshape(count, 2, p - 1))
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("count", [1, 2, 7, 40])
     @pytest.mark.parametrize("buffered", [False, True])
     def test_arrays_and_state_match_the_loop(self, p, count, buffered):
-        rng, ref = np.random.default_rng(p), np.random.default_rng(p)
-        if buffered:  # one 32-bit draw leaves the high half in the buffer
-            rng.integers(0, 3), ref.integers(0, 3)
-            assert rng.bit_generator.state["has_uint32"] == 1
-        self._assert_replays(p, rng, ref, count)
-        # and the next draws go on from there
-        self._assert_replays(p, rng, ref, 3)
+        for exact in (False, True):
+            rng, ref = np.random.default_rng(p), np.random.default_rng(p)
+            if buffered:  # one 32-bit draw leaves the high half in the buffer
+                rng.integers(0, 3), ref.integers(0, 3)
+                assert rng.bit_generator.state["has_uint32"] == 1
+            self._assert_replays(p, rng, ref, count, exact)
+            # and the next draws go on from there
+            self._assert_replays(p, rng, ref, 3, exact)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("count", [1, 4])
     def test_forced_rejection_matches_the_loop(self, p, count):
         # a buffered 0 is the first 32-bit draw, and Lemire's method rejects 0
-        rng, ref = _with_buffer(1, 1, 0), _with_buffer(1, 1, 0)
-        probe = _with_buffer(1, 1, 0).bit_generator
-        assert constructions._replay_words(probe, p, 2 * count)[2] == 0
-        self._assert_replays(p, rng, ref, count)
+        for exact in (False, True):
+            rng, ref = _with_buffer(1, 1, 0), _with_buffer(1, 1, 0)
+            self._assert_replays(p, rng, ref, count, exact)
 
     def test_rejection_past_the_first_round(self):
-        # 2**32 mod p = 30742 draws are rejected, so about 0.43 rounds in one
-        p, rounds, hits = 60017, 3, set()
+        # 2**32 mod p = 30742 of 2**32 draws are rejected, so the 240,068
+        # shift and tail draws of 2 pairs meet about 1.7 rejections
         for seed in range(6):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            probe = np.random.default_rng(seed).bit_generator
-            hits.add(constructions._replay_words(probe, p, rounds)[2])
-            angles, ints = constructions._tadpole_draws(rng, p, rounds)
-            for t in range(rounds):
-                assert np.array_equal(angles[t], ref.random(p - 1))
-                assert ints[t, 0] == ref.integers(0, p)
-                assert np.array_equal(ints[t, 1:], ref.integers(0, p, size=p - 1))
-            assert rng.bit_generator.state == ref.bit_generator.state
-        assert hits - {None, 0}
+            self._assert_replays(60017, rng, ref, 2)
 
-    def test_other_bit_generators_decline(self):
-        rng = np.random.Generator(np.random.Philox(0))
-        with pytest.raises(TypeError, match="Philox"):
-            tadpole_sampler(3).batch(rng, 5)
-        assert rng.random() == np.random.Generator(np.random.Philox(0)).random()
-        # exact draws make the one-pair calls themselves, on any bit generator
-        ref = np.random.Generator(np.random.Philox(0))
-        ref.random()
-        drawn = tadpole_sampler(3, exact=True).batch(rng, 5)
-        want = [sample_tadpole(3, ref, exact=True) for _ in range(10)]
-        assert [drawn.params(t, side) for t in range(5) for side in (0, 1)] == want
-        # Philox's state holds arrays, which print in full at this size
-        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    @pytest.mark.parametrize("bitgen", BIT_GENERATORS)
+    def test_any_bit_generator(self, bitgen):
+        for exact in (False, True):
+            rng, ref = np.random.Generator(bitgen(3)), np.random.Generator(bitgen(3))
+            self._assert_replays(5, rng, ref, 7, exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_tadpole_is_a_batch_of_one(self, exact):
+        for p in (2, 3, 5, 7):
+            rng, ref = np.random.default_rng(p), np.random.default_rng(p)
+            for _ in range(5):
+                got = sample_tadpole(p, rng, exact=exact)
+                d, k, a = loop_tadpoles(p, ref, 1, exact)
+                want = TadpoleBatch(p, d[None], k[None], a[None], exact).params(0, 0)
+                assert got == want and got.exact is exact
+                np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+            head = random_det1_diagonal(p, rng, exact=exact)
+            assert head == constructions._head_points(
+                constructions._det1_heads(p, ref, 1, exact)[0], p, exact)
+            np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+    def test_shifts_and_tails_lie_in_range(self):
+        for p in (2, 5, 7):
+            for exact in (False, True):
+                drawn = tadpole_sampler(p, exact=exact).batch(np.random.default_rng(p), 500)
+                assert set(drawn.k.ravel().tolist()) == set(range(p))
+                assert set(drawn.a.ravel().tolist()) == set(range(p))
 
     def test_batch_refuses_a_composite_p(self):
         with pytest.raises(InvalidParamsError):
             tadpole_sampler(4).batch(np.random.default_rng(0), 5)
 
 
-def _exact_head_by_choice(p, rng):
-    """``constructions._exact_head`` as it drew with ``rng.choice``."""
-    den = 2 * p * p
-    nums = []
-    for _ in range(p - 1):
-        over = int(rng.choice((p * p, den)))
-        nums.append(int(rng.integers(0, over)) * (den // over))
-    return nums + [-sum(nums) % den]
-
-
 class TestExactHead:
-    """The exact draw picks its denominator with ``integers(0, 2)``, which
-    gives the integer and leaves the generator as ``choice`` of the two
-    does; a numpy whose ``choice`` draws otherwise fails here."""
+    """The exact heads: each denominator picked by ``integers(0, 2)``, as
+    ``choice`` of the two picks it, each numerator on its grid, and every
+    row summing to 0 mod 2p^2."""
 
     @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox])
     @pytest.mark.parametrize("p", [2, 5])
     def test_draws_as_choice_does(self, bitgen, p):
+        den = 2 * p * p
         for seed in range(20):
             rng = np.random.Generator(bitgen(seed))
             ref = np.random.Generator(bitgen(seed))
-            got = [constructions._exact_head(p, rng) for _ in range(10)]
-            assert got == [_exact_head_by_choice(p, ref) for _ in range(10)]
+            got = constructions._det1_heads(p, rng, 10, exact=True)
+            over = ref.choice((p * p, den), size=(10, p - 1))
+            assert np.array_equal(got[:, :-1], ref.integers(0, over) * (den // over))
             np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_heads_lie_on_the_grid_and_sum_to_zero(self, p):
+        den = 2 * p * p
+        d = constructions._det1_heads(p, np.random.default_rng(p), 4000, exact=True)
+        assert d.dtype == np.int64 and ((d >= 0) & (d < den)).all()
+        assert not (d.sum(axis=1) % den).any()
+        # a numerator over p^2 is even over 2p^2; one over 2p^2 is odd half
+        # the time, so about 1/4 of the free entries are odd
+        odd = float((d[:, :-1] % 2).mean())
+        assert 0.22 < odd < 0.28
 
 
 class TestMod1:
@@ -476,81 +499,38 @@ class TestBatchStacking:
                     lambda x: x.eigenvalues())
 
 
-def loop_sr_batch(params, rng, count):
-    """``SrSampler(params).batch`` drawn one scalar call at a time, the way
-    2*count ``sr_sample`` calls draw: the reference for the raw-word replay.
-    Returns the draws (turns, gauss, radii) that ``SrSampler.assemble``
-    takes."""
+def loop_sr_elements(params, rng, n):
+    """n ``sr`` elements drawn one call at a time, in the order the batch
+    makes its calls (every turn, every normal vector, every radius), and
+    assembled in Python scalars: the reference for ``SrSampler.batch``.
+    Returns arrays (lam (n,), row (n, dim), col (n, dim))."""
     dim = params.n - 1
-    turns, gauss, radii = [], [], []
-    for _ in range(2 * count):
-        turns.append(rng.random())
-        for _ in range(2):  # x, then y
-            gauss.append(rng.normal(size=2 * dim))
-            radii.append(rng.random())
-    return (np.array(turns), np.array(gauss).reshape(2 * count, 2, 2 * dim),
-            np.array(radii).reshape(2 * count, 2))
-
-
-def _same_bits(got, want) -> bool:
-    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def _unit(word) -> float:
-    return (int(word) >> 11) * 2.0 ** -53
-
-
-def _branches(words, draws, pattern):
-    """Which branch of numpy's ziggurat each ``normal()`` draw took, told
-    from the raw words and the drawn values alone, and how many words the
-    draws used.  ``pattern`` marks the normal draws of a round, as in
-    ``_pcg64_draws``."""
-    z = _ziggurat
-    counts = dict.fromkeys(("fast", "wedge accept", "wedge reject", "tail"), 0)
-    q = 0
-    for value, is_normal in zip(draws.tolist(), itertools.cycle(pattern)):
-        if not is_normal:
-            assert value == _unit(words[q])
-            q += 1
-            continue
-        while True:
-            w = int(words[q])
-            layer, mag = w & 0xFF, (w >> 9) & (2**52 - 1)
-            x = -(mag * z.WI[layer]) if w >> 8 & 1 else mag * z.WI[layer]
-            if mag < z.KI[layer]:
-                assert value == x
-                counts["fast"] += 1
-                q += 1
-                break
-            if layer == 0:
-                # the accepted pair is the first whose R + xx is the draw
-                q += 1
-                while z.R + -z.INV_R * math.log1p(-_unit(words[q])) != abs(value):
-                    q += 2
-                counts["tail"] += 1
-                q += 2
-                break
-            q += 2
-            if value == x:
-                counts["wedge accept"] += 1
-                break
-            counts["wedge reject"] += 1
-    return counts, q
+    turns = [rng.random() for _ in range(n)]
+    gauss = [rng.standard_normal(2 * dim) for _ in range(2 * n)]
+    radii = [rng.random() for _ in range(2 * n)]
+    vectors = []
+    for g, u in zip(gauss, radii):
+        v = g[:dim] + 1j * g[dim:]
+        nrm = math.sqrt(sum(abs(z) ** 2 for z in v.tolist()))
+        vectors.append(v / (nrm or 1.0) * (params.r * SR_MARGIN * u ** (1 / (2 * dim))))
+    vectors = np.array(vectors).reshape(n, 2, dim)
+    lam = np.array([cmath.exp(2j * math.pi * u) for u in turns])
+    return lam, vectors[:, 0], vectors[:, 1]
 
 
 class TestSrReplay:
-    """``SrSampler.batch`` replays raw PCG64 words, ziggurat normals
-    included; ``loop_sr_batch`` is the scalar-call reference."""
+    """``SrSampler.batch`` against ``loop_sr_elements``: equal arrays up to
+    the rounding of numpy's ``exp``, ``**`` and norm against Python's, and
+    the generator left where the loop leaves it."""
 
     @staticmethod
     def _assert_replays(params, rng, ref, count):
-        sampler = sr_sampler(params)
-        drawn = sampler.batch(rng, count)
-        want = sampler.assemble(*loop_sr_batch(params, ref, count))
-        for name in ("lam", "row", "col"):
-            assert _same_bits(getattr(drawn, name), getattr(want, name))
-        # the generator is left where the loop leaves it, buffer included
-        assert rng.bit_generator.state == ref.bit_generator.state
+        drawn = sr_sampler(params).batch(rng, count)
+        for got, want in zip((drawn.lam, drawn.row, drawn.col),
+                             loop_sr_elements(params, ref, 2 * count)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     @pytest.mark.parametrize("count", [1, 5, 60])
@@ -569,92 +549,41 @@ class TestSrReplay:
         params = SrParams(0.5, 4)
         for seed in range(120):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = constructions._sr_draws(rng.bit_generator, 3, 2 * 25)
-            want = loop_sr_batch(params, ref, 25)
-            assert all(_same_bits(g, w) for g, w in zip(got, want))
-            assert rng.bit_generator.state == ref.bit_generator.state
+            self._assert_replays(params, rng, ref, 25)
 
-    def test_long_stream_takes_every_branch(self):
-        params, seed = SrParams(0.5, 8), 11
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        words = np.random.default_rng(seed).bit_generator.random_raw(150_000)
-        turns, gauss, radii = constructions._sr_draws(rng.bit_generator, 7, 4000)
-        want = loop_sr_batch(params, ref, 2000)
-        assert all(_same_bits(g, w) for g, w in zip((turns, gauss, radii), want))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        # the calls in the order sr_sample makes them
-        stream = np.concatenate([turns[:, None], gauss[:, 0], radii[:, :1],
-                                 gauss[:, 1], radii[:, 1:]], axis=1).ravel()
-        vector = [True] * 14 + [False]
-        counts, used = _branches(words, stream, [False] + 2 * vector)
-        # the replay used as many words as the branches did
-        probe = np.random.default_rng(seed).bit_generator
-        probe.advance(used)
-        assert probe.state["state"] == rng.bit_generator.state["state"]
-        # of 112,000 normals, 111,083 end on a fast word, 892 on an accepting
-        # wedge and 25 in the tail; 800 wedges reject and start over
-        assert counts["fast"] > 100_000
-        assert counts["wedge accept"] > 300 and counts["wedge reject"] > 300
-        assert counts["tail"] >= 10
+    @pytest.mark.parametrize("bitgen", BIT_GENERATORS)
+    def test_any_bit_generator(self, bitgen):
+        rng, ref = np.random.Generator(bitgen(3)), np.random.Generator(bitgen(3))
+        self._assert_replays(SrParams(0.7, 3), rng, ref, 20)
 
-    def test_quick_wedges_are_the_one_word_draws(self):
-        # a slow word is decided at once exactly when its draw takes one more
-        # word; the first 20 words are layer 0 past KI[0] (the tail), each
-        # followed by a word whose u is 1 - 2**-53
-        words = np.random.default_rng(5).bit_generator.random_raw(100_000)
-        words[:40:2] = np.uint64((int(_ziggurat.KI[0]) + 1) << 9)
-        words[1:40:2] = np.uint64(2**64 - 1)
-        slow, quick = constructions._slow_words(words)
-        assert set(range(0, 40, 2)) <= set(slow) and sum(quick) > 500
-        for p, decided in zip(slow, quick):
-            try:
-                used = constructions._slow_normal(words, p)[1]
-            except IndexError:
-                assert not decided
-                continue
-            assert decided == (used == 2)
+    def test_one_element_is_a_batch_of_one(self):
+        params = SrParams(0.5, 4)
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(5):
+            got = sr_sample(params, rng)
+            want = constructions._draw_sr(params, ref, 1)
+            assert got == SrElement(complex(want.lam[0]), tuple(want.row[0]),
+                                    tuple(want.col[0]))
+            np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
-    def test_running_short_draws_more_words(self, monkeypatch):
-        grew = []
-        more = constructions._more_words
+    def test_long_stream_follows_the_radius_law(self):
+        # 4,000 elements of dimension 8: |lam| = 1, every vector inside the
+        # ball of radius r * SR_MARGIN, and the radii s (over that radius)
+        # pass a Kolmogorov-Smirnov test of P(s <= x) = x^(2 dim) at the
+        # 0.1% level, where a uniform s fails it
+        params = SrParams(0.5, 8)
+        drawn = sr_sampler(params).batch(np.random.default_rng(11), 2000)
+        np.testing.assert_allclose(np.abs(drawn.lam), 1.0, rtol=0, atol=1e-15)
+        norms = np.linalg.norm(np.stack([drawn.row, drawn.col]), axis=-1).ravel()
+        s = norms / (params.r * SR_MARGIN)
+        assert s.max() < 1.0
 
-        def spy(*args):
-            grew.append(len(args[1]))
-            return more(*args)
+        def ks(u):
+            u, n = np.sort(u), len(u)
+            return max((np.arange(1, n + 1) / n - u).max(), (u - np.arange(n) / n).max())
 
-        monkeypatch.setattr(constructions, "_more_words", spy)
-        for seed in range(300):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            # three normals get three words and no spare: a slow word runs
-            # out inside its draw or leaves the last draw without a word
-            got = constructions._pcg64_draws(rng.bit_generator, [True] * 3, 1)
-            assert _same_bits(got.ravel(), ref.normal(size=3))
-            assert rng.bit_generator.state == ref.bit_generator.state
-        assert grew
-
-    def test_other_bit_generators_decline(self):
-        rng = np.random.Generator(np.random.Philox(0))
-        with pytest.raises(TypeError, match="Philox"):
-            sr_sampler(SrParams(0.5)).batch(rng, 5)
-        assert rng.random() == np.random.Generator(np.random.Philox(0)).random()
-
-
-class TestZigguratGuard:
-    """The ziggurat tables and steps copied from numpy against numpy itself:
-    an upgrade that changes them would silently move every ``sr`` report."""
-
-    def test_replays_standard_normal(self):
-        rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
-        got = constructions._pcg64_draws(rng.bit_generator, [True], 250_000).ravel()
-        want = ref.standard_normal(250_000)
-        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-        assert not differ.size, (
-            f"numpy {np.__version__}: the ziggurat replay differs from "
-            f"standard_normal at {differ.size} of 250,000 draws, first at "
-            f"{differ[0]}; its tables or steps changed")
-        assert rng.bit_generator.state == ref.bit_generator.state, (
-            f"numpy {np.__version__}: the ziggurat replay used a different "
-            f"number of words than standard_normal")
+        bound = 1.95 / math.sqrt(len(s))
+        assert ks(s ** 14) < bound < ks(s)
 
 
 class TestMillerMoreno:
@@ -785,16 +714,19 @@ class TestRankOneSemigroup:
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_batch_draws_what_sr_sample_draws(self, n, r):
+        # sr_sample is a batch of one element: the batch draws its 80
+        # elements at once, and its eigenvalues are the elements' own, bit
+        # for bit
         sampler = sr_sampler(SrParams(r, n))
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         drawn = sampler.batch(rng, 40)
+        want = constructions._draw_sr(sampler.params, ref, 80)
         eigs = drawn.eigenvalues()
         for t in range(40):
-            a, b = sr_sample(sampler.params, ref), sr_sample(sampler.params, ref)
-            assert [_bits(e) for e in drawn.pair(t)] == [_bits(a), _bits(b)]
-            want = (a.nonzero_eigenvalue(), b.nonzero_eigenvalue(), sr_pair_gamma(a, b))
-            assert _bits(*(z[t] for z in eigs)) == _bits(*want)
-        # the batch left the generator where 80 sr_sample calls leave it
+            a, b = drawn.pair(t)
+            assert [_bits(e) for e in (a, b)] == [_bits(e) for e in want.pair(t)]
+            want_eigs = (a.nonzero_eigenvalue(), b.nonzero_eigenvalue(), sr_pair_gamma(a, b))
+            assert _bits(*(z[t] for z in eigs)) == _bits(*want_eigs)
         assert rng.random() == ref.random()
 
     def test_batch_of_elements(self):

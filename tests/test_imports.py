@@ -1,6 +1,7 @@
 """Every import in the package's modules is used or exported, every
-private definition and every parameter is read, and one module decides what
-malformed input is.
+private definition and every parameter is read, no module reads a numpy
+generator's raw words or state, and one module decides what malformed
+input is.
 
 A name a module imports must appear in its code (a string annotation
 counts) or in its ``__all__``; otherwise the import is dead.  A private
@@ -205,6 +206,21 @@ def test_public_api_is_pinned():
     api = {m.name: sorted(names) for m in MODULES
            if (names := _exported(ast.parse(m.read_text(encoding="utf-8"))))}
     assert api == PUBLIC_API
+
+
+# What a module may not read of a numpy generator: its raw words, a jump of
+# its stream or its state.  Seeded draws go through numpy's public
+# distribution calls, so any bit generator and any numpy draw the same way
+# as those calls do.
+GENERATOR_INTERNALS = {"random_raw", "advance", "bit_generator", "state"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_generator_internals(path):
+    read = [f"{node.lineno} .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in GENERATOR_INTERNALS]
+    assert not read, f"{path.name}: reads generator internals {read}"
 
 
 # What a reader raises on malformed input; only errors.py turns these into
