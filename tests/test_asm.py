@@ -645,6 +645,11 @@ EXHAUSTIVE_GOLDEN = {
     "q8_pairs": "3e7908780a5290714c81be99b5b210bb59f463d403c4d0df799e1e8ebc9adcee",
 }
 
+# The same hash with collect_pairs=True for dense-block MM(7, 43) (d = 14,
+# each generator g as BlockDiag((Dense(g.to_dense()), g))), as the float grid
+# kernel scored it: the widest float rows an exhaustive scan sees.
+DENSE_BLOCK_GOLDEN = "5ad1b27906d383447a8be06d4f460ca6f2f063330d2e0939d6bd66cdb705b61e"
+
 REDUCTION_GROUPS = {
     "q8": _q8_generators,
     "cyclic5": lambda: [Diagonal(tuple(UnitPoint.exact(j, 5) for j in range(5)))],
@@ -689,6 +694,16 @@ class TestClassReducedScan:
         rep = measure_asm(close(gens), collect_pairs=name.endswith("_pairs"))
         blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == EXHAUSTIVE_GOLDEN[name]
+
+    def test_dense_block_report_matches_golden(self):
+        gens = [linalg.BlockDiag((Dense(g.to_dense()), g))
+                for g in miller_moreno(default_miller_moreno(7, 43))]
+        c = close(gens)
+        assert isinstance(c.elements.code, groups._DenseCode)
+        assert c.elements.rows.shape[1] == 14
+        rep = measure_asm(c, collect_pairs=True)
+        blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == DENSE_BLOCK_GOLDEN
 
     def test_exact_run_decodes_representatives_and_the_worst_pair(self, monkeypatch):
         # the k representatives' spectra come from their rows; only the
