@@ -76,16 +76,6 @@ __all__ = [
 DEFAULT_BINS = 20
 SUB_ZERO_TOL = 1e-9
 
-# Pool startup dwarfs the work below this many pairs, so small jobs stay
-# in-process regardless of the requested worker count.  Medians of 15
-# in-process runs on 2 vCPUs, worker order interleaved, the pool forced at
-# every size, --workers 2 against 1: p = 5 tadpoles take 1.19x as long at
-# 10,000 pairs, 0.85x at 20,000 and 0.65x at 50,000, so they break even
-# between 10,000 and 20,000; sr, whose draws are cheaper, takes 1.65x at
-# 20,000, 1.11x at 100,000 and 0.90x at 200,000, so this floor suits
-# tadpoles, not sr.
-PARALLEL_MIN_BATCHED_PAIRS = 20_000
-
 # Sampled runs are split into a fixed number of logical chunks, each with its
 # own spawned seed stream, so the drawn pairs do not depend on how many
 # workers execute the chunks.
@@ -104,26 +94,16 @@ SAMPLE_GROUP_PAIRS = 800
 # ---------------------------------------------------------------------------
 # defect cores
 
-# Elements of one (pairs, |sigma(AB)|, |sigma(A)||sigma(B)|) block of arc
-# distances: larger batches go through the kernel block by block, so its
-# transient memory stays under 1 MB whatever the batch size.  One call of
-# ``_gap_defects`` allocates its block buffers once and reuses them for
-# every block: a 256 KB block lies above glibc's 128 KB mmap threshold, so
-# a fresh one would be mapped, faulted in and unmapped block by block.
+# Products alpha + beta of one block of pair rows in the sorted-neighbour
+# kernels ``_gap_defects`` and ``_exact_defects``: larger batches go block by
+# block, so a block's sorted keys (complex in ``_gap_defects``) take at most
+# 512 KB whatever the batch size.  Medians of interleaved in-process runs on 2
+# vCPUs, 7 groups of 800 tadpole pairs: p = 5 runs as fast with 2^14 to 2^16,
+# p = 13 fastest with 2^15.
 _KERNEL_BLOCK = 1 << 15
 
 
-def _gap_buffers(m: int, sa: np.ndarray, sb: np.ndarray, sab: np.ndarray) -> tuple:
-    """Buffers of ``_arc_gaps`` for up to m pairs of angles shaped and typed
-    as ``sa``, ``sb`` and ``sab``: products and their floors (m, na*nb),
-    distances d and scale - d (m, nab, na*nb)."""
-    prods = np.empty((m, sa.shape[1] * sb.shape[1]), dtype=sab.dtype)
-    diff = np.empty((m, sab.shape[1], prods.shape[1]), dtype=sab.dtype)
-    return prods, np.empty_like(prods), diff, np.empty_like(diff)
-
-
-def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0,
-              buffers: Optional[tuple] = None) -> np.ndarray:
+def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0) -> np.ndarray:
     """Arc distance from every gamma to every product alpha*beta, batched.
 
     ``sa (m, |sigma(A)|)``, ``sb (m, |sigma(B)|)`` and ``sab (m, |sigma(AB)|)``
@@ -131,39 +111,75 @@ def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0,
     integer numerators (int64 while 2 * scale fits, Python ints otherwise)
     at their common denominator; row t is one pair.  Returns
     ``min(d, scale - d)`` for ``d = |gamma - (alpha + beta) % scale|`` as an
-    array ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``, written into the
-    leading rows of ``buffers`` (from ``_gap_buffers``; fresh ones if None).
+    array ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``.  The batched kernels
+    find the same minima by a sorted search; this full grid serves one pair's
+    witnesses and, in the tests, as their oracle.
     """
     m, na, nb = len(sa), sa.shape[1], sb.shape[1]
-    prods, floor, diff, flip = (b[:m] for b in buffers or _gap_buffers(m, sa, sb, sab))
-    np.add(sa[:, :, None], sb[:, None, :], out=prods.reshape(m, na, nb))
+    prods = np.add(sa[:, :, None], sb[:, None, :]).reshape(m, na * nb)
     if prods.dtype.kind == "f":
-        _mod1(prods, out=prods, floor=floor)
+        _mod1(prods, out=prods)
     else:
         np.remainder(prods, scale, out=prods)
-    np.subtract(sab[:, :, None], prods[:, None, :], out=diff)
-    np.abs(diff, out=diff)
-    np.subtract(scale, diff, out=flip)
-    return np.minimum(diff, flip, out=diff)
+    diff = np.abs(np.subtract(sab[:, :, None], prods[:, None, :]))
+    return np.minimum(diff, np.subtract(scale, diff), out=diff)
 
 
 def _gap_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
-                 scale=1.0, pair: Optional[np.ndarray] = None) -> np.ndarray:
-    """Defects of m pairs given as angle arrays (see ``_arc_gaps``), block by
-    block through one set of buffers, in the angles' dtype.  With ``pair``,
-    row t takes its alpha and beta from row ``pair[t]`` of ``sa`` and
-    ``sb`` (as ``_exact_defects``)."""
-    if pair is not None:
-        sa, sb = sa[pair], sb[pair]
-    m, nab = sab.shape
+                 pair: Optional[np.ndarray] = None) -> np.ndarray:
+    """Float defects of m triples, ``_arc_gaps(sa[pair], sb[pair], sab)
+    .min(axis=2).max(axis=1)`` bit for bit, found by a sorted-neighbour search
+    instead of the full grid: the float twin of ``_exact_defects``.
+
+    ``sa (P, wa)`` and ``sb (P, wb)`` hold the alpha and beta rows of P pairs,
+    ``sab (m, wab)`` the gamma rows of the m triples, all in float turns.
+    Triple t takes pair row ``pair[t]``; ``pair`` never decreases, and None
+    means ``pair[t] = t``.  Each block takes consecutive pair rows, sorts
+    their products (a + b) % 1.0 once per row and keys each product by the
+    complex number row + 1j * product.  numpy orders complex numbers by real
+    part, then imaginary part, so the flattened block is one sorted array, and
+    one ``searchsorted`` places every gamma, keyed row + 1j * gamma, among its
+    row's products exactly (a float row shift would round the angles).  The
+    gammas are sorted along each row first, which changes no maximum and
+    makes the whole search run forward.
+
+    IEEE subtraction rounds monotonically, so over a row |gamma - pi| is least
+    at one of gamma's two sorted neighbours and greatest at the row's first or
+    last product; 1.0 - x rounds monotonically too, so the grid's least
+    min(d, 1.0 - d) is min(nearest, 1.0 - farthest) exactly.  A gamma equal to
+    a product, or outside the row's range, clips its neighbour index.
+    """
+    m = len(sab)
+    if pair is None:
+        pair = np.arange(m)
     na, nb = sa.shape[1], sb.shape[1]
-    step = max(1, min(m, _KERNEL_BLOCK // (nab * na * nb)))
-    buffers = _gap_buffers(step, sa, sb, sab)
-    out = np.empty(m, dtype=sab.dtype)
-    for lo in range(0, m, step):
+    width = na * nb
+    step = max(1, _KERNEL_BLOCK // width)
+    out = np.empty(m)
+    # the block of pair rows from lo takes the triples t0:t1 on them
+    bounds = np.searchsorted(pair, range(0, len(sa) + step, step))
+    for lo, t0, t1 in zip(range(0, len(sa), step), bounds, bounds[1:]):
         part = slice(lo, lo + step)
-        out[part] = _arc_gaps(sa[part], sb[part], sab[part], scale,
-                              buffers).min(axis=2).max(axis=1)
+        keys = np.empty((len(sa[part]), na, nb), dtype=complex)
+        np.add(sa[part, :, None], sb[part, None, :], out=keys.imag)
+        keys = keys.reshape(-1, width)
+        _mod1(keys.imag, out=keys.imag, floor=keys.real)
+        keys.imag.sort(axis=1)
+        keys.real = np.arange(len(keys))[:, None]
+        # each triple's row in the block, and its gammas keyed on that row
+        rows = pair[t0:t1, None] - lo
+        gam = np.sort(sab[t0:t1], axis=1)
+        query = np.empty(gam.shape, dtype=complex)
+        query.real, query.imag = rows, gam
+        flat, start = keys.reshape(-1), rows * width
+        hi = flat.searchsorted(query) - start
+        prods = flat.imag
+        up = prods[start + np.minimum(hi, width - 1)]
+        dn = prods[start + np.maximum(hi - 1, 0)]
+        near = np.minimum(np.abs(gam - up), np.abs(gam - dn))
+        far = np.maximum(np.abs(gam - prods[start]),
+                         np.abs(gam - prods[start + width - 1]))
+        out[t0:t1] = np.minimum(near, 1.0 - far).max(axis=1)
     return out
 
 
@@ -185,8 +201,9 @@ def _defect_exact(sa, sb, sab, scale):
 
 def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
                    scale: int, pair: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact defect numerators of m triples: ``_gap_defects`` at ``scale``,
-    found by a sorted-neighbour search instead of the full grid.
+    """Exact defect numerators of m triples, ``_arc_gaps(sa[pair], sb[pair],
+    sab, scale).min(axis=2).max(axis=1)``, found by a sorted-neighbour search
+    instead of the full grid: the integer twin of ``_gap_defects``.
 
     ``sa (P, wa)`` and ``sb (P, wb)`` hold the alpha and beta rows of P
     pairs, ``sab (m, wab)`` the gamma rows of the m triples, all int64 angle
@@ -201,8 +218,8 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     [0, 2 * scale) and gaps gamma - neighbour in (-scale, scale), so a
     wrap-min on uint64 views, min(u, u - scale) and min(t, t + scale),
     reduces each mod ``scale`` without a division.  When even one shifted
-    row would not fit in int64, all triples go through ``_gap_defects`` at
-    once as Python ints.
+    row would not fit in int64, all triples go through one ``_arc_gaps``
+    grid at once as Python ints.
     """
     m = len(sab)
     if pair is None:
@@ -213,8 +230,9 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     step = min(step, np.iinfo(np.int64).max // (2 * scale))
     out = np.empty(m, dtype=np.int64)
     if step < 1:
-        out[:] = _gap_defects(sa.astype(object), sb.astype(object),
-                              sab.astype(object), scale, pair)
+        grid = _arc_gaps(sa[pair].astype(object), sb[pair].astype(object),
+                         sab.astype(object), scale)
+        out[:] = grid.min(axis=2).max(axis=1)
         return out
     # the block of pair rows from lo takes the triples t0:t1 on them
     bounds = np.searchsorted(pair, range(0, len(sa) + step, step))
@@ -781,8 +799,9 @@ def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
     ``batch`` (a ``TypeError`` if it has none) from its own spawned seed, so
     the pairs do not depend on ``workers``.  Groups of consecutive chunks of
     at most ``SAMPLE_GROUP_PAIRS`` pairs (or one chunk, when a chunk alone is
-    larger) are scored by one ``kernel`` call each, in the pool from
-    ``PARALLEL_MIN_BATCHED_PAIRS`` pairs.  ``worst_of`` builds the run's
+    larger) are scored by one ``kernel`` call each, in the pool from the
+    sampler's ``PARALLEL_MIN_PAIRS`` pairs (pool startup dwarfs the work
+    below them).  ``worst_of`` builds the run's
     first maximum, the only pair built as matrices; the report is exact when
     its defect is.  ``vmax`` tops the histogram (None: the largest defect).
     """
@@ -796,7 +815,7 @@ def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
     tasks = [(sampler, chunks[lo:lo + per], kernel)
              for lo in range(0, len(chunks), per)]
     parts = _map_chunks(_sampled_group, tasks,
-                        workers if pair_count >= PARALLEL_MIN_BATCHED_PAIRS else 1)
+                        workers if pair_count >= sampler.PARALLEL_MIN_PAIRS else 1)
     values = np.concatenate([p[0] for p in parts])
     # the first maximum lies in the part whose end is the first one past it
     best_idx = int(values.argmax())

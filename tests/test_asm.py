@@ -31,6 +31,8 @@ from specmul.circle import ONE, UnitPoint, arg_distance
 from specmul.cli import _q8_generators
 from specmul.constructions import (
     SrElement,
+    SrSampler,
+    TadpoleSampler,
     is_prime,
     SrParams,
     default_miller_moreno,
@@ -67,6 +69,12 @@ def spy_workers(monkeypatch):
 
     monkeypatch.setattr(asm, "_map_chunks", spy)
     return seen
+
+
+def pool_floor(monkeypatch, pairs):
+    """Send sampled runs of both families to the pool from ``pairs`` pairs."""
+    for cls in (TadpoleSampler, SrSampler):
+        monkeypatch.setattr(cls, "PARALLEL_MIN_PAIRS", pairs)
 
 
 def spy_tables(monkeypatch):
@@ -227,7 +235,7 @@ class TestMeasureAsmSampled:
                 != measure_asm_sampled(s, 200, seed=2).epsilon)
 
     def test_worker_split_does_not_change_results(self, monkeypatch):
-        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 2048)
+        pool_floor(monkeypatch, 2048)
         seen = spy_workers(monkeypatch)
         s = tadpole_sampler(3)
         r1 = measure_asm_sampled(s, 2048, seed=5, workers=1)
@@ -573,7 +581,7 @@ class TestBatchedKernel:
         assert hashlib.sha256(blob).hexdigest() == SAMPLED_GOLDEN[p]
 
     def test_sampled_golden_through_the_pool(self, monkeypatch):
-        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        pool_floor(monkeypatch, 1)
         # groups of 10 chunks, so that 2 workers get 7 tasks
         monkeypatch.setattr(asm, "SAMPLE_GROUP_PAIRS", 50)
         seen = spy_workers(monkeypatch)
@@ -1127,7 +1135,7 @@ class TestExactKernel:
     @pytest.mark.parametrize("scale", [2**62 - 3, 2**62 + 5, 2**63 - 25])
     def test_scales_near_the_int64_limit(self, scale):
         # 2**62 - 3 leaves room for one row per block; the larger scales
-        # would overflow the row shift and take the scalar path
+        # would overflow the row shift and take the Python-int grid
         rows = [[0, scale - 1, scale // 3], [scale // 2], [1, scale - 2],
                 [scale // 5, 3 * (scale // 7)], [7], [scale - 9, 2]]
         sa, sb = _padded(rows), _padded(rows[::-1])
@@ -1135,6 +1143,51 @@ class TestExactKernel:
                        [scale // 2 + 1], [scale // 11, scale - 4]])
         assert (asm._exact_defects(sa, sb, sab, scale).tolist()
                 == _scalar_defects(sa, sb, sab, scale))
+
+
+# float turns where gammas meet products exactly (sums of k/64 are exact),
+# sit on the wrap (0.0 and the floats just below 1.0) or fall anywhere
+EDGE_TURNS = (st.integers(0, 63).map(lambda k: k / 64)
+              | st.sampled_from([0.0, 1 - 2**-52, 1 - 2**-53])
+              | st.floats(0, 1, exclude_max=True))
+
+
+class TestFloatKernel:
+    """``_gap_defects``, the sorted-neighbour search, against the full
+    ``_arc_gaps`` grid, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_grid(self, data):
+        # rows of unequal lengths padded with repeats (width 1 when every
+        # row has one angle); pair rows in runs, some used by no triple
+        def rows(count):
+            turns = st.lists(EDGE_TURNS, min_size=1,
+                             max_size=data.draw(st.integers(1, 6)))
+            return _padded(data.draw(st.lists(turns, min_size=count,
+                                               max_size=count)), float)
+
+        n = data.draw(st.integers(1, 8))
+        pair = np.array(sorted(data.draw(st.lists(st.integers(0, n - 1),
+                                                  min_size=1, max_size=20))))
+        sa, sb, sab = rows(n), rows(n), rows(len(pair))
+        want = asm._arc_gaps(sa[pair], sb[pair], sab).min(axis=2).max(axis=1)
+        for block in (1, 50, asm._KERNEL_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(asm, "_KERNEL_BLOCK", block)
+                got = asm._gap_defects(sa, sb, sab, pair)
+            assert got.tobytes() == want.tobytes()
+
+    def test_gamma_across_the_wrap(self):
+        # the products are 1 - 2**-53, 3/8 and 3/4 (the sums 11/8 - 2**-53
+        # and 7/4 - 2**-53 round up): gamma 0.0 is nearest the first, across
+        # the wrap, and gamma 1/2 nearer its lower neighbour 3/8 than 3/4
+        sa, sb = np.array([[0.0, 3 / 8, 3 / 4]]), np.array([[1 - 2**-53]])
+        for sab, want in (([[0.0]], 2**-53), ([[0.5]], 1 / 8)):
+            got = asm._gap_defects(sa, sb, np.array(sab))
+            assert got.tolist() == [want]
+            assert got.tobytes() == (asm._arc_gaps(sa, sb, np.array(sab))
+                                     .min(axis=2).max(axis=1).tobytes())
 
 
 def _midpoints(prods: list, scale: int) -> list:
@@ -1203,8 +1256,8 @@ class TestExactWitness:
 
     @pytest.mark.parametrize("block", [1, asm._KERNEL_BLOCK])
     def test_python_int_rows_in_blocks(self, block, monkeypatch):
-        # past int64 the batch goes through the grid as Python ints, block
-        # by block; 2**63 + 11 itself does not fit an int64 entry
+        # past int64 the batch goes through one grid of Python ints, whatever
+        # the block size; 2**63 + 11 itself does not fit an int64 entry
         scale = 2**63 - 25
         rng = np.random.default_rng(block)
         sa, sb, sab = (_padded([rng.integers(0, scale, size=w).tolist()
@@ -1413,7 +1466,7 @@ class TestSampledDriverGolden:
         assert _report_sha(rep) == DRIVER_GOLDEN["sr_sampled"]
 
     def test_sr_sampled_through_the_pool(self, monkeypatch):
-        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        pool_floor(monkeypatch, 1)
         # groups of 10 chunks, so that 2 workers get 7 tasks
         monkeypatch.setattr(asm, "SAMPLE_GROUP_PAIRS", 50)
         seen = spy_workers(monkeypatch)
@@ -1429,7 +1482,7 @@ class TestSampledDriverGolden:
         assert _report_sha(rep) == DRIVER_GOLDEN["tadpole_exact"]
 
     def test_exact_tadpole_sampled_through_the_pool(self, monkeypatch):
-        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        pool_floor(monkeypatch, 1)
         # groups of 10 chunks, so that 2 workers get 7 tasks
         monkeypatch.setattr(asm, "SAMPLE_GROUP_PAIRS", 50)
         seen = spy_workers(monkeypatch)
@@ -1443,7 +1496,7 @@ class TestSampledDriverGolden:
     def test_pool_has_at_most_one_process_per_group(self, workers, monkeypatch):
         """A forking pool starts all of its processes at once, so a run asks
         for no more processes than it has groups; no process is started."""
-        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        pool_floor(monkeypatch, 1)
         monkeypatch.setattr(asm, "SAMPLE_GROUP_PAIRS", 50)
         asked = []
 
@@ -1578,7 +1631,9 @@ class TestGroupedScoring:
 
     @pytest.mark.parametrize("family", ["tadpole5", "sr"])
     def test_pool_above_the_floor_matches_one_process(self, family, monkeypatch):
-        count = asm.PARALLEL_MIN_BATCHED_PAIRS
+        # the tadpole floor, to which sr's is lowered
+        count = TadpoleSampler.PARALLEL_MIN_PAIRS
+        pool_floor(monkeypatch, count)
         seen = spy_workers(monkeypatch)
         one = _grouped_report(family, count, workers=1, collect_pairs=True)
         two = _grouped_report(family, count, workers=2, collect_pairs=True)
@@ -1609,12 +1664,25 @@ class TestPoolFloor:
         assert calls == [(3, 1)]
 
     def test_batched_run_from_its_floor_uses_the_pool(self, calls, monkeypatch):
-        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 3000)
+        pool_floor(monkeypatch, 3000)
         for count in (3000, 2999):
             measure_sub(sr_sampler(SrParams(0.5)), pair_count=count, seed=1,
                         workers=2)
         # 64 chunks of at most 47 pairs, in groups of 17, 17, 17 and 13
         assert calls == [(4, 2), (4, 1)]
+
+    def test_each_family_has_its_own_floor(self, monkeypatch):
+        # 30,000 pairs reach the tadpole floor but not sr's, whose pool pays
+        # later: the sr run stays in one process, whatever --workers says
+        assert (TadpoleSampler.PARALLEL_MIN_PAIRS <= 30_000
+                < SrSampler.PARALLEL_MIN_PAIRS)
+        seen = spy_workers(monkeypatch)
+        reps = [measure_sub(sr_sampler(SrParams(0.5)), pair_count=30_000,
+                            seed=3, workers=workers).to_json_dict()
+                for workers in (2, 1)]
+        # 64 chunks of 468 or 469 pairs, one chunk a group
+        assert seen == [(1, 64), (1, 64)]
+        assert reps[0] == reps[1]
 
     @pytest.mark.parametrize("budget, count", [
         (800, 799), (800, 800), (800, 801), (800, 5000), (800, 12000),
@@ -1711,7 +1779,7 @@ class TestSrBatchChunk:
     def test_sampler_without_batch(self, monkeypatch, workers):
         """A sampler without ``batch`` is refused before it draws; with one,
         the run is the one-pair reference's, in one process or the pool."""
-        monkeypatch.setattr(asm, "PARALLEL_MIN_BATCHED_PAIRS", 1)
+        pool_floor(monkeypatch, 1)
         seen = spy_workers(monkeypatch)
         called = []
 
