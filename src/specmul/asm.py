@@ -82,13 +82,12 @@ SUB_ZERO_TOL = 1e-9
 SAMPLE_CHUNKS = 64
 
 # Pairs of one stacked group of batched chunks, scored by one kernel call.
-# Medians of 21 in-process runs on 2 vCPUs, three rounds each: p = 5
-# tadpoles at 5,000 pairs take 0.044-0.064 s with groups of 400 pairs,
-# 0.045-0.058 s with 800 and 0.049-0.053 s with 1,600, and sr at 12,000
-# pairs 0.068-0.084, 0.064-0.074 and 0.078-0.085 s; against 800, peak RSS
-# is equal at 400, 0.5 MB higher at 1,600, and 3 MB (tadpoles) or 6.5 MB
-# (sr) higher when a whole run is one group.
-SAMPLE_GROUP_PAIRS = 800
+# Medians of 21 in-process runs on 2 vCPUs, in 7 fresh interpreters each,
+# sizes interleaved: p = 5 tadpoles at 5,000 pairs take 18.9 ms with groups
+# of 800 pairs, 16.7 ms with 1,600 and 16.1 ms with 3,200, and sr at 12,000
+# pairs 15.4, 14.4 and 16.0 ms; against 800, peak RSS is 0.4 MB (tadpoles)
+# and 0.1 MB (sr) higher at 1,600, 1.3 MB (tadpoles) higher at 3,200.
+SAMPLE_GROUP_PAIRS = 1600
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +96,11 @@ SAMPLE_GROUP_PAIRS = 800
 # Products alpha + beta of one block of pair rows in the sorted-neighbour
 # kernels ``_gap_defects`` and ``_exact_defects``: larger batches go block by
 # block, so a block's sorted keys (complex in ``_gap_defects``) take at most
-# 512 KB whatever the batch size.  Medians of interleaved in-process runs on 2
-# vCPUs, 7 groups of 800 tadpole pairs: p = 5 runs as fast with 2^14 to 2^16,
-# p = 13 fastest with 2^15.
+# 512 KB whatever the batch size.  Medians of 41 (p = 5) and 11 (p = 13)
+# interleaved in-process runs on 2 vCPUs, 7 groups of 800 tadpole pairs
+# through ``_gap_defects``: p = 5 takes 10.6, 10.4 and 10.2 ms with 2^14,
+# 2^15 and 2^16 products a block, p = 13 53, 51 and 49 ms, and 61 ms with
+# 2^17.
 _KERNEL_BLOCK = 1 << 15
 
 

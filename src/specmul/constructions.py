@@ -440,9 +440,9 @@ class TadpoleSampler:
 
     # Pairs from which a sampled run sends its groups to the pool.  Medians
     # of 15 interleaved runs on 2 vCPUs, the pool forced at every size,
-    # --workers 2 against 1, p = 5: in one process 1.46-1.50x as long at
-    # 15,000 pairs, 0.65-0.86x at 20,000; each run in a fresh interpreter
-    # 1.14x at 10,000, 0.92x at 15,000 and 0.85x at 20,000.
+    # --workers 2 against 1, p = 5: in one process 1.66x as long at 10,000
+    # pairs, 0.88x at 15,000 and 0.93x at 20,000; each run in a fresh
+    # interpreter 1.12x, 0.93x and 0.89x.
     PARALLEL_MIN_PAIRS = 20_000
 
     def __call__(self, rng: np.random.Generator) -> UMatrix:
@@ -817,10 +817,9 @@ class SrSampler:
 
     # Pairs from which a sampled run sends its groups to the pool; ``sr``
     # draws and scores cheaply, so the pool pays later than for tadpoles.
-    # Measured as for ``TadpoleSampler``, r = 0.5: in one process 1.50-1.60x
-    # as long at 20,000-30,000 pairs, 0.88-0.91x at 50,000 and 0.86-0.91x at
-    # 100,000; in fresh interpreters 1.21x at 30,000, 1.07x at 50,000, 0.90x
-    # at 100,000 and 0.81x at 150,000.
+    # Measured as for ``TadpoleSampler``, r = 0.5: in one process 1.04x as
+    # long at 30,000 pairs, 1.05x at 50,000, 0.84x at 100,000 and 0.83x at
+    # 150,000; in fresh interpreters 1.12x, 1.13x, 0.84x and 0.80x.
     PARALLEL_MIN_PAIRS = 100_000
 
     def __call__(self, rng: np.random.Generator) -> SrElement:

@@ -240,8 +240,8 @@ class TestMeasureAsmSampled:
         s = tadpole_sampler(3)
         r1 = measure_asm_sampled(s, 2048, seed=5, workers=1)
         r2 = measure_asm_sampled(s, 2048, seed=5, workers=2)
-        # 64 chunks of 32 pairs, 25 chunks a group
-        assert seen == [(1, 3), (2, 3)]
+        # 64 chunks of 32 pairs, 50 chunks a group
+        assert seen == [(1, 2), (2, 2)]
         assert r1.epsilon == r2.epsilon
         assert r1.histogram == r2.histogram
         assert r1.worst.defect == r2.worst.defect
@@ -1637,8 +1637,8 @@ class TestGroupedScoring:
         seen = spy_workers(monkeypatch)
         one = _grouped_report(family, count, workers=1, collect_pairs=True)
         two = _grouped_report(family, count, workers=2, collect_pairs=True)
-        # 64 chunks of 312 or 313 pairs, 2 chunks a group
-        assert seen == [(1, 32), (2, 32)]
+        # 64 chunks of 312 or 313 pairs, 5 chunks a group
+        assert seen == [(1, 13), (2, 13)]
         assert one.to_json_dict() == two.to_json_dict()
         assert two.to_json_dict() == _reference(family, count)[1].to_json_dict()
 
@@ -1660,16 +1660,16 @@ class TestPoolFloor:
 
     def test_batched_run_below_its_floor_stays_in_process(self, calls):
         measure_asm_sampled(tadpole_sampler(3), 2048, seed=1, workers=2)
-        # 64 chunks of 32 pairs, in groups of 25, 25 and 14 chunks
-        assert calls == [(3, 1)]
+        # 64 chunks of 32 pairs, in groups of 50 and 14 chunks
+        assert calls == [(2, 1)]
 
     def test_batched_run_from_its_floor_uses_the_pool(self, calls, monkeypatch):
         pool_floor(monkeypatch, 3000)
         for count in (3000, 2999):
             measure_sub(sr_sampler(SrParams(0.5)), pair_count=count, seed=1,
                         workers=2)
-        # 64 chunks of at most 47 pairs, in groups of 17, 17, 17 and 13
-        assert calls == [(4, 2), (4, 1)]
+        # 64 chunks of at most 47 pairs, in groups of 34 and 30
+        assert calls == [(2, 2), (2, 1)]
 
     def test_each_family_has_its_own_floor(self, monkeypatch):
         # 30,000 pairs reach the tadpole floor but not sr's, whose pool pays
@@ -1680,8 +1680,8 @@ class TestPoolFloor:
         reps = [measure_sub(sr_sampler(SrParams(0.5)), pair_count=30_000,
                             seed=3, workers=workers).to_json_dict()
                 for workers in (2, 1)]
-        # 64 chunks of 468 or 469 pairs, one chunk a group
-        assert seen == [(1, 64), (1, 64)]
+        # 64 chunks of 468 or 469 pairs, 3 chunks a group
+        assert seen == [(1, 22), (1, 22)]
         assert reps[0] == reps[1]
 
     @pytest.mark.parametrize("budget, count", [
