@@ -82,11 +82,12 @@ SUB_ZERO_TOL = 1e-9
 SAMPLE_CHUNKS = 64
 
 # Pairs of one stacked group of batched chunks, scored by one kernel call.
-# Medians of 21 in-process runs on 2 vCPUs, in 7 fresh interpreters each,
-# sizes interleaved: p = 5 tadpoles at 5,000 pairs take 18.9 ms with groups
-# of 800 pairs, 16.7 ms with 1,600 and 16.1 ms with 3,200, and sr at 12,000
-# pairs 15.4, 14.4 and 16.0 ms; against 800, peak RSS is 0.4 MB (tadpoles)
-# and 0.1 MB (sr) higher at 1,600, 1.3 MB (tadpoles) higher at 3,200.
+# Medians over 7 fresh interpreters per size, sizes interleaved, of each
+# one's median of 21 runs (2 vCPUs): p = 5 tadpoles at 5,000 pairs take
+# 18.9 ms with groups of 800 pairs, 16.7 ms with 1,600 and 16.1 ms with
+# 3,200, and sr at 12,000 pairs 15.4, 14.4 and 16.0 ms; against 800, peak
+# RSS is 0.4 MB (tadpoles) and 0.1 MB (sr) higher at 1,600, and 1.3 MB
+# (tadpoles) higher at 3,200.
 SAMPLE_GROUP_PAIRS = 1600
 
 
@@ -113,8 +114,9 @@ def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0) -> np.
     at their common denominator; row t is one pair.  Returns
     ``min(d, scale - d)`` for ``d = |gamma - (alpha + beta) % scale|`` as an
     array ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``.  The batched kernels
-    find the same minima by a sorted search; this full grid serves one pair's
-    witnesses and, in the tests, as their oracle.
+    find the same minima by a sorted search; this full grid serves one
+    pair's witnesses, integer triples past int64 and, in the tests, the
+    kernels' oracle.
     """
     m, na, nb = len(sa), sa.shape[1], sb.shape[1]
     prods = np.add(sa[:, :, None], sb[:, None, :]).reshape(m, na * nb)
