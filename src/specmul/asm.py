@@ -105,7 +105,8 @@ SAMPLE_GROUP_PAIRS = 1600
 _KERNEL_BLOCK = 1 << 15
 
 
-def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0) -> np.ndarray:
+def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
+              scale=1.0) -> np.ndarray:
     """Arc distance from every gamma to every product alpha*beta, batched.
 
     ``sa (m, |sigma(A)|)``, ``sb (m, |sigma(B)|)`` and ``sab (m, |sigma(AB)|)``

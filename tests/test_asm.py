@@ -1603,8 +1603,10 @@ def _grouped_report(family, count, **kw):
 
 
 SAMPLED_FAMILIES = ["tadpole2", "tadpole3", "tadpole5", "tadpole7", "sr"]
-GROUPED_COUNTS = [1, 63, 64, 65, asm.SAMPLE_GROUP_PAIRS - 1, asm.SAMPLE_GROUP_PAIRS,
-                  asm.SAMPLE_GROUP_PAIRS + 1, 5000, 24000]
+# pair counts around the chunk count (64), around 800 (the group budget
+# before it was 1,600) and around the group budget itself
+GROUPED_COUNTS = [1, 63, 64, 65, 799, 800, 801, asm.SAMPLE_GROUP_PAIRS - 1,
+                  asm.SAMPLE_GROUP_PAIRS, asm.SAMPLE_GROUP_PAIRS + 1, 5000, 24000]
 
 
 class TestGroupedScoring:
