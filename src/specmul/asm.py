@@ -25,7 +25,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Optional, Union
 
 import numpy as np
@@ -94,14 +94,14 @@ SAMPLE_GROUP_PAIRS = 1600
 # ---------------------------------------------------------------------------
 # defect cores
 
-# Products alpha + beta of one block of pair rows in the sorted-neighbour
-# kernels ``_gap_defects`` and ``_exact_defects``: larger batches go block by
-# block, so a block's sorted keys (complex in ``_gap_defects``) take at most
-# 512 KB whatever the batch size.  Medians of 41 (p = 5) and 11 (p = 13)
-# interleaved in-process runs on 2 vCPUs, 7 groups of 800 tadpole pairs
-# through ``_gap_defects``: p = 5 takes 10.6, 10.4 and 10.2 ms with 2^14,
-# 2^15 and 2^16 products a block, p = 13 53, 51 and 49 ms, and 61 ms with
-# 2^17.
+# Products alpha + beta of one block of pair rows in ``_arc_defects``:
+# larger batches go block by block, so a block's sorted keys (complex on
+# float turns) take at most 512 KB whatever the batch size.  Kernel calls
+# alone, medians of 21 interleaved in-process runs on 2 vCPUs, with 2^14,
+# 2^15 and 2^16 products a block: the MM(3,1201) scan's one int call 25.9,
+# 25.9 and 27.6 ms; p = 5 tadpoles (5,000 pairs, 4 calls) 6.8, 6.3 and
+# 6.4 ms with ``--exact`` and 8.8, 8.6 and 8.9 ms in floats; p = 13
+# ``--exact`` 36.8, 33.2 and 32.4 ms.
 _KERNEL_BLOCK = 1 << 15
 
 
@@ -114,10 +114,10 @@ def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     integer numerators (int64 while 2 * scale fits, Python ints otherwise)
     at their common denominator; row t is one pair.  Returns
     ``min(d, scale - d)`` for ``d = |gamma - (alpha + beta) % scale|`` as an
-    array ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``.  The batched kernels
-    find the same minima by a sorted search; this full grid serves one
+    array ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``.  ``_arc_defects``
+    finds the same minima by a sorted search; this full grid serves one
     pair's witnesses, integer triples past int64 and, in the tests, the
-    kernels' oracle.
+    batched kernel's oracle.
     """
     m, na, nb = len(sa), sa.shape[1], sb.shape[1]
     prods = np.add(sa[:, :, None], sb[:, None, :]).reshape(m, na * nb)
@@ -127,64 +127,6 @@ def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
         np.remainder(prods, scale, out=prods)
     diff = np.abs(np.subtract(sab[:, :, None], prods[:, None, :]))
     return np.minimum(diff, np.subtract(scale, diff), out=diff)
-
-
-def _gap_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
-                 pair: Optional[np.ndarray] = None) -> np.ndarray:
-    """Float defects of m triples, ``_arc_gaps(sa[pair], sb[pair], sab)
-    .min(axis=2).max(axis=1)`` bit for bit, found by a sorted-neighbour search
-    instead of the full grid: the float twin of ``_exact_defects``.
-
-    ``sa (P, wa)`` and ``sb (P, wb)`` hold the alpha and beta rows of P pairs,
-    ``sab (m, wab)`` the gamma rows of the m triples, all in float turns.
-    Triple t takes pair row ``pair[t]``; ``pair`` never decreases, and None
-    means ``pair[t] = t``.  Each block takes consecutive pair rows, sorts
-    their products (a + b) % 1.0 once per row and keys each product by the
-    complex number row + 1j * product.  numpy orders complex numbers by real
-    part, then imaginary part, so the flattened block is one sorted array, and
-    one ``searchsorted`` places every gamma, keyed row + 1j * gamma, among its
-    row's products exactly (a float row shift would round the angles).  The
-    gammas are sorted along each row first, which changes no maximum and
-    makes the whole search run forward.
-
-    IEEE subtraction rounds monotonically, so over a row |gamma - pi| is least
-    at one of gamma's two sorted neighbours and greatest at the row's first or
-    last product; 1.0 - x rounds monotonically too, so the grid's least
-    min(d, 1.0 - d) is min(nearest, 1.0 - farthest) exactly.  A gamma equal to
-    a product, or outside the row's range, clips its neighbour index.
-    """
-    m = len(sab)
-    if pair is None:
-        pair = np.arange(m)
-    na, nb = sa.shape[1], sb.shape[1]
-    width = na * nb
-    step = max(1, _KERNEL_BLOCK // width)
-    out = np.empty(m)
-    # the block of pair rows from lo takes the triples t0:t1 on them
-    bounds = np.searchsorted(pair, range(0, len(sa) + step, step))
-    for lo, t0, t1 in zip(range(0, len(sa), step), bounds, bounds[1:]):
-        part = slice(lo, lo + step)
-        keys = np.empty((len(sa[part]), na, nb), dtype=complex)
-        np.add(sa[part, :, None], sb[part, None, :], out=keys.imag)
-        keys = keys.reshape(-1, width)
-        _mod1(keys.imag, out=keys.imag, floor=keys.real)
-        keys.imag.sort(axis=1)
-        keys.real = np.arange(len(keys))[:, None]
-        # each triple's row in the block, and its gammas keyed on that row
-        rows = pair[t0:t1, None] - lo
-        gam = np.sort(sab[t0:t1], axis=1)
-        query = np.empty(gam.shape, dtype=complex)
-        query.real, query.imag = rows, gam
-        flat, start = keys.reshape(-1), rows * width
-        hi = flat.searchsorted(query) - start
-        prods = flat.imag
-        up = prods[start + np.minimum(hi, width - 1)]
-        dn = prods[start + np.maximum(hi - 1, 0)]
-        near = np.minimum(np.abs(gam - up), np.abs(gam - dn))
-        far = np.maximum(np.abs(gam - prods[start]),
-                         np.abs(gam - prods[start + width - 1]))
-        out[t0:t1] = np.minimum(near, 1.0 - far).max(axis=1)
-    return out
 
 
 def _defect_exact(sa, sb, sab, scale):
@@ -203,26 +145,36 @@ def _defect_exact(sa, sb, sab, scale):
     return int(per_g[gi]), int(sab[gi]), int(sa[ai]), int(sb[bi])
 
 
-def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
-                   scale: int, pair: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact defect numerators of m triples, ``_arc_gaps(sa[pair], sb[pair],
-    sab, scale).min(axis=2).max(axis=1)``, found by a sorted-neighbour search
-    instead of the full grid: the integer twin of ``_gap_defects``.
+def _arc_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0,
+                 pair: Optional[np.ndarray] = None) -> np.ndarray:
+    """Defects of m triples, ``_arc_gaps(sa[pair], sb[pair], sab, scale)
+    .min(axis=2).max(axis=1)``, found by a sorted-neighbour search instead of
+    the full grid: int64 numerators mod ``scale`` give int64 exactly, float
+    turns (``scale`` 1.0) give float64 bit for bit.
 
-    ``sa (P, wa)`` and ``sb (P, wb)`` hold the alpha and beta rows of P
-    pairs, ``sab (m, wab)`` the gamma rows of the m triples, all int64 angle
-    numerators mod ``scale``, each row padded with repeats of one of its
-    entries (repeats change neither the min nor the max).  Triple t takes
-    pair row ``pair[t]``; ``pair`` never decreases, and None means
-    ``pair[t] = t``.  Each block takes consecutive pair rows, sorts their
-    products (a + b) % scale once per row, shifts row r by r * 2 * scale so
-    that one ``searchsorted`` over the flattened block finds the circular
-    neighbours of every gamma of the triples on those rows, and takes the
-    arc distance min(t, scale - t) to the nearer one.  Sums a + b lie in
-    [0, 2 * scale) and gaps gamma - neighbour in (-scale, scale), so a
-    wrap-min on uint64 views, min(u, u - scale) and min(t, t + scale),
-    reduces each mod ``scale`` without a division.  When even one shifted
-    row would not fit in int64, all triples go through one ``_arc_gaps``
+    ``sa (P, wa)`` and ``sb (P, wb)`` hold the alpha and beta rows of P pairs,
+    ``sab (m, wab)`` the gamma rows of the m triples, each row padded with
+    repeats of one of its entries (repeats change neither the min nor the
+    max).  Triple t takes pair row ``pair[t]``; ``pair`` never decreases, and
+    None means ``pair[t] = t``.  Each block takes consecutive pair rows,
+    reduces their products a + b mod ``scale`` and sorts them once per row,
+    then keys row r's products so that the flattened block is one sorted
+    array: int numerators shifted by r * 2 * scale, float turns as the
+    complex number r + 1j * product (numpy orders complex numbers by real
+    part, then imaginary part; a float shift would round the angles).  Sums
+    of numerators lie in [0, 2 * scale), so a wrap-min on uint64 views,
+    min(u, u - scale), reduces them without a division.  One
+    ``searchsorted`` then places every gamma, keyed alike, among its row's
+    products; the gammas are sorted along each row first, which changes no
+    maximum and makes the whole search run forward.
+
+    Over a row |gamma - pi| is least at one of gamma's two sorted neighbours
+    (a gamma equal to a product, or outside the row's range, clips its
+    neighbour index) and greatest at the row's first or last product, and
+    scale - x is monotone, so the grid's least min(d, scale - d) is
+    min(nearest, scale - farthest).  That is exact on integers, and on floats
+    too, since IEEE subtraction rounds monotonically.  When even one shifted
+    int row would not fit in int64, all triples go through one ``_arc_gaps``
     grid at once as Python ints.
     """
     m = len(sab)
@@ -230,34 +182,46 @@ def _exact_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
         pair = np.arange(m)
     width = sa.shape[1] * sb.shape[1]
     step = max(1, _KERNEL_BLOCK // width)
-    # shifted values stay below rows * 2 * scale, sums (a + b) below 2 * scale
-    step = min(step, np.iinfo(np.int64).max // (2 * scale))
-    out = np.empty(m, dtype=np.int64)
-    if step < 1:
-        grid = _arc_gaps(sa[pair].astype(object), sb[pair].astype(object),
-                         sab.astype(object), scale)
-        out[:] = grid.min(axis=2).max(axis=1)
-        return out
+    exact = sab.dtype.kind != "f"
+    if exact:
+        # shifted values stay below rows * 2 * scale
+        step = min(step, np.iinfo(np.int64).max // (2 * scale))
+        if step < 1:
+            grid = _arc_gaps(sa[pair].astype(object), sb[pair].astype(object),
+                             sab.astype(object), scale)
+            return grid.min(axis=2).max(axis=1).astype(np.int64)
+    out = np.empty(m, dtype=sab.dtype)
     # the block of pair rows from lo takes the triples t0:t1 on them
     bounds = np.searchsorted(pair, range(0, len(sa) + step, step))
     for lo, t0, t1 in zip(range(0, len(sa), step), bounds, bounds[1:]):
         part = slice(lo, lo + step)
         prods = np.add(sa[part, :, None], sb[part, None, :]).reshape(-1, width)
-        u = prods.view(np.uint64)
-        np.minimum(u, u - scale, out=u)
-        prods.sort(axis=1)
-        prods += np.arange(len(prods), dtype=np.int64)[:, None] * (2 * scale)
-        # each triple's row in the block
+        # each triple's row in the block, and its gammas keyed on that row
         rows = pair[t0:t1, None] - lo
-        gam = sab[t0:t1] + rows * (2 * scale)
-        # each gamma's upper neighbour in its row and the entry before it,
-        # both wrapping round the row
-        flat, start = prods.reshape(-1), rows * width
-        hi = np.searchsorted(flat, gam) - start
-        near = np.stack((flat[start + hi % width], flat[start + (hi - 1) % width]))
-        t = (gam - near).view(np.uint64)
-        np.minimum(t, t + scale, out=t)
-        out[t0:t1] = np.minimum(t, scale - t).min(axis=0).max(axis=1)
+        gam = np.sort(sab[t0:t1], axis=1)
+        if exact:
+            u = prods.view(np.uint64)
+            np.minimum(u, u - scale, out=u)
+            prods.sort(axis=1)
+            prods += np.arange(len(prods))[:, None] * (2 * scale)
+            gam += rows * (2 * scale)
+            keys, query = prods, gam
+        else:
+            keys = np.empty(prods.shape, dtype=complex)
+            _mod1(prods, out=keys.imag, floor=keys.real)
+            keys.imag.sort(axis=1)
+            keys.real = np.arange(len(keys))[:, None]
+            query = np.empty(gam.shape, dtype=complex)
+            query.real, query.imag = rows, gam
+            prods = keys.imag
+        prods, start = prods.reshape(-1), rows * width
+        hi = keys.reshape(-1).searchsorted(query) - start
+        up = prods[start + np.minimum(hi, width - 1)]
+        dn = prods[start + np.maximum(hi - 1, 0)]
+        near = np.minimum(np.abs(gam - up), np.abs(gam - dn))
+        far = np.maximum(np.abs(gam - prods[start]),
+                         np.abs(gam - prods[start + width - 1]))
+        out[t0:t1] = np.minimum(near, scale - far).max(axis=1)
     return out
 
 
@@ -587,9 +551,8 @@ def _map_chunks(fn, chunk_args: list, workers: int) -> list:
 
 
 def _tadpole_batch_defects(drawn) -> np.ndarray:
-    if drawn.exact:
-        return _exact_defects(*drawn.spectra(), drawn.scale) / drawn.scale
-    return _gap_defects(*drawn.spectra())
+    scale = drawn.scale if drawn.exact else 1.0
+    return _arc_defects(*drawn.spectra(), scale) / scale
 
 
 def _sr_batch_defects(drawn) -> np.ndarray:
@@ -630,23 +593,21 @@ def _unique_codes(codes: np.ndarray, bound: int):
 
 
 def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
-                rows: np.ndarray, sizes: np.ndarray, kernel, negate,
-                collect_pairs: bool):
+                rows: np.ndarray, sizes: np.ndarray, scale, collect_pairs: bool):
     """Defects of the representative rows ``rows``: the unique
     (sigma(A), sigma(B), sigma(AB)) triples, one per symmetry orbit, go
-    through one ``kernel`` call, which takes each distinct (sigma(A),
+    through one ``_arc_defects`` call, which takes each distinct (sigma(A),
     sigma(B)) pair once and each triple's pair row.
     ``spectra`` holds the representatives' spectra as tuples of angles, int
-    numerators for an exact closure (``kernel`` is ``_exact_defects`` at
-    their scale) and float turns for a dense one (``_gap_defects``);
-    ``class_of`` gives each element's class and ``sizes`` each class's size.
-    ``negate`` maps a spectrum to its negation, the spectrum of the
-    inverses.  sigma(BA) = sigma(AB) and B^-1 A^-1 = (AB)^-1, and negation
-    keeps arc distances, so (a, b, c), (b, a, c), (-b, -a, -c) and
-    (-a, -b, -c) have one defect: only the least code of each orbit is
-    scored.  A dense closure's ``negate`` is the identity, since -x mod 1
-    rounds, and its orbits are the swaps alone, which the float kernel
-    scores bit for bit alike.
+    numerators over ``scale`` for an exact closure and float turns (``scale``
+    1.0) for a dense one; ``class_of`` gives each element's class and
+    ``sizes`` each class's size.  sigma(BA) = sigma(AB) and
+    B^-1 A^-1 = (AB)^-1, and negation (the spectrum of the inverses) keeps
+    arc distances, so (a, b, c), (b, a, c), (-b, -a, -c) and (-a, -b, -c)
+    have one defect: only the least code of each orbit is scored.  A dense
+    closure takes each spectrum as its own negation, since -x mod 1 rounds,
+    so its orbits are the swaps alone, which the kernel scores bit for bit
+    alike on floats.
     Returns (the unique triples' defects, each one's pair count: its row
     entries weighted by their class sizes, the first row-major (r, j) whose
     triple attains the maximum, full grid or None).
@@ -656,7 +617,8 @@ def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     class_sid = np.array([rep_ids.setdefault(s, len(rep_ids)) for s in spectra],
                          dtype=np.int64)
     uniq_reps = list(rep_ids)
-    neg = [rep_ids.get(negate(s)) for s in uniq_reps]
+    neg = [rep_ids.get(_negated(s, scale) if closure.exact else s)
+           for s in uniq_reps]
     if None in neg:
         raise ClosureInvariantError(
             "a class spectrum's negation is no class spectrum; the closure "
@@ -693,8 +655,8 @@ def _class_rows(closure: GroupClosure, spectra: list, class_of: np.ndarray,
     fresh = np.ones(len(orbits), dtype=bool)
     fresh[1:] = np.diff(orbits // ns) != 0
     starts = np.flatnonzero(fresh)
-    tri_defects = kernel(padded[oa[starts]], padded[ob[starts]], padded[oab],
-                         pair=np.cumsum(fresh) - 1)[back]
+    tri_defects = _arc_defects(padded[oa[starts]], padded[ob[starts]],
+                               padded[oab], scale, np.cumsum(fresh) - 1)[back]
     counts = np.bincount(inv, weights=np.broadcast_to(sizes[:, None],
                                                       rows.shape).reshape(-1))
     first = int((tri_defects == tri_defects.max())[inv].argmax())
@@ -745,10 +707,10 @@ def measure_asm(
     A pair's defect depends only on sigma(A), sigma(B) and sigma(AB), and a
     spectrum is a class function, so one process scores one Cayley row per
     conjugacy class, each spectrum its class representative's: the unique
-    triples go through one kernel call, in integers for exact closures and
-    in floats for dense ones (off an all-pairs scan only by rounding), one
-    triple per symmetry orbit (``_class_rows``).  An exact closure reads
-    its k representatives' int angles off their monomial rows
+    triples go through one ``_arc_defects`` call, in integers for exact
+    closures and in floats for dense ones (off an all-pairs scan only by
+    rounding), one triple per symmetry orbit (``_class_rows``).  An exact
+    closure reads its k representatives' int angles off their monomial rows
     (``_MonomialCode.int_spectra``) and builds ``Spectrum`` objects only for
     the worst pair's classes.  A dense closure eigensolves exactly its k
     representatives, stacked (``_dense_spectra``), after every element
@@ -769,8 +731,6 @@ def measure_asm(
     rows = closure.cayley_rows(reps)
     if closure.exact:
         angles, scale = elements.code.int_spectra(elements.rows[reps])
-        kernel = partial(_exact_defects, scale=scale)
-        negate = partial(_negated, scale=scale)
 
         def spectrum(c):
             return elements[int(reps[c])].spectrum()
@@ -778,11 +738,9 @@ def measure_asm(
         _require_unitary(elements.rows)
         spectra = _dense_spectra(elements.rows[reps])
         angles = [tuple(s.angles().tolist()) for s in spectra]
-        # -x mod 1 rounds, so a dense run's orbits are the swaps alone
-        scale, kernel, spectrum, negate = (1, _gap_defects, spectra.__getitem__,
-                                           lambda s: s)
+        scale, spectrum = 1.0, spectra.__getitem__
     tri_defects, counts, (r, j), grid = _class_rows(
-        closure, angles, class_of, rows, sizes, kernel, negate, collect_pairs)
+        closure, angles, class_of, rows, sizes, scale, collect_pairs)
     i = int(reps[r])
     classes = (r, class_of[j], class_of[rows[r, j]])
     worst = _spectra_pair(*map(spectrum, classes), ("elements", i, j),

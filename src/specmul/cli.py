@@ -34,10 +34,9 @@ import numpy as np
 from .asm import (
     AsmReport,
     DEFAULT_BINS,
+    _arc_defects,
     _chord_defects,
     _eig_from_json,
-    _exact_defects,
-    _gap_defects,
     conversion_check,
     measure_asm,
     measure_asm_sampled,
@@ -382,10 +381,11 @@ def _verify_tadpole_closure(args) -> tuple[bool, dict]:
     if not is_prime(p):
         raise SpecmulError("p must be prime")
     # the restricted group has p^(3p-2) elements; beyond p=3 it busts any
-    # sensible budget
-    if p ** (3 * p - 2) > args.max_elements:
+    # sensible budget.  p^k >= 2^k exceeds the budget once k passes its bit
+    # length, so the power is never built past that
+    if p ** min(3 * p - 2, args.max_elements.bit_length()) > args.max_elements:
         raise SpecmulError(
-            f"restricted closure would have {p ** (3 * p - 2)} elements; "
+            f"restricted closure would have {p}^{3 * p - 2} elements; "
             f"over the --max-elements budget")
     pgens = _restricted_tadpole_generators(p)
     closure = close([tadpole(g) for g in pgens], max_elements=args.max_elements)
@@ -413,7 +413,7 @@ def _verify_tadpole_bound(args) -> tuple[bool, dict]:
     float_tol = float(bound) + args.tol
     for lo in range(0, args.pairs, VERIFY_BLOCK):
         drawn = tadpole_sampler(p).batch(rng, min(VERIFY_BLOCK, args.pairs - lo))
-        vals = _gap_defects(*drawn.spectra())
+        vals = _arc_defects(*drawn.spectra())
         max_defect = max(max_defect, float(vals.max()))
         hits = np.flatnonzero(vals > float_tol)
         if hits.size and bad is None:
@@ -424,7 +424,7 @@ def _verify_tadpole_bound(args) -> tuple[bool, dict]:
     # every other case has defect 0
     exact_pairs = min(args.pairs, 2000)
     drawn = tadpole_sampler(p, exact=True).batch(rng, exact_pairs)
-    nums = _exact_defects(*drawn.spectra(), drawn.scale)
+    nums = _arc_defects(*drawn.spectra(), drawn.scale)
     cases = _tadpole_cases(*drawn.k.T, p)
     fails = np.flatnonzero(np.where(cases == 4, nums > int(bound * drawn.scale),
                                     nums != 0))

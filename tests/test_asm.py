@@ -598,7 +598,8 @@ class TestBatchedKernel:
         sa, sb, sab = (rng.random((37, w)) for w in (3, 4, 5))
         want = [asm._defect_float(sa[t], sb[t], sab[t])[0] for t in range(37)]
         monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
-        assert asm._gap_defects(sa, sb, sab).tolist() == want
+        got = asm._arc_defects(sa, sb, sab)
+        assert got.dtype == np.float64 and got.tolist() == want
 
     def test_dense_rows_match_pair_defects(self):
         c = _dense_mm_closure(5)
@@ -743,7 +744,7 @@ class TestClassReducedScan:
         n = c.order
         # every pair through the float kernel, sigma(AB) from the full table
         angles = np.array([e.spectrum().angles() for e in c.elements])
-        ref = asm._gap_defects(np.repeat(angles, n, axis=0),
+        ref = asm._arc_defects(np.repeat(angles, n, axis=0),
                                np.tile(angles, (n, 1)),
                                angles[c.cayley_table().reshape(-1)])
         assert abs(r.epsilon - ref.max()) < 1e-13
@@ -1015,15 +1016,15 @@ class TestExactKernel:
     def test_matches_scalar_on_every_unique_triple(self, name, monkeypatch):
         seen = []
 
-        def checked(sa, sb, sab, scale, pair=None):
+        def checked(sa, sb, sab, scale=1.0, pair=None):
             out = kernel(sa, sb, sab, scale, pair)
             seen.append((len(out), len(sa)))
             assert np.all(np.diff(pair) >= 0) and len(np.unique(pair)) == len(sa)
             assert out.tolist() == _scalar_defects(sa[pair], sb[pair], sab, scale)
             return out
 
-        kernel = asm._exact_defects
-        monkeypatch.setattr(asm, "_exact_defects", checked)
+        kernel = asm._arc_defects
+        monkeypatch.setattr(asm, "_arc_defects", checked)
         measure_asm(close(KERNEL_GROUPS[name]()))
         assert len(seen) == 1 and seen[0][0] >= seen[0][1] >= 1
         if name == "mm13_157":
@@ -1038,8 +1039,7 @@ class TestExactKernel:
 
         def spy(closure, spectra, class_of, rows, *rest):
             out = real(closure, spectra, class_of, rows, *rest)
-            kernel = rest[1]
-            calls.append((spectra, class_of, rows, kernel.keywords["scale"], out[0]))
+            calls.append((spectra, class_of, rows, rest[1], out[0]))
             return out
 
         monkeypatch.setattr(asm, "_class_rows", spy)
@@ -1066,7 +1066,7 @@ class TestExactKernel:
 
         members = [(a, b, c), (b, a, c), (neg(b), neg(a), neg(c)),
                    (neg(a), neg(b), neg(c))]
-        got = [asm._exact_defects(*map(_padded, m), scale).tolist() for m in members]
+        got = [asm._arc_defects(*map(_padded, m), scale).tolist() for m in members]
         assert got == got[:1] * 4
 
     @settings(max_examples=60, deadline=None)
@@ -1075,8 +1075,8 @@ class TestExactKernel:
                     min_size=1, max_size=12))
     def test_float_swap_members_have_one_defect(self, triples):
         a, b, c = (_padded([t[k] for t in triples], float) for k in range(3))
-        assert (asm._gap_defects(a, b, c).tobytes()
-                == asm._gap_defects(b, a, c).tobytes())
+        assert (asm._arc_defects(a, b, c).tobytes()
+                == asm._arc_defects(b, a, c).tobytes())
 
     def test_missing_negated_spectrum_is_refused(self):
         # a complete group holds every spectrum's negation; a list without
@@ -1089,15 +1089,14 @@ class TestExactKernel:
         assert tuple(sorted((-x) % scale for x in angles[-1])) not in angles
         with pytest.raises(ClosureInvariantError, match="negation"):
             asm._class_rows(c, angles, class_of, c.cayley_rows(reps), sizes,
-                            partial(asm._exact_defects, scale=scale),
-                            partial(asm._negated, scale=scale), False)
+                            scale, False)
 
     @settings(max_examples=60, deadline=None)
     @given(RANDOM_TRIPLES)
     def test_random_spectra_of_unequal_lengths(self, case):
         scale, triples = case
         sa, sb, sab = (_padded([t[k] for t in triples]) for k in range(3))
-        assert (asm._exact_defects(sa, sb, sab, scale).tolist()
+        assert (asm._arc_defects(sa, sb, sab, scale).tolist()
                 == _scalar_defects(sa, sb, sab, scale))
 
     @pytest.mark.parametrize("block", [1, 50, 400, asm._KERNEL_BLOCK])
@@ -1109,7 +1108,8 @@ class TestExactKernel:
                        for _ in range(3))
         want = _scalar_defects(sa, sb, sab, scale)
         monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
-        assert asm._exact_defects(sa, sb, sab, scale).tolist() == want
+        got = asm._arc_defects(sa, sb, sab, scale)
+        assert got.dtype == np.int64 and got.tolist() == want
 
     @pytest.mark.parametrize("block", [1, 50, asm._KERNEL_BLOCK])
     @pytest.mark.parametrize("scale", [2, 157 * 13, 2**62 - 3, 2**63 - 25])
@@ -1125,12 +1125,13 @@ class TestExactKernel:
         sab = _padded([rng.integers(0, scale, size=w).tolist()
                        for w in rng.integers(1, 6, size=len(pair))])
         monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
-        got = asm._exact_defects(sa, sb, sab, scale, pair)
+        got = asm._arc_defects(sa, sb, sab, scale, pair)
+        assert got.dtype == np.int64
         assert got.tolist() == _scalar_defects(sa[pair], sb[pair], sab, scale)
-        assert np.array_equal(got, asm._exact_defects(sa[pair], sb[pair], sab, scale))
+        assert np.array_equal(got, asm._arc_defects(sa[pair], sb[pair], sab, scale))
         fa, fb, fab = (x.astype(float) / scale for x in (sa, sb, sab))
-        assert (asm._gap_defects(fa, fb, fab, pair=pair).tobytes()
-                == asm._gap_defects(fa[pair], fb[pair], fab).tobytes())
+        assert (asm._arc_defects(fa, fb, fab, pair=pair).tobytes()
+                == asm._arc_defects(fa[pair], fb[pair], fab).tobytes())
 
     @pytest.mark.parametrize("scale", [2**62 - 3, 2**62 + 5, 2**63 - 25])
     def test_scales_near_the_int64_limit(self, scale):
@@ -1141,8 +1142,9 @@ class TestExactKernel:
         sa, sb = _padded(rows), _padded(rows[::-1])
         sab = _padded([[scale // 7, 5], [scale - 1], [2 * (scale // 5)], [3],
                        [scale // 2 + 1], [scale // 11, scale - 4]])
-        assert (asm._exact_defects(sa, sb, sab, scale).tolist()
-                == _scalar_defects(sa, sb, sab, scale))
+        got = asm._arc_defects(sa, sb, sab, scale)
+        assert got.dtype == np.int64
+        assert got.tolist() == _scalar_defects(sa, sb, sab, scale)
 
 
 # float turns where gammas meet products exactly (sums of k/64 are exact),
@@ -1153,8 +1155,8 @@ EDGE_TURNS = (st.integers(0, 63).map(lambda k: k / 64)
 
 
 class TestFloatKernel:
-    """``_gap_defects``, the sorted-neighbour search, against the full
-    ``_arc_gaps`` grid, bit for bit."""
+    """``_arc_defects`` on float turns, the sorted-neighbour search, against
+    the full ``_arc_gaps`` grid, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1175,7 +1177,7 @@ class TestFloatKernel:
         for block in (1, 50, asm._KERNEL_BLOCK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(asm, "_KERNEL_BLOCK", block)
-                got = asm._gap_defects(sa, sb, sab, pair)
+                got = asm._arc_defects(sa, sb, sab, pair=pair)
             assert got.tobytes() == want.tobytes()
 
     def test_gamma_across_the_wrap(self):
@@ -1184,7 +1186,7 @@ class TestFloatKernel:
         # the wrap, and gamma 1/2 nearer its lower neighbour 3/8 than 3/4
         sa, sb = np.array([[0.0, 3 / 8, 3 / 4]]), np.array([[1 - 2**-53]])
         for sab, want in (([[0.0]], 2**-53), ([[0.5]], 1 / 8)):
-            got = asm._gap_defects(sa, sb, np.array(sab))
+            got = asm._arc_defects(sa, sb, np.array(sab))
             assert got.tolist() == [want]
             assert got.tobytes() == (asm._arc_gaps(sa, sb, np.array(sab))
                                      .min(axis=2).max(axis=1).tobytes())
@@ -1265,7 +1267,8 @@ class TestExactWitness:
                        for _ in range(3))
         want = _scalar_defects(sa, sb, sab, scale)
         monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
-        assert asm._exact_defects(sa, sb, sab, scale).tolist() == want
+        got = asm._arc_defects(sa, sb, sab, scale)
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def _sub_pairs() -> list:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from specmul import cli, linalg
-from specmul.asm import AsmReport, _gap_defects, pair_defect
+from specmul.asm import AsmReport, _arc_defects, pair_defect
 from specmul.cli import main
 from specmul.linalg import Dense, matrix_from_json, matrix_to_json
 from specmul.circle import _point_from_json
@@ -494,6 +495,17 @@ class TestVerify:
                            "--deterministic")
         assert code == 1 and "budget" in err
 
+    @pytest.mark.parametrize("p", [1009, 1000003])
+    def test_closure_budget_guard_at_large_p(self, capsys, p):
+        # the order p^(3p-2) is compared with the budget, never built or
+        # printed in full: at p = 1009 it has over 4,300 digits
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "tadpole-closure", "--p", str(p),
+                           "--deterministic")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and f"would have {p}^{3 * p - 2} elements" in err
+        assert "budget" in err
+
     def test_lemma_counterexample_keeps_exact_points(self):
         # a negative tolerance turns the first trial, an exact one, into a
         # counterexample
@@ -539,7 +551,7 @@ class TestVerifyTadpoleBound:
         rng = np.random.default_rng(4)
         merged = TadpoleBatch.concat([tadpole_sampler(3).batch(rng, count)
                                       for count in (128,) * 5 + (60,)])
-        vals = _gap_defects(*merged.spectra())
+        vals = _arc_defects(*merged.spectra())
         t = int(np.flatnonzero(vals > 1 / 18 - 0.0002)[0])
         assert not ok and t >= 128
         assert evidence["max_defect"] == float(vals.max())
@@ -551,15 +563,17 @@ class TestVerifyTadpoleBound:
                                            for c in (1, 2, 3, 4)}
 
     def test_first_exact_failure_is_the_counterexample(self, monkeypatch):
-        # exact pairs 5 and 9 get a defect just past the bound 1/18
-        real = cli._exact_defects
+        # exact pairs 5 and 9 get a defect just past the bound 1/18; the
+        # float pairs keep theirs
+        real = cli._arc_defects
 
         def broken(*args):
             nums = real(*args)
-            nums[[5, 9]] = 4
+            if nums.dtype == np.int64:
+                nums[[5, 9]] = 4
             return nums
 
-        monkeypatch.setattr(cli, "_exact_defects", broken)
+        monkeypatch.setattr(cli, "_arc_defects", broken)
         args = argparse.Namespace(p=3, seed=4, pairs=700, tol=0.0)
         ok, evidence = cli._verify_tadpole_bound(args)
         assert not ok
@@ -571,7 +585,7 @@ class TestVerifyTadpoleBound:
             "case": tadpole_case(a, b), "defect": "2/27",
             "a": a.to_json_dict(), "b": b.to_json_dict()}
         assert all(x.is_exact for x in a.d + b.d)
-        monkeypatch.setattr(cli, "_exact_defects", real)
+        monkeypatch.setattr(cli, "_arc_defects", real)
         assert cli._verify_tadpole_bound(args)[1]["counterexample"] is None
 
 
