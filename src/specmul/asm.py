@@ -95,13 +95,14 @@ SAMPLE_GROUP_PAIRS = 1600
 # defect cores
 
 # Products alpha + beta of one block of pair rows in ``_arc_defects``:
-# larger batches go block by block, so a block's sorted keys (complex on
-# float turns) take at most 512 KB whatever the batch size.  Kernel calls
-# alone, medians of 21 interleaved in-process runs on 2 vCPUs, with 2^14,
-# 2^15 and 2^16 products a block: the MM(3,1201) scan's one int call 25.9,
-# 25.9 and 27.6 ms; p = 5 tadpoles (5,000 pairs, 4 calls) 6.8, 6.3 and
-# 6.4 ms with ``--exact`` and 8.8, 8.6 and 8.9 ms in floats; p = 13
-# ``--exact`` 36.8, 33.2 and 32.4 ms.
+# larger batches go block by block, so a block's sorted products take at
+# most 256 KB whatever the batch size.  Kernel calls alone, medians of 21
+# interleaved in-process runs on 2 vCPUs (the quietest of three fresh
+# interpreters), with 2^14, 2^15 and 2^16 products a block: the
+# MM(3,1201) scan's one int call 27.3, 27.7 and 28.5 ms; tadpoles at
+# 5,000 pairs (4 calls), p = 5 ``--exact`` 6.9, 6.3 and 6.3 ms and in
+# floats 8.4, 6.9 and 6.8 ms, p = 13 ``--exact`` 36.9, 33.4 and 33.5 ms
+# and in floats 46.6, 37.6 and 33.3 ms.
 _KERNEL_BLOCK = 1 << 15
 
 
@@ -158,15 +159,18 @@ def _arc_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0,
     max).  Triple t takes pair row ``pair[t]``; ``pair`` never decreases, and
     None means ``pair[t] = t``.  Each block takes consecutive pair rows,
     reduces their products a + b mod ``scale`` and sorts them once per row,
-    then keys row r's products so that the flattened block is one sorted
-    array: int numerators shifted by r * 2 * scale, float turns as the
-    complex number r + 1j * product (numpy orders complex numbers by real
-    part, then imaginary part; a float shift would round the angles).  Sums
-    of numerators lie in [0, 2 * scale), so a wrap-min on uint64 views,
-    min(u, u - scale), reduces them without a division.  One
-    ``searchsorted`` then places every gamma, keyed alike, among its row's
-    products; the gammas are sorted along each row first, which changes no
-    maximum and makes the whole search run forward.
+    in one contiguous (rows, width) array, then counts for every gamma the
+    products below it in its own row (``searchsorted(side="left")`` within
+    the row).  Int numerators are shifted by r * 2 * scale in row r, so the
+    flattened block is one sorted array and one ``searchsorted`` places
+    every gamma, shifted alike; sums of numerators lie in [0, 2 * scale), so
+    a wrap-min on uint64 views, min(u, u - scale), reduces them without a
+    division.  Float turns cannot be shifted (a float offset would round the
+    angles): every gamma of the block takes one branchless binary search at
+    once, over s the powers of two up to the width, largest first, moving
+    its count up to min(count + s, width) while the product there lies
+    below gamma.  The gammas are sorted along each row first, which changes
+    no maximum.
 
     Over a row |gamma - pi| is least at one of gamma's two sorted neighbours
     (a gamma equal to a product, or outside the row's range, clips its
@@ -196,8 +200,9 @@ def _arc_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0,
     for lo, t0, t1 in zip(range(0, len(sa), step), bounds, bounds[1:]):
         part = slice(lo, lo + step)
         prods = np.add(sa[part, :, None], sb[part, None, :]).reshape(-1, width)
-        # each triple's row in the block, and its gammas keyed on that row
+        # each triple's first product in the flattened block, and its gammas
         rows = pair[t0:t1, None] - lo
+        start = rows * width
         gam = np.sort(sab[t0:t1], axis=1)
         if exact:
             u = prods.view(np.uint64)
@@ -205,17 +210,18 @@ def _arc_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0,
             prods.sort(axis=1)
             prods += np.arange(len(prods))[:, None] * (2 * scale)
             gam += rows * (2 * scale)
-            keys, query = prods, gam
+            prods = prods.reshape(-1)
+            hi = prods.searchsorted(gam) - start
         else:
-            keys = np.empty(prods.shape, dtype=complex)
-            _mod1(prods, out=keys.imag, floor=keys.real)
-            keys.imag.sort(axis=1)
-            keys.real = np.arange(len(keys))[:, None]
-            query = np.empty(gam.shape, dtype=complex)
-            query.real, query.imag = rows, gam
-            prods = keys.imag
-        prods, start = prods.reshape(-1), rows * width
-        hi = keys.reshape(-1).searchsorted(query) - start
+            _mod1(prods, out=prods)
+            prods.sort(axis=1)
+            prods = prods.reshape(-1)
+            hi = np.zeros(gam.shape, dtype=np.intp)
+            s = 1 << (width.bit_length() - 1)
+            while s:
+                cand = np.minimum(hi + s, width)
+                hi = np.where(prods[start - 1 + cand] < gam, cand, hi)
+                s >>= 1
         up = prods[start + np.minimum(hi, width - 1)]
         dn = prods[start + np.maximum(hi - 1, 0)]
         near = np.minimum(np.abs(gam - up), np.abs(gam - dn))

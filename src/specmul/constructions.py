@@ -86,18 +86,35 @@ DET_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # shared small helpers
 
+# Miller-Rabin over the prime bases 2 ... 41 is exact below the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017),
+# which is this.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; n at or above
+    ``_MR_LIMIT``, where the bases would no longer prove it, is refused."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MR_LIMIT:
+        raise InvalidParamsError(f"primality is decided only below {_MR_LIMIT}")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    r = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    d = (n - 1) >> r
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -112,13 +129,12 @@ def primes_up_to(n: int) -> list[int]:
     return [int(p) for p in np.nonzero(sieve)[0]]
 
 
-def _mod1(x: np.ndarray, out: Optional[np.ndarray] = None,
-          floor: Optional[np.ndarray] = None) -> np.ndarray:
-    """``x % 1.0`` of a float array as ``x - floor(x)``, into ``out`` (and
-    ``floor`` as scratch) if given.  Both round the exact x - floor(x) once,
-    so they agree bit for bit (+0.0 for integers and -0.0, nan for +-inf);
-    the subtraction costs a fraction of numpy's float remainder."""
-    return np.subtract(x, np.floor(x, out=floor), out=out)
+def _mod1(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``x % 1.0`` of a float array as ``x - floor(x)``, into ``out`` if
+    given.  Both round the exact x - floor(x) once, so they agree bit for
+    bit (+0.0 for integers and -0.0, nan for +-inf); the subtraction costs a
+    fraction of numpy's float remainder."""
+    return np.subtract(x, np.floor(x), out=out)
 
 
 def cycle_matrix(p: int) -> UMatrix:

@@ -33,6 +33,7 @@ from specmul.constructions import (
     SrElement,
     SrSampler,
     TadpoleSampler,
+    _mod1,
     is_prime,
     SrParams,
     default_miller_moreno,
@@ -1173,6 +1174,35 @@ class TestFloatKernel:
         pair = np.array(sorted(data.draw(st.lists(st.integers(0, n - 1),
                                                   min_size=1, max_size=20))))
         sa, sb, sab = rows(n), rows(n), rows(len(pair))
+        want = asm._arc_gaps(sa[pair], sb[pair], sab).min(axis=2).max(axis=1)
+        for block in (1, 50, asm._KERNEL_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(asm, "_KERNEL_BLOCK", block)
+                got = asm._arc_defects(sa, sb, sab, pair=pair)
+            assert got.tobytes() == want.tobytes()
+
+    # product widths on both sides of powers of two, where the probe loop
+    # of the binary search gains a step
+    @pytest.mark.parametrize("wa, wb", [(1, 1), (1, 2), (3, 1), (2, 2), (7, 9),
+                                        (8, 8), (5, 13), (10, 10), (8, 16),
+                                        (3, 43)])
+    def test_every_width_against_the_grid(self, wa, wb):
+        rng = np.random.default_rng(wa * 100 + wb)
+        n = 6
+        sa, sb = rng.random((n, wa)), rng.random((n, wb))
+        prods = np.add(sa[:, :, None], sb[:, None, :]).reshape(n, -1)
+        _mod1(prods, out=prods)
+        lo, top = prods.min(axis=1), prods.max(axis=1)
+        pair = np.repeat(np.arange(n), [2, 0, 1, 3, 1, 2])
+        # per triple: a gamma equal to a product of its row, one below the
+        # row's first product, one above its last, and two anywhere
+        sab = np.column_stack([
+            prods[pair, rng.integers(0, wa * wb, len(pair))],
+            np.nextafter(lo[pair], 0.0),
+            np.nextafter(top[pair], 1.0),
+            rng.random((len(pair), 2)),
+        ])
+        sab[sab == 1.0] = 0.0
         want = asm._arc_gaps(sa[pair], sb[pair], sab).min(axis=2).max(axis=1)
         for block in (1, 50, asm._KERNEL_BLOCK):
             with pytest.MonkeyPatch.context() as mp:

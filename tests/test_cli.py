@@ -469,6 +469,19 @@ class TestQset:
         assert code == 0
         assert all(v["q"] <= 50 for v in json.loads(out)["report"]["verdicts"])
 
+    def test_guard_after_a_large_prime_p(self, capsys):
+        # p = 10^18 + 3 is prime; the check must not stall before the guard
+        code, out, err = run(capsys, "qset", "--p", "1000000000000000003",
+                             "--eps", "1/10000000000000000000000",
+                             "--deterministic")
+        assert code == 1 and not out and "--q-max" in err
+
+    def test_p_past_the_primality_bound_exits_1(self, capsys):
+        code, out, err = run(capsys, "qset", "--p", str(10**25),
+                             "--eps", f"1/{10**26}",
+                             "--deterministic")
+        assert code == 1 and not out and err.startswith("error: primality")
+
 
 class TestVerify:
     @pytest.mark.parametrize("argv", [

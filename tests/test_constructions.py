@@ -65,8 +65,24 @@ def naive_is_prime(n):
 
 class TestPrimes:
     def test_small_values(self):
-        got = [n for n in range(200) if is_prime(n)]
-        assert got == [n for n in range(200) if naive_is_prime(n)]
+        got = [n for n in range(10_000) if is_prime(n)]
+        assert got == [n for n in range(10_000) if naive_is_prime(n)]
+
+    @pytest.mark.parametrize("n", [10**18 + 3, 2**61 - 1])
+    def test_large_primes(self, n):
+        assert is_prime(n)
+
+    # strong pseudoprimes to the bases 2..7, 2..31 and 2..37
+    @pytest.mark.parametrize("n", [3_215_031_751, 3_825_123_056_546_413_051,
+                                   318_665_857_834_031_151_167_461])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_refuses_n_past_the_proven_bound(self):
+        limit = constructions._MR_LIMIT
+        assert not is_prime(limit - 1)
+        with pytest.raises(InvalidParamsError):
+            is_prime(limit)
 
     def test_sieve_matches_trial_division(self):
         assert primes_up_to(997) == [n for n in range(998) if naive_is_prime(n)]
@@ -175,8 +191,7 @@ class TestTadpoleParams:
             TadpoleParams.from_json_dict(d)
 
     def test_json_large_prime_is_refused_before_the_primality_test(self):
-        # trial division up to sqrt(2^61 - 1) would take minutes; the
-        # diagonal's length refuses this p at once
+        # the diagonal's length is checked first and refuses this p
         d = {**tadpole_identity(3).to_json_dict(), "p": 2 ** 61 - 1}
         with pytest.raises(InvalidParamsError, match="length p"):
             TadpoleParams.from_json_dict(d)
@@ -439,8 +454,8 @@ class TestMod1:
         with np.errstate(invalid="ignore"):
             want = np.remainder(x, 1.0)
             got = constructions._mod1(x)
-            out, floor = np.empty_like(x), np.empty_like(x)
-            into = constructions._mod1(x, out=out, floor=floor)
+            out = np.empty_like(x)
+            into = constructions._mod1(x, out=out)
             in_place = x.copy()
             constructions._mod1(in_place, out=in_place)
         nan = np.isnan(want)
