@@ -96,13 +96,13 @@ SAMPLE_GROUP_PAIRS = 1600
 
 # Products alpha + beta of one block of pair rows in ``_arc_defects``:
 # larger batches go block by block, so a block's sorted products take at
-# most 256 KB whatever the batch size.  Kernel calls alone, medians of 21
-# interleaved in-process runs on 2 vCPUs (the quietest of three fresh
-# interpreters), with 2^14, 2^15 and 2^16 products a block: the
-# MM(3,1201) scan's one int call 27.3, 27.7 and 28.5 ms; tadpoles at
-# 5,000 pairs (4 calls), p = 5 ``--exact`` 6.9, 6.3 and 6.3 ms and in
-# floats 8.4, 6.9 and 6.8 ms, p = 13 ``--exact`` 36.9, 33.4 and 33.5 ms
-# and in floats 46.6, 37.6 and 33.3 ms.
+# most 256 KB whatever the batch size.  Kernel calls alone on 2 vCPUs,
+# medians over 7 fresh interpreters of each one's median of 21 runs, with
+# 2^14, 2^15 and 2^16 products a block: the MM(3,1201) scan's one int call
+# 23.3, 23.4 and 25.9 ms; tadpoles at 5,000 pairs (4 calls), p = 5
+# ``--exact`` 6.5, 5.5 and 5.4 ms and in floats 6.8, 5.4 and 5.3 ms, p = 13
+# ``--exact`` 41.8, 33.7 and 31.2 ms and in floats 41.2, 31.5 and 27.9 ms:
+# 2^16 would gain on tadpoles and lose on the int scan.
 _KERNEL_BLOCK = 1 << 15
 
 
@@ -117,8 +117,7 @@ def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     ``min(d, scale - d)`` for ``d = |gamma - (alpha + beta) % scale|`` as an
     array ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``.  ``_arc_defects``
     finds the same minima by a sorted search; this full grid serves one
-    pair's witnesses, integer triples past int64 and, in the tests, the
-    batched kernel's oracle.
+    pair's witnesses and, in the tests, the batched kernel's oracle.
     """
     m, na, nb = len(sa), sa.shape[1], sb.shape[1]
     prods = np.add(sa[:, :, None], sb[:, None, :]).reshape(m, na * nb)
@@ -158,70 +157,50 @@ def _arc_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0,
     repeats of one of its entries (repeats change neither the min nor the
     max).  Triple t takes pair row ``pair[t]``; ``pair`` never decreases, and
     None means ``pair[t] = t``.  Each block takes consecutive pair rows,
-    reduces their products a + b mod ``scale`` and sorts them once per row,
-    in one contiguous (rows, width) array, then counts for every gamma the
-    products below it in its own row (``searchsorted(side="left")`` within
-    the row).  Int numerators are shifted by r * 2 * scale in row r, so the
-    flattened block is one sorted array and one ``searchsorted`` places
-    every gamma, shifted alike; sums of numerators lie in [0, 2 * scale), so
-    a wrap-min on uint64 views, min(u, u - scale), reduces them without a
-    division.  Float turns cannot be shifted (a float offset would round the
-    angles): every gamma of the block takes one branchless binary search at
-    once, over s the powers of two up to the width, largest first, moving
-    its count up to min(count + s, width) while the product there lies
-    below gamma.  The gammas are sorted along each row first, which changes
-    no maximum.
+    reduces their products a + b mod ``scale`` (int sums, in [0, 2 * scale),
+    by a wrap-min on uint64 views, min(u, u - scale), with no division) and
+    sorts them along rows in one contiguous (rows, width) array.  Every gamma
+    of the block, sorted along its row (which changes no maximum), then
+    counts the products below it in its row, ``searchsorted(side="left")``
+    within the row, by one branchless binary search for both dtypes: over s
+    the powers of two up to the width, largest first, the count moves up to
+    min(count + s, width) while the product there lies below gamma.
 
     Over a row |gamma - pi| is least at one of gamma's two sorted neighbours
     (a gamma equal to a product, or outside the row's range, clips its
     neighbour index) and greatest at the row's first or last product, and
     scale - x is monotone, so the grid's least min(d, scale - d) is
     min(nearest, scale - farthest).  That is exact on integers, and on floats
-    too, since IEEE subtraction rounds monotonically.  When even one shifted
-    int row would not fit in int64, all triples go through one ``_arc_gaps``
-    grid at once as Python ints.
+    too, since IEEE subtraction rounds monotonically.
     """
     m = len(sab)
     if pair is None:
         pair = np.arange(m)
     width = sa.shape[1] * sb.shape[1]
     step = max(1, _KERNEL_BLOCK // width)
-    exact = sab.dtype.kind != "f"
-    if exact:
-        # shifted values stay below rows * 2 * scale
-        step = min(step, np.iinfo(np.int64).max // (2 * scale))
-        if step < 1:
-            grid = _arc_gaps(sa[pair].astype(object), sb[pair].astype(object),
-                             sab.astype(object), scale)
-            return grid.min(axis=2).max(axis=1).astype(np.int64)
     out = np.empty(m, dtype=sab.dtype)
     # the block of pair rows from lo takes the triples t0:t1 on them
     bounds = np.searchsorted(pair, range(0, len(sa) + step, step))
     for lo, t0, t1 in zip(range(0, len(sa), step), bounds, bounds[1:]):
         part = slice(lo, lo + step)
         prods = np.add(sa[part, :, None], sb[part, None, :]).reshape(-1, width)
-        # each triple's first product in the flattened block, and its gammas
-        rows = pair[t0:t1, None] - lo
-        start = rows * width
-        gam = np.sort(sab[t0:t1], axis=1)
-        if exact:
+        if prods.dtype.kind == "f":
+            _mod1(prods, out=prods)
+        else:
             u = prods.view(np.uint64)
             np.minimum(u, u - scale, out=u)
-            prods.sort(axis=1)
-            prods += np.arange(len(prods))[:, None] * (2 * scale)
-            gam += rows * (2 * scale)
-            prods = prods.reshape(-1)
-            hi = prods.searchsorted(gam) - start
-        else:
-            _mod1(prods, out=prods)
-            prods.sort(axis=1)
-            prods = prods.reshape(-1)
-            hi = np.zeros(gam.shape, dtype=np.intp)
-            s = 1 << (width.bit_length() - 1)
-            while s:
-                cand = np.minimum(hi + s, width)
-                hi = np.where(prods[start - 1 + cand] < gam, cand, hi)
-                s >>= 1
+        prods.sort(axis=1)
+        prods = prods.reshape(-1)
+        # each triple's first product in the flattened block, and its gammas
+        start = (pair[t0:t1, None] - lo) * width
+        gam = np.sort(sab[t0:t1], axis=1)
+        hi = np.zeros(gam.shape, dtype=np.intp)
+        s = 1 << (width.bit_length() - 1)
+        while s:
+            cand = np.minimum(hi + s, width)
+            cand *= prods[start - 1 + cand] < gam
+            np.maximum(hi, cand, out=hi)
+            s >>= 1
         up = prods[start + np.minimum(hi, width - 1)]
         dn = prods[start + np.maximum(hi - 1, 0)]
         near = np.minimum(np.abs(gam - up), np.abs(gam - dn))

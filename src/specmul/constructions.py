@@ -31,6 +31,7 @@ from .circle import (
     _frac_str,
     _point_from_json,
     _point_to_json,
+    nearest_root_of_unity,
 )
 from .errors import (
     DeterminantNotOneError,
@@ -631,6 +632,15 @@ class MmGapReport:
         }
 
 
+def _nontrivial_root(x: Fraction, q: int) -> RationalAngle:
+    """The q-th root of unity j/q, 0 < j < q, nearest the angle x (the least
+    j on a tie); when 1 is the nearest root, it is 1/q or (q - 1)/q."""
+    x = RationalAngle.from_fraction(x)
+    root = nearest_root_of_unity(UnitPoint(x), q)
+    return root if root.num else min(RationalAngle(1, q), RationalAngle(q - 1, q),
+                                     key=x.distance)
+
+
 def mm_gap_analysis(params: MillerMorenoParams) -> MmGapReport:
     """Geometry of the product set sigma(Y) * sigma(Y^{-1}).
 
@@ -657,7 +667,7 @@ def mm_gap_analysis(params: MillerMorenoParams) -> MmGapReport:
         return min(d, 1 - d)
 
     # nontrivial q-th roots only: those are the points realized in sigma(X^k)
-    root = RationalAngle(min(range(1, q), key=lambda j: arc(Fraction(j, q), mid)), q)
+    root = _nontrivial_root(mid, q)
     return MmGapReport(
         p=p,
         q=q,
@@ -916,14 +926,20 @@ class QSetResult:
 
 def _window_witness(q: int, p: int, delta: Fraction) -> Optional[Fraction]:
     """First fraction k/q inside an open window around an odd multiple of
-    1/(2p), or None when q qualifies.  Works modulo the 1/p period."""
-    half = Fraction(1, 2 * p)
-    period = Fraction(1, p)
-    for k in range(1, q):
-        x = Fraction(k, q) % period
-        if abs(x - half) < delta:
-            return Fraction(k, q)
-    return None
+    1/(2p), or None when q qualifies.  The windows (c - delta, c + delta),
+    c = (2m + 1)/(2p) for m < p, lie in (0, 1) in order, so the search jumps
+    from k/q to the first window not wholly below it, then to that window's
+    first fraction: both only move up, O(min(p, q)) steps."""
+    x = Fraction(1, q)
+    while True:
+        # the least m with (2m + 1)/(2p) + delta > x, none when x is past 1
+        m = math.floor((x - delta) * p - Fraction(1, 2)) + 1
+        if m >= p:
+            return None
+        left = Fraction(2 * m + 1, 2 * p) - delta
+        if x > left:
+            return x
+        x = Fraction(math.floor(left * q) + 1, q)
 
 
 def q_set(params: QSetParams, q_max: Optional[int] = None) -> QSetResult:

@@ -1116,8 +1116,8 @@ class TestExactKernel:
     @pytest.mark.parametrize("scale", [2, 157 * 13, 2**62 - 3, 2**63 - 25])
     def test_pair_rows_match_the_triples_they_expand_to(self, block, scale,
                                                         monkeypatch):
-        # 40 pair rows, each used by 0 to 4 triples; 2**62 - 3 leaves room
-        # for one pair row per block, 2**63 - 25 takes the Python-int grid
+        # 40 pair rows, each used by 0 to 4 triples; from 2**62 on, sums of
+        # two numerators pass int64 and wrap
         rng = np.random.default_rng(block + scale % 1000)
         sa, sb = (_padded([rng.integers(0, scale, size=w).tolist()
                            for w in rng.integers(1, 6, size=40)])
@@ -1134,10 +1134,11 @@ class TestExactKernel:
         assert (asm._arc_defects(fa, fb, fab, pair=pair).tobytes()
                 == asm._arc_defects(fa[pair], fb[pair], fab).tobytes())
 
-    @pytest.mark.parametrize("scale", [2**62 - 3, 2**62 + 5, 2**63 - 25])
+    @pytest.mark.parametrize("scale", [2**62 - 3, 2**62 + 5, 2**63 - 25,
+                                       2**63 - 1])
     def test_scales_near_the_int64_limit(self, scale):
-        # 2**62 - 3 leaves room for one row per block; the larger scales
-        # would overflow the row shift and take the Python-int grid
+        # past 2**62 the sums of two numerators wrap in int64 and the uint64
+        # wrap-min reduces them; 2**63 - 1 is the largest int64 scale
         rows = [[0, scale - 1, scale // 3], [scale // 2], [1, scale - 2],
                 [scale // 5, 3 * (scale // 7)], [7], [scale - 9, 2]]
         sa, sb = _padded(rows), _padded(rows[::-1])
@@ -1146,6 +1147,19 @@ class TestExactKernel:
         got = asm._arc_defects(sa, sb, sab, scale)
         assert got.dtype == np.int64
         assert got.tolist() == _scalar_defects(sa, sb, sab, scale)
+
+    @pytest.mark.parametrize("block", [1, asm._KERNEL_BLOCK])
+    def test_wrapping_sums_in_blocks(self, block, monkeypatch):
+        # sums of numerators wrap in int64 alike in blocks of any size
+        scale = 2**63 - 25
+        rng = np.random.default_rng(block)
+        sa, sb, sab = (_padded([rng.integers(0, scale, size=w).tolist()
+                                for w in rng.integers(1, 6, size=20)])
+                       for _ in range(3))
+        want = _scalar_defects(sa, sb, sab, scale)
+        monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
+        got = asm._arc_defects(sa, sb, sab, scale)
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 # float turns where gammas meet products exactly (sums of k/64 are exact),
@@ -1157,7 +1171,8 @@ EDGE_TURNS = (st.integers(0, 63).map(lambda k: k / 64)
 
 class TestFloatKernel:
     """``_arc_defects`` on float turns, the sorted-neighbour search, against
-    the full ``_arc_gaps`` grid, bit for bit."""
+    the full ``_arc_gaps`` grid, bit for bit (and, across product widths,
+    on int64 numerators too)."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1209,6 +1224,28 @@ class TestFloatKernel:
                 mp.setattr(asm, "_KERNEL_BLOCK", block)
                 got = asm._arc_defects(sa, sb, sab, pair=pair)
             assert got.tobytes() == want.tobytes()
+        # int64 numerators take the same search: a small scale, where
+        # products repeat, and the largest int64 scale, against the grid in
+        # Python ints
+        for scale in (12, 2**63 - 1):
+            sa, sb = rng.integers(0, scale, (n, wa)), rng.integers(0, scale, (n, wb))
+            prods = (sa.astype(object)[:, :, None] + sb[:, None, :]) % scale
+            prods = prods.reshape(n, -1)
+            lo, top = prods.min(axis=1), prods.max(axis=1)
+            sab = np.column_stack([
+                prods[pair, rng.integers(0, wa * wb, len(pair))],
+                (lo[pair] - 1) % scale,
+                (top[pair] + 1) % scale,
+                rng.integers(0, scale, (len(pair), 2)),
+            ]).astype(np.int64)
+            want = (asm._arc_gaps(sa[pair].astype(object), sb[pair].astype(object),
+                                  sab.astype(object), scale)
+                    .min(axis=2).max(axis=1).astype(np.int64))
+            for block in (1, 50, asm._KERNEL_BLOCK):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(asm, "_KERNEL_BLOCK", block)
+                    got = asm._arc_defects(sa, sb, sab, scale, pair)
+                assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
     def test_gamma_across_the_wrap(self):
         # the products are 1 - 2**-53, 3/8 and 3/4 (the sums 11/8 - 2**-53
@@ -1285,20 +1322,6 @@ class TestExactWitness:
                                  min_size=1, max_size=6))
         assert (asm._defect_exact(sa, sb, sab, scale)
                 == _loop_defect_exact(sa, sb, sab, scale))
-
-    @pytest.mark.parametrize("block", [1, asm._KERNEL_BLOCK])
-    def test_python_int_rows_in_blocks(self, block, monkeypatch):
-        # past int64 the batch goes through one grid of Python ints, whatever
-        # the block size; 2**63 + 11 itself does not fit an int64 entry
-        scale = 2**63 - 25
-        rng = np.random.default_rng(block)
-        sa, sb, sab = (_padded([rng.integers(0, scale, size=w).tolist()
-                                for w in rng.integers(1, 6, size=20)])
-                       for _ in range(3))
-        want = _scalar_defects(sa, sb, sab, scale)
-        monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
-        got = asm._arc_defects(sa, sb, sab, scale)
-        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def _sub_pairs() -> list:

@@ -680,6 +680,23 @@ class TestMmGapAnalysis:
         want = {(a + b) % 1 for a in sy for b in syi}
         assert mm_gap_analysis(params).distinct_products == len(want)
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 7, 12, 31, 61])
+    def test_nontrivial_root_against_the_scan(self, q):
+        # every midpoint between adjacent roots (exact ties), angles just
+        # off them and off 1, values past 1 and random fractions
+        rng = np.random.default_rng(q)
+        xs = [Fraction(j, 2 * q) + d for j in range(4 * q)
+              for d in (0, Fraction(1, 10**9), -Fraction(1, 10**9))]
+        xs += [Fraction(int(n), 10**6) for n in rng.integers(0, 2 * 10**6, 200)]
+
+        def arc(f, g):
+            d = (f - g) % 1
+            return min(d, 1 - d)
+
+        for x in xs:
+            want = min(range(1, q), key=lambda j: arc(Fraction(j, q), x))
+            assert constructions._nontrivial_root(x, q) == RationalAngle(want, q), x
+
 
 def _bits(*values) -> bytes:
     """The exact bits of complex scalars, or of an element's lam and vectors."""
@@ -803,6 +820,22 @@ class TestQSet:
             assert member == (not bad)
             if witness is not None:
                 assert witness in bad
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10**6 + 3])
+    def test_window_witness_against_the_scan(self, p):
+        # deltas up to just below 1/(2p), and q past and below p
+        def scan(q, delta):
+            for k in range(1, q):
+                if abs(Fraction(k, q) % Fraction(1, p) - Fraction(1, 2 * p)) < delta:
+                    return Fraction(k, q)
+            return None
+
+        half = Fraction(1, 2 * p)
+        deltas = [half / 1000, half / 7, Fraction(2, 5) * half, half / 2,
+                  Fraction(9, 10) * half, half - Fraction(1, 10**6 * p)]
+        for delta in deltas:
+            for q in range(2, 90):
+                assert constructions._window_witness(q, p, delta) == scan(q, delta)
 
     def test_q_max_truncates(self):
         res = q_set(QSetParams(3, Fraction(11, 75)), q_max=4)
