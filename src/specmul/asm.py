@@ -116,33 +116,38 @@ def _arc_gaps(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray,
     at their common denominator; row t is one pair.  Returns
     ``min(d, scale - d)`` for ``d = |gamma - (alpha + beta) % scale|`` as an
     array ``(m, |sigma(AB)|, |sigma(A)||sigma(B)|)``.  ``_arc_defects``
-    finds the same minima by a sorted search; this full grid serves one
-    pair's witnesses and, in the tests, the batched kernel's oracle.
+    finds the same minima by a sorted search; this full grid serves
+    ``_arc_witness`` and, in the tests, the batched kernel's oracle.
     """
     m, na, nb = len(sa), sa.shape[1], sb.shape[1]
-    prods = np.add(sa[:, :, None], sb[:, None, :]).reshape(m, na * nb)
-    if prods.dtype.kind == "f":
-        _mod1(prods, out=prods)
-    else:
-        np.remainder(prods, scale, out=prods)
+    prods = _mod(np.add(sa[:, :, None], sb[:, None, :]).reshape(m, na * nb), scale)
     diff = np.abs(np.subtract(sab[:, :, None], prods[:, None, :]))
     return np.minimum(diff, np.subtract(scale, diff), out=diff)
 
 
-def _defect_exact(sa, sb, sab, scale):
-    """Exact defect of one triple of integer angle numerators mod ``scale``
-    on the grid of ``_arc_gaps``, with its witnesses: (defect numerator,
-    gamma, alpha, beta) for the first gamma attaining the maximum, its
-    nearest product (the one above gamma on a tie) and the first (alpha,
-    beta) in row-major order giving that product."""
-    dtype = np.int64 if 2 * scale <= np.iinfo(np.int64).max else object
+def _mod(x: np.ndarray, scale) -> np.ndarray:
+    """``x`` mod ``scale`` in place, float turns and integer numerators alike."""
+    return _mod1(x, out=x) if x.dtype.kind == "f" else np.remainder(x, scale, out=x)
+
+
+def _arc_witness(sa, sb, sab, scale=1.0) -> tuple:
+    """Defect of one triple on the grid of ``_arc_gaps`` with its witness
+    indices (defect, gamma, alpha, beta), for float turns at ``scale`` 1.0
+    and integer numerators at an int ``scale`` alike.  Gamma is the first
+    one attaining the maximum.  In its row the nearest product with the
+    least offset (product - gamma) mod ``scale`` wins, so a product above
+    gamma wins a tie; equal products keep the first (alpha, beta) in
+    row-major order."""
+    dtype = (float if isinstance(scale, float) else
+             np.int64 if 2 * scale <= np.iinfo(np.int64).max else object)
     sa, sb, sab = (np.array(s, dtype=dtype) for s in (sa, sb, sab))
     dist = _arc_gaps(sa[None], sb[None], sab[None], scale)[0]
     per_g = dist.min(axis=1)
     gi = int(per_g.argmax())
-    up = np.remainder(np.add.outer(sa, sb).reshape(-1) - sab[gi], scale)
+    prods = _mod(np.add.outer(sa, sb).reshape(-1), scale)
+    up = _mod(prods - sab[gi], scale)
     ai, bi = divmod(int(np.lexsort((up, dist[gi]))[0]), len(sb))
-    return int(per_g[gi]), int(sab[gi]), int(sa[ai]), int(sb[bi])
+    return per_g[gi], gi, ai, bi
 
 
 def _arc_defects(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray, scale=1.0,
@@ -233,16 +238,6 @@ def _chord_defects(alpha: np.ndarray, beta: np.ndarray,
     if not (ra.all() and rb.all()):
         raise ZeroSpectralRadiusError("spectral radius vanishes; defect undefined")
     return _chords(gamma, alpha, beta, ra * rb)
-
-
-def _defect_float(sa: np.ndarray, sb: np.ndarray, sab: np.ndarray):
-    """Float defect of one pair with its witness indices: the batch of one."""
-    diff = _arc_gaps(sa[None, :], sb[None, :], sab[None, :])[0]
-    per_g = diff.min(axis=1)
-    gi = int(per_g.argmax())
-    pj = int(diff[gi].argmin())
-    ai, bi = divmod(pj, len(sb))
-    return float(per_g[gi]), gi, ai, bi
 
 
 # ---------------------------------------------------------------------------
@@ -431,23 +426,25 @@ def _spectra_pair(sa: Spectrum, sb: Spectrum, sab: Spectrum, pair: tuple,
     """``pair_defect`` of the spectra sigma(A), sigma(B) and sigma(AB), with
     the matrices (A, B) when given; exact when all three spectra are.  An
     exhaustive scan passes the class representatives' spectra it scored."""
-    if sa.exact and sb.exact and sab.exact:
-        scale = math.lcm(*(s.common_denominator() for s in (sa, sb, sab)))
-        d, g, x, y = _defect_exact(
-            sa.int_angles(scale), sb.int_angles(scale), sab.int_angles(scale), scale)
-        fr = Fraction(d, scale)
-        d, wit = float(fr), [UnitPoint.exact(v, scale) for v in (g, x, y)]
-    else:
-        d, gi, ai, bi = _defect_float(sa.angles(), sb.angles(), sab.angles())
-        fr, wit = None, [sab.points[gi], sa.points[ai], sb.points[bi]]
+    spectra = (sa, sb, sab)
+    exact = all(s.exact for s in spectra)
+    scale = math.lcm(*(s.common_denominator() for s in spectra)) if exact else 1.0
+
+    def angle(p: UnitPoint):
+        return p.angle.num * (scale // p.angle.den) if exact else p.turns
+
+    # each eigenvalue once: repeats would grow the grid as the dimension cubed
+    pts = [sorted(dict.fromkeys(s.points), key=angle) for s in spectra]
+    d, gi, ai, bi = _arc_witness(*([angle(p) for p in q] for q in pts), scale)
+    fr = Fraction(int(d), scale) if exact else None
     return PairDefect(
         kind="asm",
-        defect=d,
+        defect=float(d if fr is None else fr),
         defect_exact=fr,
         pair=pair,
-        witness_gamma=wit[0],
-        witness_alpha=wit[1],
-        witness_beta=wit[2],
+        witness_gamma=pts[2][gi],
+        witness_alpha=pts[0][ai],
+        witness_beta=pts[1][bi],
         spectrum_a=sa.points,
         spectrum_b=sb.points,
         spectrum_ab=sab.points,

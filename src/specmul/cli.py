@@ -91,6 +91,10 @@ BUILD_TARGETS = ("q8", "cyclic", "tadpole-pair", "miller-moreno")
 # qset scans every prime up to the cutoff; past this it needs an explicit cap
 CUTOFF_GUARD = 5000
 
+# verify lemma-spectrum eigensolves p dense p x p matrices a trial; one trial
+# takes about 3 s at p = 101 (2 vCPUs), and more than 120 s at p = 401
+LEMMA_P_MAX = 101
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; our contract reserves 2 for
@@ -315,6 +319,8 @@ VERIFY_BLOCK = 4096
 
 def _verify_lemma_spectrum(args) -> tuple[bool, dict]:
     p = args.p
+    if p > LEMMA_P_MAX:
+        raise SpecmulError(f"lemma-spectrum checks p up to {LEMMA_P_MAX}")
     if not is_prime(p):
         raise SpecmulError("p must be prime")
     rng = np.random.default_rng(args.seed)

@@ -117,10 +117,9 @@ class _MonomialCode:
     ints from there on.
     """
 
-    def __init__(self, blocks: tuple, roots: int, nested: bool):
+    def __init__(self, blocks: tuple, roots: int):
         self.blocks = blocks    # (offset, size) of each monomial block
         self.roots = roots
-        self.nested = nested    # BlockDiag, or a single monomial matrix
         self.dim = sum(size for _, size in blocks)
         self.dtype = np.int64 if roots < _MAX_ROOTS else object
 
@@ -129,24 +128,20 @@ class _MonomialCode:
         """The code of ``gens``, or None unless every one of them encodes
         in ``gens[0]``'s layout of monomial blocks.  ``_prepare`` has
         refused approximate entries and normalized the generators."""
-        nested = isinstance(gens[0], BlockDiag)
-        blocks = gens[0].blocks if nested else (gens[0],)
+        blocks = gens[0].blocks if isinstance(gens[0], BlockDiag) else (gens[0],)
         parts = [_mono_parts(b) for g in gens
                  for b in (g.blocks if isinstance(g, BlockDiag) else (g,))]
         if any(p is None for p in parts):
             return None
         roots = math.lcm(1, *(p.angle.den for d, _ in parts for p in d))
         offsets = np.cumsum([0] + [b.dim for b in blocks]).tolist()
-        code = cls(tuple((off, b.dim) for off, b in zip(offsets, blocks)),
-                   roots, nested)
+        code = cls(tuple((off, b.dim) for off, b in zip(offsets, blocks)), roots)
         return code if all(code.encode(g) is not None for g in gens) else None
 
     def encode(self, m: UMatrix) -> Optional[np.ndarray]:
         """The row of ``m``, or None when ``m`` has another layout or an
         entry that is not a power of the primitive ``roots``-th root."""
-        if isinstance(m, BlockDiag) != self.nested:
-            return None
-        blocks = m.blocks if self.nested else (m,)
+        blocks = m.blocks if isinstance(m, BlockDiag) else (m,)
         if len(blocks) != len(self.blocks):
             return None
         s: list[int] = []
@@ -184,7 +179,7 @@ class _MonomialCode:
             monomial_cycle([UnitPoint.exact(x, self.roots)
                             for x in e[off:off + size]], s[off] - off)
             for off, size in self.blocks)
-        return BlockDiag(blocks) if self.nested else blocks[0]
+        return block_diag(blocks)
 
     def int_spectra(self, rows: np.ndarray) -> tuple[list, int]:
         """The spectra of ``rows`` as int angle numerators over one scale:
@@ -315,7 +310,7 @@ class GroupClosure:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         """Every element is exact: products of exact generators are."""
         return all(g.exact for g in self.generators)

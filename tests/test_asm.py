@@ -163,6 +163,23 @@ class TestPairDefect:
             b = tadpole(sample_tadpole(3, rng))
             assert 0.0 <= pair_defect(a, b).defect <= 0.5
 
+    def test_witness_grid_holds_each_eigenvalue_once(self, monkeypatch):
+        # a +-1 diagonal of dimension 60 squared, and the worst pair of a
+        # cyclic closure of dimension 31, (identity, identity): the grid
+        # spans the distinct eigenvalues, not every repeat
+        gaps, shapes = asm._arc_gaps, []
+
+        def spy(sa, sb, sab, scale=1.0):
+            shapes.append((sab.shape[1], sa.shape[1], sb.shape[1]))
+            return gaps(sa, sb, sab, scale)
+
+        monkeypatch.setattr(asm, "_arc_gaps", spy)
+        signs = Diagonal(tuple(UnitPoint.exact(k % 2, 2) for k in range(60)))
+        assert pair_defect(signs, signs).defect_exact == 0
+        cyclic = close([Diagonal(tuple(UnitPoint.exact(t, 31) for t in range(31)))])
+        assert measure_asm(cyclic).epsilon_exact == 0
+        assert shapes == [(1, 2, 2), (1, 1, 1)]
+
     def test_matrices_optional(self):
         i, j = _q8_generators()
         assert pair_defect(i, j, with_matrices=False).matrix_a is None
@@ -597,7 +614,7 @@ class TestBatchedKernel:
         # 37 pairs: blocks of 1, 1 and 6 (a partial last block) and 37
         rng = np.random.default_rng(block)
         sa, sb, sab = (rng.random((37, w)) for w in (3, 4, 5))
-        want = [asm._defect_float(sa[t], sb[t], sab[t])[0] for t in range(37)]
+        want = [asm._arc_witness(sa[t], sb[t], sab[t])[0] for t in range(37)]
         monkeypatch.setattr(asm, "_KERNEL_BLOCK", block)
         got = asm._arc_defects(sa, sb, sab)
         assert got.dtype == np.float64 and got.tolist() == want
@@ -693,6 +710,26 @@ class TestClassReducedScan:
         assert built == []
         measure_asm(c, collect_pairs=True)
         assert built == [c.order]
+
+    def test_exact_run_reads_generator_exactness_once(self):
+        c = close(miller_moreno(default_miller_moreno(3, 7)))
+        reads = []
+
+        class Spy:
+            def __init__(self, g):
+                self.g = g
+
+            def __getattr__(self, name):
+                return getattr(self.g, name)
+
+            @property
+            def exact(self):
+                reads.append(self.g)
+                return self.g.exact
+
+        c.generators = [Spy(g) for g in c.generators]
+        measure_asm(c)
+        assert [s.g for s in c.generators] == reads
 
     @pytest.mark.parametrize("name", sorted(EXHAUSTIVE_GOLDEN))
     def test_report_matches_golden(self, name):
@@ -904,7 +941,7 @@ class TestDenseAgainstExact:
 def _loop_defect_exact(sa, sb, sab, scale):
     """Exact defect over integer angle numerators mod ``scale``, one gamma
     at a time by bisection among the sorted products: the reference for
-    ``asm._defect_exact`` and the integer kernels.
+    ``asm._arc_witness`` and the integer kernels.
 
     Returns (defect numerator, gamma, alpha, beta): the first maximizing
     gamma, then the nearest product, the upper neighbour on a tie, and the
@@ -1273,29 +1310,72 @@ WITNESS_SCALES = st.sampled_from([2, 3, 12, 60, 2**62 - 3, 2**62 + 5, 2**63 + 11
                                   3**45]) | st.integers(2, 10**4)
 
 
+def _witness_values(sa, sb, sab, scale):
+    """``asm._arc_witness`` of integer numerators with its witness indices
+    read back as numerators, as ``_loop_defect_exact`` returns them."""
+    d, gi, ai, bi = asm._arc_witness(sa, sb, sab, scale)
+    return int(d), sab[gi], sa[ai], sb[bi]
+
+
+def _midpoint_triple(data, scale: int) -> tuple:
+    """Numerators mod ``scale`` of sigma(A) and sigma(B), and of sigma(AB)
+    drawn partly from the points midway between products, where the nearest
+    product ties."""
+    angles = st.lists(st.integers(0, scale - 1), min_size=1, max_size=6)
+    sa, sb = data.draw(angles), data.draw(angles)
+    mids = _midpoints([(x + y) % scale for x in sa for y in sb], scale)
+    sab = data.draw(st.lists(st.sampled_from(mids) | st.integers(0, scale - 1)
+                             if mids else st.integers(0, scale - 1),
+                             min_size=1, max_size=6))
+    return sa, sb, sab
+
+
 class TestExactWitness:
-    """``_defect_exact``, the grid of one triple, against
-    ``_loop_defect_exact``: its defect and its witness rule."""
+    """``_arc_witness``, the grid of one triple, against
+    ``_loop_defect_exact``: its defect and its witness rule, on integer
+    numerators and on float turns alike."""
 
     def test_midway_gamma_takes_the_product_above(self):
         # products 0 and 4 of 12, gamma 2 midway; products 1 and 11, gamma 0
         for sb in ([0, 4], [4, 0]):
-            assert asm._defect_exact([0], sb, [2], 12) == (2, 2, 0, 4)
+            assert _witness_values([0], sb, [2], 12) == (2, 2, 0, 4)
         for sb in ([1, 11], [11, 1]):
-            assert asm._defect_exact([0], sb, [0], 12) == (1, 0, 0, 1)
+            assert _witness_values([0], sb, [0], 12) == (1, 0, 0, 1)
         assert _loop_defect_exact([0], [4, 0], [2], 12) == (2, 2, 0, 4)
 
     def test_shared_product_takes_the_first_row_major_pair(self):
         # (2, 4) and (6, 0) both give 6, the product nearest gamma 7
-        assert asm._defect_exact([2, 6], [4, 0], [7], 32) == (1, 7, 2, 4)
-        assert asm._defect_exact([6, 2], [4, 0], [7], 32) == (1, 7, 6, 0)
+        assert _witness_values([2, 6], [4, 0], [7], 32) == (1, 7, 2, 4)
+        assert _witness_values([6, 2], [4, 0], [7], 32) == (1, 7, 6, 0)
         assert _loop_defect_exact([6, 2], [4, 0], [7], 32) == (1, 7, 6, 0)
 
     def test_first_maximizing_gamma(self):
         # gammas 5 and 3 each lie 1 from their nearest product, 6 and 2: the
         # first listed wins
-        assert asm._defect_exact([0], [2, 6], [5, 3], 12) == (1, 5, 0, 6)
+        assert _witness_values([0], [2, 6], [5, 3], 12) == (1, 5, 0, 6)
         assert _loop_defect_exact([0], [2, 6], [5, 3], 12) == (1, 5, 0, 6)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_exact_and_float_twins_name_one_witness(self, exact):
+        # sigma(A) = {0}, sigma(B) = {1/4, 3/4}, sigma(AB) = {1/2}: gamma lies
+        # midway between its products, and the one above, 3/4, wins in
+        # exact and float angles alike
+        def spectrum(*turns):
+            return linalg.Spectrum.from_points([
+                UnitPoint.exact(*t.as_integer_ratio()) if exact
+                else UnitPoint.approx(t) for t in turns])
+
+        r = asm._spectra_pair(spectrum(0.0), spectrum(0.25, 0.75),
+                              spectrum(0.5), ())
+        assert r.defect == 0.25 and (r.defect_exact is not None) == exact
+        assert ([w.turns for w in (r.witness_gamma, r.witness_alpha,
+                                   r.witness_beta)] == [0.5, 0.0, 0.75])
+
+    def test_float_offsets_are_taken_from_reduced_products(self):
+        # 0 + 1/4 and 1/2 + 3/4 both reduce to the product 1/4 nearest gamma
+        # 0.1; from the unreduced sums, fl(1.25 - 0.1) - 1 would round below
+        # fl(0.25 - 0.1) and pick the second pair
+        assert asm._arc_witness([0.0, 0.5], [0.25, 0.75], [0.1])[1:] == (0, 0, 0)
 
     def test_denominators_past_int64_take_the_python_int_grid(self):
         big, small = 2**61 - 1, 2**31 - 1
@@ -1314,13 +1394,20 @@ class TestExactWitness:
     @given(st.data())
     def test_matches_the_loop_with_gamma_on_midpoints(self, data):
         scale = data.draw(WITNESS_SCALES)
-        angles = st.lists(st.integers(0, scale - 1), min_size=1, max_size=6)
-        sa, sb = data.draw(angles), data.draw(angles)
-        mids = _midpoints([(x + y) % scale for x in sa for y in sb], scale)
-        sab = data.draw(st.lists(st.sampled_from(mids) | st.integers(0, scale - 1)
-                                 if mids else st.integers(0, scale - 1),
-                                 min_size=1, max_size=6))
-        assert (asm._defect_exact(sa, sb, sab, scale)
+        sa, sb, sab = _midpoint_triple(data, scale)
+        assert (_witness_values(sa, sb, sab, scale)
+                == _loop_defect_exact(sa, sb, sab, scale))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dyadic_float_turns_match_the_loop(self, data):
+        # turns k / 2^m add, reduce and subtract exactly in binary, so their
+        # ties are exact ties
+        scale = 2 ** data.draw(st.integers(1, 50))
+        sa, sb, sab = _midpoint_triple(data, scale)
+        d, gi, ai, bi = asm._arc_witness(*([x / scale for x in s]
+                                           for s in (sa, sb, sab)))
+        assert ((d * scale, sab[gi], sa[ai], sb[bi])
                 == _loop_defect_exact(sa, sb, sab, scale))
 
 

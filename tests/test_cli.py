@@ -519,6 +519,17 @@ class TestVerify:
         assert code == 1 and f"would have {p}^{3 * p - 2} elements" in err
         assert "budget" in err
 
+    @pytest.mark.parametrize("p", [cli.LEMMA_P_MAX + 2, 10**18 + 3])
+    def test_lemma_spectrum_refuses_p_past_its_bound(self, capsys, p):
+        # both are prime: 103 would run 103 eigensolves a trial, and the
+        # first trial at 10^18 + 3 would ask for a (1, 10^18 + 2) array
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "lemma-spectrum", "--p", str(p),
+                             "--trials", "1", "--deterministic")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out
+        assert err == f"error: lemma-spectrum checks p up to {cli.LEMMA_P_MAX}\n"
+
     def test_lemma_counterexample_keeps_exact_points(self):
         # a negative tolerance turns the first trial, an exact one, into a
         # counterexample
