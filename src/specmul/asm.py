@@ -541,17 +541,26 @@ def _sr_batch_defects(drawn) -> np.ndarray:
     return _chord_defects(*drawn.eigenvalues())
 
 
+def _stack(batches: list):
+    """The pairs of ``batches`` in order, as one batch of their class: every
+    ndarray field concatenated along axis 0, every other field copied from
+    the first batch.  It relies on every array field of a batch holding
+    pairs on its first axis.  A single batch is returned unchanged."""
+    if len(batches) == 1:
+        return batches[0]
+    return type(batches[0])(**{
+        name: np.concatenate([vars(b)[name] for b in batches])
+        if isinstance(value, np.ndarray) else value
+        for name, value in vars(batches[0]).items()})
+
+
 def _sampled_group(args):
     """Draw a group of consecutive (count, seed sequence) chunks by the
     sampler's ``batch``, each from its own seed, and score them stacked with
-    one ``kernel`` call: (defects, the first maximum's pair as a one-row
-    batch, so no matrix is built for a pair that may not win the run)."""
+    one ``kernel`` call: the group's defects, as one array."""
     sampler, chunks, kernel = args
-    drawn = [sampler.batch(np.random.default_rng(seed_seq), count)
-             for count, seed_seq in chunks]
-    drawn = type(drawn[0]).concat(drawn)
-    values = kernel(drawn)
-    return values, drawn.take(int(values.argmax()))
+    return kernel(_stack([sampler.batch(np.random.default_rng(seed_seq), count)
+                          for count, seed_seq in chunks]))
 
 
 def _chunk_sizes(total: int, parts: int) -> list[int]:
@@ -654,12 +663,13 @@ def _negated(angles: tuple, scale: int) -> tuple:
     return tuple(sorted((-x) % scale for x in angles))
 
 
-def _exhaustive_report(worst, n, values, grid, bins, vmax, collect_pairs,
+def _exhaustive_report(worst, n, values, grid, bins, vmax,
                        eps_exact=None, weights=None, gamma_convention=None):
-    """Report of a scan over all n x n ordered pairs; ``grid[i, j]`` is the
-    defect of pair (i, j), ``values`` (with ``weights``) feed the histogram."""
+    """Report of a scan over all n x n ordered pairs; ``values`` (with
+    ``weights``) feed the histogram.  ``grid[i, j]``, the defect of pair
+    (i, j), is given only when the pairs are collected."""
     rows = None
-    if collect_pairs:
+    if grid is not None:
         rows = [(i, j, float(grid[i, j])) for i in range(n) for j in range(n)]
     return AsmReport(
         kind=worst.kind,
@@ -730,7 +740,6 @@ def measure_asm(
     return _exhaustive_report(
         worst, n, tri_defects.astype(float) / scale,
         None if grid is None else grid.astype(float) / scale, bins, 0.5,
-        collect_pairs,
         eps_exact=Fraction(int(tri_defects.max()), scale) if closure.exact else None,
         weights=counts)
 
@@ -745,8 +754,8 @@ def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
     at most ``SAMPLE_GROUP_PAIRS`` pairs (or one chunk, when a chunk alone is
     larger) are scored by one ``kernel`` call each, in the pool from the
     sampler's ``PARALLEL_MIN_PAIRS`` pairs (pool startup dwarfs the work
-    below them).  ``worst_of`` builds the run's
-    first maximum, the only pair built as matrices; the report is exact when
+    below them).  ``worst_of`` builds the run's first maximum, the only pair
+    built as matrices, from its chunk drawn again; the report is exact when
     its defect is.  ``vmax`` tops the histogram (None: the largest defect).
     """
     if not hasattr(sampler, "batch"):
@@ -758,14 +767,19 @@ def _measure_sampled(sampler, pair_count, seed, workers, bins, collect_pairs,
     per = max(1, SAMPLE_GROUP_PAIRS // sizes[0])
     tasks = [(sampler, chunks[lo:lo + per], kernel)
              for lo in range(0, len(chunks), per)]
-    parts = _map_chunks(_sampled_group, tasks,
-                        workers if pair_count >= sampler.PARALLEL_MIN_PAIRS else 1)
-    values = np.concatenate([p[0] for p in parts])
-    # the first maximum lies in the part whose end is the first one past it
+    values = np.concatenate(_map_chunks(
+        _sampled_group, tasks,
+        workers if pair_count >= sampler.PARALLEL_MIN_PAIRS else 1))
+    # the first maximum lies in the chunk whose end is the first one past
+    # it; a chunk's draw depends only on its seed sequence, so drawing that
+    # chunk again gives the pair its group scored
     best_idx = int(values.argmax())
-    ends = np.cumsum([len(p[0]) for p in parts])
-    best = parts[int(np.searchsorted(ends, best_idx, side="right"))][1]
-    worst = worst_of(*best.pair(0), pair=("sampled", best_idx))
+    ends = np.cumsum(sizes)
+    c = int(np.searchsorted(ends, best_idx, side="right"))
+    count, seed_seq = chunks[c]
+    drawn = sampler.batch(np.random.default_rng(seed_seq), count)
+    worst = worst_of(*drawn.pair(best_idx - int(ends[c]) + count),
+                     pair=("sampled", best_idx))
     rows = [(int(t), -1, float(v)) for t, v in enumerate(values)] if collect_pairs else None
     return AsmReport(
         kind=worst.kind,
@@ -841,8 +855,9 @@ def measure_sub(
     flat = int(values.argmax())
     i, j = divmod(flat, n)
     worst = pair_sub_defect(elements[i], elements[j], pair=("elements", i, j))
-    return _exhaustive_report(worst, n, values, values.reshape(n, n), bins,
-                              None, collect_pairs, gamma_convention="nonzero")
+    return _exhaustive_report(worst, n, values,
+                              values.reshape(n, n) if collect_pairs else None,
+                              bins, None, gamma_convention="nonzero")
 
 
 def conversion_check(eps: Union[Fraction, float]):

@@ -91,9 +91,10 @@ BUILD_TARGETS = ("q8", "cyclic", "tadpole-pair", "miller-moreno")
 # qset scans every prime up to the cutoff; past this it needs an explicit cap
 CUTOFF_GUARD = 5000
 
-# verify lemma-spectrum eigensolves p dense p x p matrices a trial; one trial
-# takes about 3 s at p = 101 (2 vCPUs), and more than 120 s at p = 401
-LEMMA_P_MAX = 101
+# verify lemma-spectrum eigensolves p dense p x p matrices a trial, so a run
+# costs about trials * p^4; runs at this bound take about 30 s (2 vCPUs):
+# 26.7 s at p = 53 and the default 100 trials, 32.4 s at p = 101 and 7
+LEMMA_WORK_MAX = 8 * 10**8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -319,8 +320,9 @@ VERIFY_BLOCK = 4096
 
 def _verify_lemma_spectrum(args) -> tuple[bool, dict]:
     p = args.p
-    if p > LEMMA_P_MAX:
-        raise SpecmulError(f"lemma-spectrum checks p up to {LEMMA_P_MAX}")
+    if args.trials * p**4 > LEMMA_WORK_MAX:
+        raise SpecmulError(
+            f"lemma-spectrum checks trials * p^4 up to {LEMMA_WORK_MAX}")
     if not is_prime(p):
         raise SpecmulError("p must be prime")
     rng = np.random.default_rng(args.seed)

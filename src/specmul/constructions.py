@@ -391,21 +391,6 @@ class TadpoleBatch:
     a: np.ndarray
     exact: bool = False
 
-    @classmethod
-    def concat(cls, batches: Sequence["TadpoleBatch"]) -> "TadpoleBatch":
-        """The pairs of ``batches`` in order, as one batch."""
-        if len(batches) == 1:
-            return batches[0]
-        return cls(batches[0].p, np.concatenate([b.d for b in batches]),
-                   np.concatenate([b.k for b in batches]),
-                   np.concatenate([b.a for b in batches]), batches[0].exact)
-
-    def take(self, t: int) -> "TadpoleBatch":
-        """Pair t alone, as a batch that holds no view of this one."""
-        pick = slice(t, t + 1)
-        return TadpoleBatch(self.p, self.d[pick].copy(), self.k[pick].copy(),
-                            self.a[pick].copy(), self.exact)
-
     @property
     def scale(self) -> int:
         """The denominator 2p^3 of the numerators of exact ``spectra``."""
@@ -799,21 +784,6 @@ class SrBatch:
         return cls(np.array([e.lam for e in elements], dtype=complex),
                    np.array([e.row for e in elements], dtype=complex),
                    np.array([e.col for e in elements], dtype=complex))
-
-    @classmethod
-    def concat(cls, batches: Sequence["SrBatch"]) -> "SrBatch":
-        """The pairs of ``batches`` in order, as one batch."""
-        if len(batches) == 1:
-            return batches[0]
-        return cls(np.concatenate([b.lam for b in batches]),
-                   np.concatenate([b.row for b in batches]),
-                   np.concatenate([b.col for b in batches]))
-
-    def take(self, t: int) -> "SrBatch":
-        """Pair t alone, as a batch that holds no view of this one."""
-        pick = slice(2 * t, 2 * t + 2)
-        return SrBatch(self.lam[pick].copy(), self.row[pick].copy(),
-                       self.col[pick].copy())
 
     def _element(self, i: int) -> SrElement:
         return SrElement(complex(self.lam[i]), tuple(self.row[i]), tuple(self.col[i]))

@@ -184,8 +184,9 @@ class _MonomialCode:
     def int_spectra(self, rows: np.ndarray) -> tuple[list, int]:
         """The spectra of ``rows`` as int angle numerators over one scale:
         each row's distinct numerators as a sorted tuple, and the scale,
-        the lcm of their reduced denominators.  Equal to ``int_angles`` of
-        the decoded matrices' spectra at their common denominator.
+        the lcm of their reduced denominators.  Equal to the distinct
+        numerators of the decoded matrices' spectra at their common
+        denominator.
 
         A cycle of ``s`` of length l whose exponents sum to S mod N gives
         the l-th roots of e^{2 pi i S / N}: the angles (S + j N) / (l N)

@@ -100,10 +100,6 @@ class Spectrum:
             raise ValueError("approximate spectrum has no common denominator")
         return math.lcm(*(p.angle.den for p in self.points))
 
-    def int_angles(self, scale: int) -> tuple[int, ...]:
-        """Distinct angle numerators over the common denominator ``scale``."""
-        return tuple(sorted({p.angle.num * (scale // p.angle.den) for p in self.points}))
-
 
 class UMatrix:
     """Base class for the structured unitary representations."""
@@ -211,30 +207,22 @@ class MonomialCycle(UMatrix):
         return a
 
     def spectrum(self) -> Spectrum:
-        # The underlying permutation splits into gcd(k, p) cycles of equal
-        # length; each cycle of weight w contributes the L-th roots of w.
-        p = self.dim
+        # The shift splits into g = gcd(k, p) cycles c, c + k, c + 2k, ...
+        # (mod p), one through each c < g, all of length L = p/g; a cycle of
+        # weight w contributes the L-th roots of w.
+        p, k, d = self.dim, self.k, self.d
+        g = math.gcd(k, p)
+        length = p // g
         pts: list[UnitPoint] = []
-        seen = [False] * p
-        for start in range(p):
-            if seen[start]:
-                continue
-            w = ONE
-            i = start
-            length = 0
-            while not seen[i]:
-                seen[i] = True
-                w = w * self.d[i]
-                i = (i + self.k) % p
-                length += 1
+        for c in range(g):
+            w = math.prod((d[(c + j * k) % p] for j in range(length)), start=ONE)
             if w.is_exact:
-                base = w.angle.as_fraction()
-                for t in range(length):
-                    f = (base + t) / length
-                    pts.append(UnitPoint.exact(f.numerator, f.denominator))
+                num, den = w.angle.num, w.angle.den
+                pts += [UnitPoint.exact(num + t * den, length * den)
+                        for t in range(length)]
             else:
-                for t in range(length):
-                    pts.append(UnitPoint.approx((w.turns + t) / length, w.err / length))
+                pts += [UnitPoint.approx((w.turns + t) / length, w.err / length)
+                        for t in range(length)]
         return Spectrum.from_points(pts)
 
     def inverse(self) -> UMatrix:

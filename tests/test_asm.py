@@ -571,6 +571,61 @@ def _one_pair_report(sampler, count, seed, worst_of, vmax, gamma_convention=None
         pair_rows=[(int(t), -1, float(v)) for t, v in enumerate(values)])
 
 
+_WINNER_REFERENCES: dict = {}
+
+
+class TestWinnerRedraw:
+    """The run's first maximum, drawn again from its chunk's own seed, against
+    the one-pair reference, wherever the maximum lies among the chunks."""
+
+    COUNT = 300  # 64 chunks of 5 or 4 pairs
+
+    def _run(self, family, seed, **kw):
+        if family == "sr":
+            return measure_sub(sr_sampler(SrParams(0.5)), pair_count=self.COUNT,
+                               seed=seed, **kw)
+        return measure_asm_sampled(tadpole_sampler(5), self.COUNT, seed=seed, **kw)
+
+    def _reference(self, family, seed):
+        if (family, seed) not in _WINNER_REFERENCES:
+            _WINNER_REFERENCES[family, seed] = (
+                _one_pair_report(sr_sampler(SrParams(0.5)), self.COUNT, seed,
+                                 pair_sub_defect, None, "nonzero")
+                if family == "sr" else
+                _one_pair_report(tadpole_sampler(5), self.COUNT, seed,
+                                 pair_defect, 0.5))
+        return _WINNER_REFERENCES[family, seed]
+
+    # seeds whose first maximum lies where the case says; the test checks it
+    @pytest.mark.parametrize("family, seed, where", [
+        ("tadpole5", 3, "first pair"), ("tadpole5", 25, "last pair"),
+        ("tadpole5", 280, "last chunk"), ("sr", 16, "first pair"),
+        ("sr", 3, "last pair"), ("sr", 45, "last chunk")])
+    # groups of 10 chunks (7 tasks), and one chunk a group, each chunk larger
+    # than the group budget (64 tasks)
+    @pytest.mark.parametrize("group_pairs, tasks", [(50, 7), (3, 64)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_the_one_pair_reference(self, family, seed, where,
+                                            group_pairs, tasks, workers,
+                                            monkeypatch):
+        sizes = asm._chunk_sizes(self.COUNT, asm.SAMPLE_CHUNKS)
+        ref = self._reference(family, seed)
+        best = ref.worst.pair[1]
+        starts = np.cumsum(sizes) - sizes
+        c = int(np.flatnonzero(starts <= best)[-1])
+        last = len(sizes) - 1
+        assert {"first pair": 0 < c < last and best == starts[c],
+                "last pair": c < last and best == starts[c] + sizes[c] - 1,
+                "last chunk": c == last}[where]
+        pool_floor(monkeypatch, 1)
+        monkeypatch.setattr(asm, "SAMPLE_GROUP_PAIRS", group_pairs)
+        seen = spy_workers(monkeypatch)
+        rep = self._run(family, seed, workers=workers, collect_pairs=True)
+        assert seen == [(workers, tasks)]
+        assert rep.worst.matrix_a is not None
+        assert rep.to_json_dict() == ref.to_json_dict()
+
+
 class TestBatchedKernel:
     """The batched path against the one-pair-at-a-time reference."""
 
@@ -580,13 +635,14 @@ class TestBatchedKernel:
         for exact in (False, True):
             sampler = tadpole_sampler(p, exact=exact)
             seq = np.random.SeedSequence(seed)
-            vals, best = asm._sampled_group(
+            vals = asm._sampled_group(
                 (sampler, [(40, seq)], asm._tadpole_batch_defects))
             svals, spair, sexact = _one_pair_chunk(
                 (sampler, 40, seq, partial(pair_defect, with_matrices=False)))
             assert np.array_equal(vals.view(np.int64), svals.view(np.int64))
-            assert best.exact is sexact is exact
-            pair = best.pair(0)
+            drawn = sampler.batch(np.random.default_rng(seq), 40)
+            assert drawn.exact is sexact is exact
+            pair = drawn.pair(int(vals.argmax()))
             assert pair == spair
             assert ([m.to_json_dict() for m in pair]
                     == [m.to_json_dict() for m in spair])
@@ -1384,7 +1440,9 @@ class TestExactWitness:
         spectra = [m.spectrum() for m in (a, b, matmul(a, b))]
         scale = math.lcm(*(s.common_denominator() for s in spectra))
         assert 2 * scale > np.iinfo(np.int64).max
-        d, *wit = _loop_defect_exact(*(s.int_angles(scale) for s in spectra), scale)
+        nums = [sorted({p.angle.num * (scale // p.angle.den) for p in s.points})
+                for s in spectra]
+        d, *wit = _loop_defect_exact(*nums, scale)
         r = pair_defect(a, b)
         assert r.defect_exact == Fraction(d, scale)
         assert ([r.witness_gamma, r.witness_alpha, r.witness_beta]
@@ -1878,11 +1936,11 @@ class TestSrBatchChunk:
 
     def _chunks(self, sampler, seed, count=40):
         seq = np.random.SeedSequence(seed)
-        vals, best = asm._sampled_group(
-            (sampler, [(count, seq)], asm._sr_batch_defects))
+        vals = asm._sampled_group((sampler, [(count, seq)], asm._sr_batch_defects))
         one_by_one = _one_pair_chunk((sr_sampler(sampler.params), count, seq,
                                       self.PER_PAIR))
-        return (vals, best.pair(0)), one_by_one
+        drawn = sampler.batch(np.random.default_rng(seq), count)
+        return (vals, drawn.pair(int(vals.argmax()))), one_by_one
 
     def _assert_same(self, got, want):
         vals, pair = got

@@ -15,14 +15,12 @@ import numpy as np
 import pytest
 
 from specmul import cli, linalg
-from specmul.asm import AsmReport, _arc_defects, pair_defect
+from specmul.asm import AsmReport, _arc_defects, _stack, pair_defect
 from specmul.cli import main
 from specmul.linalg import Dense, matrix_from_json, matrix_to_json
 from specmul.circle import _point_from_json
 from specmul.constructions import (
-    SrBatch,
     SrParams,
-    TadpoleBatch,
     TadpoleParams,
     _cmul,
     _tadpole_cases,
@@ -519,16 +517,31 @@ class TestVerify:
         assert code == 1 and f"would have {p}^{3 * p - 2} elements" in err
         assert "budget" in err
 
-    @pytest.mark.parametrize("p", [cli.LEMMA_P_MAX + 2, 10**18 + 3])
-    def test_lemma_spectrum_refuses_p_past_its_bound(self, capsys, p):
-        # both are prime: 103 would run 103 eigensolves a trial, and the
-        # first trial at 10^18 + 3 would ask for a (1, 10^18 + 2) array
+    @pytest.mark.parametrize("p, trials", [
+        pytest.param(p, trials, id=str(p))
+        for p, trials in ((103, None), (10**18 + 3, 1), (101, None))])
+    def test_lemma_spectrum_refuses_p_past_its_bound(self, capsys, p, trials):
+        # all are prime: 101 and 103 at the default 100 trials would run for
+        # minutes, and the first trial at 10^18 + 3 would ask for a
+        # (1, 10^18 + 2) array
         start = time.perf_counter()
+        more = () if trials is None else ("--trials", str(trials))
         code, out, err = run(capsys, "verify", "lemma-spectrum", "--p", str(p),
-                             "--trials", "1", "--deterministic")
+                             *more, "--deterministic")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and not out
-        assert err == f"error: lemma-spectrum checks p up to {cli.LEMMA_P_MAX}\n"
+        assert err == ("error: lemma-spectrum checks trials * p^4 up to "
+                       f"{cli.LEMMA_WORK_MAX}\n")
+
+    def test_lemma_spectrum_bound_is_on_the_whole_run(self, capsys, monkeypatch):
+        # at a bound of 2 * 3^4, p = 3 runs 2 trials and refuses 3
+        monkeypatch.setattr(cli, "LEMMA_WORK_MAX", 2 * 3**4)
+        code, _, _ = run(capsys, "verify", "lemma-spectrum", "--p", "3",
+                         "--trials", "2", "--deterministic")
+        assert code == 0
+        code, out, err = run(capsys, "verify", "lemma-spectrum", "--p", "3",
+                             "--trials", "3", "--deterministic")
+        assert code == 1 and not out and "up to 162" in err
 
     def test_lemma_counterexample_keeps_exact_points(self):
         # a negative tolerance turns the first trial, an exact one, into a
@@ -568,13 +581,13 @@ class TestVerifyTadpoleBound:
 
     def test_blocks_merge_into_the_evidence(self, monkeypatch):
         # each block is one batch: the evidence is that of the seeded blocks
-        # concatenated, whose first float pair past the bound lies in block 1
+        # stacked, whose first float pair past the bound lies in block 1
         monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
         args = argparse.Namespace(p=3, seed=4, pairs=700, tol=-0.0002)
         ok, evidence = cli._verify_tadpole_bound(args)
         rng = np.random.default_rng(4)
-        merged = TadpoleBatch.concat([tadpole_sampler(3).batch(rng, count)
-                                      for count in (128,) * 5 + (60,)])
+        merged = _stack([tadpole_sampler(3).batch(rng, count)
+                         for count in (128,) * 5 + (60,)])
         vals = _arc_defects(*merged.spectra())
         t = int(np.flatnonzero(vals > 1 / 18 - 0.0002)[0])
         assert not ok and t >= 128
@@ -618,14 +631,14 @@ class TestVerifySrBound:
 
     def test_blocks_merge_into_the_evidence(self, monkeypatch):
         # each block is one batch: the evidence is that of the seeded blocks
-        # concatenated, whose first ratio past 0.8 is sample 367, in block 2
+        # stacked, whose first ratio past 0.8 is sample 367, in block 2
         monkeypatch.setattr(cli, "VERIFY_BLOCK", 128)
         monkeypatch.setattr(cli, "sr_ratio_bound", lambda r: 0.8)
         ok, evidence = cli._verify_sr_bound(self.ARGS)
         rng = np.random.default_rng(9)
         sampler = sr_sampler(SrParams(0.6, 5))
-        merged = SrBatch.concat([sampler.batch(rng, count)
-                                 for count in (128,) * 5 + (60,)])
+        merged = _stack([sampler.batch(rng, count)
+                         for count in (128,) * 5 + (60,)])
         alpha, beta, gamma = merged.eigenvalues()
         quot = gamma / _cmul(alpha, beta)
         ratio = np.hypot(quot.real - 1.0, quot.imag)

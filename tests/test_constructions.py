@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from json_fuzz import JSON_VALUES, json_paths, replaced
 
 from specmul import constructions
-from specmul.asm import pair_defect
+from specmul.asm import _stack, pair_defect
 from specmul.circle import ONE, RationalAngle, UnitPoint
 from specmul.constructions import (
     MillerMorenoParams,
@@ -484,28 +484,29 @@ class TestMod1:
 
 
 class TestBatchStacking:
-    """``concat`` and ``take`` of the sampled batches."""
+    """``asm._stack`` of the sampled batches: every array field joined along
+    its first axis, the other fields the first batch's."""
 
     @staticmethod
     def _check(parts, spectra):
-        stacked = type(parts[0]).concat(parts)
+        stacked = _stack(parts)
+        assert type(stacked) is type(parts[0])
+        assert all(value == vars(parts[0])[name]
+                   for name, value in vars(stacked).items()
+                   if not isinstance(value, np.ndarray))
         pairs = [x.pair(t) for x in parts for t in range(len(spectra(x)[0]))]
         assert [stacked.pair(t) for t in range(len(pairs))] == pairs
         for got, want in zip(spectra(stacked),
                              (np.concatenate(z) for z in zip(*map(spectra, parts)))):
             assert got.tobytes() == want.tobytes()
-        for t, pair in enumerate(pairs):
-            one = stacked.take(t)
-            assert one.pair(0) == pair
-            assert not any(np.shares_memory(getattr(one, f), getattr(stacked, f))
-                           for f in vars(one) if isinstance(getattr(one, f), np.ndarray))
-        assert type(parts[0]).concat(parts[:1]) is parts[0]
+        assert _stack(parts[:1]) is parts[0]
 
     def test_tadpole(self):
-        sampler = tadpole_sampler(5)
-        self._check([sampler.batch(np.random.default_rng(s), c)
-                     for s, c in ((0, 3), (1, 1), (2, 4))],
-                    lambda x: x.spectra())
+        for exact in (False, True):
+            sampler = tadpole_sampler(5, exact=exact)
+            parts = [sampler.batch(np.random.default_rng(s), c)
+                     for s, c in ((0, 3), (1, 1), (2, 4))]
+            self._check(parts, lambda x: x.spectra())
 
     def test_sr(self):
         sampler = sr_sampler(SrParams(0.5))

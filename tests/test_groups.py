@@ -460,10 +460,11 @@ DENSE_GROUPS = {
 
 def _object_int_spectra(code, rows):
     """``_MonomialCode.int_spectra`` the object way: each row decoded, its
-    ``Spectrum``'s int angles at the common denominator of them all."""
+    ``Spectrum``'s distinct numerators at the common denominator of them all."""
     spectra = [code.decode(row).spectrum() for row in rows]
     scale = math.lcm(*(s.common_denominator() for s in spectra))
-    return [s.int_angles(scale) for s in spectra], scale
+    return [tuple(sorted({p.angle.num * (scale // p.angle.den) for p in s.points}))
+            for s in spectra], scale
 
 
 # every monomial layout (ARRAY_GROUPS holds the CLASS_GROUPS groups too):

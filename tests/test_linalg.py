@@ -241,11 +241,10 @@ def _match_spectra_loop(ta, tb) -> float:
 
 
 class TestSpectrumHelpers:
-    def test_common_denominator_and_int_angles(self):
+    def test_common_denominator(self):
         s = Spectrum.from_points([UnitPoint.exact(1, 4), UnitPoint.exact(1, 6),
                                   UnitPoint.exact(1, 4)])
         assert s.common_denominator() == 12
-        assert s.int_angles(12) == (2, 3)  # deduplicated, sorted
 
     def test_match_spectra_detects_shift(self):
         a = [0.1, 0.4, 0.7]
